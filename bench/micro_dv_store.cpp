@@ -5,9 +5,8 @@
 // bounded-reach island graph (chains of chorded communities, islands
 // mutually unreachable — the partial-reachability shape of real large
 // graphs, where most rows hold many infinite entries the cold codec
-// never stores) converges under block partitioning and the pipelined
-// exchange (so cold-row prefetch overlaps spill decode with in-flight
-// arrivals), then small late change batches, each localized to one
+// never stores) converges under block partitioning, then small late
+// change batches, each localized to one
 // community, keep only a handful of rows active per step. Budgets sweep
 // from fully resident (the oracle) down to 1/16 of the dense footprint;
 // per budget the bench reports the step-boundary peak DV bytes (hot +
@@ -163,14 +162,8 @@ int main() {
   base.num_ranks = P;
   base.seed = scale.seed;
   // Block partitioning keeps whole islands rank-local except at the rank
-  // boundaries, and the pipelined exchange is where the tentpole's
-  // prefetch overlap engages: cold rows the queued repairs will touch are
-  // decoded while peers' payloads are still in flight. The closeness
-  // fixed point is exchange-mode-independent, and the oracle runs the
-  // same mode, so the comparison stays apples to apples.
+  // boundaries.
   base.dd_partitioner = PartitionerKind::kBlock;
-  base.exchange_mode = ExchangeMode::kPipelined;
-  base.exchange_window = 3;
   base.transport.recv_timeout = bench::watchdog_timeout();
 
   // Resident oracle first: its peak gauge is the dense footprint the

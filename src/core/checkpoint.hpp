@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -66,17 +67,42 @@ struct Checkpoint {
   }
 };
 
-/// Checkpoint blob header (wire format v2). Legacy v1 blobs have no header:
-/// they open directly with the owner-map length, so restore dispatches on
-/// the magic bytes. See docs/PROTOCOL.md §"Wire format v2".
+/// Checkpoint blob header (wire format v2): every blob opens with the
+/// magic bytes and a version byte. See docs/PROTOCOL.md §"Wire format v2".
 inline constexpr std::uint8_t kCkptMagic0 = 0xAA;
 inline constexpr std::uint8_t kCkptMagic1 = 0xCC;
 inline constexpr std::uint8_t kCkptVersion2 = 2;
+inline constexpr std::size_t kCkptHeaderBytes = 3;
+
+/// Checks one blob's magic/version header; `who` names the blob in the
+/// message ("rank 2"). Also validates a single dead rank's blob before
+/// adoption, where the whole-world validate_checkpoint cannot apply (the
+/// surviving world no longer matches the blob's num_ranks). Deep
+/// truncation inside the blob is caught during restore (the bounds-checked
+/// reader) and re-raised as CheckpointError with rank context by the
+/// engine. Throws CheckpointError.
+inline void validate_blob_header(std::span<const std::byte> blob,
+                                 const std::string& who) {
+  if (blob.empty()) {
+    throw CheckpointError(who + " checkpoint blob is empty");
+  }
+  if (blob.size() < 2 ||
+      std::to_integer<std::uint8_t>(blob[0]) != kCkptMagic0 ||
+      std::to_integer<std::uint8_t>(blob[1]) != kCkptMagic1) {
+    throw CheckpointError(who + " checkpoint blob has no v2 header");
+  }
+  if (blob.size() < kCkptHeaderBytes) {
+    throw CheckpointError(who + " checkpoint blob truncated inside the header");
+  }
+  const auto version = std::to_integer<std::uint8_t>(blob[2]);
+  if (version != kCkptVersion2) {
+    throw CheckpointError(who + " checkpoint blob has unknown version " +
+                          std::to_string(version));
+  }
+}
 
 /// Structural validation before any blob is parsed: shape, world size, and
-/// each blob's magic/version header. Deep truncation inside a blob is caught
-/// during restore (the bounds-checked reader) and re-raised as
-/// CheckpointError with rank context by the engine. Throws CheckpointError.
+/// each blob's header. Throws CheckpointError.
 inline void validate_checkpoint(const Checkpoint& ck, Rank world_size) {
   if (ck.num_ranks <= 0) {
     throw CheckpointError("checkpoint has no ranks (num_ranks = " +
@@ -93,28 +119,7 @@ inline void validate_checkpoint(const Checkpoint& ck, Rank world_size) {
                           std::to_string(world_size) + ")");
   }
   for (std::size_t r = 0; r < ck.rank_blobs.size(); ++r) {
-    const auto& blob = ck.rank_blobs[r];
-    if (blob.empty()) {
-      throw CheckpointError("rank " + std::to_string(r) +
-                            " checkpoint blob is empty");
-    }
-    // v2 blobs declare themselves with a magic+version header; anything
-    // with the magic but an unknown version is from a future format.
-    // Headerless blobs are legacy v1 and validated structurally on restore.
-    if (blob.size() >= 2 &&
-        std::to_integer<std::uint8_t>(blob[0]) == kCkptMagic0 &&
-        std::to_integer<std::uint8_t>(blob[1]) == kCkptMagic1) {
-      if (blob.size() < 3) {
-        throw CheckpointError("rank " + std::to_string(r) +
-                              " checkpoint blob truncated inside the header");
-      }
-      const auto version = std::to_integer<std::uint8_t>(blob[2]);
-      if (version != kCkptVersion2) {
-        throw CheckpointError("rank " + std::to_string(r) +
-                              " checkpoint blob has unknown version " +
-                              std::to_string(version));
-      }
-    }
+    validate_blob_header(ck.rank_blobs[r], "rank " + std::to_string(r));
   }
 }
 
@@ -179,37 +184,5 @@ class PeriodicCheckpoints {
  private:
   std::vector<std::deque<std::pair<std::size_t, std::vector<std::byte>>>> slots_;
 };
-
-/// Structural validation of a single rank blob about to be adopted into a
-/// *smaller* surviving world: non-empty and, when v2-framed, a well-formed
-/// header with a known version. The whole-world validate_checkpoint cannot
-/// be used here — adoption deliberately restores one rank's shard into a
-/// world that no longer matches the blob's num_ranks. Deep truncation is
-/// caught by the bounds-checked reader during shard extraction. Throws
-/// CheckpointError.
-inline void validate_shard_blob(const std::vector<std::byte>& blob,
-                                Rank source_rank) {
-  if (blob.empty()) {
-    throw CheckpointError("adoption source rank " +
-                          std::to_string(source_rank) +
-                          " checkpoint blob is empty");
-  }
-  if (blob.size() >= 2 &&
-      std::to_integer<std::uint8_t>(blob[0]) == kCkptMagic0 &&
-      std::to_integer<std::uint8_t>(blob[1]) == kCkptMagic1) {
-    if (blob.size() < 3) {
-      throw CheckpointError("adoption source rank " +
-                            std::to_string(source_rank) +
-                            " checkpoint blob truncated inside the header");
-    }
-    const auto version = std::to_integer<std::uint8_t>(blob[2]);
-    if (version != kCkptVersion2) {
-      throw CheckpointError("adoption source rank " +
-                            std::to_string(source_rank) +
-                            " checkpoint blob has unknown version " +
-                            std::to_string(version));
-    }
-  }
-}
 
 }  // namespace aacc

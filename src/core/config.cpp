@@ -35,22 +35,6 @@ void EngineConfig::validate() const {
        << " — was a negative value cast to size_t?";
     fail(os.str());
   }
-  if (exchange_window > kMaxThreads) {
-    std::ostringstream os;
-    os << "EngineConfig::exchange_window must be at most " << kMaxThreads
-       << " (0 = auto), got " << exchange_window
-       << " — was a negative value cast to size_t?";
-    fail(os.str());
-  }
-  if (exchange_mode == ExchangeMode::kDeterministic && exchange_window > 1) {
-    std::ostringstream os;
-    os << "EngineConfig::exchange_window must be 0 or 1 under "
-          "ExchangeMode::kDeterministic (the oracle schedule is the blocking "
-          "window-1 exchange; a deeper window reorders arrival processing), "
-          "got "
-       << exchange_window;
-    fail(os.str());
-  }
   if (dv_budget_bytes != 0 && dv_budget_bytes < kMinDvBudgetBytes) {
     std::ostringstream os;
     os << "EngineConfig::dv_budget_bytes must be 0 (fully resident) or >= "

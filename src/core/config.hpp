@@ -47,24 +47,6 @@ enum class EdgeAddMode {
   kEager,
 };
 
-/// How the RC exchange consumes the personalized all-to-all (ROADMAP open
-/// item 2; see docs/PROTOCOL.md §"Pipelined exchange").
-enum class ExchangeMode {
-  /// Blocking shift schedule, apply after the full collective — the
-  /// verification oracle. Bit-identical results for any thread count.
-  kDeterministic,
-  /// k-deep windowed sends; each peer's payload is decoded and applied as
-  /// its message arrives, overlapping decode with the remaining network
-  /// time. Final distances (closeness/harmonic) are unchanged — DV entries
-  /// are monotone upper bounds, so apply order cannot move the fixed
-  /// point — but next-hop tie-breaks and step counts may differ.
-  kPipelined,
-  /// Pipelined, plus the next drain starts between arrivals: queued
-  /// worklist propagation runs while later messages are still in flight.
-  /// Repairs still wait for the poison barrier (count-to-infinity guard).
-  kAsync,
-};
-
 /// Recovery action a rung of the policy ladder applies when the supervisor
 /// declares ranks dead (docs/FAULTS.md §Recovery policy ladder).
 enum class RecoveryPolicy {
@@ -129,15 +111,6 @@ struct EngineConfig {
   /// the parallel send-assembly pass in exchange(). 0 = auto, like
   /// ia_threads (hardware_concurrency / num_ranks, clamped to [1, 8]).
   std::size_t rc_threads = 0;
-  /// RC exchange schedule (see ExchangeMode). Deterministic by default:
-  /// the pipelined/async modes trade bit-identity of next-hop tie-breaks
-  /// for overlap, so opting in is explicit.
-  ExchangeMode exchange_mode = ExchangeMode::kDeterministic;
-  /// Send-window depth for the pipelined/async exchange: how many sends
-  /// may be issued ahead of the completed recvs. 0 = auto (P-1, fully
-  /// overlapped); values are clamped to [1, P-1] at run time.
-  /// kDeterministic requires 0 or 1 — the blocking schedule *is* window 1.
-  std::size_t exchange_window = 0;
   /// Per-rank byte budget for resident (hot) DV rows. 0 = fully resident
   /// (the historical dense store). Nonzero selects the tiered store: settled
   /// rows are demoted to a delta-compressed cold form at each RC step
@@ -244,9 +217,6 @@ struct EngineConfig {
   ///   * num_ranks in [1, 4096]
   ///   * ia_threads / rc_threads at most 4096 (0 = auto; a negative count
   ///     cast into these unsigned fields lands far above the cap)
-  ///   * exchange_window at most 4096 (0 = auto), and 0 or 1 under
-  ///     ExchangeMode::kDeterministic (a deeper window would reorder
-  ///     arrival processing, contradicting the oracle mode's guarantee)
   ///   * dv_budget_bytes is 0 (fully resident) or >= kMinDvBudgetBytes —
   ///     a smaller budget cannot hold one hot row and would thrash
   ///   * rebalance_threshold is 0 (off) or >= 1.0 — max/ideal load is

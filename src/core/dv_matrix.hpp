@@ -244,15 +244,9 @@ class DvRow {
   [[nodiscard]] VertexId dirty_count() const { return dirty_count_; }
 
   /// Clears every dirty bit by walking the sparse list — O(dirty), not
-  /// O(n). Returns the number of live entries cleared. When `cleared_cols`
-  /// is non-null, the live columns are appended to it — the pipelined
-  /// exchange records them so an aborted collective can re-mark its
-  /// pending sends before the recovery stash is taken.
-  VertexId clear_all_dirty(std::vector<VertexId>* cleared_cols = nullptr) {
+  /// O(n). Returns the number of live entries cleared.
+  VertexId clear_all_dirty() {
     for (const VertexId t : dirty_) {
-      if (cleared_cols != nullptr && (flags_[t] & kDirty) != 0) {
-        cleared_cols->push_back(t);
-      }
       flags_[t] &= static_cast<std::uint8_t>(~(kDirty | kTracked));
     }
     dirty_.clear();

@@ -259,14 +259,13 @@ void DvStore::collect_dirty_entries(
   while (di < cols.size()) out.emplace_back(cols[di++], kInfDist);
 }
 
-VertexId DvStore::retire_dirty(std::size_t i, std::vector<VertexId>* cleared) {
+VertexId DvStore::retire_dirty(std::size_t i) {
   Slot& s = slots_[i];
   if (DvRow* p = s.hot.load(std::memory_order_acquire)) {
-    return p->clear_all_dirty(cleared);
+    return p->clear_all_dirty();
   }
   ColdDvRow& c = *s.cold;
   const VertexId n = c.dirty.size();
-  if (cleared != nullptr) c.dirty.append_to(*cleared);
   c.dirty.clear();
   return n;
 }
@@ -277,14 +276,6 @@ bool DvStore::retire_dirty_one(std::size_t i, VertexId t) {
     return p->clear_dirty(t);
   }
   return s.cold->dirty.erase(t);
-}
-
-bool DvStore::remark_dirty(std::size_t i, VertexId t) {
-  Slot& s = slots_[i];
-  if (DvRow* p = s.hot.load(std::memory_order_acquire)) {
-    return p->mark_dirty(t);
-  }
-  return s.cold->dirty.insert(t);
 }
 
 VertexId DvStore::mark_finite_dirty(std::size_t i) {

@@ -53,8 +53,8 @@ namespace aacc {
 /// deltas match write_ascending_ids exactly (count kept separately), so the
 /// checkpoint path splices the blob verbatim. Bulk paths — ascending
 /// appends, full scans, retire-all, unions — are O(size); single-column
-/// insert/erase rebuild the blob, which is fine because on cold rows they
-/// only run in rare poison-sync and exchange-abort paths.
+/// erase rebuilds the blob, which is fine because on cold rows it only runs
+/// in the rare poison-sync path.
 class ColdDirty {
  public:
   [[nodiscard]] VertexId size() const { return count_; }
@@ -105,20 +105,6 @@ class ColdDirty {
     std::vector<VertexId> v;
     append_to(v);
     return v;
-  }
-
-  /// O(size) rebuild; false when t is already a member.
-  bool insert(VertexId t) {
-    if (count_ == 0 || t > last_) {
-      append(t);
-      return true;
-    }
-    std::vector<VertexId> cols = to_vector();
-    const auto it = std::lower_bound(cols.begin(), cols.end(), t);
-    if (it != cols.end() && *it == t) return false;
-    cols.insert(it, t);
-    assign_sorted(cols);
-    return true;
   }
 
   /// O(size) rebuild; false when t is absent.
@@ -277,14 +263,10 @@ class DvStore {
   /// safe from the parallel send-assembly shards, which partition rows.
   void collect_dirty_entries(std::size_t i, std::vector<VertexId>& cols,
                              std::vector<std::pair<VertexId, Dist>>& out) const;
-  /// Clears the whole dirty set; returns how many live entries were
-  /// cleared, appending the cleared columns to `cleared` when non-null
-  /// (the pipelined exchange journal).
-  VertexId retire_dirty(std::size_t i, std::vector<VertexId>* cleared = nullptr);
+  /// Clears the whole dirty set; returns how many live entries were cleared.
+  VertexId retire_dirty(std::size_t i);
   /// Clears one dirty bit; returns true if it was set.
   bool retire_dirty_one(std::size_t i, VertexId t);
-  /// Sets one dirty bit; returns true if it was clean.
-  bool remark_dirty(std::size_t i, VertexId t);
   /// Marks every finite column dirty; returns how many were newly dirtied.
   VertexId mark_finite_dirty(std::size_t i);
   /// Column tombstone for a deleted vertex: entry := (kInfDist, kNoVertex),
@@ -344,10 +326,6 @@ class DvStore {
   /// repair queues are empty (no row carries kQueued). `is_boundary(i)`
   /// steers the LRU: boundary rows are demoted last.
   virtual void maintain(const std::vector<std::uint8_t>& is_boundary) = 0;
-  /// Promote-ahead hook for exchange overlap: decodes row i now (if cold)
-  /// so the next drain's touch is a pointer load. Serial-only (the rank
-  /// thread between collective arrivals).
-  void prefetch(std::size_t i) { (void)row(i); }
   void promote_all();
 
   // ---- observability -----------------------------------------------------

@@ -37,8 +37,6 @@ void RunStats::accumulate(const RunStats& other) {
   rc_drain_cpu_seconds += other.rc_drain_cpu_seconds;
   rc_drain_modeled_seconds += other.rc_drain_modeled_seconds;
   rc_exchange_wait_seconds += other.rc_exchange_wait_seconds;
-  rc_max_inflight_depth =
-      std::max(rc_max_inflight_depth, other.rc_max_inflight_depth);
   rc_blocked_on_seconds += other.rc_blocked_on_seconds;
   for (const auto& [rank, secs] : other.rc_blocked_on_by_rank) {
     rc_blocked_on_by_rank[rank] += secs;
@@ -509,7 +507,8 @@ RunResult run_driver(const DriverArgs& args) {
                               " has no periodic snapshot yet");
         }
         try {
-          validate_shard_blob(snap->second, r);
+          validate_blob_header(snap->second,
+                               "adoption source rank " + std::to_string(r));
         } catch (const CheckpointError& e) {
           throw RecoveryError(e.what());
         }
@@ -782,11 +781,8 @@ RunResult run_driver(const DriverArgs& args) {
                    log[s].drain_modeled_seconds - prev.drain_modeled_seconds);
       agg.sum_exchange_wait_seconds +=
           log[s].exchange_wait_seconds - prev.exchange_wait_seconds;
-      // exchange_inflight is a per-step high-water mark, not cumulative.
-      agg.max_inflight_depth =
-          std::max(agg.max_inflight_depth, log[s].exchange_inflight);
-      // blocked_on is per-step too: keep the worst single blocked
-      // interval across ranks and who it waited for.
+      // blocked_on is a per-step value, not cumulative: keep the worst
+      // single blocked interval across ranks and who it waited for.
       if (log[s].blocked_on_seconds > agg.max_blocked_seconds) {
         agg.max_blocked_seconds = log[s].blocked_on_seconds;
         agg.blocked_on_rank = log[s].blocked_on_rank;
@@ -798,8 +794,6 @@ RunResult run_driver(const DriverArgs& args) {
     out.stats.rc_drain_cpu_seconds += s.sum_drain_cpu_seconds;
     out.stats.rc_drain_modeled_seconds += s.max_drain_modeled_seconds;
     out.stats.rc_exchange_wait_seconds += s.sum_exchange_wait_seconds;
-    out.stats.rc_max_inflight_depth =
-        std::max(out.stats.rc_max_inflight_depth, s.max_inflight_depth);
     if (s.blocked_on_rank >= 0) {
       out.stats.rc_blocked_on_seconds += s.max_blocked_seconds;
       out.stats.rc_blocked_on_by_rank[s.blocked_on_rank] +=

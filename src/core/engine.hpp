@@ -76,15 +76,12 @@ struct StepStats {
   /// partition/merge + slowest shard; see StepLocal).
   double sum_drain_cpu_seconds = 0.0;
   double max_drain_modeled_seconds = 0.0;
-  /// Exchange overlap this step: Σ over ranks of wall time blocked in
-  /// collective recvs, and the deepest send window any rank reached
-  /// (1 under ExchangeMode::kDeterministic; see docs/PROTOCOL.md
-  /// §"Pipelined exchange").
+  /// Exchange wait this step: Σ over ranks of wall time blocked in
+  /// collective recvs.
   double sum_exchange_wait_seconds = 0.0;
-  std::uint64_t max_inflight_depth = 0;
   /// Live critical-path proxy this step: the longest single blocked recv
   /// interval any rank saw, and the peer whose arrival ended it (-1 when
-  /// no exchange blocked — e.g. single rank or fully overlapped).
+  /// no exchange blocked — e.g. a single rank).
   double max_blocked_seconds = 0.0;
   std::int64_t blocked_on_rank = -1;
 };
@@ -115,10 +112,8 @@ struct RunStats {
   /// modeled drain) — the multicore analogue of modeled_makespan_seconds.
   double rc_drain_cpu_seconds = 0.0;
   double rc_drain_modeled_seconds = 0.0;
-  /// Exchange-overlap totals across RC steps: blocked-recv wall time summed
-  /// over ranks and steps, and the deepest in-flight send window observed.
+  /// Blocked-recv wall time in the exchanges, summed over ranks and steps.
   double rc_exchange_wait_seconds = 0.0;
-  std::uint64_t rc_max_inflight_depth = 0;
   /// Critical-path attribution totals (docs/OBSERVABILITY.md §Causal
   /// flows): Σ over steps of the worst single blocked interval, and the
   /// same broken down by the rank waited on. Derived from the per-step

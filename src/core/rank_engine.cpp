@@ -78,7 +78,6 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
     m_drain_modeled_ = &metrics_->gauge("drain/modeled_seconds");
     m_queue_depth_ = &metrics_->histogram("rc/drain_queue_depth");
     m_exch_wait_ = &metrics_->gauge("exchange/wait_seconds");
-    m_exch_inflight_ = &metrics_->histogram("exchange/inflight_depth");
     m_dv_resident_ = &metrics_->gauge("dv/resident_bytes");
     m_dv_cold_ = &metrics_->gauge("dv/cold_bytes");
     m_dv_promotions_ = &metrics_->counter("dv/promotions");
@@ -135,7 +134,7 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
 // ------------------------------------------------------ checkpoint/restore
 
 void RankEngine::serialize_state(rt::ByteWriter& w) const {
-  // v2 header; restore_state also accepts legacy headerless v1 blobs.
+  // v2 header (validate_blob_header).
   w.write(kCkptMagic0);
   w.write(kCkptMagic1);
   w.write(kCkptVersion2);
@@ -190,20 +189,8 @@ void RankEngine::restore_state(std::span<const std::byte> blob) {
 }
 
 void RankEngine::restore_state_impl(std::span<const std::byte> blob) {
-  const bool v2 = blob.size() >= 3 &&
-                  std::to_integer<std::uint8_t>(blob[0]) == kCkptMagic0 &&
-                  std::to_integer<std::uint8_t>(blob[1]) == kCkptMagic1;
-  if (blob.size() >= 2 && !v2 &&
-      std::to_integer<std::uint8_t>(blob[0]) == kCkptMagic0 &&
-      std::to_integer<std::uint8_t>(blob[1]) == kCkptMagic1) {
-    throw CheckpointError("checkpoint blob truncated inside the header");
-  }
-  if (v2 && std::to_integer<std::uint8_t>(blob[2]) != kCkptVersion2) {
-    throw CheckpointError(
-        "unknown checkpoint version " +
-        std::to_string(std::to_integer<std::uint8_t>(blob[2])));
-  }
-  rt::ByteReader r(v2 ? blob.subspan(3) : blob);
+  validate_blob_header(blob, "rank " + std::to_string(comm_.rank()));
+  rt::ByteReader r(blob.subspan(kCkptHeaderBytes));
 
   auto owner = r.read_vec<Rank>();
   const auto edge_count = r.read<std::uint64_t>();
@@ -230,9 +217,9 @@ void RankEngine::restore_state_impl(std::span<const std::byte> blob) {
   const bool tiered = cfg_.dv_budget_bytes != 0;
   for (std::uint64_t i = 0; i < row_count; ++i) {
     const auto vid = r.read<VertexId>();
-    auto d = v2 ? rt::read_packed_u32s(r) : r.read_vec<Dist>();
-    auto nh = v2 ? rt::read_packed_u32s(r) : r.read_vec<VertexId>();
-    auto dirty = v2 ? rt::read_ascending_ids(r) : r.read_vec<VertexId>();
+    auto d = rt::read_packed_u32s(r);
+    auto nh = rt::read_packed_u32s(r);
+    auto dirty = rt::read_ascending_ids(r);
     const std::int32_t ri = lg_.row_of(vid);
     AACC_CHECK(ri >= 0);
     dirty_entries_ += dirty.size();
@@ -251,7 +238,7 @@ void RankEngine::restore_state_impl(std::span<const std::byte> blob) {
   const auto cache_count = r.read<std::uint64_t>();
   for (std::uint64_t i = 0; i < cache_count; ++i) {
     const auto portal = r.read<VertexId>();
-    caches_[portal] = v2 ? rt::read_packed_u32s(r) : r.read_vec<Dist>();
+    caches_[portal] = rt::read_packed_u32s(r);
   }
   vertices_added_ = r.read<std::uint64_t>();
   if (!r.done()) {
@@ -307,10 +294,7 @@ namespace {
 /// re-installing the old finite values would silently revoke them).
 std::vector<std::tuple<VertexId, VertexId, Weight>> read_blob_edges(
     std::span<const std::byte> blob) {
-  const bool v2 = blob.size() >= 3 &&
-                  std::to_integer<std::uint8_t>(blob[0]) == kCkptMagic0 &&
-                  std::to_integer<std::uint8_t>(blob[1]) == kCkptMagic1;
-  rt::ByteReader r(v2 ? blob.subspan(3) : blob);
+  rt::ByteReader r(blob.subspan(kCkptHeaderBytes));  // validate_blob_header
   (void)r.read_vec<Rank>();  // snapshot-time owner map, superseded
   const auto edge_count = r.read<std::uint64_t>();
   std::vector<std::tuple<VertexId, VertexId, Weight>> edges;
@@ -751,11 +735,6 @@ namespace {
 /// drains stay serial. Purely a performance knob: serial and sharded drains
 /// produce bit-identical state, so the branch cannot change results.
 constexpr std::size_t kDrainShardGrain = 128;
-
-/// Cold rows decoded ahead per collective arrival while later sends are
-/// still in flight. Small on purpose: each arrival re-arms the loop, so a
-/// long window streams decodes without ever stalling payload application.
-constexpr std::size_t kPrefetchPerArrival = 4;
 }  // namespace
 
 std::size_t RankEngine::rc_thread_count() const {
@@ -998,7 +977,6 @@ void RankEngine::exchange() {
   const obs::ScopedSpan span(trace_, "exchange", "dirty", dirty_entries_);
   const auto P = static_cast<std::size_t>(comm_.size());
   const std::size_t num_rows = dv_->size();
-  reset_prefetch_cursors();
   // Send assembly only reads shared state (rows, dirty lists, subscriber
   // index) and writes per-shard buffers, so contiguous row blocks fan out
   // across the worker pool. As with the drain, the shard count scales with
@@ -1049,139 +1027,50 @@ void RankEngine::exchange() {
 
   // Concatenating each destination's shard buffers in shard-id order yields
   // exactly the bytes a serial ascending-row walk produces, for any shard
-  // count. The outer per-destination vector is member scratch; the inner
-  // buffers necessarily hand their storage to the transport (the payload
-  // crosses threads inside the Message), so only the slots are reused.
-  if (exch_out_.size() < P) exch_out_.resize(P);
-  const auto assemble_payload = [&](std::size_t q) -> std::vector<std::byte>& {
-    std::vector<std::byte>& buf = exch_out_[q];
-    buf.clear();
+  // count.
+  std::vector<std::vector<std::byte>> out(P);
+  for (std::size_t q = 0; q < P; ++q) {
     std::size_t total = 0;
     for (std::size_t s = 0; s < shards; ++s) {
       total += send_shards_[s].writers[q].size();
     }
-    buf.reserve(total);
+    out[q].reserve(total);
     for (std::size_t s = 0; s < shards; ++s) {
       const auto v = send_shards_[s].writers[q].view();
-      buf.insert(buf.end(), v.begin(), v.end());
+      out[q].insert(out[q].end(), v.begin(), v.end());
     }
-    return buf;
-  };
-  const auto me = static_cast<std::size_t>(comm_.rank());
-
-  if (cfg_.exchange_mode == ExchangeMode::kDeterministic) {
-    // Oracle schedule: window 1 reproduces the classic blocking shift
-    // exchange send for send and recv for recv. Dirty flags are retired
-    // only once the collective has returned: if the exchange throws (a
-    // peer died mid-step), the pending sends stay dirty in this rank's
-    // state and survive into the recovery stash — subscribers will still
-    // receive them after the restart. Cleared before apply_incoming so
-    // entries re-dirtied by the incoming values are kept. Shard-id order
-    // over contiguous blocks = ascending row order, as before.
-    auto pending = comm_.all_to_all_begin(1);
-    pending.submit(comm_.rank(), std::move(assemble_payload(me)));
-    for (Rank s = 1; s < comm_.size(); ++s) {
-      const Rank dst = (comm_.rank() + s) % comm_.size();
-      pending.submit(dst,
-                     std::move(assemble_payload(static_cast<std::size_t>(dst))));
-    }
-    // Chaos hook (FaultPlan CrashPhase::kMidExchange): die between the
-    // submits and the collective's completion. The dirty flags are still
-    // set (they retire only after wait_all), so the recovery stash keeps
-    // every pending send, exactly like a step-top crash.
-    if (!ghost_ && injector_ != nullptr &&
-        injector_->should_crash(comm_.rank(), cur_step_,
-                                rt::CrashPhase::kMidExchange)) {
-      throw rt::InjectedCrash(comm_.rank(), cur_step_);
-    }
-    auto in = pending.wait_all();
-    note_exchange_overlap(pending);
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (const std::size_t r : send_shards_[s].sent_rows) {
-        dirty_entries_ -= dv_->retire_dirty(r);
-      }
-    }
-    apply_incoming(in);
-    return;
   }
-
-  // Pipelined / async: each destination's payload is handed to the
-  // transport as soon as its concatenation finishes, up to the configured
-  // window ahead of the completed recvs; peers' payloads are decoded and
-  // applied in arrival order, overlapping decode (and, in async mode, the
-  // next drain) with the remaining network time. Safe by the anytime
-  // property: DV entries are monotone upper bounds, so consuming a peer's
-  // deltas early or late cannot move the fixed point.
-  auto pending = comm_.all_to_all_begin(effective_exchange_window());
-  pending.submit(comm_.rank(), std::move(assemble_payload(me)));
-  for (Rank s = 1; s < comm_.size(); ++s) {
-    const Rank dst = (comm_.rank() + s) % comm_.size();
-    pending.submit(dst,
-                   std::move(assemble_payload(static_cast<std::size_t>(dst))));
-  }
-  // Chaos hook (CrashPhase::kMidExchange), before the retire below so the
-  // pending sends are still dirty when the supervisor stashes this state.
+  // Dirty flags are retired only once the collective has returned: if the
+  // exchange throws (a peer died mid-step), the pending sends stay dirty in
+  // this rank's state and survive into the recovery stash — subscribers
+  // will still receive them after the restart. Cleared before
+  // apply_incoming so entries re-dirtied by the incoming values are kept.
+  // Shard-id order over contiguous blocks = ascending row order.
+  rt::ExchangeWait wait;
+  const auto in = comm_.all_to_all(std::move(out), &wait);
+  // Chaos hook (FaultPlan CrashPhase::kMidExchange): die once every send
+  // has been issued, before the retire. Survivors have received and apply
+  // this rank's payload and abort at the next collective, while the dirty
+  // flags are still set, so the recovery stash re-sends those entries.
   if (!ghost_ && injector_ != nullptr &&
       injector_->should_crash(comm_.rank(), cur_step_,
                               rt::CrashPhase::kMidExchange)) {
     throw rt::InjectedCrash(comm_.rank(), cur_step_);
   }
-  // After the last submit every send has been issued (puts never block), so
-  // the sent data is on the wire: retire the dirty flags now, before the
-  // first arrival is applied, so entries re-dirtied by incoming values are
-  // kept — but record what was cleared. If the drain below aborts (a peer
-  // died), the cleared columns are re-marked so the pending sends still
-  // survive into the recovery stash, exactly like the deterministic path's
-  // retire-after-collective ordering guarantees.
-  exch_cleared_spans_.clear();
-  exch_cleared_cols_.clear();
+  note_exchange_wait(wait);
   for (std::size_t s = 0; s < shards; ++s) {
     for (const std::size_t r : send_shards_[s].sent_rows) {
-      const std::size_t start = exch_cleared_cols_.size();
-      dirty_entries_ -= dv_->retire_dirty(r, &exch_cleared_cols_);
-      if (exch_cleared_cols_.size() > start) {
-        exch_cleared_spans_.emplace_back(r, exch_cleared_cols_.size() - start);
-      }
+      dirty_entries_ -= dv_->retire_dirty(r);
     }
   }
-  try {
-    while (auto arrival = pending.try_recv_any()) {
-      apply_incoming_payload(arrival->src, arrival->payload);
-      if (cfg_.exchange_mode == ExchangeMode::kAsync) drain_overlap();
-      // Overlap spill IO with the in-flight window: decode a few cold rows
-      // the queued drain work will touch while peers' payloads are still on
-      // the wire. Residency-only — values are untouched, so the overlap
-      // cannot perturb results.
-      prefetch_pending(kPrefetchPerArrival);
-    }
-  } catch (...) {
-    std::size_t idx = 0;
-    for (const auto& [r, n] : exch_cleared_spans_) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (dv_->remark_dirty(r, exch_cleared_cols_[idx + i])) {
-          ++dirty_entries_;
-        }
-      }
-      idx += n;
-    }
-    throw;
-  }
-  note_exchange_overlap(pending);
+  apply_incoming(in);
 }
 
-Rank RankEngine::effective_exchange_window() const {
-  const Rank cap = std::max<Rank>(1, comm_.size() - 1);
-  if (cfg_.exchange_window == 0) return cap;
-  return std::min<Rank>(static_cast<Rank>(cfg_.exchange_window), cap);
-}
-
-void RankEngine::note_exchange_overlap(const rt::PendingAllToAll& pending) {
-  exchange_wait_seconds_ += pending.wait_seconds();
-  exchange_inflight_step_ =
-      std::max(exchange_inflight_step_, pending.max_inflight());
-  if (pending.blocked_on_seconds() > blocked_on_seconds_step_) {
-    blocked_on_seconds_step_ = pending.blocked_on_seconds();
-    blocked_on_rank_step_ = pending.blocked_on_peer();
+void RankEngine::note_exchange_wait(const rt::ExchangeWait& wait) {
+  exchange_wait_seconds_ += wait.seconds;
+  if (wait.blocked_on_seconds > blocked_on_seconds_step_) {
+    blocked_on_seconds_step_ = wait.blocked_on_seconds;
+    blocked_on_rank_step_ = wait.blocked_on_peer;
   }
   if (trace_ != nullptr) {
     // The measured wait is wall-clock: on a logical-clock track its value
@@ -1191,31 +1080,9 @@ void RankEngine::note_exchange_overlap(const rt::PendingAllToAll& pending) {
       trace_->instant("exchange_wait");
     } else {
       trace_->instant("exchange_wait", "us",
-                      static_cast<std::uint64_t>(pending.wait_seconds() * 1e6));
+                      static_cast<std::uint64_t>(wait.seconds * 1e6));
     }
-    trace_->instant("inflight_depth", "depth", pending.max_inflight());
   }
-}
-
-void RankEngine::drain_overlap() {
-  // Async overlap between exchange arrivals: worklist propagation only.
-  // Repairs stay queued for the post-barrier drain — running one here
-  // could read a value whose witness chain a still-in-flight poison
-  // marker is about to kill (the count-to-infinity guard).
-  if (worklist_.empty()) return;
-  const double t0 = thread_cpu_now();
-  ShardCtx ctx = serial_ctx();
-  while (!worklist_.empty()) {
-    const auto [x, t] = worklist_.front();
-    worklist_.pop_front();
-    propagate(ctx, x, t);
-  }
-  // The overlap drain consumed (and may have re-filled) the worklist; the
-  // prefetch cursors index into it, so they restart from the new front.
-  reset_prefetch_cursors();
-  const double dt = thread_cpu_now() - t0;
-  drain_cpu_seconds_ += dt;
-  drain_modeled_seconds_ += dt;
 }
 
 void RankEngine::maintain_store() {
@@ -1231,48 +1098,20 @@ void RankEngine::maintain_store() {
   dv_->maintain(boundary_flags_);
 }
 
-void RankEngine::prefetch_pending(std::size_t budget) {
-  // Exchange-overlapped spill IO: while peers' payloads are in flight,
-  // decode the cold rows the queued work will touch once the drain starts.
-  // Residency-only (values never change), so overlap cannot perturb
-  // results; the cursors advance monotonically and are reset whenever the
-  // queues are consumed (exchange start, sync round start, overlap drain).
-  const auto scan = [&](const std::deque<std::pair<VertexId, VertexId>>& q,
-                        std::size_t& pos) {
-    while (budget > 0 && pos < q.size()) {
-      const std::int32_t ri = lg_.row_of(q[pos].first);
-      ++pos;
-      if (ri >= 0 && !dv_->is_hot(static_cast<std::size_t>(ri))) {
-        dv_->prefetch(static_cast<std::size_t>(ri));
-        --budget;
-      }
-    }
-  };
-  scan(repairs_, prefetch_repair_pos_);
-  scan(worklist_, prefetch_work_pos_);
-}
-
 void RankEngine::apply_incoming(const std::vector<std::vector<std::byte>>& in) {
   for (Rank q = 0; q < comm_.size(); ++q) {
     if (q == comm_.rank()) continue;
-    apply_incoming_payload(q, in[static_cast<std::size_t>(q)]);
-  }
-}
-
-void RankEngine::apply_incoming_payload(Rank q,
-                                        std::span<const std::byte> payload) {
-  (void)q;
-  if (payload.empty()) return;
-  rt::ByteReader rd(payload);
-  while (!rd.done()) {
-    rt::DvRecordReader rec(rd);
-    const VertexId b = rec.vid();
-    const bool portal = lg_.is_portal(b);
-    for (std::uint32_t i = 0; i < rec.count(); ++i) {
-      const auto [t, d] = rec.next();
-      if (portal) apply_portal_value(b, t, d);
+    rt::ByteReader rd(in[static_cast<std::size_t>(q)]);
+    while (!rd.done()) {
+      rt::DvRecordReader rec(rd);
+      const VertexId b = rec.vid();
+      const bool portal = lg_.is_portal(b);
+      for (std::uint32_t i = 0; i < rec.count(); ++i) {
+        const auto [t, d] = rec.next();
+        if (portal) apply_portal_value(b, t, d);
+      }
+      if (!portal) caches_.erase(b);  // stale sender view; drop leftovers
     }
-    if (!portal) caches_.erase(b);  // stale sender view; drop leftovers
   }
 }
 
@@ -1288,7 +1127,6 @@ bool RankEngine::poison_sync_round() {
   std::vector<std::pair<VertexId, Dist>>& dead = exch_entries_;
   std::vector<std::pair<std::size_t, VertexId>>& sent_markers = sync_markers_;
   sent_markers.clear();
-  reset_prefetch_cursors();
 
   for (std::size_t r = 0; r < dv_->size(); ++r) {
     if (dv_->dirty_count(r) == 0) continue;
@@ -1324,53 +1162,18 @@ bool RankEngine::poison_sync_round() {
     }
   }
 
-  // Same transport path as exchange(), at the same window. No drain
-  // overlap in any mode: the barrier exists to flush poison markers before
-  // repairs run, so interleaving propagation here would buy nothing and
-  // muddy the count-to-infinity argument.
-  const Rank window = cfg_.exchange_mode == ExchangeMode::kDeterministic
-                          ? 1
-                          : effective_exchange_window();
-  auto pending = comm_.all_to_all_begin(window);
-  pending.submit(comm_.rank(),
-                 writers[static_cast<std::size_t>(comm_.rank())].take());
-  for (Rank s = 1; s < P; ++s) {
-    const Rank dst = (comm_.rank() + s) % P;
-    pending.submit(dst, writers[static_cast<std::size_t>(dst)].take());
+  // Same transport path as exchange(). As there, markers are retired only
+  // after the collective returns, so an aborted round leaves them pending
+  // for the recovery stash instead of silently un-sent.
+  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(P));
+  for (std::size_t q = 0; q < out.size(); ++q) out[q] = writers[q].take();
+  rt::ExchangeWait wait;
+  const auto in = comm_.all_to_all(std::move(out), &wait);
+  note_exchange_wait(wait);
+  for (const auto& [r, t] : sent_markers) {
+    if (dv_->retire_dirty_one(r, t)) --dirty_entries_;
   }
-
-  if (cfg_.exchange_mode == ExchangeMode::kDeterministic) {
-    auto in = pending.wait_all();
-    note_exchange_overlap(pending);
-    // As in exchange(): markers are retired only after the collective
-    // returns, so an aborted round leaves them pending for the recovery
-    // stash instead of silently un-sent.
-    for (const auto& [r, t] : sent_markers) {
-      if (dv_->retire_dirty_one(r, t)) --dirty_entries_;
-    }
-    apply_incoming(in);
-  } else {
-    // Pipelined: all sends are issued once the submits return, so the
-    // markers retire now (before any arrival is applied); an aborted drain
-    // re-marks them for the recovery stash, mirroring exchange().
-    for (const auto& [r, t] : sent_markers) {
-      if (dv_->retire_dirty_one(r, t)) --dirty_entries_;
-    }
-    try {
-      while (auto arrival = pending.try_recv_any()) {
-        apply_incoming_payload(arrival->src, arrival->payload);
-        // Spill-IO overlap, as in exchange(): warm the rows the deferred
-        // repairs will touch once the barrier drains.
-        prefetch_pending(kPrefetchPerArrival);
-      }
-    } catch (...) {
-      for (const auto& [r, t] : sent_markers) {
-        if (dv_->remark_dirty(r, t)) ++dirty_entries_;
-      }
-      throw;
-    }
-    note_exchange_overlap(pending);
-  }
+  apply_incoming(in);
 
   const bool mine = poison_pending_;
   poison_pending_ = false;
@@ -1975,8 +1778,7 @@ void RankEngine::record_step(std::size_t step) {
   rec.drain_cpu_seconds = drain_cpu_seconds_;
   rec.drain_modeled_seconds = drain_modeled_seconds_;
   rec.exchange_wait_seconds = exchange_wait_seconds_;
-  rec.exchange_inflight = exchange_inflight_step_;  // per-step max, not delta
-  rec.blocked_on_seconds = blocked_on_seconds_step_;  // ditto
+  rec.blocked_on_seconds = blocked_on_seconds_step_;  // per-step, not delta
   rec.blocked_on_rank = blocked_on_rank_step_;
   step_log_.push_back(rec);
   if (metrics_ != nullptr) {
@@ -1992,7 +1794,6 @@ void RankEngine::record_step(std::size_t step) {
     m_drain_modeled_->add(drain_modeled_seconds_ -
                           folded_.drain_modeled_seconds);
     m_exch_wait_->add(exchange_wait_seconds_ - folded_.exchange_wait_seconds);
-    m_exch_inflight_->record(exchange_inflight_step_);
     // Residency gauges mirror the store's step-boundary accounting; the
     // monotone counters fold as deltas like the algorithm counters above.
     m_dv_resident_->set(static_cast<double>(dv_->resident_bytes()));
@@ -2005,8 +1806,7 @@ void RankEngine::record_step(std::size_t step) {
     folded_dv_decode_seconds_ = dv_->decode_seconds();
     folded_ = rec;
   }
-  exchange_inflight_step_ = 0;  // per-step high-water, reset at each record
-  blocked_on_seconds_step_ = 0.0;
+  blocked_on_seconds_step_ = 0.0;  // per-step, reset at each record
   blocked_on_rank_step_ = -1;
 }
 
@@ -2062,7 +1862,6 @@ void RankEngine::progress_step(const char* phase, std::size_t step) {
   w.write<std::uint64_t>(comm_.ledger().bytes_sent);
   w.write<std::uint64_t>(comm_.ledger().retransmits);
   w.write<double>(cur.exchange_wait_seconds - prev.exchange_wait_seconds);
-  w.write<std::uint64_t>(cur.exchange_inflight);
   w.write<double>(cur.blocked_on_seconds);
   w.write<std::int64_t>(cur.blocked_on_rank);
   w.write<std::uint64_t>(dv_->resident_bytes());
@@ -2103,7 +1902,6 @@ void RankEngine::progress_step(const char* phase, std::size_t step) {
     ev.bytes += r.read<std::uint64_t>();
     ev.retransmits += r.read<std::uint64_t>();
     ev.exchange_wait_seconds += r.read<double>();
-    ev.inflight_depth = std::max(ev.inflight_depth, r.read<std::uint64_t>());
     {
       // Global blocked-on attribution: the rank that blocked longest is
       // the step's live straggler candidate; keep its peer.

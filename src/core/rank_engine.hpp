@@ -55,12 +55,8 @@ struct StepLocal {
   double drain_cpu_seconds = 0.0;
   double drain_modeled_seconds = 0.0;
   /// Wall seconds this rank spent blocked in exchange recvs (cumulative,
-  /// like the counters above — the overlap win shows up as this shrinking).
+  /// like the counters above).
   double exchange_wait_seconds = 0.0;
-  /// Max sends in flight ahead of the completed recvs across this step's
-  /// collectives. Per-step maximum, NOT cumulative: the driver folds it
-  /// with max, not delta.
-  std::uint64_t exchange_inflight = 0;
   /// Live critical-path proxy: the longest single blocked recv interval
   /// across this step's exchanges, and the peer whose arrival ended it
   /// (-1 = never blocked). Per-step values, NOT cumulative — the driver
@@ -269,20 +265,12 @@ class RankEngine {
 
   // ---- RC step pieces ----
   void exchange();
+  /// Decodes every peer's exchange payload in rank order and applies it
+  /// (portal values relax/cascade; non-portal records drop the stale cache).
   void apply_incoming(const std::vector<std::vector<std::byte>>& in);
-  /// Decodes one peer's exchange payload and applies it (portal values
-  /// relax/cascade; non-portal records drop the stale cache). Unit of the
-  /// pipelined arrival-order apply.
-  void apply_incoming_payload(Rank q, std::span<const std::byte> payload);
-  /// Effective send-window depth for the pipelined/async exchange:
-  /// cfg.exchange_window clamped to [1, P-1], 0 = auto = P-1.
-  [[nodiscard]] Rank effective_exchange_window() const;
-  /// Async-mode overlap: runs queued worklist propagation (never repairs —
-  /// those wait for the poison barrier) between exchange arrivals.
-  void drain_overlap();
-  /// Records a finished collective's overlap telemetry (wait seconds,
-  /// in-flight high-water) into the step accounting and trace.
-  void note_exchange_overlap(const rt::PendingAllToAll& pending);
+  /// Records a finished collective's recv wait into the step accounting
+  /// and trace.
+  void note_exchange_wait(const rt::ExchangeWait& wait);
   /// One round of the poison-synchronization barrier: sends only the
   /// newly-invalidated (infinite) boundary entries, applies received
   /// poisons, cascades. Returns whether this rank generated new poisons.
@@ -339,18 +327,6 @@ class RankEngine {
   /// the worklist and repair queues are empty (no kQueued flag may survive
   /// demotion).
   void maintain_store();
-  /// Exchange-overlap prefetch: while a collective still has arrivals in
-  /// flight, decode up to `budget` cold rows that the queued worklist /
-  /// repair items will touch in the next drain. Pure residency: promotion
-  /// never changes observable row state, so results are identical with any
-  /// prefetch schedule. The cursors persist across calls within one
-  /// collective and are reset when it starts (or when drain_overlap empties
-  /// the queues).
-  void prefetch_pending(std::size_t budget);
-  void reset_prefetch_cursors() {
-    prefetch_work_pos_ = 0;
-    prefetch_repair_pos_ = 0;
-  }
 
   /// One IA Dijkstra source (row r) using caller-owned scratch buffers;
   /// `dirty_added` receives the row's newly-dirty entry count.
@@ -413,25 +389,12 @@ class RankEngine {
   std::vector<VertexId> exch_dirty_cols_;
   std::vector<std::pair<VertexId, Dist>> exch_entries_;
   rt::ByteWriter exch_record_;
-  /// Per-destination payload slots for the collectives (the outer vector is
-  /// the reusable part; inner buffers hand their storage to the transport).
-  std::vector<std::vector<std::byte>> exch_out_;
   /// poison_sync_round() per-destination writers + sent markers.
   std::vector<rt::ByteWriter> sync_writers_;
   std::vector<std::pair<std::size_t, VertexId>> sync_markers_;
   std::vector<std::pair<VertexId, Dist>> sync_scratch_;
-  /// Pipelined exchange: (row, count) spans into exch_cleared_cols_
-  /// recording exactly which dirty columns the retire step cleared, so an
-  /// aborted collective can re-mark its pending sends before the recovery
-  /// stash is taken (deterministic mode never needs this — it retires only
-  /// after the full collective returns).
-  std::vector<std::pair<std::size_t, std::size_t>> exch_cleared_spans_;
-  std::vector<VertexId> exch_cleared_cols_;
-  /// Exchange-overlap prefetch cursors into worklist_/repairs_ (see
-  /// prefetch_pending) and the reusable boundary-flag vector maintain_store
-  /// hands to DvStore::maintain.
-  std::size_t prefetch_work_pos_ = 0;
-  std::size_t prefetch_repair_pos_ = 0;
+  /// Reusable boundary-flag vector maintain_store hands to
+  /// DvStore::maintain.
   std::vector<std::uint8_t> boundary_flags_;
 
   // Observability. trace_ is this rank's main track (null = off); shard
@@ -450,7 +413,6 @@ class RankEngine {
   obs::Gauge* m_drain_modeled_ = nullptr;
   obs::Histogram* m_queue_depth_ = nullptr;
   obs::Gauge* m_exch_wait_ = nullptr;
-  obs::Histogram* m_exch_inflight_ = nullptr;
   obs::Gauge* m_dv_resident_ = nullptr;
   obs::Gauge* m_dv_cold_ = nullptr;
   obs::Counter* m_dv_promotions_ = nullptr;
@@ -489,9 +451,8 @@ class RankEngine {
   double drain_cpu_seconds_ = 0.0;      // cumulative, see StepLocal
   double drain_modeled_seconds_ = 0.0;  // cumulative, see StepLocal
   double exchange_wait_seconds_ = 0.0;  // cumulative, see StepLocal
-  std::uint64_t exchange_inflight_step_ = 0;  // per-step max; record_step resets
-  double blocked_on_seconds_step_ = 0.0;      // per-step max; record_step resets
-  std::int64_t blocked_on_rank_step_ = -1;    // peer behind the max above
+  double blocked_on_seconds_step_ = 0.0;  // per-step max; record_step resets
+  std::int64_t blocked_on_rank_step_ = -1;  // peer behind the max above
   std::vector<StepLocal> step_log_;
   std::vector<std::vector<std::pair<VertexId, double>>> step_quality_;
 };

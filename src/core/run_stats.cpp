@@ -69,8 +69,7 @@ void RunStats::to_json(std::ostream& os, bool include_steps) const {
   jdouble(os, rc_drain_modeled_seconds);
   os << ",\"rc_exchange_wait_seconds\":";
   jdouble(os, rc_exchange_wait_seconds);
-  os << ",\"rc_max_inflight_depth\":" << rc_max_inflight_depth
-     << ",\"rc_blocked_on_seconds\":";
+  os << ",\"rc_blocked_on_seconds\":";
   jdouble(os, rc_blocked_on_seconds);
   os << ",\"rc_blocked_on\":[";
   first = true;
@@ -132,8 +131,7 @@ void RunStats::to_json(std::ostream& os, bool include_steps) const {
       jdouble(os, s.max_drain_modeled_seconds);
       os << ",\"sum_exchange_wait_seconds\":";
       jdouble(os, s.sum_exchange_wait_seconds);
-      os << ",\"max_inflight_depth\":" << s.max_inflight_depth
-         << ",\"blocked_on_rank\":" << s.blocked_on_rank
+      os << ",\"blocked_on_rank\":" << s.blocked_on_rank
          << ",\"blocked_seconds\":";
       jdouble(os, s.max_blocked_seconds);
       os << "}";

@@ -33,8 +33,7 @@ std::string to_ndjson(const ProgressEvent& ev) {
      << ",\"retransmits\":" << ev.retransmits
      << ",\"exchange_wait_seconds\":";
   jdouble(os, ev.exchange_wait_seconds);
-  os << ",\"inflight_depth\":" << ev.inflight_depth
-     << ",\"blocked_on_rank\":" << ev.blocked_on_rank
+  os << ",\"blocked_on_rank\":" << ev.blocked_on_rank
      << ",\"blocked_on_seconds\":";
   jdouble(os, ev.blocked_on_seconds);
   os << ",\"recoveries\":" << ev.recoveries
@@ -228,8 +227,6 @@ bool parse_progress_event(const std::string& line, ProgressEvent& out) {
         if (!u64(out.retransmits)) return false;
       } else if (key == "exchange_wait_seconds") {
         if (!parse_json_number(c, out.exchange_wait_seconds)) return false;
-      } else if (key == "inflight_depth") {
-        if (!u64(out.inflight_depth)) return false;
       } else if (key == "blocked_on_rank") {
         double v = 0;  // signed (-1 = no exchange blocked)
         if (!parse_json_number(c, v)) return false;

@@ -58,10 +58,9 @@ struct ProgressEvent {
   // ---- transport + recovery health (cumulative) ----
   std::uint64_t bytes = 0;        ///< wire bytes sent so far (all ranks)
   std::uint64_t retransmits = 0;  ///< frames resent so far
-  // ---- exchange overlap this step (additive v1 fields; older readers
-  // skip them via the unknown-field rule) ----
+  // ---- exchange wait this step (additive v1 field; older readers skip
+  // it via the unknown-field rule) ----
   double exchange_wait_seconds = 0;  ///< Σ over ranks of blocked recv time
-  std::uint64_t inflight_depth = 0;  ///< max sends in flight (worst rank)
   // ---- live critical-path proxy (additive v1 fields): the longest
   // single blocked recv interval any rank saw this step, and the peer
   // whose arrival ended it ("blocked on rank r for t seconds"; -1 when no

@@ -462,24 +462,10 @@ Message Comm::recv(Rank src, std::int32_t tag) {
   // the same collective with identical cursors (docs/FAULTS.md).
   const auto throw_if_stuck = [&] {
     const auto failed = world_->failed_ranks();
-    bool stuck = false;
-    if (src != kAnySource) {
-      stuck = std::find(failed.begin(), failed.end(), src) != failed.end();
-    } else if (await_hint_ != nullptr) {
-      // Any-source with an outstanding-set hint: the wait is stuck only if
-      // one of the peers it is actually still waiting on died. A failure
-      // elsewhere (a rank whose frame already arrived, or one this wait
-      // never involved) must not abort a wait for a live, slow peer —
-      // that tears the survivors' cursors apart mid-step.
-      for (const Rank peer : *await_hint_) {
-        if (std::find(failed.begin(), failed.end(), peer) != failed.end()) {
-          stuck = true;
-          break;
-        }
-      }
-    } else {
-      stuck = !failed.empty();
-    }
+    const bool stuck =
+        src == kAnySource
+            ? !failed.empty()
+            : std::find(failed.begin(), failed.end(), src) != failed.end();
     if (!stuck) return failed.empty();
     // Attribute the abort to the earliest failure, not the awaited peer: a
     // collaterally-dead src is a symptom, and the supervisor's root
@@ -542,40 +528,28 @@ Message Comm::recv(Rank src, std::int32_t tag) {
               std::chrono::duration<double>(now - wait_started).count();
           const double delta = elapsed - attributed;
           attributed = elapsed;
-          // Attribute the silence: to the named source, or — for an
-          // any-source wait — to every peer the caller's await hint says
-          // is still outstanding (PendingAllToAll::recv_one).
-          Rank victim = kAnySource;
-          if (src != kAnySource) {
-            if (escalate_peer(src, elapsed, delta)) victim = src;
-          } else if (await_hint_ != nullptr) {
-            for (const Rank peer : *await_hint_) {
-              if (escalate_peer(peer, elapsed, delta) &&
-                  victim == kAnySource) {
-                victim = peer;
-              }
-            }
-          }
-          if (victim != kAnySource) {
-            PeerHealth& vh = peer_health_[static_cast<std::size_t>(victim)];
+          // Attribute the silence to the named source; an any-source wait
+          // has no one to blame.
+          if (src != kAnySource && escalate_peer(src, elapsed, delta)) {
+            PeerHealth& vh = peer_health_[static_cast<std::size_t>(src)];
             vh.state = PeerState::kDead;
             // Name the exact stuck message: the RC step this rank is in
-            // (SPMD lockstep, so the victim was sending for the same
+            // (SPMD lockstep, so the peer was sending for the same
             // step) and the next frame seqno expected from it. Only the
             // reliable transport has per-peer seqno streams to consult.
             const bool rel = world_->transport().reliable;
             vh.has_awaited = rel;
             vh.awaited_step = flow_step_;
             vh.awaited_seq =
-                rel ? world_->mailbox(rank_).next_expected_seq(victim) : 0;
+                rel ? world_->mailbox(rank_).next_expected_seq(src) : 0;
             ++ledger_.health_dead_declared;
             if (trace_ != nullptr) {
               trace_->instant("health:dead", "peer",
-                              static_cast<std::uint64_t>(victim));
+                              static_cast<std::uint64_t>(src));
             }
-            world_->declare_dead(victim, rank_);
+            world_->declare_dead(src, rank_);
             std::ostringstream os;
-            os << "rank " << rank_ << ": peer " << victim
+            os << "rank " << rank_ << ": peer " << src
                << " declared dead by health supervision after "
                << hc.dead_after.count() << " ms of silence on (src=" << src
                << ", tag=" << tag << ")";
@@ -583,7 +557,7 @@ Message Comm::recv(Rank src, std::int32_t tag) {
               os << ", stuck awaiting flow (step=" << vh.awaited_step
                  << ", seq=" << vh.awaited_seq << ") from it";
             }
-            throw PeerFailedError(victim, os.str());
+            throw PeerFailedError(src, os.str());
           }
         }
         if (!timed || now < deadline) continue;  // only a health slice expired
@@ -638,164 +612,36 @@ std::vector<std::byte> Comm::broadcast(std::vector<std::byte> buf, Rank root,
 }
 
 std::vector<std::vector<std::byte>> Comm::all_to_all(
-    std::vector<std::vector<std::byte>> out) {
-  // Window 1 = the classic blocking shift schedule (send round s, then
-  // block on round s's recv), reproduced send for send and recv for recv
-  // by the windowed engine below.
-  return all_to_all_start(std::move(out), 1).wait_all();
-}
-
-PendingAllToAll Comm::all_to_all_begin(Rank window_k) {
-  const std::int32_t tag = collective_tag(op_seq_);
-  const std::uint32_t op = op_seq_++;
-  return PendingAllToAll(this, window_k, tag, op);
-}
-
-PendingAllToAll Comm::all_to_all_start(std::vector<std::vector<std::byte>> out,
-                                       Rank window_k) {
+    std::vector<std::vector<std::byte>> out, ExchangeWait* wait) {
   const Rank P = size();
   AACC_CHECK(static_cast<Rank>(out.size()) == P);
-  PendingAllToAll pending = all_to_all_begin(window_k);
-  // Own slot first, then shift order — the order submit() issues sends in.
-  pending.submit(rank_, std::move(out[static_cast<std::size_t>(rank_)]));
+  const std::int32_t tag = collective_tag(op_seq_);
+  const std::uint32_t op = op_seq_++;
+  std::vector<std::vector<std::byte>> in(static_cast<std::size_t>(P));
+  in[static_cast<std::size_t>(rank_)] =
+      std::move(out[static_cast<std::size_t>(rank_)]);
   for (Rank s = 1; s < P; ++s) {
     const Rank dst = (rank_ + s) % P;
-    pending.submit(dst, std::move(out[static_cast<std::size_t>(dst)]));
-  }
-  return pending;
-}
-
-// ------------------------------------------------------------ PendingAllToAll
-
-PendingAllToAll::PendingAllToAll(Comm* comm, Rank window, std::int32_t tag,
-                                 std::uint32_t op)
-    : comm_(comm),
-      window_(std::clamp<Rank>(window, 1,
-                               std::max<Rank>(1, comm->size() - 1))),
-      tag_(tag),
-      op_(op),
-      P_(comm->size()),
-      me_(comm->rank()),
-      out_(static_cast<std::size_t>(P_)),
-      in_(static_cast<std::size_t>(P_)),
-      submitted_(static_cast<std::size_t>(P_), false),
-      arrived_(static_cast<std::size_t>(P_), false) {}
-
-void PendingAllToAll::pump() {
-  while (next_send_s_ < P_) {
-    const Rank dst = (me_ + next_send_s_) % P_;
-    if (!submitted_[static_cast<std::size_t>(dst)]) return;  // not assembled yet
-    if (sends_issued_ - recvs_taken_ >= window_) return;     // window full
-    comm_->put_message(dst, tag_,
-                       std::move(out_[static_cast<std::size_t>(dst)]),
-                       OpKind::kAllToAll, op_);
-    ++sends_issued_;
-    ++next_send_s_;
-    max_inflight_ = std::max<std::uint64_t>(
-        max_inflight_, static_cast<std::uint64_t>(sends_issued_ - recvs_taken_));
-  }
-}
-
-void PendingAllToAll::recv_one() {
-  // At window 1 each recv names its shift source: round r's arrival comes
-  // from rank - r. This keeps the legacy blocking schedule's matching (and
-  // its failure attribution: a wait aborts only when *that* peer died,
-  // not when any rank did). Deeper windows take whatever lands first.
-  const Rank round = recvs_taken_ + 1;
-  const Rank src =
-      window_ == 1 ? ((me_ - round) % P_ + P_) % P_ : kAnySource;
-  // An any-source recv advertises which peers are still outstanding. The
-  // hint serves two consumers: health supervision attributes the silence
-  // per peer and can declare a wedged one dead (docs/FAULTS.md §Health
-  // supervision), and the failure guard in Comm::recv aborts the wait
-  // only when an *awaited* peer died — a dead rank whose frame already
-  // arrived must not tear a wait for a live, merely slow peer. The hint
-  // is cleared even if the recv throws.
-  std::vector<Rank> outstanding;
-  if (src == kAnySource) {
-    for (Rank r = 0; r < P_; ++r) {
-      if (r != me_ && !arrived_[static_cast<std::size_t>(r)]) {
-        outstanding.push_back(r);
+    const Rank src = (rank_ - s + P) % P;
+    put_message(dst, tag, std::move(out[static_cast<std::size_t>(dst)]),
+                OpKind::kAllToAll, op);
+    const auto t0 = std::chrono::steady_clock::now();
+    Message m = recv(src, tag);
+    if (wait != nullptr) {
+      const double waited =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count();
+      wait->seconds += waited;
+      // Live blocked-on attribution: the peer whose arrival ended the
+      // longest single blocked interval is who this rank was waiting for.
+      if (waited > wait->blocked_on_seconds) {
+        wait->blocked_on_seconds = waited;
+        wait->blocked_on_peer = src;
       }
     }
-    comm_->await_hint_ = &outstanding;
+    in[static_cast<std::size_t>(src)] = std::move(m.payload);
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  Message m = [&]() -> Message {
-    try {
-      return comm_->recv(src, tag_);
-    } catch (...) {
-      comm_->await_hint_ = nullptr;
-      throw;
-    }
-  }();
-  comm_->await_hint_ = nullptr;
-  const double waited =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  wait_seconds_ += waited;
-  // Live blocked-on attribution: the peer whose arrival ended the longest
-  // single blocked interval is who this exchange was waiting for.
-  if (waited > max_blocked_seconds_) {
-    max_blocked_seconds_ = waited;
-    max_blocked_src_ = m.src;
-  }
-  arrived_[static_cast<std::size_t>(m.src)] = true;
-  in_[static_cast<std::size_t>(m.src)] = std::move(m.payload);
-  ready_.push_back(m.src);
-  ++recvs_taken_;
-}
-
-void PendingAllToAll::submit(Rank dst, std::vector<std::byte> payload) {
-  AACC_CHECK(dst >= 0 && dst < P_);
-  AACC_CHECK(!submitted_[static_cast<std::size_t>(dst)]);
-  submitted_[static_cast<std::size_t>(dst)] = true;
-  ++submitted_count_;
-  if (dst == me_) {
-    in_[static_cast<std::size_t>(me_)] = std::move(payload);
-    pump();
-    return;
-  }
-  out_[static_cast<std::size_t>(dst)] = std::move(payload);
-  for (;;) {
-    pump();
-    if (next_send_s_ >= P_) return;  // everything issued
-    const Rank next = (me_ + next_send_s_) % P_;
-    if (!submitted_[static_cast<std::size_t>(next)]) return;  // waiting on caller
-    recv_one();  // window full: drain (and buffer) one arrival to open it
-  }
-}
-
-std::optional<PendingAllToAll::Arrival> PendingAllToAll::try_recv_any() {
-  pump();
-  if (ready_.empty()) {
-    if (delivered_ >= P_ - 1) {
-      AACC_CHECK_MSG(submitted_count_ == P_,
-                     "all-to-all drained before every destination was "
-                     "submitted; peers would deadlock");
-      return std::nullopt;
-    }
-    recv_one();
-    pump();  // the consumed slot may unblock a pending send
-  }
-  const Rank src = ready_.front();
-  ready_.pop_front();
-  ++delivered_;
-  return Arrival{src, std::move(in_[static_cast<std::size_t>(src)])};
-}
-
-std::vector<std::vector<std::byte>> PendingAllToAll::wait_all() {
-  AACC_CHECK_MSG(submitted_count_ == P_,
-                 "all-to-all waited before every destination was submitted");
-  while (recvs_taken_ < P_ - 1) {
-    pump();
-    recv_one();
-  }
-  pump();  // final recv opened the window for any still-unsent round
-  AACC_CHECK(next_send_s_ >= P_);
-  ready_.clear();
-  delivered_ = P_ - 1;
-  return std::move(in_);
+  return in;
 }
 
 std::vector<std::vector<std::byte>> Comm::gather(std::vector<std::byte> buf,
@@ -1036,10 +882,6 @@ void World::append_log(const MsgRecord& m) {
 
 double World::modeled_network_seconds(SchedulePolicy policy) const {
   return rt::modeled_network_seconds(log_, params_, policy, size_);
-}
-
-double World::modeled_exchange_seconds(std::uint32_t window) const {
-  return rt::modeled_exchange_makespan(log_, params_, size_, window);
 }
 
 double World::total_cpu_seconds() const {

@@ -33,7 +33,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -182,7 +181,15 @@ struct RankLedger {
 };
 
 class World;
-class PendingAllToAll;
+
+/// Recv-side wait telemetry of one or more all-to-alls (Comm::all_to_all):
+/// total wall seconds blocked in recvs, and the longest single blocked
+/// interval with the peer whose arrival ended it (-1 until a recv blocked).
+struct ExchangeWait {
+  double seconds = 0.0;
+  double blocked_on_seconds = 0.0;
+  Rank blocked_on_peer = -1;
+};
 
 /// A rank's endpoint. Not thread-safe; owned by exactly one rank thread.
 class Comm {
@@ -214,26 +221,13 @@ class Comm {
                                        nullptr);
 
   /// Personalized all-to-all: out[r] goes to rank r (out[rank()] is returned
-  /// untouched). Returns in[r] = payload from rank r. Thin wrapper over
-  /// all_to_all_start(..., 1).wait_all(): window 1 reproduces the classic
-  /// blocking shift schedule (send round s, then block on round s's recv)
-  /// byte for byte and wait for wait.
+  /// untouched). Returns in[r] = payload from rank r. Shift schedule with
+  /// one message in flight: round s sends to rank + s, then blocks on the
+  /// recv from rank - s. Naming the source keeps failure attribution exact:
+  /// a wait aborts only when *that* peer died. When `wait` is non-null, each
+  /// recv's blocked wall time is added to it.
   std::vector<std::vector<std::byte>> all_to_all(
-      std::vector<std::vector<std::byte>> out);
-
-  /// Non-blocking personalized all-to-all: submits every destination
-  /// immediately and returns a handle with up to `window_k` sends issued
-  /// ahead of the matching recvs. Drain completions in arrival order with
-  /// try_recv_any(), or collect everything with wait_all(). `window_k` is
-  /// clamped to [1, P-1]; window 1 is the deterministic blocking schedule.
-  PendingAllToAll all_to_all_start(std::vector<std::vector<std::byte>> out,
-                                   Rank window_k);
-
-  /// Incremental variant: consumes this op's collective tag and returns an
-  /// empty handle; the caller feeds destinations with submit() as their
-  /// payloads finish assembly. Every rank must eventually be submitted
-  /// exactly once (own rank included — its payload is just stored).
-  PendingAllToAll all_to_all_begin(Rank window_k);
+      std::vector<std::vector<std::byte>> out, ExchangeWait* wait = nullptr);
 
   /// Gather: every rank contributes a buffer; the root returns all P
   /// buffers (indexed by source rank), other ranks return empty.
@@ -274,7 +268,6 @@ class Comm {
 
  private:
   friend class World;
-  friend class PendingAllToAll;
 
   std::uint64_t all_reduce(std::uint64_t value,
                            const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>& op);
@@ -333,103 +326,6 @@ class Comm {
   [[nodiscard]] std::uint64_t next_flow_id();
   /// Per-peer health ledger (sized lazily on the first supervised wait).
   std::vector<PeerHealth> peer_health_;
-  /// Candidate peers of the current any-source await (non-owning; set by
-  /// PendingAllToAll::recv_one around its recv so the health layer can
-  /// attribute an anonymous wait to the peers still outstanding).
-  const std::vector<Rank>* await_hint_ = nullptr;
-};
-
-/// An in-flight personalized all-to-all (Comm::all_to_all_start /
-/// all_to_all_begin). Sends are issued in shift order (round s goes to
-/// rank + s), at most `window` rounds ahead of the completed recvs; a
-/// submit that would overrun the window first drains (and buffers) one
-/// arrival, so at window 1 the schedule degenerates to the classic
-/// blocking send/recv interleaving. Completions are consumed in arrival
-/// order via try_recv_any() — except at window 1, where each recv names
-/// the deterministic shift source, preserving the legacy failure
-/// semantics and bit-identical accounting.
-///
-/// All traffic leaves through Comm's single egress funnel, so CRC
-/// framing, seqno dedup, sender retry, and fault injection apply to the
-/// windowed schedule unchanged. Deadlock-free for any window: if every
-/// rank were blocked with a full window, P*window messages would sit
-/// undrained in mailboxes, so some rank has a pending match.
-///
-/// Move-only; must be driven by the rank thread that owns the Comm.
-class PendingAllToAll {
- public:
-  struct Arrival {
-    Rank src = 0;
-    std::vector<std::byte> payload;
-  };
-
-  PendingAllToAll(PendingAllToAll&&) noexcept = default;
-  PendingAllToAll& operator=(PendingAllToAll&&) noexcept = default;
-  PendingAllToAll(const PendingAllToAll&) = delete;
-  PendingAllToAll& operator=(const PendingAllToAll&) = delete;
-  ~PendingAllToAll() = default;
-
-  /// Hands one destination's payload to the transport; the send is issued
-  /// as soon as the shift schedule reaches it within the window. Arrivals
-  /// drained to open the window are buffered, not delivered — the caller
-  /// sees them only through try_recv_any()/wait_all(), so it can finish
-  /// its send-side bookkeeping before touching any incoming data. After
-  /// the final submit, every send has been issued (the transport's puts
-  /// never block; only recvs gate the window).
-  void submit(Rank dst, std::vector<std::byte> payload);
-
-  /// Next peer payload: buffered arrivals first, then live recvs, in
-  /// arrival order. Blocks while messages are outstanding; std::nullopt
-  /// once all P-1 peers have been consumed (which requires every
-  /// destination to have been submitted).
-  std::optional<Arrival> try_recv_any();
-
-  /// Drains everything outstanding and returns in[r] = payload from rank
-  /// r (own slot = the payload submitted to own rank). Slots already
-  /// consumed through try_recv_any() come back empty.
-  std::vector<std::vector<std::byte>> wait_all();
-
-  /// Wall-clock seconds spent blocked in recv so far (overlap telemetry).
-  [[nodiscard]] double wait_seconds() const { return wait_seconds_; }
-  /// High-water mark of sends issued ahead of completed recvs.
-  [[nodiscard]] std::uint64_t max_inflight() const { return max_inflight_; }
-  [[nodiscard]] Rank window() const { return window_; }
-  /// Longest single blocked interval so far, and the peer whose arrival
-  /// ended it — the live "blocked on rank r" attribution the progress feed
-  /// surfaces (-1 until any recv blocked).
-  [[nodiscard]] double blocked_on_seconds() const { return max_blocked_seconds_; }
-  [[nodiscard]] Rank blocked_on_peer() const { return max_blocked_src_; }
-
- private:
-  friend class Comm;
-  PendingAllToAll(Comm* comm, Rank window, std::int32_t tag, std::uint32_t op);
-
-  /// Issues every send the window and the submitted set currently allow.
-  void pump();
-  /// Blocks for one arrival and buffers it (strict shift source at
-  /// window 1, any-source otherwise).
-  void recv_one();
-
-  Comm* comm_;
-  Rank window_;
-  std::int32_t tag_;
-  std::uint32_t op_;
-  Rank P_;
-  Rank me_;
-  std::vector<std::vector<std::byte>> out_;  ///< pending payloads by dst
-  std::vector<std::vector<std::byte>> in_;   ///< arrivals (+ own slot) by src
-  std::vector<bool> submitted_;
-  std::vector<bool> arrived_;   ///< peers whose payload has landed
-  std::deque<Rank> ready_;      ///< buffered arrivals not yet delivered
-  Rank submitted_count_ = 0;
-  Rank next_send_s_ = 1;        ///< shift offset of the next unsent round
-  Rank sends_issued_ = 0;
-  Rank recvs_taken_ = 0;
-  Rank delivered_ = 0;
-  double wait_seconds_ = 0.0;
-  std::uint64_t max_inflight_ = 0;
-  double max_blocked_seconds_ = 0.0;
-  Rank max_blocked_src_ = -1;
 };
 
 /// Spawns P rank threads, runs fn(Comm&) on each, joins, and keeps the
@@ -513,10 +409,6 @@ class World {
   [[nodiscard]] const std::vector<RankLedger>& ledgers() const { return ledgers_; }
   [[nodiscard]] const std::vector<MsgRecord>& message_log() const { return log_; }
   [[nodiscard]] double modeled_network_seconds(SchedulePolicy policy) const;
-  /// Modeled makespan of the recorded all-to-all traffic under the k-deep
-  /// windowed shift schedule (logp.hpp); window 1 models the blocking
-  /// schedule, so speedup_vs_blocking = f(1) / f(k).
-  [[nodiscard]] double modeled_exchange_seconds(std::uint32_t window) const;
 
   /// Sum over ranks / max over ranks of compute CPU seconds.
   [[nodiscard]] double total_cpu_seconds() const;

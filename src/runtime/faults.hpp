@@ -114,13 +114,13 @@ struct TransportConfig {
 // ---------------------------------------------------------- health model
 
 /// Peer-health deadlines for the supervision layer (docs/FAULTS.md
-/// §Health supervision). While a rank blocks waiting for a peer's frame
-/// (directly or through `PendingAllToAll::try_recv_any`), the elapsed wait
-/// is attributed to the awaited peer(s) and escalates their observed state
-/// straggler -> suspect -> dead. Crossing `dead_after` *declares* the peer
-/// dead: the waiter marks it failed and raises PeerFailedError immediately
-/// instead of burning the full recv_timeout on a TimeoutError. Disabled by
-/// default: the fault-free path then takes a single branch per wait.
+/// §Health supervision). While a rank blocks waiting for a named peer's
+/// frame, the elapsed wait is attributed to that peer and escalates its
+/// observed state straggler -> suspect -> dead. Crossing `dead_after`
+/// *declares* the peer dead: the waiter marks it failed and raises
+/// PeerFailedError immediately instead of burning the full recv_timeout on
+/// a TimeoutError. Disabled by default: the fault-free path then takes a
+/// single branch per wait.
 struct HealthConfig {
   bool enabled = false;
   /// A peer silent this long while awaited is a straggler (telemetry only).
@@ -167,10 +167,10 @@ enum class CrashPhase : std::uint8_t {
   /// At the top of the step, before the first collective — every survivor
   /// then parks in that step's exchange with an identical cursor.
   kStepStart,
-  /// Between `submit` and `wait_all` of the exchange's PendingAllToAll:
-  /// some of the dying rank's payloads are already delivered, some of its
-  /// peers' arrivals already applied. Exercises the pipelined/async
-  /// windows' partial-delivery recovery paths.
+  /// Inside the exchange, after its all-to-all returns and before the dirty
+  /// flags retire: survivors have received and apply the dying rank's
+  /// payload and abort at the next collective, while its recovery stash
+  /// still holds those entries dirty, so they are re-sent after recovery.
   kMidExchange,
 };
 
@@ -220,8 +220,8 @@ class FaultInjector {
                                            std::size_t frame_size) const;
 
   /// One-shot crash hook, polled by rank code at each RC step boundary
-  /// (kStepStart) and between the exchange's submits and its completion
-  /// wait (kMidExchange). Only points matching `phase` are considered.
+  /// (kStepStart) and inside the exchange once its all-to-all has returned
+  /// (kMidExchange). Only points matching `phase` are considered.
   bool should_crash(Rank rank, std::size_t step,
                     CrashPhase phase = CrashPhase::kStepStart);
 

@@ -63,78 +63,6 @@ double all_to_all_cost(const LogGPParams& p, const std::vector<const MsgRecord*>
 
 }  // namespace
 
-double modeled_exchange_makespan(const std::vector<MsgRecord>& log,
-                                 const LogGPParams& params, Rank world_size,
-                                 std::uint32_t window) {
-  const auto P = static_cast<std::size_t>(world_size);
-  if (P < 2) return 0.0;
-  const std::uint32_t w =
-      std::clamp<std::uint32_t>(window, 1, static_cast<std::uint32_t>(P - 1));
-
-  // Group the a2a records by op; within an op, bytes[src * P + round]
-  // accumulates (retransmitted frames occupy the wire like first sends).
-  std::map<std::uint32_t, std::vector<std::uint64_t>> ops;
-  std::map<std::uint32_t, std::vector<bool>> present;
-  for (const MsgRecord& m : log) {
-    if (m.kind != OpKind::kAllToAll) continue;
-    auto [it, inserted] = ops.try_emplace(m.op);
-    if (inserted) {
-      it->second.assign(P * P, 0);
-      present[m.op].assign(P * P, false);
-    }
-    const auto src = static_cast<std::size_t>(m.src);
-    const auto round =
-        static_cast<std::size_t>(((m.dst - m.src) % world_size + world_size) %
-                                 world_size);
-    it->second[src * P + round] += m.bytes;
-    present[m.op][src * P + round] = true;
-  }
-
-  double total = 0.0;
-  std::vector<double> free_at(P);    // sender CPU free (occupancy + g)
-  std::vector<double> done_at(P);    // sender-side completion (no gap)
-  std::vector<double> arrive(P * P); // arrive[p * P + round]
-  std::vector<double> issue(P);      // this round's send-issue times
-  for (const auto& [op, bytes] : ops) {
-    const std::vector<bool>& has = present[op];
-    std::fill(free_at.begin(), free_at.end(), 0.0);
-    std::fill(done_at.begin(), done_at.end(), 0.0);
-    std::fill(arrive.begin(), arrive.end(), 0.0);
-    for (std::size_t i = 1; i < P; ++i) {
-      for (std::size_t p = 0; p < P; ++p) {
-        // Windowing: round i may not start before round i-w's arrival has
-        // completed — at most w of this rank's recvs are outstanding.
-        const double gate = i > w ? arrive[p * P + (i - w)] : 0.0;
-        const double s = std::max(free_at[p], gate);
-        issue[p] = s;
-        if (has[p * P + i]) {
-          const double occupy =
-              params.o + static_cast<double>(bytes[p * P + i]) * params.G;
-          free_at[p] = s + occupy + params.g;
-          done_at[p] = std::max(done_at[p], s + occupy);
-        } else {
-          free_at[p] = s;
-        }
-      }
-      for (std::size_t p = 0; p < P; ++p) {
-        const std::size_t src = (p + P - i) % P;
-        // A round with no recorded message gates nothing: carry the
-        // previous arrival forward so the window constraint stays sane.
-        arrive[p * P + i] =
-            has[src * P + i]
-                ? issue[src] + message_cost(params, bytes[src * P + i])
-                : arrive[p * P + (i - 1)];
-      }
-    }
-    double makespan = 0.0;
-    for (std::size_t p = 0; p < P; ++p) {
-      makespan = std::max(makespan, std::max(arrive[p * P + (P - 1)], done_at[p]));
-    }
-    total += makespan;
-  }
-  return total;
-}
-
 double modeled_network_seconds(const std::vector<MsgRecord>& log,
                                const LogGPParams& params, SchedulePolicy policy,
                                Rank world_size) {

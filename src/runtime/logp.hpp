@@ -64,20 +64,4 @@ double modeled_network_seconds(const std::vector<MsgRecord>& log,
                                const LogGPParams& params, SchedulePolicy policy,
                                Rank world_size);
 
-/// Modeled makespan of the log's all-to-all traffic under the k-deep
-/// windowed shift schedule (non-a2a records are ignored; collectives run
-/// sequentially, so per-op makespans sum).
-///
-/// Per op, each rank issues its P-1 shift rounds in order. Round i's send
-/// may not start before the sender's previous send has cleared its CPU
-/// (o + bytes*G, then the g gap) — and, the windowing constraint, before
-/// the rank's round i-window arrival has completed: at most `window`
-/// messages are in flight per rank. An arrival completes o + bytes*G + L
-/// + o after its (remote) send starts. window = 1 reproduces the blocking
-/// schedule exactly (each send waits for the previous round's recv);
-/// window = P-1 is fully overlapped.
-double modeled_exchange_makespan(const std::vector<MsgRecord>& log,
-                                 const LogGPParams& params, Rank world_size,
-                                 std::uint32_t window);
-
 }  // namespace aacc::rt

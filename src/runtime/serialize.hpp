@@ -244,34 +244,21 @@ inline std::vector<VertexId> read_ascending_ids(ByteReader& r) {
 // ---- DV-update records --------------------------------------------------
 //
 // One record carries the changed entries of one row to a subscriber. Every
-// record is self-describing: a leading version byte selects the codec, so
-// a stream may mix versions and old (v1) payloads stay decodable.
+// record opens with a version byte, so a future codec can be told apart.
 //
-//   v1:  u8 version, u32 vid, u32 count, count × (u32 target, u32 dist)
 //   v2:  u8 version, varint vid, varint count,
 //        count × (varint target-delta, varint dist-code)
 //        targets strictly ascending; first delta is the target itself,
 //        later deltas are (target - prev - 1); dist-code is the sentinel
 //        mapping above (poison markers ship as 1 byte).
 
-inline constexpr std::uint8_t kDvRecordV1 = 1;
 inline constexpr std::uint8_t kDvRecordV2 = 2;
 
 /// Entries must be sorted by target id (ascending, unique).
-inline void write_dv_record(ByteWriter& w, VertexId vid,
-                            const std::vector<std::pair<VertexId, Dist>>& entries,
-                            std::uint8_t version = kDvRecordV2) {
-  w.write(version);
-  if (version == kDvRecordV1) {
-    w.write(vid);
-    w.write(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& [t, d] : entries) {
-      w.write(t);
-      w.write(d);
-    }
-    return;
-  }
-  AACC_CHECK_MSG(version == kDvRecordV2, "unknown DV record version");
+inline void write_dv_record(
+    ByteWriter& w, VertexId vid,
+    const std::vector<std::pair<VertexId, Dist>>& entries) {
+  w.write(kDvRecordV2);
   w.write_varint(vid);
   w.write_varint(entries.size());
   VertexId prev = 0;
@@ -289,17 +276,12 @@ inline void write_dv_record(ByteWriter& w, VertexId vid,
 }
 
 /// Streaming decoder for one record: construct, read vid()/count(), then
-/// call next() exactly count() times. Dispatches on the version byte.
+/// call next() exactly count() times.
 class DvRecordReader {
  public:
   explicit DvRecordReader(ByteReader& r) : r_(r) {
-    version_ = r_.read<std::uint8_t>();
-    if (version_ == kDvRecordV1) {
-      vid_ = r_.read<VertexId>();
-      count_ = r_.read<std::uint32_t>();
-      return;
-    }
-    AACC_CHECK_MSG(version_ == kDvRecordV2, "unknown DV record version");
+    AACC_CHECK_MSG(r_.read<std::uint8_t>() == kDvRecordV2,
+                   "unknown DV record version");
     vid_ = static_cast<VertexId>(r_.read_varint());
     count_ = static_cast<std::uint32_t>(r_.read_varint());
   }
@@ -309,12 +291,6 @@ class DvRecordReader {
 
   std::pair<VertexId, Dist> next() {
     AACC_DCHECK(read_ < count_);
-    if (version_ == kDvRecordV1) {
-      const auto t = r_.read<VertexId>();
-      const auto d = r_.read<Dist>();
-      ++read_;
-      return {t, d};
-    }
     const auto delta = static_cast<VertexId>(r_.read_varint());
     prev_ = (read_ == 0) ? delta : prev_ + delta + 1;
     ++read_;
@@ -323,7 +299,6 @@ class DvRecordReader {
 
  private:
   ByteReader& r_;
-  std::uint8_t version_ = 0;
   VertexId vid_ = 0;
   std::uint32_t count_ = 0;
   std::uint32_t read_ = 0;

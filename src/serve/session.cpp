@@ -38,7 +38,11 @@ ResponseMeta make_meta(ServeContext& ctx, const std::vector<Snap>& snaps,
                        std::size_t answer_step, std::uint64_t& index) {
   ResponseMeta meta;
   meta.step = answer_step;
-  meta.engine_step = ctx.engine_step.load(std::memory_order_acquire);
+  // Rank 0 advances engine_step after its own publish, so another rank's
+  // snapshot of the same step can be served first: a published step is
+  // always a completed one.
+  meta.engine_step =
+      std::max(ctx.engine_step.load(std::memory_order_acquire), answer_step);
   meta.age_steps =
       meta.engine_step > meta.step ? meta.engine_step - meta.step : 0;
   meta.stale =

@@ -1,11 +1,10 @@
 // Chaos matrix for the recovery-policy ladder (docs/FAULTS.md §Recovery
-// policy ladder): {crash early / mid / late} × {adopt / rollback / degrade}
-// × {deterministic / pipelined / async exchange}, each also exercised with
-// a mid-exchange death. Adopt and rollback must converge to the fault-free
-// values with nothing lost; degrade must account for the coverage gap
-// exactly. A second suite sweeps adoption across every crash step at both
-// send-window extremes, and the ladder tests cover fall-through, budgets
-// and exhaustion.
+// policy ladder): {crash early / mid / late} × {adopt / rollback / degrade},
+// each also exercised with a mid-exchange death. Adopt and rollback must
+// converge to the fault-free values with nothing lost; degrade must account
+// for the coverage gap exactly. A second suite sweeps adoption across every
+// crash step, and the ladder tests cover fall-through, budgets and
+// exhaustion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,10 +19,9 @@ namespace {
 using test::grow_vertices;
 using test::make_er;
 
-EngineConfig matrix_cfg(Rank P, ExchangeMode mode) {
+EngineConfig matrix_cfg(Rank P) {
   EngineConfig cfg;
   cfg.num_ranks = P;
-  cfg.exchange_mode = mode;
   // Keep chaos runs snappy; a wedged run fails on the recv watchdog instead
   // of the ctest timeout.
   cfg.transport.retry_backoff = std::chrono::microseconds(1);
@@ -85,70 +83,66 @@ std::vector<VertexId> lost_of(const Graph& truth, const RunResult& r,
 
 // ------------------------------------------------------------ the matrix
 
-TEST(ChaosMatrix, EveryPolicyEveryModeEveryCrashWindow) {
+TEST(ChaosMatrix, EveryPolicyEveryCrashWindow) {
   const Graph g = make_er(100, 300, 7, WeightRange{1, 3});
   const EventSchedule sched = matrix_schedule(g, 5);
   const Rank victim = 1;
 
-  for (const ExchangeMode mode :
-       {ExchangeMode::kDeterministic, ExchangeMode::kPipelined,
-        ExchangeMode::kAsync}) {
-    const EngineConfig cfg = matrix_cfg(4, mode);
-    AnytimeEngine clean_engine(g, cfg);
-    const RunResult clean = clean_engine.run(sched);
-    const std::size_t steps = clean.stats.rc_steps;
-    ASSERT_GE(steps, 5u) << "mode " << static_cast<int>(mode);
-    // Crash early (first step a snapshot can precede), mid, and late.
-    const std::size_t crash_steps[] = {1, steps / 2, steps - 1};
+  const EngineConfig cfg = matrix_cfg(4);
+  AnytimeEngine clean_engine(g, cfg);
+  const RunResult clean = clean_engine.run(sched);
+  const std::size_t steps = clean.stats.rc_steps;
+  ASSERT_GE(steps, 5u);
+  // Crash early (first step a snapshot can precede), mid, and late.
+  const std::size_t crash_steps[] = {1, steps / 2, steps - 1};
 
-    for (const RecoveryPolicy policy :
-         {RecoveryPolicy::kAdopt, RecoveryPolicy::kRollback,
-          RecoveryPolicy::kDegrade}) {
-      for (const std::size_t s : crash_steps) {
-        for (const rt::CrashPhase phase :
-             {rt::CrashPhase::kStepStart, rt::CrashPhase::kMidExchange}) {
-          const std::string ctx =
-              std::string("mode ") + std::to_string(static_cast<int>(mode)) +
-              " policy " + kind_of(policy) + " step " + std::to_string(s) +
-              (phase == rt::CrashPhase::kMidExchange ? " mid-exchange" : "");
-          EngineConfig ccfg = cfg;
-          ccfg.recovery_policy = {{policy, 0}};
-          if (policy != RecoveryPolicy::kDegrade) ccfg.checkpoint_every = 1;
-          ccfg.faults.crashes.push_back({victim, s, phase});
+  for (const RecoveryPolicy policy :
+       {RecoveryPolicy::kAdopt, RecoveryPolicy::kRollback,
+        RecoveryPolicy::kDegrade}) {
+    for (const std::size_t s : crash_steps) {
+      for (const rt::CrashPhase phase :
+           {rt::CrashPhase::kStepStart, rt::CrashPhase::kMidExchange}) {
+        const std::string ctx =
+            std::string("policy ") + kind_of(policy) + " step " +
+            std::to_string(s) +
+            (phase == rt::CrashPhase::kMidExchange ? " mid-exchange" : "");
+        EngineConfig ccfg = cfg;
+        ccfg.recovery_policy = {{policy, 0}};
+        if (policy != RecoveryPolicy::kDegrade) ccfg.checkpoint_every = 1;
+        ccfg.faults.crashes.push_back({victim, s, phase});
 
-          AnytimeEngine engine(g, ccfg);
-          RunResult r;
-          try {
-            r = engine.run(sched);
-          } catch (const std::exception& e) {
-            ADD_FAILURE() << ctx << ": run threw: " << e.what();
-            continue;
+        AnytimeEngine engine(g, ccfg);
+        RunResult r;
+        try {
+          r = engine.run(sched);
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << ctx << ": run threw: " << e.what();
+          continue;
+        }
+
+        EXPECT_EQ(r.stats.recoveries, 1u) << ctx;
+        ASSERT_EQ(r.stats.recovery_log.size(), 1u) << ctx;
+        EXPECT_EQ(r.stats.recovery_log[0].kind, kind_of(policy)) << ctx;
+        EXPECT_GT(r.stats.recovery_log[0].mttr_seconds, 0.0) << ctx;
+
+        if (policy == RecoveryPolicy::kDegrade) {
+          EXPECT_TRUE(r.degraded) << ctx;
+          EXPECT_EQ(r.lost_vertices, lost_of(engine.graph(), r, victim))
+              << ctx;
+          EXPECT_FALSE(r.lost_vertices.empty()) << ctx;
+        } else {
+          EXPECT_FALSE(r.degraded) << ctx;
+          EXPECT_TRUE(r.lost_vertices.empty()) << ctx;
+          if (policy == RecoveryPolicy::kAdopt) {
+            // The dead seat really was vacated.
+            for (VertexId v = 0; v < r.final_owner.size(); ++v) {
+              ASSERT_NE(r.final_owner[v], victim) << ctx << " vertex " << v;
+            }
           }
-
-          EXPECT_EQ(r.stats.recoveries, 1u) << ctx;
-          ASSERT_EQ(r.stats.recovery_log.size(), 1u) << ctx;
-          EXPECT_EQ(r.stats.recovery_log[0].kind, kind_of(policy)) << ctx;
-          EXPECT_GT(r.stats.recovery_log[0].mttr_seconds, 0.0) << ctx;
-
-          if (policy == RecoveryPolicy::kDegrade) {
-            EXPECT_TRUE(r.degraded) << ctx;
-            EXPECT_EQ(r.lost_vertices, lost_of(engine.graph(), r, victim))
-                << ctx;
-            EXPECT_FALSE(r.lost_vertices.empty()) << ctx;
-          } else {
-            EXPECT_FALSE(r.degraded) << ctx;
-            EXPECT_TRUE(r.lost_vertices.empty()) << ctx;
-            if (policy == RecoveryPolicy::kAdopt) {
-              // The dead seat really was vacated.
-              for (VertexId v = 0; v < r.final_owner.size(); ++v) {
-                ASSERT_NE(r.final_owner[v], victim) << ctx << " vertex " << v;
-              }
-            }
-            ASSERT_EQ(r.closeness.size(), clean.closeness.size()) << ctx;
-            for (VertexId v = 0; v < clean.closeness.size(); ++v) {
-              ASSERT_EQ(r.closeness[v], clean.closeness[v])
-                  << ctx << " vertex " << v;
-            }
+          ASSERT_EQ(r.closeness.size(), clean.closeness.size()) << ctx;
+          for (VertexId v = 0; v < clean.closeness.size(); ++v) {
+            ASSERT_EQ(r.closeness[v], clean.closeness[v])
+                << ctx << " vertex " << v;
           }
         }
       }
@@ -158,41 +152,35 @@ TEST(ChaosMatrix, EveryPolicyEveryModeEveryCrashWindow) {
 
 // ------------------------------------- adoption exactness, swept in depth
 
-TEST(Adoption, EveryCrashStepAtBothWindowDepths) {
+TEST(Adoption, EveryCrashStep) {
   // The acceptance sweep: kill a rank at every RC step of the run under
-  // recovery_policy = {adopt}, at send-window depths 1 and P-1. Every run
-  // must finish undegraded, lose nothing, and produce distances and
-  // closeness exactly equal to the fault-free run.
+  // recovery_policy = {adopt}. Every run must finish undegraded, lose
+  // nothing, and produce distances and closeness exactly equal to the
+  // fault-free run.
   const Graph g = make_er(80, 240, 3, WeightRange{1, 3});
   const EventSchedule sched = matrix_schedule(g, 17);
-  const Rank P = 4;
+  EngineConfig cfg = matrix_cfg(4);
+  cfg.gather_apsp = true;
+  AnytimeEngine clean_engine(g, cfg);
+  const RunResult clean = clean_engine.run(sched);
+  ASSERT_GE(clean.stats.rc_steps, 4u);
 
-  for (const std::size_t window : {std::size_t{1}, std::size_t{P - 1}}) {
-    EngineConfig cfg = matrix_cfg(P, ExchangeMode::kPipelined);
-    cfg.exchange_window = window;
-    cfg.gather_apsp = true;
-    AnytimeEngine clean_engine(g, cfg);
-    const RunResult clean = clean_engine.run(sched);
-    ASSERT_GE(clean.stats.rc_steps, 4u);
+  for (std::size_t s = 1; s < clean.stats.rc_steps; ++s) {
+    EngineConfig ccfg = cfg;
+    ccfg.checkpoint_every = 1;
+    ccfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
+    ccfg.faults.crashes.push_back({2, s});
 
-    for (std::size_t s = 1; s < clean.stats.rc_steps; ++s) {
-      EngineConfig ccfg = cfg;
-      ccfg.checkpoint_every = 1;
-      ccfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
-      ccfg.faults.crashes.push_back({2, s});
-
-      AnytimeEngine engine(g, ccfg);
-      const RunResult r = engine.run(sched);
-      EXPECT_EQ(r.stats.recoveries, 1u) << "window " << window << " step " << s;
-      EXPECT_FALSE(r.degraded) << "window " << window << " step " << s;
-      EXPECT_TRUE(r.lost_vertices.empty())
-          << "window " << window << " step " << s;
-      EXPECT_EQ(r.apsp, clean.apsp) << "window " << window << " step " << s;
-      ASSERT_EQ(r.closeness.size(), clean.closeness.size());
-      for (VertexId v = 0; v < clean.closeness.size(); ++v) {
-        ASSERT_EQ(r.closeness[v], clean.closeness[v])
-            << "window " << window << " step " << s << " vertex " << v;
-      }
+    AnytimeEngine engine(g, ccfg);
+    const RunResult r = engine.run(sched);
+    EXPECT_EQ(r.stats.recoveries, 1u) << "step " << s;
+    EXPECT_FALSE(r.degraded) << "step " << s;
+    EXPECT_TRUE(r.lost_vertices.empty()) << "step " << s;
+    EXPECT_EQ(r.apsp, clean.apsp) << "step " << s;
+    ASSERT_EQ(r.closeness.size(), clean.closeness.size());
+    for (VertexId v = 0; v < clean.closeness.size(); ++v) {
+      ASSERT_EQ(r.closeness[v], clean.closeness[v])
+          << "step " << s << " vertex " << v;
     }
   }
 }
@@ -202,7 +190,7 @@ TEST(Adoption, TwoDeathsBackToBackStayExact) {
   // too: both seats end up vacated and the answer stays exact.
   const Graph g = make_er(90, 270, 23, WeightRange{1, 3});
   const EventSchedule sched = matrix_schedule(g, 29);
-  EngineConfig cfg = matrix_cfg(4, ExchangeMode::kDeterministic);
+  EngineConfig cfg = matrix_cfg(4);
   cfg.gather_apsp = true;
 
   AnytimeEngine clean_engine(g, cfg);
@@ -235,7 +223,7 @@ TEST(Adoption, MessageFaultsOnTopStayExact) {
   // frames during both the original attempt and the adopted restart.
   const Graph g = make_er(80, 240, 31, WeightRange{1, 3});
   const EventSchedule sched = matrix_schedule(g, 37);
-  EngineConfig cfg = matrix_cfg(4, ExchangeMode::kDeterministic);
+  EngineConfig cfg = matrix_cfg(4);
   cfg.gather_apsp = true;
 
   AnytimeEngine clean_engine(g, cfg);
@@ -266,7 +254,7 @@ TEST(Ladder, AdoptFallsThroughToRollbackBeforeAnySnapshot) {
   // rung raises RecoveryError and the ladder falls through to rollback
   // (which restarts from scratch, bit-identically).
   const Graph g = make_er(80, 240, 41, WeightRange{1, 3});
-  EngineConfig cfg = matrix_cfg(3, ExchangeMode::kDeterministic);
+  EngineConfig cfg = matrix_cfg(3);
   cfg.gather_apsp = true;
 
   AnytimeEngine clean_engine(g, cfg);
@@ -292,7 +280,7 @@ TEST(Ladder, SpentBudgetFallsThroughToTheNextRung) {
   // through to degrade even though snapshots are available.
   const Graph g = make_er(90, 270, 43, WeightRange{1, 3});
   const EventSchedule sched = matrix_schedule(g, 47);
-  EngineConfig cfg = matrix_cfg(4, ExchangeMode::kDeterministic);
+  EngineConfig cfg = matrix_cfg(4);
 
   AnytimeEngine probe_engine(g, cfg);
   const RunResult probe = probe_engine.run(sched);
@@ -319,7 +307,7 @@ TEST(Ladder, ExhaustedLadderRethrowsTheLastPreconditionFailure) {
   // A single-rung adopt ladder with no periodic snapshots configured: the
   // rung's precondition failure surfaces as RecoveryError.
   const Graph g = make_er(70, 210, 53, WeightRange{1, 3});
-  EngineConfig cfg = matrix_cfg(3, ExchangeMode::kDeterministic);
+  EngineConfig cfg = matrix_cfg(3);
   cfg.checkpoint_every = 0;
   cfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
   cfg.faults.crashes.push_back({1, 1});
@@ -332,7 +320,7 @@ TEST(Ladder, DefaultLadderReproducesTheLegacyOrder) {
   // Default recovery_policy = {rollback, degrade}: with snapshots it rolls
   // back; without, it degrades — exactly the pre-ladder behavior.
   const Graph g = make_er(80, 240, 59, WeightRange{1, 3});
-  EngineConfig with_ck = matrix_cfg(3, ExchangeMode::kDeterministic);
+  EngineConfig with_ck = matrix_cfg(3);
   with_ck.checkpoint_every = 2;
   with_ck.faults.crashes.push_back({1, 3});
   AnytimeEngine a(g, with_ck);
@@ -341,7 +329,7 @@ TEST(Ladder, DefaultLadderReproducesTheLegacyOrder) {
   EXPECT_EQ(ra.stats.recovery_log[0].kind, "rollback");
   EXPECT_FALSE(ra.degraded);
 
-  EngineConfig without_ck = matrix_cfg(3, ExchangeMode::kDeterministic);
+  EngineConfig without_ck = matrix_cfg(3);
   without_ck.faults.crashes.push_back({1, 3});
   AnytimeEngine b(g, without_ck);
   const RunResult rb = b.run();
@@ -352,7 +340,7 @@ TEST(Ladder, DefaultLadderReproducesTheLegacyOrder) {
 
 TEST(RecoveryLog, SerializesIntoTheStatsJson) {
   const Graph g = make_er(70, 210, 61, WeightRange{1, 3});
-  EngineConfig cfg = matrix_cfg(3, ExchangeMode::kDeterministic);
+  EngineConfig cfg = matrix_cfg(3);
   cfg.checkpoint_every = 1;
   cfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0},
                          {RecoveryPolicy::kRollback, 0}};

@@ -3,7 +3,6 @@
 // an uninterrupted run.
 #include <gtest/gtest.h>
 
-#include "runtime/serialize.hpp"
 #include "test_util.hpp"
 
 namespace aacc {
@@ -131,46 +130,9 @@ TEST(Checkpoint, ResumedResultMatchesUninterruptedRun) {
   }
 }
 
-// Transcodes a wire-v2 rank blob into the legacy v1 layout (headerless,
-// fixed-width vectors) — the format the seed engine wrote to disk.
-std::vector<std::byte> transcode_blob_to_v1(
-    const std::vector<std::byte>& blob) {
-  // v2 header: magic 0xAA 0xCC + version byte.
-  EXPECT_GE(blob.size(), 3u);
-  EXPECT_EQ(std::to_integer<std::uint8_t>(blob[0]), 0xAAu);
-  EXPECT_EQ(std::to_integer<std::uint8_t>(blob[1]), 0xCCu);
-  rt::ByteReader r(std::span<const std::byte>(blob).subspan(3));
-  rt::ByteWriter w;
-
-  w.write_vec(r.read_vec<Rank>());  // owner map: raw in both versions
-  const auto edge_count = r.read<std::uint64_t>();
-  w.write(edge_count);
-  for (std::uint64_t i = 0; i < edge_count * 3; ++i) {
-    w.write(r.read<std::uint32_t>());  // u, v, weight triples
-  }
-  const auto row_count = r.read<std::uint64_t>();
-  w.write(row_count);
-  for (std::uint64_t i = 0; i < row_count; ++i) {
-    w.write(r.read<VertexId>());
-    w.write_vec(rt::read_packed_u32s(r));  // dists
-    w.write_vec(rt::read_packed_u32s(r));  // next hops
-    w.write_vec(rt::read_ascending_ids(r));
-  }
-  const auto cache_count = r.read<std::uint64_t>();
-  w.write(cache_count);
-  for (std::uint64_t i = 0; i < cache_count; ++i) {
-    w.write(r.read<VertexId>());
-    w.write_vec(rt::read_packed_u32s(r));
-  }
-  w.write(r.read<std::uint64_t>());  // vertices_added
-  EXPECT_TRUE(r.done());
-  return w.take();
-}
-
-TEST(Checkpoint, LegacyV1BlobsStillRestore) {
-  // Backward compatibility: a checkpoint written by the pre-v2 engine
-  // (headerless blobs, fixed-width vectors) must resume and converge
-  // exactly. We synthesize such a checkpoint by transcoding a v2 one.
+TEST(Checkpoint, LegacyV1BlobsAreRejected) {
+  // Headerless (pre-v2) blobs are no longer decoded: the engine refuses
+  // them up front with a typed error instead of misparsing them.
   const Graph g = make_er(150, 450, 21, WeightRange{1, 4});
   EngineConfig cfg = base_cfg(5);
   cfg.checkpoint_at_step = 1;
@@ -180,20 +142,11 @@ TEST(Checkpoint, LegacyV1BlobsStillRestore) {
   ASSERT_TRUE(interim.checkpoint.valid());
 
   Checkpoint legacy = interim.checkpoint;
-  for (auto& blob : legacy.rank_blobs) blob = transcode_blob_to_v1(blob);
-  // The transcoded blob must not accidentally look like a v2 header.
-  ASSERT_NE(std::to_integer<std::uint8_t>(legacy.rank_blobs[0][0]), 0xAAu);
-
-  AnytimeEngine from_v2(g, interim.checkpoint, cfg);
-  const RunResult v2_result = from_v2.run();
-  AnytimeEngine from_v1(g, legacy, cfg);
-  const RunResult v1_result = from_v1.run();
-
-  expect_apsp_exact(g, v1_result);
-  ASSERT_EQ(v1_result.apsp.size(), v2_result.apsp.size());
-  for (VertexId u = 0; u < v1_result.apsp.size(); ++u) {
-    EXPECT_EQ(v1_result.apsp[u], v2_result.apsp[u]) << "row " << u;
+  for (auto& blob : legacy.rank_blobs) {
+    blob.erase(blob.begin(), blob.begin() + kCkptHeaderBytes);
   }
+  EXPECT_THROW(validate_checkpoint(legacy, 5), CheckpointError);
+  EXPECT_THROW(AnytimeEngine(g, legacy, cfg), CheckpointError);
 }
 
 TEST(Checkpoint, WorldSizeMismatchRejected) {
@@ -209,12 +162,16 @@ TEST(Checkpoint, WorldSizeMismatchRejected) {
 
 // ----------------------------------- restore validation (typed errors)
 
-/// A structurally plausible checkpoint for pure validation tests.
+/// A structurally plausible checkpoint for pure validation tests: v2
+/// header, then filler.
 Checkpoint tiny_checkpoint(Rank ranks) {
+  std::vector<std::byte> blob(8, std::byte{0x01});
+  blob[0] = std::byte{kCkptMagic0};
+  blob[1] = std::byte{kCkptMagic1};
+  blob[2] = std::byte{kCkptVersion2};
   Checkpoint ck;
   ck.num_ranks = ranks;
-  ck.rank_blobs.assign(static_cast<std::size_t>(ranks),
-                       std::vector<std::byte>(8, std::byte{0x01}));
+  ck.rank_blobs.assign(static_cast<std::size_t>(ranks), blob);
   return ck;
 }
 

@@ -2,8 +2,8 @@
 // must round-trip every observable bit of a row, the LRU admission policy
 // must respect the byte budget and the boundary/recency ordering, and —
 // the load-bearing contract — a tiered run must be bit-identical to the
-// resident oracle across every exchange mode, dynamic scenario and budget,
-// including the checkpoint blobs it writes.
+// resident oracle across every dynamic scenario and budget, including the
+// checkpoint blobs it writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -210,17 +210,14 @@ TEST(TieredLru, DirtyOpsWorkInPlaceOnColdRows) {
     EXPECT_EQ(entries[i].second, ref.dist(want_dirty[i]));
   }
 
-  std::vector<VertexId> cleared;
-  EXPECT_EQ(store.retire_dirty(0, &cleared), ref.dirty_count());
-  EXPECT_EQ(cleared, want_dirty);
+  EXPECT_EQ(store.retire_dirty(0), ref.dirty_count());
   EXPECT_EQ(store.dirty_count(0), 0u);
-  if (!want_dirty.empty()) {
-    EXPECT_TRUE(store.remark_dirty(0, want_dirty[0]));
-    EXPECT_FALSE(store.remark_dirty(0, want_dirty[0]));
-    EXPECT_TRUE(store.retire_dirty_one(0, want_dirty[0]));
-    EXPECT_FALSE(store.retire_dirty_one(0, want_dirty[0]));
-  }
   EXPECT_EQ(store.mark_finite_dirty(0), ref.finite_count());
+  VertexId finite = 0;
+  while (finite == ref.self() || ref.dist(finite) == kInfDist) ++finite;
+  EXPECT_TRUE(store.retire_dirty_one(0, finite));
+  EXPECT_FALSE(store.retire_dirty_one(0, finite));
+  EXPECT_EQ(store.dirty_count(0), ref.finite_count() - 1);
   ASSERT_FALSE(store.is_hot(0));  // everything stayed in compressed form
 
   // Promotion after in-place mutation must still reconstruct the values.
@@ -232,11 +229,9 @@ TEST(TieredLru, DirtyOpsWorkInPlaceOnColdRows) {
 
 // ------------------------------------------- resident vs tiered equivalence
 
-EngineConfig matrix_cfg(ExchangeMode mode, std::uint64_t budget) {
+EngineConfig matrix_cfg(std::uint64_t budget) {
   EngineConfig cfg;
   cfg.num_ranks = 4;
-  cfg.exchange_mode = mode;
-  if (mode != ExchangeMode::kDeterministic) cfg.exchange_window = 3;
   cfg.dv_budget_bytes = budget;
   cfg.transport.retry_backoff = std::chrono::microseconds(1);
   cfg.transport.recv_timeout = std::chrono::seconds(60);
@@ -248,23 +243,16 @@ EngineConfig matrix_cfg(ExchangeMode mode, std::uint64_t budget) {
 /// (~50% cold), and the floor forces ~95% cold.
 const std::uint64_t kBudgets[] = {8u << 20, 64u << 10, kMinDvBudgetBytes};
 
-const ExchangeMode kModes[] = {ExchangeMode::kDeterministic,
-                               ExchangeMode::kPipelined, ExchangeMode::kAsync};
-
 /// Residency changes *where* rows live, never what the engine computes:
-/// the converged values must match bit for bit in every mode. The full
-/// cost ledger (wire bytes, relaxation/poison counts) is only comparable
-/// under ExchangeMode::kDeterministic — the overlapped schedules vary
-/// their intermediate traffic with arrival timing even store-vs-itself
-/// (async_exchange_test only pins the ledger for the deterministic mode).
+/// the converged values and the full cost ledger (wire bytes,
+/// relaxation/poison counts) must match bit for bit.
 void expect_identical(const RunResult& want, const RunResult& got,
-                      const std::string& label, bool strict_ledger = true) {
+                      const std::string& label) {
   ASSERT_EQ(want.closeness.size(), got.closeness.size()) << label;
   for (VertexId v = 0; v < want.closeness.size(); ++v) {
     ASSERT_EQ(want.closeness[v], got.closeness[v]) << label << " vertex " << v;
     ASSERT_EQ(want.harmonic[v], got.harmonic[v]) << label << " vertex " << v;
   }
-  if (!strict_ledger) return;
   EXPECT_EQ(want.stats.rc_steps, got.stats.rc_steps) << label;
   EXPECT_EQ(want.stats.total_bytes, got.stats.total_bytes) << label;
   EXPECT_EQ(want.stats.total_messages, got.stats.total_messages) << label;
@@ -305,26 +293,21 @@ EventSchedule dynamic_schedule(const Graph& g, std::uint64_t seed) {
   return sched;
 }
 
-TEST(TieredEquivalence, StaticAndDynamicAcrossModesAndBudgets) {
+TEST(TieredEquivalence, StaticAndDynamicAcrossBudgets) {
   const Graph g = make_er(110, 330, 31, WeightRange{1, 5});
   const EventSchedule sched = dynamic_schedule(g, 41);
-  for (const ExchangeMode mode : kModes) {
-    RunResult oracle;
-    {
-      AnytimeEngine engine(g, matrix_cfg(mode, 0));
-      oracle = engine.run(sched);
-    }
-    for (const std::uint64_t budget : kBudgets) {
-      AnytimeEngine engine(g, matrix_cfg(mode, budget));
-      const RunResult tiered = engine.run(sched);
-      expect_identical(oracle, tiered,
-                       "mode=" + std::to_string(static_cast<int>(mode)) +
-                           " budget=" + std::to_string(budget),
-                       mode == ExchangeMode::kDeterministic);
-      if (budget == kMinDvBudgetBytes) {
-        EXPECT_GT(tiered.stats.dv_demotions, 0u) << "floor budget stayed hot";
-        EXPECT_GT(tiered.stats.dv_cold_bytes, 0u);
-      }
+  RunResult oracle;
+  {
+    AnytimeEngine engine(g, matrix_cfg(0));
+    oracle = engine.run(sched);
+  }
+  for (const std::uint64_t budget : kBudgets) {
+    AnytimeEngine engine(g, matrix_cfg(budget));
+    const RunResult tiered = engine.run(sched);
+    expect_identical(oracle, tiered, "budget=" + std::to_string(budget));
+    if (budget == kMinDvBudgetBytes) {
+      EXPECT_GT(tiered.stats.dv_demotions, 0u) << "floor budget stayed hot";
+      EXPECT_GT(tiered.stats.dv_cold_bytes, 0u);
     }
   }
 }
@@ -341,7 +324,7 @@ TEST(TieredEquivalence, RepartitionMigratesResidency) {
   sched.push_back(std::move(b));
 
   for (const std::uint64_t budget : {std::uint64_t{0}, kMinDvBudgetBytes}) {
-    EngineConfig cfg = matrix_cfg(ExchangeMode::kDeterministic, budget);
+    EngineConfig cfg = matrix_cfg(budget);
     cfg.rebalance_threshold = 1.2;
     AnytimeEngine engine(g, cfg);
     const RunResult r = engine.run(sched);
@@ -361,7 +344,7 @@ TEST(TieredEquivalence, CheckpointBlobsAreResidencyOblivious) {
   const Graph g = make_er(100, 300, 47, WeightRange{1, 4});
   const EventSchedule sched = dynamic_schedule(g, 53);
 
-  EngineConfig cfg = matrix_cfg(ExchangeMode::kDeterministic, 0);
+  EngineConfig cfg = matrix_cfg(0);
   cfg.checkpoint_at_step = 2;
   RunResult resident_cp;
   {
@@ -386,9 +369,9 @@ TEST(TieredEquivalence, CheckpointBlobsAreResidencyOblivious) {
   }
 
   // Cross-resume: tiered checkpoint into a resident engine and vice versa.
-  EngineConfig resume_resident = matrix_cfg(ExchangeMode::kDeterministic, 0);
+  EngineConfig resume_resident = matrix_cfg(0);
   EngineConfig resume_tiered =
-      matrix_cfg(ExchangeMode::kDeterministic, kMinDvBudgetBytes);
+      matrix_cfg(kMinDvBudgetBytes);
   AnytimeEngine a(g, tiered_cp.checkpoint, resume_resident);
   const RunResult ra = a.run(sched);
   AnytimeEngine b(g, resident_cp.checkpoint, resume_tiered);
@@ -403,7 +386,7 @@ TEST(TieredEquivalence, ChaosRecoveryAndAdoption) {
   const Graph g = make_er(100, 300, 59, WeightRange{1, 4});
   const EventSchedule sched = dynamic_schedule(g, 61);
 
-  EngineConfig cfg = matrix_cfg(ExchangeMode::kDeterministic, 0);
+  EngineConfig cfg = matrix_cfg(0);
   cfg.checkpoint_every = 1;
   cfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0},
                          {RecoveryPolicy::kRollback, 0}};

@@ -154,8 +154,15 @@ TEST(Equivalence, DeterministicAcrossRepeatedRuns) {
   EXPECT_EQ(a.closeness, b.closeness);
   EXPECT_EQ(a.final_owner, b.final_owner);
   EXPECT_EQ(a.stats.rc_steps, b.stats.rc_steps);
-  // Communication is deterministic too (fixed seeds, fixed schedule).
+  // Communication is deterministic too (fixed seeds, fixed schedule), and
+  // so are next-hop tie-breaks: peers' payloads are applied in rank order
+  // after the blocking exchange, never in arrival order.
   EXPECT_EQ(a.stats.total_bytes, b.stats.total_bytes);
+  EXPECT_EQ(a.stats.total_messages, b.stats.total_messages);
+  ASSERT_EQ(a.first_hop.size(), b.first_hop.size());
+  for (VertexId u = 0; u < a.first_hop.size(); ++u) {
+    ASSERT_EQ(a.first_hop[u], b.first_hop[u]) << "row " << u;
+  }
 }
 
 }  // namespace

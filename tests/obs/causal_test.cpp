@@ -185,52 +185,40 @@ TEST(CausalStitch, LogicalClockFlowTraceIsByteIdentical) {
 
 // ------------------------------------------- wire-format neutrality gates
 
-TEST(FlowStamping, ResultsAreBitIdenticalOnOrOffInEveryExchangeMode) {
+TEST(FlowStamping, ResultsAreBitIdenticalOnOrOff) {
   const Graph g = make_er(110, 330, 17, WeightRange{1, 3});
-  for (const ExchangeMode mode :
-       {ExchangeMode::kDeterministic, ExchangeMode::kPipelined,
-        ExchangeMode::kAsync}) {
-    EngineConfig base;
-    base.num_ranks = 4;
-    base.exchange_mode = mode;
-    // Reliable transport so stamping exercises the framed wire path.
-    base.transport.reliable = true;
+  EngineConfig base;
+  base.num_ranks = 4;
+  // Reliable transport so stamping exercises the framed wire path.
+  base.transport.reliable = true;
 
-    AnytimeEngine plain_engine(g, base);
-    const RunResult plain = plain_engine.run();
+  AnytimeEngine plain_engine(g, base);
+  const RunResult plain = plain_engine.run();
 
-    EngineConfig off = base;
-    off.trace.enabled = true;  // tracing on, stamping off
-    AnytimeEngine off_engine(g, off);
-    const RunResult without = off_engine.run();
+  EngineConfig off = base;
+  off.trace.enabled = true;  // tracing on, stamping off
+  AnytimeEngine off_engine(g, off);
+  const RunResult without = off_engine.run();
 
-    EngineConfig on = off;
-    on.trace.flow_stamping = true;
-    AnytimeEngine on_engine(g, on);
-    const RunResult with = on_engine.run();
+  EngineConfig on = off;
+  on.trace.flow_stamping = true;
+  AnytimeEngine on_engine(g, on);
+  const RunResult with = on_engine.run();
 
-    const int m = static_cast<int>(mode);
-    ASSERT_EQ(plain.closeness.size(), with.closeness.size()) << "mode " << m;
-    for (VertexId v = 0; v < plain.closeness.size(); ++v) {
-      ASSERT_EQ(plain.closeness[v], without.closeness[v])
-          << "mode " << m << " vertex " << v;
-      ASSERT_EQ(plain.closeness[v], with.closeness[v])
-          << "mode " << m << " vertex " << v;
-      ASSERT_EQ(plain.harmonic[v], with.harmonic[v])
-          << "mode " << m << " vertex " << v;
-    }
-    // Stamping off: the wire is bit-identical to the unstamped format —
-    // same payload bytes, same per-frame overhead.
-    EXPECT_EQ(without.stats.total_bytes, plain.stats.total_bytes)
-        << "mode " << m;
-    EXPECT_EQ(without.stats.frame_overhead_bytes,
-              plain.stats.frame_overhead_bytes)
-        << "mode " << m;
-    // Stamping on: the 8-byte flow id is honestly accounted as overhead.
-    EXPECT_GT(with.stats.frame_overhead_bytes,
-              without.stats.frame_overhead_bytes)
-        << "mode " << m;
+  ASSERT_EQ(plain.closeness.size(), with.closeness.size());
+  for (VertexId v = 0; v < plain.closeness.size(); ++v) {
+    ASSERT_EQ(plain.closeness[v], without.closeness[v]) << "vertex " << v;
+    ASSERT_EQ(plain.closeness[v], with.closeness[v]) << "vertex " << v;
+    ASSERT_EQ(plain.harmonic[v], with.harmonic[v]) << "vertex " << v;
   }
+  // Stamping off: the wire is bit-identical to the unstamped format —
+  // same payload bytes, same per-frame overhead.
+  EXPECT_EQ(without.stats.total_bytes, plain.stats.total_bytes);
+  EXPECT_EQ(without.stats.frame_overhead_bytes,
+            plain.stats.frame_overhead_bytes);
+  // Stamping on: the 8-byte flow id is honestly accounted as overhead.
+  EXPECT_GT(with.stats.frame_overhead_bytes,
+            without.stats.frame_overhead_bytes);
 }
 
 // ----------------------------------------------------- recovery semantics

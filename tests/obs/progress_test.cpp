@@ -114,6 +114,35 @@ TEST(ProgressEvent, ParserToleratesUnknownFields) {
   EXPECT_EQ(ev.step, 5u);
 }
 
+TEST(ProgressEvent, ExchangeWaitRoundTripsAndOldInflightDepthLinesParse) {
+  obs::ProgressEvent ev;
+  ev.phase = "rc_step";
+  ev.step = 7;
+  ev.exchange_wait_seconds = 0.03125;
+  ev.blocked_on_rank = 2;
+  ev.blocked_on_seconds = 0.015625;
+  const std::string line = obs::to_ndjson(ev);
+  EXPECT_NE(line.find("\"exchange_wait_seconds\":0.03125"), std::string::npos);
+  obs::ProgressEvent back;
+  ASSERT_TRUE(obs::parse_progress_event(line, back)) << line;
+  EXPECT_EQ(back.exchange_wait_seconds, ev.exchange_wait_seconds);
+  EXPECT_EQ(back.blocked_on_rank, ev.blocked_on_rank);
+  EXPECT_EQ(back.blocked_on_seconds, ev.blocked_on_seconds);
+
+  // Feeds written before the in-flight depth column was dropped still
+  // carry "inflight_depth"; the unknown-field rule must skip it.
+  obs::ProgressEvent old;
+  ASSERT_TRUE(obs::parse_progress_event(
+      "{\"v\":1,\"phase\":\"rc_step\",\"step\":3,"
+      "\"exchange_wait_seconds\":0.5,\"inflight_depth\":1,"
+      "\"blocked_on_rank\":1,\"blocked_on_seconds\":0.25}",
+      old));
+  EXPECT_EQ(old.step, 3u);
+  EXPECT_EQ(old.exchange_wait_seconds, 0.5);
+  EXPECT_EQ(old.blocked_on_rank, 1);
+  EXPECT_EQ(old.blocked_on_seconds, 0.25);
+}
+
 TEST(ProgressSinks, FileSinkWritesParseableLines) {
   const std::string path = ::testing::TempDir() + "/progress_sink_test.ndjson";
   {
@@ -235,6 +264,37 @@ TEST(ProgressFeed, FeedDoesNotPerturbResults) {
     ASSERT_EQ(with_feed.harmonic[v], plain.harmonic[v]) << "vertex " << v;
   }
   EXPECT_EQ(with_feed.stats.rc_steps, plain.stats.rc_steps);
+}
+
+TEST(ProgressFeed, ExchangeWaitReachesStatsAndFeed) {
+  // Every multi-rank exchange blocks in recvs for some nonzero time, and
+  // that wait is attributed to the peer whose arrival ended it.
+  const Graph g = make_er(160, 480, 91, WeightRange{1, 5});
+  EngineConfig cfg;
+  cfg.num_ranks = 4;
+  RunResult r;
+  const auto events = run_with_feed(g, cfg, &r);
+
+  EXPECT_GT(r.stats.rc_exchange_wait_seconds, 0.0);
+  EXPECT_GT(r.stats.rc_blocked_on_seconds, 0.0);
+  EXPECT_FALSE(r.stats.rc_blocked_on_by_rank.empty());
+  double step_wait = 0.0;
+  for (const StepStats& s : r.stats.steps) {
+    step_wait += s.sum_exchange_wait_seconds;
+    EXPECT_GE(s.blocked_on_rank, -1);
+    EXPECT_LT(s.blocked_on_rank, cfg.num_ranks);
+  }
+  EXPECT_DOUBLE_EQ(step_wait, r.stats.rc_exchange_wait_seconds);
+
+  bool saw_wait = false;
+  for (const obs::ProgressEvent& ev : events) {
+    if (ev.phase != "rc_step" || ev.exchange_wait_seconds <= 0) continue;
+    saw_wait = true;
+    EXPECT_GE(ev.blocked_on_rank, 0);
+    EXPECT_LT(ev.blocked_on_rank, cfg.num_ranks);
+    EXPECT_GT(ev.blocked_on_seconds, 0.0);
+  }
+  EXPECT_TRUE(saw_wait) << "no rc_step event carried the exchange wait";
 }
 
 TEST(ProgressFeed, RecoveryEventsUnderInjectedCrash) {

@@ -177,42 +177,15 @@ TEST(DvRecord, V2RoundTrip) {
   EXPECT_TRUE(r.done());
 }
 
-TEST(DvRecord, V1BlobDecodesUnderV2Reader) {
-  const std::vector<std::pair<VertexId, Dist>> entries{
-      {5, 2}, {6, kInfDist}, {1000, 44}};
-  ByteWriter w;
-  write_dv_record(w, 7, entries, kDvRecordV1);
-  write_dv_record(w, 8, entries, kDvRecordV2);  // mixed-version stream
-  const auto buf = w.take();
-  ByteReader r(buf);
-  DvRecordReader v1(r);
-  EXPECT_EQ(v1.vid(), 7u);
-  ASSERT_EQ(v1.count(), entries.size());
-  for (const auto& e : entries) EXPECT_EQ(v1.next(), e);
-  DvRecordReader v2(r);
-  EXPECT_EQ(v2.vid(), 8u);
-  ASSERT_EQ(v2.count(), entries.size());
-  for (const auto& e : entries) EXPECT_EQ(v2.next(), e);
-  EXPECT_TRUE(r.done());
-}
-
-TEST(DvRecord, V2IsSmallerThanV1) {
-  std::vector<std::pair<VertexId, Dist>> entries;
-  for (VertexId t = 0; t < 256; ++t) entries.emplace_back(t * 3, t % 30);
-  ByteWriter w1;
-  write_dv_record(w1, 9, entries, kDvRecordV1);
-  ByteWriter w2;
-  write_dv_record(w2, 9, entries, kDvRecordV2);
-  // v1: 9 + 8 per entry. v2 here: header + 2 bytes per entry.
-  EXPECT_LT(w2.size() * 2, w1.size());
-}
-
 TEST(DvRecord, UnknownVersionRejected) {
-  ByteWriter w;
-  w.write(std::uint8_t{9});
-  const auto buf = w.take();
-  ByteReader r(buf);
-  EXPECT_THROW(DvRecordReader rec(r), std::logic_error);
+  // 1 is the retired fixed-width codec; 9 is from the future.
+  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{9}}) {
+    ByteWriter w;
+    w.write(version);
+    const auto buf = w.take();
+    ByteReader r(buf);
+    EXPECT_THROW(DvRecordReader rec(r), std::logic_error) << int{version};
+  }
 }
 
 TEST(DvRecord, EmptyRecordRoundTrip) {

@@ -103,17 +103,11 @@ TEST(ServeLifecycle, EmptySessionMatchesStaticRun) {
 // same, and the converged centralities over a fixed graph are exact, so
 // the values must match the batch run double for double.
 
-class ServeEquivalence : public ::testing::TestWithParam<ExchangeMode> {};
-
-TEST_P(ServeEquivalence, SessionMatchesBatchRunOnFinalValues) {
+TEST(ServeEquivalence, SessionMatchesBatchRunOnFinalValues) {
   const Graph g = make_er(110, 320, 23, WeightRange{1, 5});
   const EventSchedule sched = mixed_schedule(g, 5);
   EngineConfig cfg;
   cfg.num_ranks = 3;
-  cfg.exchange_mode = GetParam();
-  if (cfg.exchange_mode != ExchangeMode::kDeterministic) {
-    cfg.exchange_window = 2;
-  }
   const RunResult batch = AnytimeEngine(g, cfg).run(sched);
   EngineSession session(g, cfg);
   for (auto& events : batches_of(sched)) session.ingest(std::move(events));
@@ -126,11 +120,6 @@ TEST_P(ServeEquivalence, SessionMatchesBatchRunOnFinalValues) {
   // The merged registry carries the serve-side counters.
   EXPECT_GT(live.metrics.counter_value("serve/publishes"), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllExchangeModes, ServeEquivalence,
-                         ::testing::Values(ExchangeMode::kDeterministic,
-                                           ExchangeMode::kPipelined,
-                                           ExchangeMode::kAsync));
 
 // --------------------------------------------- post-close query exactness
 

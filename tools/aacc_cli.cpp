@@ -217,10 +217,8 @@ void render_event(const obs::ProgressEvent& ev) {
         static_cast<unsigned long long>(ev.relaxations),
         static_cast<unsigned long long>(ev.poisons),
         static_cast<unsigned long long>(ev.repairs));
-    if (ev.exchange_wait_seconds > 0 || ev.inflight_depth > 0) {
-      std::printf("  xwait %6.2fms  depth %llu",
-                  1e3 * ev.exchange_wait_seconds,
-                  static_cast<unsigned long long>(ev.inflight_depth));
+    if (ev.exchange_wait_seconds > 0) {
+      std::printf("  xwait %6.2fms", 1e3 * ev.exchange_wait_seconds);
     }
     if (ev.dv_cold_bytes > 0 || ev.dv_demotions > 0) {
       std::printf("  dv %.1f/%.1fMB hot/cold  promo %llu",
