@@ -118,14 +118,16 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
       dead[static_cast<std::size_t>(d)] = true;
     }
     const auto& owner = lg_.owner_map();
+    PortalSink sink;
     for (const auto& [portal, adj] : lg_.portals()) {
       (void)adj;
       if (!dead[static_cast<std::size_t>(owner[portal])]) continue;
       auto it = caches_.find(portal);
       if (it == caches_.end()) continue;
       const auto& cache = it->second;
+      reset_sink(sink, portal);
       for (VertexId t = 0; t < static_cast<VertexId>(cache.size()); ++t) {
-        if (cache[t] != kInfDist) apply_portal_value(portal, t, kInfDist);
+        if (cache[t] != kInfDist) apply_portal_value(sink, t, kInfDist);
       }
     }
   }
@@ -489,7 +491,7 @@ void RankEngine::adopt_shards(const Init& init) {
       }
       for (VertexId t = 0; t < lg_.n(); ++t) seeds.emplace_back(v, t);
     }
-    poison_cascade(std::move(seeds));
+    poison_cascade(seeds);
   }
 
   // 7. Every boundary row re-publishes its finite entries: subscriptions
@@ -879,42 +881,62 @@ void RankEngine::poison_entry(std::size_t row_idx, VertexId t,
   queue.emplace_back(row.self(), t);
 }
 
-void RankEngine::poison_cascade(std::deque<std::pair<VertexId, VertexId>> seeds) {
-  std::vector<std::size_t> candidates;
+void RankEngine::poison_cascade(std::deque<std::pair<VertexId, VertexId>>& seeds) {
   while (!seeds.empty()) {
     const auto [z, t] = seeds.front();
     seeds.pop_front();
     // Every local entry whose witness chain starts through z is invalid.
-    // A next hop is always a current neighbor (relax, repair, IA install
-    // and incoming portal updates all set nh to an adjacent vertex, and
-    // deleting an edge poisons the entries routed over it before the next
-    // event applies), so only z's neighbors can hold nh == z: scan adj(z),
-    // not the whole store — under a tiered store a cold probe is a linear
-    // blob scan, and the full-row sweep made every cascade O(rows * blob).
-    // Candidates are visited in ascending row order, reproducing the exact
-    // poison sequence of the historical whole-store sweep. Probe lookups
-    // never promote: a real next-hop hit implies a finite distance (the
-    // row invariant), so the dist probe only guards hot-row reads.
-    const std::int32_t zri = lg_.row_of(z);
-    candidates.clear();
-    if (zri >= 0) {
-      for (const Edge& e : lg_.adj(static_cast<std::size_t>(zri))) {
-        const std::int32_t ri = lg_.is_local(e.to) ? lg_.row_of(e.to) : -1;
-        if (ri >= 0) candidates.push_back(static_cast<std::size_t>(ri));
-      }
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-    } else {
-      // z has no local row (migrated or deleted mid-batch): its adjacency
-      // is unknown here, so fall back to the exhaustive sweep.
-      candidates.resize(dv_->size());
-      std::iota(candidates.begin(), candidates.end(), std::size_t{0});
+    // Only the rows route_candidates yields can hold nh == z, so a local
+    // seed probes adj(z) and a portal seed (a cross-rank marker) its
+    // cut-edge neighbours. A whole-store sweep would cost O(rows) per seed,
+    // and under a tiered store every cold probe is a linear blob scan; only
+    // a seed with neither a row nor a cut edge here still sweeps.
+    route_candidates(z, cascade_rows_);
+    poison_routed(cascade_rows_, z, t, seeds);
+  }
+}
+
+void RankEngine::route_candidates(VertexId z,
+                                  std::vector<std::size_t>& out) const {
+  // A next hop is always a current neighbour (relax, repair, IA install and
+  // incoming portal updates all set nh to an adjacent vertex, and deleting
+  // an edge or a vertex poisons the entries routed over it before the next
+  // event applies).
+  out.clear();
+  const std::int32_t zri = lg_.row_of(z);
+  if (zri >= 0) {
+    for (const Edge& e : lg_.adj(static_cast<std::size_t>(zri))) {
+      const std::int32_t ri = lg_.is_local(e.to) ? lg_.row_of(e.to) : -1;
+      if (ri >= 0) out.push_back(static_cast<std::size_t>(ri));
     }
-    for (const std::size_t r : candidates) {
-      if (dv_->probe_next_hop(r, t) == z && dv_->probe_dist(r, t) != kInfDist) {
-        poison_entry(r, t, seeds);
-      }
+  } else if (const auto it = lg_.portals().find(z); it != lg_.portals().end()) {
+    for (const auto& [x, w] : it->second) {
+      (void)w;
+      out.push_back(static_cast<std::size_t>(lg_.row_of(x)));
+    }
+  } else {
+    // z has no local row and no cut edge here (migrated, deleted, or a
+    // dead owner's vertex in adoption): its adjacency is unknown, so every
+    // row is a candidate.
+    out.resize(dv_->size());
+    std::iota(out.begin(), out.end(), std::size_t{0});
+    return;
+  }
+  // Ascending row order reproduces the exact poison sequence of the
+  // whole-store sweep.
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+void RankEngine::poison_routed(std::span<const std::size_t> rows, VertexId z,
+                               VertexId t,
+                               std::deque<std::pair<VertexId, VertexId>>& queue) {
+  // Probe lookups never promote: a real next-hop hit implies a finite
+  // distance (the row invariant), so the dist probe only guards hot-row
+  // reads.
+  for (const std::size_t r : rows) {
+    if (dv_->probe_next_hop(r, t) == z && dv_->probe_dist(r, t) != kInfDist) {
+      poison_entry(r, t, queue);
     }
   }
 }
@@ -948,8 +970,16 @@ std::vector<Dist>& RankEngine::cache_of(VertexId portal) {
   return it->second;
 }
 
-void RankEngine::apply_portal_value(VertexId b, VertexId t, Dist d) {
-  std::vector<Dist>& cache = cache_of(b);
+void RankEngine::reset_sink(PortalSink& p, VertexId b) const {
+  p.b = b;
+  p.neighbors = lg_.portal_neighbors(b);
+  p.cache = nullptr;
+  p.rows.clear();
+}
+
+void RankEngine::apply_portal_value(PortalSink& p, VertexId t, Dist d) {
+  if (p.cache == nullptr) p.cache = &cache_of(p.b);
+  std::vector<Dist>& cache = *p.cache;
   const Dist cur = cache[t];
   if (d == cur && d != kInfDist) return;
   cache[t] = d;
@@ -960,13 +990,13 @@ void RankEngine::apply_portal_value(VertexId b, VertexId t, Dist d) {
     // infinity — a cache rebuilt after repartitioning starts blank, yet
     // dependents derived in an earlier co-location/subscription era may
     // still hold finite values routed through b.
-    std::deque<std::pair<VertexId, VertexId>> seeds;
-    seeds.emplace_back(b, t);
-    poison_cascade(std::move(seeds));
+    if (p.rows.empty()) route_candidates(p.b, p.rows);  // never empty for a portal
+    poison_routed(p.rows, p.b, t, cascade_seeds_);
+    poison_cascade(cascade_seeds_);
   }
   if (d != kInfDist && lg_.is_alive(t)) {
-    for (const auto& [x, w] : lg_.portal_neighbors(b)) {
-      relax(x, t, dist_add(d, w), b);
+    for (const auto& [x, w] : p.neighbors) {
+      relax(x, t, dist_add(d, w), p.b);
     }
   }
 }
@@ -1099,6 +1129,7 @@ void RankEngine::maintain_store() {
 }
 
 void RankEngine::apply_incoming(const std::vector<std::vector<std::byte>>& in) {
+  PortalSink sink;  // one record's portal, resolved once for its entries
   for (Rank q = 0; q < comm_.size(); ++q) {
     if (q == comm_.rank()) continue;
     rt::ByteReader rd(in[static_cast<std::size_t>(q)]);
@@ -1106,9 +1137,10 @@ void RankEngine::apply_incoming(const std::vector<std::vector<std::byte>>& in) {
       rt::DvRecordReader rec(rd);
       const VertexId b = rec.vid();
       const bool portal = lg_.is_portal(b);
+      if (portal) reset_sink(sink, b);
       for (std::uint32_t i = 0; i < rec.count(); ++i) {
         const auto [t, d] = rec.next();
-        if (portal) apply_portal_value(b, t, d);
+        if (portal) apply_portal_value(sink, t, d);
       }
       if (!portal) caches_.erase(b);  // stale sender view; drop leftovers
     }
@@ -1268,8 +1300,10 @@ void RankEngine::eager_edge_relax(const EdgeAddEvent& e) {
   // suppress the relaxation it is meant to trigger — an early bug.)
   const auto absorb = [&](VertexId vtx, const std::vector<Dist>& row) {
     if (!lg_.is_portal(vtx)) return;
+    PortalSink sink;
+    reset_sink(sink, vtx);
     for (VertexId t = 0; t < row.size(); ++t) {
-      apply_portal_value(vtx, t, row[t]);
+      apply_portal_value(sink, t, row[t]);
     }
   };
   absorb(e.u, row_u);
@@ -1332,7 +1366,7 @@ void RankEngine::apply_edge_delete(const EdgeDeleteEvent& e) {
   lg_.remove_edge(e.u, e.v);
   if (!lg_.is_portal(e.u)) caches_.erase(e.u);
   if (!lg_.is_portal(e.v)) caches_.erase(e.v);
-  poison_cascade(std::move(seeds));
+  poison_cascade(seeds);
 }
 
 void RankEngine::apply_weight_change(const WeightChangeEvent& e) {
@@ -1368,7 +1402,7 @@ void RankEngine::apply_weight_change(const WeightChangeEvent& e) {
     // repairs re-derive them with the new weight.
     std::deque<std::pair<VertexId, VertexId>> seeds;
     poison_first_hops(e.u, e.v, seeds);
-    poison_cascade(std::move(seeds));
+    poison_cascade(seeds);
   }
 }
 
@@ -1437,8 +1471,11 @@ void RankEngine::apply_vertex_delete(const VertexDeleteEvent& e) {
   const VertexId v = e.v;
   std::deque<std::pair<VertexId, VertexId>> seeds;
   // Any witness whose first hop is v dies with it; deeper chains through v
-  // are reached by the cascade.
-  for (std::size_t r = 0; r < dv_->size(); ++r) {
+  // are reached by the cascade. Rows visit ascending, as the whole-store
+  // walk did, so the poison sequence is unchanged.
+  std::vector<std::size_t> rows;
+  route_candidates(v, rows);
+  for (const std::size_t r : rows) {
     if (dv_->self(r) == v) continue;
     // Collect hits first: poison_entry promotes the row, which would free
     // a cold blob out from under the entry cursor. Only finite columns can
@@ -1461,7 +1498,7 @@ void RankEngine::apply_vertex_delete(const VertexDeleteEvent& e) {
     remove_local_row(removed);
   }
   caches_.erase(v);
-  poison_cascade(std::move(seeds));
+  poison_cascade(seeds);
 }
 
 // ------------------------------------------------------------- repartition

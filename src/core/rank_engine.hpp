@@ -255,13 +255,33 @@ class RankEngine {
   [[nodiscard]] std::size_t rc_thread_count() const;
   /// Transitively invalidates every local entry whose next-hop chain passes
   /// through a seed; seeds are (vertex, target) pairs already known bad.
-  void poison_cascade(std::deque<std::pair<VertexId, VertexId>> seeds);
+  /// Drains `seeds` (the queue also receives the cascade's own seeds).
+  void poison_cascade(std::deque<std::pair<VertexId, VertexId>>& seeds);
+  /// Rows that can hold an entry routed through z, ascending and unique. A
+  /// next hop is always a current neighbour, so a local z yields its local
+  /// neighbours' rows, a portal its cut-edge neighbours' rows, and any other
+  /// vertex (migrated, deleted or dead-owned) every row.
+  void route_candidates(VertexId z, std::vector<std::size_t>& out) const;
+  /// Poisons, in `rows` order, every entry (r, t) whose next hop is z.
+  void poison_routed(std::span<const std::size_t> rows, VertexId z,
+                     VertexId t,
+                     std::deque<std::pair<VertexId, VertexId>>& queue);
   void poison_entry(std::size_t row, VertexId t,
                     std::deque<std::pair<VertexId, VertexId>>& queue);
 
   // ---- portal cache ----
+  /// A portal resolved once for a run of values from its owner: its local
+  /// neighbours, its cache (created by the first value, as cache_of does)
+  /// and its cascade candidate rows (computed by the first poison).
+  struct PortalSink {
+    VertexId b = kNoVertex;
+    std::span<const std::pair<VertexId, Weight>> neighbors;
+    std::vector<Dist>* cache = nullptr;
+    std::vector<std::size_t> rows;
+  };
+  void reset_sink(PortalSink& p, VertexId b) const;
   std::vector<Dist>& cache_of(VertexId portal);
-  void apply_portal_value(VertexId b, VertexId t, Dist d);
+  void apply_portal_value(PortalSink& p, VertexId t, Dist d);
 
   // ---- RC step pieces ----
   void exchange();
@@ -393,6 +413,10 @@ class RankEngine {
   std::vector<rt::ByteWriter> sync_writers_;
   std::vector<std::pair<std::size_t, VertexId>> sync_markers_;
   std::vector<std::pair<VertexId, Dist>> sync_scratch_;
+  /// poison_cascade() candidate rows and the seed queue apply_portal_value
+  /// hands it.
+  std::vector<std::size_t> cascade_rows_;
+  std::deque<std::pair<VertexId, VertexId>> cascade_seeds_;
   /// Reusable boundary-flag vector maintain_store hands to
   /// DvStore::maintain.
   std::vector<std::uint8_t> boundary_flags_;

@@ -139,16 +139,21 @@ class ByteReader {
     requires std::is_trivially_copyable_v<T>
   std::vector<T> read_vec() {
     const auto n = read<std::uint64_t>();
-    AACC_CHECK_MSG(pos_ + n * sizeof(T) <= buf_.size(), "message underflow");
+    // Bound the count before scaling it: a corrupt length (checkpoint file,
+    // frame) must not wrap n * sizeof(T) past the check.
+    AACC_CHECK_MSG(n <= remaining() / sizeof(T), "message underflow");
     std::vector<T> v(n);
-    std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
+    // An empty vector's data() may be null, and memcpy into null is UB even
+    // for zero bytes.
+    if (n != 0) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }
 
   std::string read_str() {
     const auto n = read<std::uint64_t>();
-    AACC_CHECK_MSG(pos_ + n <= buf_.size(), "message underflow");
+    AACC_CHECK_MSG(n <= remaining(), "message underflow");
+    if (n == 0) return {};
     std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
     pos_ += n;
     return s;
@@ -205,6 +210,7 @@ inline void write_packed_u32s(ByteWriter& w, const std::vector<std::uint32_t>& v
 }
 inline std::vector<std::uint32_t> read_packed_u32s(ByteReader& r) {
   const auto n = r.read_varint();
+  AACC_CHECK_MSG(n <= r.remaining(), "message underflow");  // >= 1 B each
   std::vector<std::uint32_t> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -230,6 +236,7 @@ inline void write_ascending_ids(ByteWriter& w, const std::vector<VertexId>& ids)
 }
 inline std::vector<VertexId> read_ascending_ids(ByteReader& r) {
   const auto n = r.read_varint();
+  AACC_CHECK_MSG(n <= r.remaining(), "message underflow");  // >= 1 B each
   std::vector<VertexId> ids;
   ids.reserve(n);
   VertexId prev = 0;

@@ -301,5 +301,105 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DynamicChaos,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
                                            12, 13, 14, 15, 16));
 
+// Cross-rank invalidations reach a rank as poison markers for a portal, and
+// the cascade they start must poison exactly the entries routed through that
+// portal, in the same order, however the candidate rows are found. Round-robin
+// DD puts vertex v on rank v % P, so edges with u % P != v % P are cut edges
+// and every marker crosses ranks.
+EventSchedule cut_heavy_schedule(const Graph& g, Rank P) {
+  const auto is_cut = [P](VertexId u, VertexId v) {
+    return u % static_cast<VertexId>(P) != v % static_cast<VertexId>(P);
+  };
+  Rng rng(23);
+  Graph cursor = g;
+  const auto pick_cut_edge = [&]() {
+    std::vector<std::tuple<VertexId, VertexId, Weight>> cut;
+    for (const auto& [u, v, w] : cursor.edges()) {
+      if (is_cut(u, v)) cut.emplace_back(u, v, w);
+    }
+    return cut[rng.next_below(cut.size())];
+  };
+  EventSchedule sched;
+  EventBatch early;
+  early.at_step = 1;
+  for (int i = 0; i < 6; ++i) {
+    const auto [u, v, w] = pick_cut_edge();
+    (void)w;
+    cursor.remove_edge(u, v);
+    early.events.emplace_back(EdgeDeleteEvent{u, v});
+  }
+  for (int i = 0; i < 4; ++i) {
+    const auto [u, v, w] = pick_cut_edge();
+    cursor.set_weight(u, v, w + 3);
+    early.events.emplace_back(WeightChangeEvent{u, v, w + 3});
+  }
+  sched.push_back(std::move(early));
+
+  // After static convergence: more cut deletions, then the highest-degree
+  // vertex goes — a hub is a portal on every other rank.
+  EventBatch late;
+  late.at_step = 8;
+  for (int i = 0; i < 4; ++i) {
+    const auto [u, v, w] = pick_cut_edge();
+    (void)w;
+    cursor.remove_edge(u, v);
+    late.events.emplace_back(EdgeDeleteEvent{u, v});
+  }
+  VertexId hub = 0;
+  for (VertexId v = 0; v < cursor.num_vertices(); ++v) {
+    if (cursor.degree(v) > cursor.degree(hub)) hub = v;
+  }
+  late.events.emplace_back(VertexDeleteEvent{hub});
+  sched.push_back(std::move(late));
+  return sched;
+}
+
+TEST(PoisonCascade, CrossRankSequenceIsPinned) {
+  struct Ledger {
+    Rank P;
+    std::uint64_t poisons;
+    std::uint64_t repairs;
+    std::uint64_t relaxations;
+    std::uint64_t messages;
+    std::uint64_t bytes;
+  };
+  // Recorded from the whole-store sweep the cascade replaced; residency
+  // must not move them either.
+  const Ledger pinned[] = {
+      {2, 8595, 8595, 39932, 124, 125546},
+      {3, 8248, 8248, 56118, 308, 208320},
+      {4, 8042, 8042, 56857, 528, 280604},
+  };
+  const Graph g = make_ba(160, 3, 29, WeightRange{1, 4});
+  for (const Ledger& want : pinned) {
+    const EventSchedule sched = cut_heavy_schedule(g, want.P);
+    const Graph truth = truth_after(g, sched);
+    for (const std::uint64_t budget : {std::uint64_t{0}, kMinDvBudgetBytes}) {
+      SCOPED_TRACE(::testing::Message() << "P=" << want.P << " budget=" << budget);
+      EngineConfig cfg = base_cfg(want.P);
+      cfg.dd_partitioner = PartitionerKind::kRoundRobin;
+      cfg.dv_budget_bytes = budget;
+      cfg.validate_each_step = true;
+      AnytimeEngine engine(g, cfg);
+      const RunResult r = engine.run(sched);
+      EXPECT_EQ(r.stats.invariant_violations, 0u);
+      expect_apsp_exact(truth, r);
+      std::uint64_t poisons = 0;
+      std::uint64_t repairs = 0;
+      std::uint64_t relaxations = 0;
+      for (const StepStats& s : r.stats.steps) {
+        poisons += s.poisons;
+        repairs += s.repairs;
+        relaxations += s.relaxations;
+      }
+      EXPECT_EQ(poisons, want.poisons);
+      EXPECT_EQ(repairs, want.repairs);
+      EXPECT_EQ(relaxations, want.relaxations);
+      EXPECT_EQ(r.stats.total_messages, want.messages);
+      EXPECT_EQ(r.stats.total_bytes, want.bytes);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aacc

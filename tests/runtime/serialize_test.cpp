@@ -1,6 +1,9 @@
 // ByteWriter/ByteReader: round trips and underflow detection.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "runtime/serialize.hpp"
 
 namespace aacc::rt {
@@ -58,6 +61,49 @@ TEST(Serialize, VectorUnderflowThrows) {
   const auto buf = w.take();
   ByteReader r(buf);
   EXPECT_THROW(r.read_vec<std::uint32_t>(), std::logic_error);
+}
+
+// A corrupt length must fail the bounds check, not wrap past it into a
+// length_error or bad_alloc from the container.
+void expect_underflow(const std::function<void()>& read) {
+  try {
+    read();
+    ADD_FAILURE() << "corrupt length was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("message underflow"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Serialize, HugeLengthIsUnderflow) {
+  // 2^62 + 1 four-byte elements: n * 4 wraps to 4, which the 4 trailing
+  // bytes would satisfy.
+  ByteWriter w;
+  w.write((std::uint64_t{1} << 62) + 1);
+  w.write(std::uint32_t{7});
+  const auto vec_buf = w.take();
+  expect_underflow([&] {
+    ByteReader r(vec_buf);
+    (void)r.read_vec<std::uint32_t>();
+  });
+  // pos + n wraps to 0 for a string length of 2^64 - 8.
+  w.write(~std::uint64_t{0} - 7);
+  const auto str_buf = w.take();
+  expect_underflow([&] {
+    ByteReader r(str_buf);
+    (void)r.read_str();
+  });
+  // Varint-coded lists reserve their claimed count up front.
+  w.write_varint(~std::uint64_t{0} >> 1);
+  const auto packed_buf = w.take();
+  expect_underflow([&] {
+    ByteReader r(packed_buf);
+    (void)read_packed_u32s(r);
+  });
+  expect_underflow([&] {
+    ByteReader r(packed_buf);
+    (void)read_ascending_ids(r);
+  });
 }
 
 TEST(Serialize, TakeResetsWriter) {
