@@ -22,7 +22,6 @@
 // applications (see docs/API.md).
 #pragma once
 
-#include "analysis/centrality_extra.hpp"
 #include "analysis/closeness.hpp"
 #include "analysis/quality.hpp"
 #include "common/rng.hpp"

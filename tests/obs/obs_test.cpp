@@ -365,5 +365,122 @@ TEST(RunStatsJson, SchemaAndDeterminism) {
   EXPECT_FALSE(r.stats.summary().empty());
 }
 
+
+// Every scalar field distinct, plus each irregular field: per-phase CPU,
+// blocked-on ranks, a histogram summary, a recovery record and two steps.
+RunStats golden_stats() {
+  RunStats s;
+  s.wall_seconds = 1.25;
+  s.dd_seconds = 0.1;
+  s.total_cpu_seconds = 2.0 / 3.0;
+  s.max_rank_cpu_seconds = 0.5;
+  s.modeled_makespan_seconds = 3.75;
+  s.cpu_by_phase["ia"] = 0.25;
+  s.cpu_by_phase["rc"] = 1e-7;
+  s.total_bytes = 123456789;
+  s.total_messages = 4321;
+  s.frame_overhead_bytes = 96;
+  s.retransmits = 2;
+  s.modeled_network_seconds_serialized = 0.3;
+  s.modeled_network_seconds_shifted = 0.2;
+  s.modeled_network_seconds_flood = 0.125;
+  s.rc_steps = 2;
+  s.rc_drain_cpu_seconds = 0.7;
+  s.rc_drain_modeled_seconds = 0.35;
+  s.rc_exchange_wait_seconds = 0.015625;
+  s.rc_blocked_on_seconds = 0.01;
+  s.rc_blocked_on_by_rank[1] = 0.004;
+  s.rc_blocked_on_by_rank[3] = 0.006;
+  s.recoveries = 1;
+  s.recovery_log.push_back({"adopt", 4, 0.0625});
+  s.invariant_violations = 0;
+  s.cut_edges_initial = 40;
+  s.cut_edges_final = 44;
+  s.imbalance_final = 1.0 / 7.0;
+  s.dv_resident_bytes = 65536;
+  s.dv_cold_bytes = 2048;
+  s.dv_promotions = 17;
+  s.dv_demotions = 19;
+  s.dv_decode_seconds = 0.001;
+  RunStats::HistogramSummary h;
+  h.count = 5;
+  h.sum = 40;
+  h.p50 = 6.5;
+  h.p95 = 15.2;
+  h.p99 = 15.84;
+  s.histogram_summary["rc/drain_queue_depth"] = h;
+  StepStats a;
+  a.step = 1;
+  a.bytes = 1000;
+  a.max_cpu_seconds = 0.2;
+  a.sum_cpu_seconds = 0.5;
+  a.relaxations = 300;
+  a.poisons = 0;
+  a.repairs = 0;
+  a.sum_drain_cpu_seconds = 0.4;
+  a.max_drain_modeled_seconds = 0.15;
+  a.sum_exchange_wait_seconds = 0.01;
+  a.max_blocked_seconds = 0.004;
+  a.blocked_on_rank = 1;
+  StepStats b;
+  b.step = 2;
+  b.bytes = 24;
+  b.max_cpu_seconds = 0.05;
+  b.sum_cpu_seconds = 0.125;
+  b.relaxations = 7;
+  b.poisons = 3;
+  b.repairs = 5;
+  b.sum_drain_cpu_seconds = 0.3;
+  b.max_drain_modeled_seconds = 0.2;
+  b.sum_exchange_wait_seconds = 0.005625;
+  s.steps = {a, b};
+  return s;
+}
+
+// Byte-exact RunStats::to_json, recorded before the metric catalog replaced
+// the hand-written emitter: key order, %.17g doubles and the irregular
+// fields must not move.
+TEST(RunStatsJson, GoldenBytes) {
+  const std::string expected =
+      "{\"wall_seconds\":1.25,\"dd_seconds\":0.10000000000000001,"
+      "\"total_cpu_seconds\":0.66666666666666663,"
+      "\"max_rank_cpu_seconds\":0.5,\"modeled_makespan_seconds\":3.75,"
+      "\"cpu_by_phase\":{\"ia\":0.25,\"rc\":9.9999999999999995e-08},"
+      "\"total_bytes\":123456789,\"total_messages\":4321,"
+      "\"frame_overhead_bytes\":96,\"retransmits\":2,"
+      "\"modeled_network_seconds\":{\"serialized\":0.29999999999999999,"
+      "\"shifted\":0.20000000000000001,\"flood\":0.125},\"rc_steps\":2,"
+      "\"rc_drain_cpu_seconds\":0.69999999999999996,"
+      "\"rc_drain_modeled_seconds\":0.34999999999999998,"
+      "\"rc_exchange_wait_seconds\":0.015625,"
+      "\"rc_blocked_on_seconds\":0.01,\"rc_blocked_on\":[{\"rank\":1,"
+      "\"seconds\":0.0040000000000000001},{\"rank\":3,"
+      "\"seconds\":0.0060000000000000001}],"
+      "\"histograms\":{\"rc/drain_queue_depth\":{\"count\":5,\"sum\":40,"
+      "\"p50\":6.5,\"p95\":15.199999999999999,\"p99\":15.84}},"
+      "\"recoveries\":1,\"recovery_log\":[{\"kind\":\"adopt\","
+      "\"at_step\":4,\"mttr_seconds\":0.0625}],\"invariant_violations\":0,"
+      "\"cut_edges_initial\":40,\"cut_edges_final\":44,"
+      "\"imbalance_final\":0.14285714285714285,\"dv_resident_bytes\":65536,"
+      "\"dv_cold_bytes\":2048,\"dv_promotions\":17,\"dv_demotions\":19,"
+      "\"dv_decode_seconds\":0.001,\"steps\":[{\"step\":1,\"bytes\":1000,"
+      "\"max_cpu_seconds\":0.20000000000000001,\"sum_cpu_seconds\":0.5,"
+      "\"relaxations\":300,\"poisons\":0,\"repairs\":0,"
+      "\"sum_drain_cpu_seconds\":0.40000000000000002,"
+      "\"max_drain_modeled_seconds\":0.14999999999999999,"
+      "\"sum_exchange_wait_seconds\":0.01,\"blocked_on_rank\":1,"
+      "\"blocked_seconds\":0.0040000000000000001},{\"step\":2,\"bytes\":24,"
+      "\"max_cpu_seconds\":0.050000000000000003,\"sum_cpu_seconds\":0.125,"
+      "\"relaxations\":7,\"poisons\":3,\"repairs\":5,"
+      "\"sum_drain_cpu_seconds\":0.29999999999999999,"
+      "\"max_drain_modeled_seconds\":0.20000000000000001,"
+      "\"sum_exchange_wait_seconds\":0.0056249999999999998,"
+      "\"blocked_on_rank\":-1,\"blocked_seconds\":0}]}";
+  const RunStats s = golden_stats();
+  EXPECT_EQ(s.to_json(), expected);
+  EXPECT_EQ(s.to_json(/*include_steps=*/false),
+            expected.substr(0, expected.find(",\"steps\":")) + "}");
+}
+
 }  // namespace
 }  // namespace aacc

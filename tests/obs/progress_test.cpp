@@ -72,6 +72,81 @@ TEST(ProgressEvent, NdjsonRoundTrip) {
   EXPECT_EQ(back.top, ev.top);
 }
 
+// Byte-exact v1 lines, recorded before the metric catalog replaced the
+// hand-written serializer: without the optional groups, with the serve and
+// estimator groups, and a recovery event (detail, no top list).
+TEST(ProgressEvent, GoldenNdjson) {
+  obs::ProgressEvent ev;
+  ev.phase = "rc_step";
+  ev.step = 7;
+  ev.ranks = 4;
+  ev.dirty = 123;
+  ev.dirty_fraction = 0.1;
+  ev.settled = 4567;
+  ev.columns = 9000;
+  ev.relaxations = 1000;
+  ev.poisons = 17;
+  ev.repairs = 9;
+  ev.queue_sum = 321;
+  ev.queue_max = 99;
+  ev.bytes = 1u << 20;
+  ev.retransmits = 3;
+  ev.exchange_wait_seconds = 0.03;
+  ev.blocked_on_seconds = 0.015625;
+  ev.blocked_on_rank = 2;
+  ev.recoveries = 1;
+  ev.dv_resident_bytes = 4096;
+  ev.dv_cold_bytes = 512;
+  ev.dv_promotions = 6;
+  ev.dv_demotions = 8;
+  ev.top = {5, 1, 9};
+  EXPECT_EQ(obs::to_ndjson(ev),
+      "{\"v\":1,\"phase\":\"rc_step\",\"step\":7,\"ranks\":4,\"dirty\":123,"
+      "\"dirty_fraction\":0.10000000000000001,\"settled\":4567,"
+      "\"columns\":9000,\"relaxations\":1000,\"poisons\":17,\"repairs\":9,"
+      "\"queue_sum\":321,\"queue_max\":99,\"bytes\":1048576,"
+      "\"retransmits\":3,\"exchange_wait_seconds\":0.029999999999999999,"
+      "\"blocked_on_rank\":2,\"blocked_on_seconds\":0.015625,"
+      "\"recoveries\":1,\"dv_resident_bytes\":4096,\"dv_cold_bytes\":512,"
+      "\"dv_promotions\":6,\"dv_demotions\":8,\"top\":[5,1,9]}");
+  ev.has_serve = true;
+  ev.serve_queries = 250;
+  ev.snapshot_age_steps = 2;
+  ev.has_estimators = true;
+  ev.topk_overlap = 0.875;
+  ev.kendall_tau = -1.0 / 3.0;
+  const std::string full = obs::to_ndjson(ev);
+  EXPECT_EQ(full,
+      "{\"v\":1,\"phase\":\"rc_step\",\"step\":7,\"ranks\":4,\"dirty\":123,"
+      "\"dirty_fraction\":0.10000000000000001,\"settled\":4567,"
+      "\"columns\":9000,\"relaxations\":1000,\"poisons\":17,\"repairs\":9,"
+      "\"queue_sum\":321,\"queue_max\":99,\"bytes\":1048576,"
+      "\"retransmits\":3,\"exchange_wait_seconds\":0.029999999999999999,"
+      "\"blocked_on_rank\":2,\"blocked_on_seconds\":0.015625,"
+      "\"recoveries\":1,\"dv_resident_bytes\":4096,\"dv_cold_bytes\":512,"
+      "\"dv_promotions\":6,\"dv_demotions\":8,\"serve_queries\":250,"
+      "\"snapshot_age_steps\":2,\"topk_overlap\":0.875,"
+      "\"kendall_tau\":-0.33333333333333331,\"top\":[5,1,9]}");
+  obs::ProgressEvent back;
+  ASSERT_TRUE(obs::parse_progress_event(full, back));
+  EXPECT_EQ(obs::to_ndjson(back), full);
+
+  obs::ProgressEvent rec;
+  rec.phase = "recovery";
+  rec.step = 3;
+  rec.ranks = 8;
+  rec.recoveries = 2;
+  rec.detail = "rollback";
+  EXPECT_EQ(obs::to_ndjson(rec),
+      "{\"v\":1,\"phase\":\"recovery\",\"step\":3,\"ranks\":8,\"dirty\":0,"
+      "\"dirty_fraction\":0,\"settled\":0,\"columns\":0,\"relaxations\":0,"
+      "\"poisons\":0,\"repairs\":0,\"queue_sum\":0,\"queue_max\":0,"
+      "\"bytes\":0,\"retransmits\":0,\"exchange_wait_seconds\":0,"
+      "\"blocked_on_rank\":-1,\"blocked_on_seconds\":0,\"recoveries\":2,"
+      "\"dv_resident_bytes\":0,\"dv_cold_bytes\":0,\"dv_promotions\":0,"
+      "\"dv_demotions\":0,\"detail\":\"rollback\"}");
+}
+
 TEST(ProgressEvent, RoundTripWithoutOptionalFields) {
   obs::ProgressEvent ev;
   ev.phase = "recovery";

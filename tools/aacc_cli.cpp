@@ -82,8 +82,7 @@ int usage() {
                "  aacc info <graph-file>\n"
                "  aacc partition <graph-file> --parts K [--kind KIND] [--seed S]\n"
                "  aacc analyze <graph-file> [--ranks N] [--top K] [--seed S]\n"
-               "       [--measure closeness|harmonic|degree|betweenness|"
-               "eigenvector] [--exact]\n"
+               "       [--measure closeness|harmonic|degree] [--exact]\n"
                "       [--stats-json FILE] [--trace FILE] "
                "[--dv-budget BYTES|auto]\n"
                "       [--recovery-policy LADDER] [--checkpoint-every N]\n"
@@ -633,11 +632,7 @@ int cmd_analyze(const Args& args) {
 
   std::vector<double> scores;
   Timer t;
-  if (measure == "betweenness") {
-    scores = betweenness_exact(g);
-  } else if (measure == "eigenvector") {
-    scores = eigenvector_centrality(g);
-  } else if (measure == "degree") {
+  if (measure == "degree") {
     scores = degree_centrality(g);
   } else {
     EngineConfig cfg;
