@@ -12,48 +12,13 @@
 #include "analysis/quality.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "core/metric_catalog.hpp"
 #include "core/rank_engine.hpp"
 #include "runtime/comm.hpp"
 #include "serve/context.hpp"
 #include "runtime/serialize.hpp"
 
 namespace aacc {
-
-void RunStats::accumulate(const RunStats& other) {
-  wall_seconds += other.wall_seconds;
-  dd_seconds += other.dd_seconds;
-  total_cpu_seconds += other.total_cpu_seconds;
-  max_rank_cpu_seconds += other.max_rank_cpu_seconds;
-  modeled_makespan_seconds += other.modeled_makespan_seconds;
-  for (const auto& [phase, secs] : other.cpu_by_phase) cpu_by_phase[phase] += secs;
-  total_bytes += other.total_bytes;
-  total_messages += other.total_messages;
-  frame_overhead_bytes += other.frame_overhead_bytes;
-  retransmits += other.retransmits;
-  modeled_network_seconds_serialized += other.modeled_network_seconds_serialized;
-  modeled_network_seconds_shifted += other.modeled_network_seconds_shifted;
-  modeled_network_seconds_flood += other.modeled_network_seconds_flood;
-  rc_steps += other.rc_steps;
-  rc_drain_cpu_seconds += other.rc_drain_cpu_seconds;
-  rc_drain_modeled_seconds += other.rc_drain_modeled_seconds;
-  rc_exchange_wait_seconds += other.rc_exchange_wait_seconds;
-  rc_blocked_on_seconds += other.rc_blocked_on_seconds;
-  for (const auto& [rank, secs] : other.rc_blocked_on_by_rank) {
-    rc_blocked_on_by_rank[rank] += secs;
-  }
-  histogram_summary = other.histogram_summary;  // registry is cumulative
-  recoveries += other.recoveries;
-  recovery_log.insert(recovery_log.end(), other.recovery_log.begin(),
-                      other.recovery_log.end());
-  cut_edges_initial = other.cut_edges_initial;  // latest run's view
-  cut_edges_final = other.cut_edges_final;
-  imbalance_final = other.imbalance_final;
-  dv_resident_bytes = other.dv_resident_bytes;  // step-boundary gauges
-  dv_cold_bytes = other.dv_cold_bytes;
-  dv_promotions += other.dv_promotions;  // run totals
-  dv_demotions += other.dv_demotions;
-  dv_decode_seconds += other.dv_decode_seconds;
-}
 
 AnytimeEngine::AnytimeEngine(Graph g, EngineConfig cfg)
     : graph_(std::move(g)), cfg_(cfg) {
@@ -754,48 +719,29 @@ RunResult run_driver(const DriverArgs& args) {
     out.stats.invariant_violations += engine->invariant_violations();
   }
 
-  // Per-step aggregates (rank logs hold cumulative counters). On a resumed
-  // run the log covers only the steps executed here; `step` fields stay
-  // absolute.
+  // Per-step aggregates, folded rank by rank through the metric catalog
+  // (rank logs hold running totals). On a resumed run the log covers only
+  // the steps executed here; `step` fields stay absolute.
   out.stats.rc_steps = rc_steps[0];
   const std::size_t steps = engines[0]->step_log().size();
   out.stats.steps.resize(steps);
   for (const auto& engine : engines) {
     const auto& log = engine->step_log();
     AACC_CHECK(log.size() == steps);
-    StepLocal prev{};
     for (std::size_t s = 0; s < steps; ++s) {
-      StepStats& agg = out.stats.steps[s];
-      agg.step = log[s].step;
-      agg.bytes += log[s].bytes_sent - prev.bytes_sent;
-      agg.relaxations += log[s].relaxations - prev.relaxations;
-      agg.poisons += log[s].poisons - prev.poisons;
-      agg.repairs += log[s].repairs - prev.repairs;
-      const double cpu = log[s].cpu_seconds - prev.cpu_seconds;
-      agg.sum_cpu_seconds += cpu;
-      agg.max_cpu_seconds = std::max(agg.max_cpu_seconds, cpu);
-      agg.sum_drain_cpu_seconds +=
-          log[s].drain_cpu_seconds - prev.drain_cpu_seconds;
-      agg.max_drain_modeled_seconds =
-          std::max(agg.max_drain_modeled_seconds,
-                   log[s].drain_modeled_seconds - prev.drain_modeled_seconds);
-      agg.sum_exchange_wait_seconds +=
-          log[s].exchange_wait_seconds - prev.exchange_wait_seconds;
-      // blocked_on is a per-step value, not cumulative: keep the worst
-      // single blocked interval across ranks and who it waited for.
-      if (log[s].blocked_on_seconds > agg.max_blocked_seconds) {
-        agg.max_blocked_seconds = log[s].blocked_on_seconds;
-        agg.blocked_on_rank = log[s].blocked_on_rank;
-      }
-      prev = log[s];
+      StepStats mine;
+      metrics::from_step(mine, &metrics::Metric::step, log[s],
+                         s == 0 ? StepLocal{} : log[s - 1]);
+      out.stats.steps[s].step = log[s].step;
+      metrics::merge(out.stats.steps[s], &metrics::Metric::step, mine);
     }
   }
   for (const StepStats& s : out.stats.steps) {
-    out.stats.rc_drain_cpu_seconds += s.sum_drain_cpu_seconds;
-    out.stats.rc_drain_modeled_seconds += s.max_drain_modeled_seconds;
-    out.stats.rc_exchange_wait_seconds += s.sum_exchange_wait_seconds;
+    for (const metrics::Metric& m : metrics::kCatalog) {
+      metrics::zip(m.step.member, m.run.member,
+                   [&](auto sp, auto rp) { out.stats.*rp += s.*sp; });
+    }
     if (s.blocked_on_rank >= 0) {
-      out.stats.rc_blocked_on_seconds += s.max_blocked_seconds;
       out.stats.rc_blocked_on_by_rank[s.blocked_on_rank] +=
           s.max_blocked_seconds;
     }
@@ -826,16 +772,9 @@ RunResult run_driver(const DriverArgs& args) {
   for (Rank r = 0; r < cfg_.num_ranks; ++r) {
     const rt::RankLedger& ledger = ledgers[static_cast<std::size_t>(r)];
     obs::MetricsRegistry& reg = rank_metrics[static_cast<std::size_t>(r)];
-    reg.counter("transport/bytes_sent").add(ledger.bytes_sent);
-    reg.counter("transport/bytes_received").add(ledger.bytes_received);
-    reg.counter("transport/messages_sent").add(ledger.messages_sent);
-    reg.counter("transport/messages_received").add(ledger.messages_received);
-    reg.counter("transport/frame_overhead_bytes")
-        .add(ledger.frame_overhead_bytes);
-    reg.counter("transport/retransmits").add(ledger.retransmits);
-    reg.counter("health/stragglers").add(ledger.health_stragglers);
-    reg.counter("health/suspects").add(ledger.health_suspects);
-    reg.counter("health/deaths_declared").add(ledger.health_dead_declared);
+    for (const metrics::Metric& m : metrics::kCatalog) {
+      if (m.ledger != nullptr) reg.counter(m.name).add(ledger.*m.ledger);
+    }
     for (const auto& [phase, secs] : ledger.cpu_seconds) {
       reg.gauge("cpu/phase/" + phase).add(secs);
     }
@@ -868,32 +807,22 @@ RunResult run_driver(const DriverArgs& args) {
       .set(world.modeled_network_seconds(rt::SchedulePolicy::kFlood));
   merged.gauge("time/dd_seconds").set(out.stats.dd_seconds);
 
-  out.stats.total_cpu_seconds = merged.gauge_value("cpu/total");
-  out.stats.max_rank_cpu_seconds = merged.gauge_value("cpu/max_rank");
-  out.stats.total_bytes = merged.counter_value("transport/bytes_sent");
-  out.stats.total_messages = merged.counter_value("transport/messages_sent");
-  out.stats.frame_overhead_bytes =
-      merged.counter_value("transport/frame_overhead_bytes");
-  out.stats.retransmits = merged.counter_value("transport/retransmits");
-  out.stats.dv_resident_bytes =
-      static_cast<std::uint64_t>(merged.gauge_value("dv/resident_bytes"));
-  out.stats.dv_cold_bytes =
-      static_cast<std::uint64_t>(merged.gauge_value("dv/cold_bytes"));
-  out.stats.dv_promotions = merged.counter_value("dv/promotions");
-  out.stats.dv_demotions = merged.counter_value("dv/demotions");
-  out.stats.dv_decode_seconds = merged.gauge_value("dv/decode_seconds");
+  // Run-level fields of registered metrics without a per-step view.
+  for (const metrics::Metric& m : metrics::kCatalog) {
+    if (m.name == nullptr || m.step.key != nullptr) continue;
+    metrics::each(m.run.member, [&](auto p) {
+      using T = std::remove_reference_t<decltype(out.stats.*p)>;
+      out.stats.*p = m.kind == metrics::Kind::kCounter
+                         ? static_cast<T>(merged.counter_value(m.name))
+                         : static_cast<T>(merged.gauge_value(m.name));
+    });
+  }
   static constexpr const char* kPhasePrefix = "cpu/phase/";
   for (const auto& [name, gauge] : merged.gauges()) {
     if (name.rfind(kPhasePrefix, 0) == 0) {
       out.stats.cpu_by_phase[name.substr(10)] = gauge.value;
     }
   }
-  out.stats.modeled_network_seconds_serialized =
-      merged.gauge_value("net/modeled_serialized");
-  out.stats.modeled_network_seconds_shifted =
-      merged.gauge_value("net/modeled_shifted");
-  out.stats.modeled_network_seconds_flood =
-      merged.gauge_value("net/modeled_flood");
   double makespan = 0.0;
   for (const StepStats& s : out.stats.steps) makespan += s.max_cpu_seconds;
   out.stats.modeled_makespan_seconds =
@@ -902,13 +831,9 @@ RunResult run_driver(const DriverArgs& args) {
   // (satellite of docs/OBSERVABILITY.md §Metrics): RunStats::to_json
   // emits them under "histograms".
   for (const auto& [name, h] : merged.histograms()) {
-    RunStats::HistogramSummary hs;
-    hs.count = h.count;
-    hs.sum = h.sum;
-    hs.p50 = obs::histogram_quantile(h, 0.50);
-    hs.p95 = obs::histogram_quantile(h, 0.95);
-    hs.p99 = obs::histogram_quantile(h, 0.99);
-    out.stats.histogram_summary.emplace(name, hs);
+    out.stats.histogram_summary[name] = {
+        h.count, h.sum, obs::histogram_quantile(h, 0.50),
+        obs::histogram_quantile(h, 0.95), obs::histogram_quantile(h, 0.99)};
   }
   out.metrics = std::move(merged);
 
@@ -922,23 +847,26 @@ RunResult run_driver(const DriverArgs& args) {
     ev.phase = "done";
     ev.step = out.stats.rc_steps;
     ev.ranks = cfg_.num_ranks;
-    ev.settled = 0;  // not re-gathered after teardown
-    ev.bytes = out.stats.total_bytes;
-    ev.retransmits = out.stats.retransmits;
-    ev.recoveries = out.stats.recoveries;
-    ev.dv_resident_bytes = out.stats.dv_resident_bytes;
-    ev.dv_cold_bytes = out.stats.dv_cold_bytes;
-    ev.dv_promotions = out.stats.dv_promotions;
-    ev.dv_demotions = out.stats.dv_demotions;
+    // Integer totals only: settled/dirty are not re-gathered after
+    // teardown, and the timing fields describe a single step.
+    for (const metrics::Metric& m : metrics::kCatalog) {
+      if (std::holds_alternative<double obs::ProgressEvent::*>(
+              m.event.member)) {
+        continue;
+      }
+      if (m.run.key != nullptr) {
+        metrics::zip(m.run.member, m.event.member,
+                     [&](auto rp, auto ep) { ev.*ep = out.stats.*rp; });
+      } else {
+        metrics::zip(m.step.member, m.event.member, [&](auto sp, auto ep) {
+          for (const StepStats& s : out.stats.steps) ev.*ep += s.*sp;
+        });
+      }
+    }
     if (live) {
       ev.has_serve = true;
       ev.serve_queries = serve->queries.load(std::memory_order_relaxed);
       ev.snapshot_age_steps = 0;  // terminal snapshots are exact
-    }
-    for (const StepStats& s : out.stats.steps) {
-      ev.relaxations += s.relaxations;
-      ev.poisons += s.poisons;
-      ev.repairs += s.repairs;
     }
     const std::size_t k = cfg_.progress.top_k;
     std::vector<std::pair<VertexId, double>> final_top;

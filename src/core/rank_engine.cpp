@@ -38,11 +38,22 @@ struct HeapItem {
   friend bool operator>(const HeapItem& a, const HeapItem& b) { return a.d > b.d; }
 };
 
-}  // namespace
-
-namespace {
-const std::vector<std::tuple<VertexId, VertexId, Weight>> kNoEdges;
+// The progress gather record: every per-rank event field (and a kMaxRank
+// partner) in catalog order.
+template <class Fn>
+void for_each_gathered(obs::ProgressEvent& ev, Fn&& fn) {
+  for (const metrics::Metric& m : metrics::kCatalog) {
+    if (m.reduce == metrics::Reduce::kNone) continue;
+    metrics::each(m.event.member, [&](auto p) { fn(ev.*p); });
+    if (m.reduce == metrics::Reduce::kMaxRank) {
+      metrics::each(m.event.partner, [&](auto p) { fn(ev.*p); });
+    }
+  }
 }
+
+const std::vector<std::tuple<VertexId, VertexId, Weight>> kNoEdges;
+
+}  // namespace
 
 RankEngine::RankEngine(const Init& init, rt::Comm& comm)
     : comm_(comm),
@@ -70,19 +81,7 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
   progress_ = init.progress;
   if (init.metrics != nullptr) {
     metrics_ = init.metrics;
-    m_relaxations_ = &metrics_->counter("rc/relaxations");
-    m_poisons_ = &metrics_->counter("rc/poisons");
-    m_repairs_ = &metrics_->counter("rc/repairs");
-    m_steps_ = &metrics_->counter("rc/steps");
-    m_drain_cpu_ = &metrics_->gauge("drain/cpu_seconds");
-    m_drain_modeled_ = &metrics_->gauge("drain/modeled_seconds");
     m_queue_depth_ = &metrics_->histogram("rc/drain_queue_depth");
-    m_exch_wait_ = &metrics_->gauge("exchange/wait_seconds");
-    m_dv_resident_ = &metrics_->gauge("dv/resident_bytes");
-    m_dv_cold_ = &metrics_->gauge("dv/cold_bytes");
-    m_dv_promotions_ = &metrics_->counter("dv/promotions");
-    m_dv_demotions_ = &metrics_->counter("dv/demotions");
-    m_dv_decode_ = &metrics_->gauge("dv/decode_seconds");
   }
   serve_ = init.serve;
   if (serve_ != nullptr && metrics_ != nullptr) {
@@ -644,9 +643,9 @@ RankEngine::ShardCtx RankEngine::serial_ctx() {
   ShardCtx ctx;
   ctx.worklist = &worklist_;
   ctx.repairs = &repairs_;
-  ctx.relaxations = &relaxations_;
+  ctx.relaxations = &counts_.relaxations;
   ctx.dirty_entries = &dirty_entries_;
-  ctx.repairs_run = &repair_count_;
+  ctx.repairs_run = &counts_.repairs;
   return ctx;
 }
 
@@ -751,7 +750,7 @@ void RankEngine::drain() {
   const obs::ScopedSpan span(trace_, "drain", "queued", queued);
   if (m_queue_depth_ != nullptr) m_queue_depth_->record(queued);
   queue_depth_step_ += queued;  // progress feed: frontier depth this step
-  const std::uint64_t repairs_before = repair_count_;
+  const std::uint64_t repairs_before = counts_.repairs;
   const double t0 = thread_cpu_now();
   const std::size_t shards =
       std::min(rc_thread_count(), queued / kDrainShardGrain);
@@ -773,14 +772,14 @@ void RankEngine::drain() {
       }
     }
     const double dt = thread_cpu_now() - t0;
-    drain_cpu_seconds_ += dt;
-    drain_modeled_seconds_ += dt;
+    counts_.drain_cpu_seconds += dt;
+    counts_.drain_modeled_seconds += dt;
   }
   // Repairs interleave with propagation inside the drain (FIFO, repairs
   // first), so repair activity surfaces as one counted instant per drain
   // rather than per-item spans.
-  if (trace_ != nullptr && repair_count_ > repairs_before) {
-    trace_->instant("repairs", "count", repair_count_ - repairs_before);
+  if (trace_ != nullptr && counts_.repairs > repairs_before) {
+    trace_->instant("repairs", "count", counts_.repairs - repairs_before);
   }
 }
 
@@ -852,9 +851,9 @@ void RankEngine::drain_parallel(std::size_t shards) {
       dv_->row(ri).apply_delta(sh.deltas[ri]);
     }
     sh.touched.clear();
-    relaxations_ += sh.relaxations;
+    counts_.relaxations += sh.relaxations;
     dirty_entries_ += sh.dirty_entries;
-    repair_count_ += sh.repairs_run;
+    counts_.repairs += sh.repairs_run;
     sh.relaxations = 0;
     sh.dirty_entries = 0;
     sh.repairs_run = 0;
@@ -863,8 +862,8 @@ void RankEngine::drain_parallel(std::size_t shards) {
     sh.cpu_seconds = 0.0;
   }
   const double merge_cpu = thread_cpu_now() - merge0;
-  drain_cpu_seconds_ += partition_cpu + sum_shard_cpu + merge_cpu;
-  drain_modeled_seconds_ += partition_cpu + max_shard_cpu + merge_cpu;
+  counts_.drain_cpu_seconds += partition_cpu + sum_shard_cpu + merge_cpu;
+  counts_.drain_modeled_seconds += partition_cpu + max_shard_cpu + merge_cpu;
 }
 
 // ------------------------------------------------------------- poisoning
@@ -875,7 +874,7 @@ void RankEngine::poison_entry(std::size_t row_idx, VertexId t,
   AACC_WATCH_HIT("poison", row.self(), t, kInfDist, kNoVertex);
   row.set(t, kInfDist, kNoVertex);
   if (row.mark_dirty(t)) ++dirty_entries_;
-  ++poisons_;
+  ++counts_.poisons;
   poison_pending_ = true;
   repairs_.emplace_back(row.self(), t);
   queue.emplace_back(row.self(), t);
@@ -1097,10 +1096,10 @@ void RankEngine::exchange() {
 }
 
 void RankEngine::note_exchange_wait(const rt::ExchangeWait& wait) {
-  exchange_wait_seconds_ += wait.seconds;
-  if (wait.blocked_on_seconds > blocked_on_seconds_step_) {
-    blocked_on_seconds_step_ = wait.blocked_on_seconds;
-    blocked_on_rank_step_ = wait.blocked_on_peer;
+  counts_.exchange_wait_seconds += wait.seconds;
+  if (wait.blocked_on_seconds > counts_.blocked_on_seconds) {
+    counts_.blocked_on_seconds = wait.blocked_on_seconds;
+    counts_.blocked_on_rank = wait.blocked_on_peer;
   }
   if (trace_ != nullptr) {
     // The measured wait is wall-clock: on a logical-clock track its value
@@ -1802,49 +1801,46 @@ std::vector<std::string> RankEngine::check_invariants() const {
   return out;
 }
 
+StepLocal RankEngine::sample() const {
+  StepLocal s = counts_;
+  s.bytes_sent = comm_.ledger().bytes_sent;
+  s.cpu_seconds = thread_cpu_now();
+  s.dv_resident_bytes = dv_->resident_bytes();
+  s.dv_cold_bytes = dv_->cold_bytes();
+  s.dv_promotions = dv_->promotions();
+  s.dv_demotions = dv_->demotions();
+  s.dv_decode_seconds = dv_->decode_seconds();
+  return s;
+}
+
 void RankEngine::record_step(std::size_t step) {
-  // All counters are recorded cumulatively; the driver computes per-step
-  // deltas when assembling RunStats.
-  StepLocal rec;
+  // Records hold running totals; the driver and the progress feed derive
+  // per-step values from consecutive records.
+  const StepLocal prev = step_log_.empty() ? StepLocal{} : step_log_.back();
+  StepLocal& rec = step_log_.emplace_back(sample());
   rec.step = step;
-  rec.bytes_sent = comm_.ledger().bytes_sent;
-  rec.relaxations = relaxations_;
-  rec.poisons = poisons_;
-  rec.repairs = repair_count_;
-  rec.cpu_seconds = thread_cpu_now();
-  rec.drain_cpu_seconds = drain_cpu_seconds_;
-  rec.drain_modeled_seconds = drain_modeled_seconds_;
-  rec.exchange_wait_seconds = exchange_wait_seconds_;
-  rec.blocked_on_seconds = blocked_on_seconds_step_;  // per-step, not delta
-  rec.blocked_on_rank = blocked_on_rank_step_;
-  step_log_.push_back(rec);
   if (metrics_ != nullptr) {
-    // Fold cumulative algorithm counters into the registry once per step
-    // (the hot loops bump plain members; folded_ remembers what has already
-    // been pushed). cpu_seconds is absolute thread time, not folded here —
-    // the driver derives CPU gauges from the world's phase ledgers instead.
-    m_relaxations_->add(relaxations_ - folded_.relaxations);
-    m_poisons_->add(poisons_ - folded_.poisons);
-    m_repairs_->add(repair_count_ - folded_.repairs);
-    m_steps_->add(1);
-    m_drain_cpu_->add(drain_cpu_seconds_ - folded_.drain_cpu_seconds);
-    m_drain_modeled_->add(drain_modeled_seconds_ -
-                          folded_.drain_modeled_seconds);
-    m_exch_wait_->add(exchange_wait_seconds_ - folded_.exchange_wait_seconds);
-    // Residency gauges mirror the store's step-boundary accounting; the
-    // monotone counters fold as deltas like the algorithm counters above.
-    m_dv_resident_->set(static_cast<double>(dv_->resident_bytes()));
-    m_dv_cold_->set(static_cast<double>(dv_->cold_bytes()));
-    m_dv_promotions_->add(dv_->promotions() - folded_dv_promotions_);
-    m_dv_demotions_->add(dv_->demotions() - folded_dv_demotions_);
-    m_dv_decode_->add(dv_->decode_seconds() - folded_dv_decode_seconds_);
-    folded_dv_promotions_ = dv_->promotions();
-    folded_dv_demotions_ = dv_->demotions();
-    folded_dv_decode_seconds_ = dv_->decode_seconds();
-    folded_ = rec;
+    // Once per step (the hot loops bump plain members): counters and summed
+    // gauges take the delta since the previous record, latest-value gauges
+    // the level. cpu_seconds has no registry name — the driver derives CPU
+    // gauges from the world's phase ledgers instead.
+    for (const metrics::Metric& m : metrics::kCatalog) {
+      if (m.name == nullptr) continue;
+      metrics::each(m.local.member, [&](auto p) {
+        if (m.kind == metrics::Kind::kCounter) {
+          metrics_->counter(m.name).add(
+              static_cast<std::uint64_t>(rec.*p - prev.*p));
+        } else if (m.runs == metrics::Runs::kLatest) {
+          metrics_->gauge(m.name).set(static_cast<double>(rec.*p));
+        } else {
+          metrics_->gauge(m.name).add(static_cast<double>(rec.*p - prev.*p));
+        }
+      });
+    }
+    metrics_->counter("rc/steps").add(1);
   }
-  blocked_on_seconds_step_ = 0.0;  // per-step, reset at each record
-  blocked_on_rank_step_ = -1;
+  counts_.blocked_on_seconds = 0.0;  // per-step, reset at each record
+  counts_.blocked_on_rank = -1;
 }
 
 std::vector<std::pair<VertexId, double>> RankEngine::local_top_harmonic(
@@ -1874,37 +1870,27 @@ std::vector<std::pair<VertexId, double>> RankEngine::local_top_harmonic(
 void RankEngine::progress_step(const char* phase, std::size_t step) {
   if (!progress_active_) return;  // the whole feed costs this one test
 
-  // ---- bounded local summary ----
-  std::uint64_t settled = 0;
-  std::uint64_t columns = 0;
+  // ---- this rank's share of the event ----
+  // Per-step churn between the last two step records (the same derivation
+  // the driver uses for StepStats; the IA event has none), running totals
+  // at this boundary.
+  const std::size_t records = step_log_.size();
+  const StepLocal cur = records == 0 ? sample() : step_log_.back();
+  const StepLocal prev = records == 0   ? cur
+                         : records == 1 ? StepLocal{}
+                                        : step_log_[records - 2];
+  obs::ProgressEvent mine;
+  metrics::from_step(mine, &metrics::Metric::event, cur, prev, &comm_.ledger());
+  mine.dirty = dirty_entries_;
   for (std::size_t r = 0; r < dv_->size(); ++r) {
-    settled += dv_->finite_count(r);
-    columns += dv_->columns(r);
+    mine.settled += dv_->finite_count(r);
+    mine.columns += dv_->columns(r);
   }
-  // Per-step churn deltas from the cumulative step log (same derivation
-  // the driver uses for StepStats); empty log = the IA event, all zeros.
-  StepLocal cur{};
-  StepLocal prev{};
-  if (!step_log_.empty()) cur = step_log_.back();
-  if (step_log_.size() >= 2) prev = step_log_[step_log_.size() - 2];
+  mine.queue_max = mine.queue_sum = queue_depth_step_;
+  queue_depth_step_ = 0;
 
   rt::ByteWriter w;
-  w.write<std::uint64_t>(dirty_entries_);
-  w.write<std::uint64_t>(settled);
-  w.write<std::uint64_t>(columns);
-  w.write<std::uint64_t>(cur.relaxations - prev.relaxations);
-  w.write<std::uint64_t>(cur.poisons - prev.poisons);
-  w.write<std::uint64_t>(cur.repairs - prev.repairs);
-  w.write<std::uint64_t>(queue_depth_step_);
-  w.write<std::uint64_t>(comm_.ledger().bytes_sent);
-  w.write<std::uint64_t>(comm_.ledger().retransmits);
-  w.write<double>(cur.exchange_wait_seconds - prev.exchange_wait_seconds);
-  w.write<double>(cur.blocked_on_seconds);
-  w.write<std::int64_t>(cur.blocked_on_rank);
-  w.write<std::uint64_t>(dv_->resident_bytes());
-  w.write<std::uint64_t>(dv_->cold_bytes());
-  w.write<std::uint64_t>(dv_->promotions());
-  w.write<std::uint64_t>(dv_->demotions());
+  for_each_gathered(mine, [&](auto& field) { w.write(field); });
   const std::size_t k = cfg_.progress.top_k;
   const auto top = local_top_harmonic(k);
   w.write<std::uint32_t>(static_cast<std::uint32_t>(top.size()));
@@ -1912,7 +1898,6 @@ void RankEngine::progress_step(const char* phase, std::size_t step) {
     w.write<VertexId>(v);
     w.write<double>(h);
   }
-  queue_depth_step_ = 0;
 
   // Deterministic fold to the driver rank. The gather is real transport
   // (ledger-accounted); a ghost contributes zero rows like any collective.
@@ -1927,32 +1912,12 @@ void RankEngine::progress_step(const char* phase, std::size_t step) {
   std::vector<std::pair<VertexId, double>> merged;
   for (const auto& buf : bufs) {
     rt::ByteReader r(buf);
-    ev.dirty += r.read<std::uint64_t>();
-    ev.settled += r.read<std::uint64_t>();
-    ev.columns += r.read<std::uint64_t>();
-    ev.relaxations += r.read<std::uint64_t>();
-    ev.poisons += r.read<std::uint64_t>();
-    ev.repairs += r.read<std::uint64_t>();
-    const auto queued = r.read<std::uint64_t>();
-    ev.queue_sum += queued;
-    ev.queue_max = std::max(ev.queue_max, queued);
-    ev.bytes += r.read<std::uint64_t>();
-    ev.retransmits += r.read<std::uint64_t>();
-    ev.exchange_wait_seconds += r.read<double>();
-    {
-      // Global blocked-on attribution: the rank that blocked longest is
-      // the step's live straggler candidate; keep its peer.
-      const auto blocked_s = r.read<double>();
-      const auto blocked_r = r.read<std::int64_t>();
-      if (blocked_s > ev.blocked_on_seconds) {
-        ev.blocked_on_seconds = blocked_s;
-        ev.blocked_on_rank = blocked_r;
-      }
-    }
-    ev.dv_resident_bytes += r.read<std::uint64_t>();
-    ev.dv_cold_bytes += r.read<std::uint64_t>();
-    ev.dv_promotions += r.read<std::uint64_t>();
-    ev.dv_demotions += r.read<std::uint64_t>();
+    obs::ProgressEvent theirs;
+    for_each_gathered(theirs, [&](auto& field) {
+      field = r.read<std::remove_reference_t<decltype(field)>>();
+    });
+    theirs.queue_sum = theirs.queue_max;
+    metrics::merge(ev, &metrics::Metric::event, theirs);
     const auto count = r.read<std::uint32_t>();
     for (std::uint32_t i = 0; i < count; ++i) {
       const auto v = r.read<VertexId>();

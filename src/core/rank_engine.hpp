@@ -31,6 +31,7 @@
 #include "core/dv_store.hpp"
 #include "core/events.hpp"
 #include "core/local_graph.hpp"
+#include "core/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/comm.hpp"
@@ -39,31 +40,6 @@
 #include "serve/context.hpp"
 
 namespace aacc {
-
-/// Per-RC-step counters recorded by each rank (assembled by the driver).
-struct StepLocal {
-  std::size_t step = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t relaxations = 0;  ///< successful distance decreases
-  std::uint64_t poisons = 0;      ///< entries invalidated
-  std::uint64_t repairs = 0;      ///< repair attempts processed
-  double cpu_seconds = 0.0;
-  /// CPU spent inside drain(): Σ over shard workers (the work), and the
-  /// modeled parallel makespan (serial partition/merge + slowest shard) —
-  /// the single-core stand-in for multicore drain wall time, mirroring the
-  /// LogGP treatment of ranks. Equal on the serial path.
-  double drain_cpu_seconds = 0.0;
-  double drain_modeled_seconds = 0.0;
-  /// Wall seconds this rank spent blocked in exchange recvs (cumulative,
-  /// like the counters above).
-  double exchange_wait_seconds = 0.0;
-  /// Live critical-path proxy: the longest single blocked recv interval
-  /// across this step's exchanges, and the peer whose arrival ended it
-  /// (-1 = never blocked). Per-step values, NOT cumulative — the driver
-  /// keeps the max across ranks.
-  double blocked_on_seconds = 0.0;
-  std::int64_t blocked_on_rank = -1;
-};
 
 class RankEngine {
  public:
@@ -300,6 +276,8 @@ class RankEngine {
   /// elsewhere.
   bool poison_sync_round();
   void ingest_batch(const std::vector<Event>& events);
+  /// This rank's StepLocal counters right now (step left 0).
+  [[nodiscard]] StepLocal sample() const;
   void record_step(std::size_t step);
   /// Progress telemetry (collective when cfg.progress is active, no-op
   /// otherwise): every rank gathers a bounded summary — dirty/settled
@@ -422,32 +400,12 @@ class RankEngine {
   std::vector<std::uint8_t> boundary_flags_;
 
   // Observability. trace_ is this rank's main track (null = off); shard
-  // workers fetch their subtrack from tracer_. The cached instrument
-  // pointers make the once-per-step metric folds map-lookup-free;
-  // folded_ holds the cumulative counter values already pushed to the
-  // registry (record_step folds the delta).
+  // workers fetch their subtrack from tracer_. record_step folds each step
+  // into metrics_ by walking the metric catalog.
   obs::Tracer* tracer_ = nullptr;
   obs::TraceTrack* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Counter* m_relaxations_ = nullptr;
-  obs::Counter* m_poisons_ = nullptr;
-  obs::Counter* m_repairs_ = nullptr;
-  obs::Counter* m_steps_ = nullptr;
-  obs::Gauge* m_drain_cpu_ = nullptr;
-  obs::Gauge* m_drain_modeled_ = nullptr;
   obs::Histogram* m_queue_depth_ = nullptr;
-  obs::Gauge* m_exch_wait_ = nullptr;
-  obs::Gauge* m_dv_resident_ = nullptr;
-  obs::Gauge* m_dv_cold_ = nullptr;
-  obs::Counter* m_dv_promotions_ = nullptr;
-  obs::Counter* m_dv_demotions_ = nullptr;
-  obs::Gauge* m_dv_decode_ = nullptr;
-  StepLocal folded_{};
-  // Cumulative store counters already pushed to the registry (the dv
-  // analogue of folded_).
-  std::uint64_t folded_dv_promotions_ = 0;
-  std::uint64_t folded_dv_demotions_ = 0;
-  double folded_dv_decode_seconds_ = 0.0;
   // Progress feed. progress_active_ caches cfg_.progress.active() (the
   // SPMD-consistent switch every rank tests once per step); progress_ is
   // the driver rank's emitter (null elsewhere). queue_depth_step_
@@ -469,14 +427,9 @@ class RankEngine {
 
   // step accounting
   std::size_t invariant_violations_ = 0;
-  std::uint64_t relaxations_ = 0;
-  std::uint64_t poisons_ = 0;
-  std::uint64_t repair_count_ = 0;
-  double drain_cpu_seconds_ = 0.0;      // cumulative, see StepLocal
-  double drain_modeled_seconds_ = 0.0;  // cumulative, see StepLocal
-  double exchange_wait_seconds_ = 0.0;  // cumulative, see StepLocal
-  double blocked_on_seconds_step_ = 0.0;  // per-step max; record_step resets
-  std::int64_t blocked_on_rank_step_ = -1;  // peer behind the max above
+  // Work counters bumped in place; sample() adds the ledger, CPU and store
+  // values. The blocked-on pair is per step: record_step resets it.
+  StepLocal counts_;
   std::vector<StepLocal> step_log_;
   std::vector<std::vector<std::pair<VertexId, double>>> step_quality_;
 };

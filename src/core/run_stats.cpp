@@ -3,140 +3,122 @@
 #include <ostream>
 #include <sstream>
 
-#include "core/engine.hpp"
+#include "core/metric_catalog.hpp"
 
 namespace aacc {
 
 namespace {
 
-void jdouble(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
+// Writes `items` between `open` and `close`, comma-separated, one fn(item)
+// each.
+template <class C, class Fn>
+void write_list(std::ostream& os, char open, const C& items, char close,
+                Fn fn) {
+  os << open;
+  bool first = true;
+  for (const auto& item : items) {
+    if (!first) os << ",";
+    first = false;
+    fn(item);
+  }
+  os << close;
 }
 
-void jstring(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
+void write_irregular(std::ostream& os, metrics::Irregular which,
+                     const RunStats& s) {
+  switch (which) {
+    case metrics::Irregular::kNone:
+      break;
+    case metrics::Irregular::kCpuByPhase:
+      write_list(os, '{', s.cpu_by_phase, '}', [&](const auto& phase) {
+        obs::write_json_string(os, phase.first);
+        os << ":";
+        obs::write_json_number(os, phase.second);
+      });
+      break;
+    case metrics::Irregular::kBlockedOnByRank:
+      write_list(os, '[', s.rc_blocked_on_by_rank, ']', [&](const auto& r) {
+        obs::JsonObject o{os};
+        o.key("rank") << r.first;
+        obs::write_json_number(o.key("seconds"), r.second);
+        os << "}";
+      });
+      break;
+    case metrics::Irregular::kHistograms:
+      write_list(os, '{', s.histogram_summary, '}', [&](const auto& h) {
+        obs::write_json_string(os, h.first);
+        os << ":";
+        obs::JsonObject o{os};
+        o.key("count") << h.second.count;
+        o.key("sum") << h.second.sum;
+        obs::write_json_number(o.key("p50"), h.second.p50);
+        obs::write_json_number(o.key("p95"), h.second.p95);
+        obs::write_json_number(o.key("p99"), h.second.p99);
+        os << "}";
+      });
+      break;
+    case metrics::Irregular::kRecoveryLog:
+      write_list(os, '[', s.recovery_log, ']', [&](const RecoveryRecord& r) {
+        obs::JsonObject o{os};
+        obs::write_json_string(o.key("kind"), r.kind);
+        o.key("at_step") << r.at_step;
+        obs::write_json_number(o.key("mttr_seconds"), r.mttr_seconds);
+        os << "}";
+      });
+      break;
   }
-  os << '"';
 }
 
 }  // namespace
 
+void RunStats::accumulate(const RunStats& other) {
+  for (const metrics::Metric& m : metrics::kCatalog) {
+    metrics::each(m.run.member, [&](auto p) {
+      this->*p = m.runs == metrics::Runs::kLatest ? other.*p
+                                                  : this->*p + other.*p;
+    });
+  }
+  for (const auto& [phase, secs] : other.cpu_by_phase) {
+    cpu_by_phase[phase] += secs;
+  }
+  for (const auto& [rank, secs] : other.rc_blocked_on_by_rank) {
+    rc_blocked_on_by_rank[rank] += secs;
+  }
+  histogram_summary = other.histogram_summary;  // registry is cumulative
+  recovery_log.insert(recovery_log.end(), other.recovery_log.begin(),
+                      other.recovery_log.end());
+  steps.insert(steps.end(), other.steps.begin(), other.steps.end());
+}
+
 void RunStats::to_json(std::ostream& os, bool include_steps) const {
-  os << "{\"wall_seconds\":";
-  jdouble(os, wall_seconds);
-  os << ",\"dd_seconds\":";
-  jdouble(os, dd_seconds);
-  os << ",\"total_cpu_seconds\":";
-  jdouble(os, total_cpu_seconds);
-  os << ",\"max_rank_cpu_seconds\":";
-  jdouble(os, max_rank_cpu_seconds);
-  os << ",\"modeled_makespan_seconds\":";
-  jdouble(os, modeled_makespan_seconds);
-  os << ",\"cpu_by_phase\":{";
-  bool first = true;
-  for (const auto& [phase, secs] : cpu_by_phase) {
-    if (!first) os << ",";
-    first = false;
-    jstring(os, phase);
-    os << ":";
-    jdouble(os, secs);
-  }
-  os << "},\"total_bytes\":" << total_bytes
-     << ",\"total_messages\":" << total_messages
-     << ",\"frame_overhead_bytes\":" << frame_overhead_bytes
-     << ",\"retransmits\":" << retransmits
-     << ",\"modeled_network_seconds\":{\"serialized\":";
-  jdouble(os, modeled_network_seconds_serialized);
-  os << ",\"shifted\":";
-  jdouble(os, modeled_network_seconds_shifted);
-  os << ",\"flood\":";
-  jdouble(os, modeled_network_seconds_flood);
-  os << "},\"rc_steps\":" << rc_steps << ",\"rc_drain_cpu_seconds\":";
-  jdouble(os, rc_drain_cpu_seconds);
-  os << ",\"rc_drain_modeled_seconds\":";
-  jdouble(os, rc_drain_modeled_seconds);
-  os << ",\"rc_exchange_wait_seconds\":";
-  jdouble(os, rc_exchange_wait_seconds);
-  os << ",\"rc_blocked_on_seconds\":";
-  jdouble(os, rc_blocked_on_seconds);
-  os << ",\"rc_blocked_on\":[";
-  first = true;
-  for (const auto& [rank, secs] : rc_blocked_on_by_rank) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"rank\":" << rank << ",\"seconds\":";
-    jdouble(os, secs);
-    os << "}";
-  }
-  os << "],\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histogram_summary) {
-    if (!first) os << ",";
-    first = false;
-    jstring(os, name);
-    os << ":{\"count\":" << h.count << ",\"sum\":" << h.sum << ",\"p50\":";
-    jdouble(os, h.p50);
-    os << ",\"p95\":";
-    jdouble(os, h.p95);
-    os << ",\"p99\":";
-    jdouble(os, h.p99);
-    os << "}";
-  }
-  os << "},\"recoveries\":" << recoveries << ",\"recovery_log\":[";
-  for (std::size_t i = 0; i < recovery_log.size(); ++i) {
-    const RecoveryRecord& r = recovery_log[i];
-    if (i != 0) os << ",";
-    os << "{\"kind\":";
-    jstring(os, r.kind);
-    os << ",\"at_step\":" << r.at_step << ",\"mttr_seconds\":";
-    jdouble(os, r.mttr_seconds);
-    os << "}";
-  }
-  os << "],\"invariant_violations\":" << invariant_violations
-     << ",\"cut_edges_initial\":" << cut_edges_initial
-     << ",\"cut_edges_final\":" << cut_edges_final << ",\"imbalance_final\":";
-  jdouble(os, imbalance_final);
-  os << ",\"dv_resident_bytes\":" << dv_resident_bytes
-     << ",\"dv_cold_bytes\":" << dv_cold_bytes
-     << ",\"dv_promotions\":" << dv_promotions
-     << ",\"dv_demotions\":" << dv_demotions << ",\"dv_decode_seconds\":";
-  jdouble(os, dv_decode_seconds);
-  if (include_steps) {
-    os << ",\"steps\":[";
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      const StepStats& s = steps[i];
-      if (i != 0) os << ",";
-      os << "{\"step\":" << s.step << ",\"bytes\":" << s.bytes
-         << ",\"max_cpu_seconds\":";
-      jdouble(os, s.max_cpu_seconds);
-      os << ",\"sum_cpu_seconds\":";
-      jdouble(os, s.sum_cpu_seconds);
-      os << ",\"relaxations\":" << s.relaxations
-         << ",\"poisons\":" << s.poisons << ",\"repairs\":" << s.repairs
-         << ",\"sum_drain_cpu_seconds\":";
-      jdouble(os, s.sum_drain_cpu_seconds);
-      os << ",\"max_drain_modeled_seconds\":";
-      jdouble(os, s.max_drain_modeled_seconds);
-      os << ",\"sum_exchange_wait_seconds\":";
-      jdouble(os, s.sum_exchange_wait_seconds);
-      os << ",\"blocked_on_rank\":" << s.blocked_on_rank
-         << ",\"blocked_seconds\":";
-      jdouble(os, s.max_blocked_seconds);
-      os << "}";
+  obs::JsonObject top{os};
+  obs::JsonObject nested{os};
+  const char* group = nullptr;
+  for (const metrics::Metric& m : metrics::kCatalog) {
+    if (m.run.key == nullptr) continue;
+    if (m.run_group != group) {
+      if (group != nullptr) os << "}";
+      if (m.run_group != nullptr) top.key(m.run_group);
+      nested.sep = '{';
+      group = m.run_group;
     }
-    os << "]";
+    obs::JsonObject& o = group != nullptr ? nested : top;
+    if (m.irregular != metrics::Irregular::kNone) {
+      write_irregular(o.key(m.run.key), m.irregular, *this);
+    } else {
+      metrics::write_view(o, m.run, *this);
+    }
+  }
+  if (group != nullptr) os << "}";
+  if (include_steps) {
+    write_list(top.key("steps"), '[', steps, ']', [&](const StepStats& st) {
+      obs::JsonObject o{os};
+      o.key("step") << st.step;
+      for (const metrics::Metric& m : metrics::kCatalog) {
+        metrics::write_view(o, m.step, st);
+      }
+      os << "}";
+    });
   }
   os << "}";
 }

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/trace.hpp"
 
 namespace aacc::obs {
@@ -77,28 +78,6 @@ struct StepWindow {
   double end_us = -std::numeric_limits<double>::infinity();
   std::int32_t straggler = -1;
 };
-
-void write_double(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
-}
 
 }  // namespace
 
@@ -412,9 +391,9 @@ void write_attribution_json(std::ostream& os, const CausalAnalysis& a) {
     if (!first) os << ",";
     first = false;
     os << "{\"step\":" << s.step << ",\"makespan_seconds\":";
-    write_double(os, s.makespan_seconds);
+    write_json_number(os, s.makespan_seconds);
     os << ",\"critical_path_seconds\":";
-    write_double(os, s.critical_path_seconds);
+    write_json_number(os, s.critical_path_seconds);
     os << ",\"straggler\":" << s.straggler << ",\"blocked_on\":[";
     bool bf = true;
     for (const PhaseCost& c : s.blocked_on) {
@@ -423,7 +402,7 @@ void write_attribution_json(std::ostream& os, const CausalAnalysis& a) {
       os << "{\"rank\":" << c.rank << ",\"phase\":";
       write_json_string(os, c.phase);
       os << ",\"seconds\":";
-      write_double(os, c.seconds);
+      write_json_number(os, c.seconds);
       os << "}";
     }
     os << "],\"chain\":[";
@@ -434,7 +413,7 @@ void write_attribution_json(std::ostream& os, const CausalAnalysis& a) {
       os << "{\"rank\":" << c.rank << ",\"phase\":";
       write_json_string(os, c.phase);
       os << ",\"seconds\":";
-      write_double(os, c.seconds);
+      write_json_number(os, c.seconds);
       os << "}";
     }
     os << "]}";

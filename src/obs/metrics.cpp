@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
+
+#include "obs/json.hpp"
 
 namespace aacc::obs {
 
@@ -80,32 +81,6 @@ void MetricsRegistry::merge(const MetricsRegistry& o) {
   for (const auto& [name, h] : o.histograms_) histograms_[name].merge(h);
 }
 
-namespace {
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
-}
-
-void write_double(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-}  // namespace
-
 void MetricsRegistry::to_json(std::ostream& os) const {
   os << "{\"counters\":{";
   bool first = true;
@@ -122,7 +97,7 @@ void MetricsRegistry::to_json(std::ostream& os) const {
     first = false;
     write_json_string(os, name);
     os << ":";
-    write_double(os, g.value);
+    write_json_number(os, g.value);
   }
   os << "},\"histograms\":{";
   first = true;
@@ -132,11 +107,11 @@ void MetricsRegistry::to_json(std::ostream& os) const {
     write_json_string(os, name);
     os << ":{\"count\":" << h.count << ",\"sum\":" << h.sum
        << ",\"min\":" << h.min << ",\"max\":" << h.max << ",\"p50\":";
-    write_double(os, histogram_quantile(h, 0.50));
+    write_json_number(os, histogram_quantile(h, 0.50));
     os << ",\"p95\":";
-    write_double(os, histogram_quantile(h, 0.95));
+    write_json_number(os, histogram_quantile(h, 0.95));
     os << ",\"p99\":";
-    write_double(os, histogram_quantile(h, 0.99));
+    write_json_number(os, histogram_quantile(h, 0.99));
     os << ",\"buckets\":[";
     int last = Histogram::kBuckets - 1;
     while (last > 0 && h.buckets[last] == 0) --last;

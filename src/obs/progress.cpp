@@ -5,61 +5,32 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
+
+// Header-only catalog data: the codec walks it without linking core.
+#include "core/metric_catalog.hpp"
 
 namespace aacc::obs {
 
-namespace {
-
-// Round-trippable double formatting, matching RunStats::to_json.
-void jdouble(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << buf;
-}
-
-}  // namespace
-
 std::string to_ndjson(const ProgressEvent& ev) {
   std::ostringstream os;
-  os << "{\"v\":" << kProgressSchemaVersion << ",\"phase\":\"" << ev.phase
-     << "\",\"step\":" << ev.step << ",\"ranks\":" << ev.ranks
-     << ",\"dirty\":" << ev.dirty << ",\"dirty_fraction\":";
-  jdouble(os, ev.dirty_fraction);
-  os << ",\"settled\":" << ev.settled << ",\"columns\":" << ev.columns
-     << ",\"relaxations\":" << ev.relaxations << ",\"poisons\":" << ev.poisons
-     << ",\"repairs\":" << ev.repairs << ",\"queue_sum\":" << ev.queue_sum
-     << ",\"queue_max\":" << ev.queue_max << ",\"bytes\":" << ev.bytes
-     << ",\"retransmits\":" << ev.retransmits
-     << ",\"exchange_wait_seconds\":";
-  jdouble(os, ev.exchange_wait_seconds);
-  os << ",\"blocked_on_rank\":" << ev.blocked_on_rank
-     << ",\"blocked_on_seconds\":";
-  jdouble(os, ev.blocked_on_seconds);
-  os << ",\"recoveries\":" << ev.recoveries
-     << ",\"dv_resident_bytes\":" << ev.dv_resident_bytes
-     << ",\"dv_cold_bytes\":" << ev.dv_cold_bytes
-     << ",\"dv_promotions\":" << ev.dv_promotions
-     << ",\"dv_demotions\":" << ev.dv_demotions;
-  if (ev.has_serve) {
-    os << ",\"serve_queries\":" << ev.serve_queries
-       << ",\"snapshot_age_steps\":" << ev.snapshot_age_steps;
-  }
-  if (ev.has_estimators) {
-    os << ",\"topk_overlap\":";
-    jdouble(os, ev.topk_overlap);
-    os << ",\"kendall_tau\":";
-    jdouble(os, ev.kendall_tau);
+  JsonObject o{os};
+  o.key("v") << kProgressSchemaVersion;
+  o.key("phase") << '"' << ev.phase << '"';
+  o.key("step") << ev.step;
+  o.key("ranks") << ev.ranks;
+  for (const metrics::Metric& m : metrics::kCatalog) {
+    if (m.gate == nullptr || ev.*m.gate) metrics::write_view(o, m.event, ev);
   }
   if (!ev.top.empty()) {
-    os << ",\"top\":[";
+    o.key("top") << '[';
     for (std::size_t i = 0; i < ev.top.size(); ++i) {
-      if (i != 0) os << ',';
-      os << ev.top[i];
+      os << (i == 0 ? "" : ",") << ev.top[i];
     }
     os << ']';
   }
-  if (!ev.detail.empty()) os << ",\"detail\":\"" << ev.detail << '"';
+  if (!ev.detail.empty()) o.key("detail") << '"' << ev.detail << '"';
   os << '}';
   return os.str();
 }
@@ -85,10 +56,6 @@ struct Cursor {
       return true;
     }
     return false;
-  }
-  [[nodiscard]] bool peek(char c) {
-    ws();
-    return p < end && *p == c;
   }
 };
 
@@ -119,8 +86,19 @@ bool parse_json_number(Cursor& c, double& out) {
   c.ws();
   char* after = nullptr;
   out = std::strtod(c.p, &after);
-  if (after == c.p || after > c.end) return false;
+  if (after == c.p || after > c.end || !std::isfinite(out)) return false;
   c.p = after;
+  return true;
+}
+
+// A JSON number that is integral and fits T, so the cast is defined.
+template <class T>
+bool parse_json_number(Cursor& c, T& out) {
+  double d = 0;
+  if (!parse_json_number(c, d) || d != std::trunc(d)) return false;
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (d < (std::is_signed_v<T> ? -hi : 0.0) || d >= hi) return false;
+  out = static_cast<T>(d);
   return true;
 }
 
@@ -159,12 +137,33 @@ bool parse_vertex_array(Cursor& c, std::vector<VertexId>& out) {
   out.clear();
   if (c.eat(']')) return true;
   for (;;) {
-    double d = 0;
-    if (!parse_json_number(c, d) || d < 0) return false;
-    out.push_back(static_cast<VertexId>(d));
+    VertexId v = 0;
+    if (!parse_json_number(c, v)) return false;
+    out.push_back(v);
     if (c.eat(']')) return true;
     if (!c.eat(',')) return false;
   }
+}
+
+// Parses the value of a catalog key into its event field (member or
+// partner) and sets the field's group flag. False on a malformed value;
+// `known` reports whether the catalog names the key at all.
+bool parse_event_field(Cursor& c, const std::string& key, ProgressEvent& out,
+                       bool& known) {
+  for (const metrics::Metric& m : metrics::kCatalog) {
+    const metrics::View<ProgressEvent>& v = m.event;
+    const metrics::Member<ProgressEvent>* field = nullptr;
+    if (v.key != nullptr && key == v.key) field = &v.member;
+    if (v.partner_key != nullptr && key == v.partner_key) field = &v.partner;
+    if (field == nullptr) continue;
+    known = true;
+    bool ok = false;
+    metrics::each(*field, [&](auto p) { ok = parse_json_number(c, out.*p); });
+    if (ok && m.gate != nullptr) out.*m.gate = true;
+    return ok;
+  }
+  known = false;
+  return true;
 }
 
 }  // namespace
@@ -174,97 +173,38 @@ bool parse_progress_event(const std::string& line, ProgressEvent& out) {
   if (!c.eat('{')) return false;
   out = ProgressEvent{};
   bool saw_version = false;
-  bool saw_overlap = false;
-  bool saw_tau = false;
   if (!c.eat('}')) {
     for (;;) {
       std::string key;
       if (!parse_json_string(c, key) || !c.eat(':')) return false;
-      double num = 0;
-      const auto u64 = [&](std::uint64_t& field) {
-        if (!parse_json_number(c, num) || num < 0) return false;
-        field = static_cast<std::uint64_t>(num);
-        return true;
-      };
+      bool known = true;
       if (key == "v") {
-        if (!parse_json_number(c, num)) return false;
-        if (static_cast<int>(num) > kProgressSchemaVersion) return false;
+        int version = 0;
+        if (!parse_json_number(c, version) || version < 1 ||
+            version > kProgressSchemaVersion) {
+          return false;
+        }
         saw_version = true;
       } else if (key == "phase") {
         if (!parse_json_string(c, out.phase)) return false;
       } else if (key == "detail") {
         if (!parse_json_string(c, out.detail)) return false;
       } else if (key == "step") {
-        if (!parse_json_number(c, num) || num < 0) return false;
-        out.step = static_cast<std::size_t>(num);
+        if (!parse_json_number(c, out.step)) return false;
       } else if (key == "ranks") {
-        if (!parse_json_number(c, num)) return false;
-        out.ranks = static_cast<Rank>(num);
-      } else if (key == "recoveries") {
-        if (!parse_json_number(c, num) || num < 0) return false;
-        out.recoveries = static_cast<std::size_t>(num);
-      } else if (key == "dirty") {
-        if (!u64(out.dirty)) return false;
-      } else if (key == "dirty_fraction") {
-        if (!parse_json_number(c, out.dirty_fraction)) return false;
-      } else if (key == "settled") {
-        if (!u64(out.settled)) return false;
-      } else if (key == "columns") {
-        if (!u64(out.columns)) return false;
-      } else if (key == "relaxations") {
-        if (!u64(out.relaxations)) return false;
-      } else if (key == "poisons") {
-        if (!u64(out.poisons)) return false;
-      } else if (key == "repairs") {
-        if (!u64(out.repairs)) return false;
-      } else if (key == "queue_sum") {
-        if (!u64(out.queue_sum)) return false;
-      } else if (key == "queue_max") {
-        if (!u64(out.queue_max)) return false;
-      } else if (key == "bytes") {
-        if (!u64(out.bytes)) return false;
-      } else if (key == "retransmits") {
-        if (!u64(out.retransmits)) return false;
-      } else if (key == "exchange_wait_seconds") {
-        if (!parse_json_number(c, out.exchange_wait_seconds)) return false;
-      } else if (key == "blocked_on_rank") {
-        double v = 0;  // signed (-1 = no exchange blocked)
-        if (!parse_json_number(c, v)) return false;
-        out.blocked_on_rank = static_cast<std::int64_t>(v);
-      } else if (key == "blocked_on_seconds") {
-        if (!parse_json_number(c, out.blocked_on_seconds)) return false;
-      } else if (key == "dv_resident_bytes") {
-        if (!u64(out.dv_resident_bytes)) return false;
-      } else if (key == "dv_cold_bytes") {
-        if (!u64(out.dv_cold_bytes)) return false;
-      } else if (key == "dv_promotions") {
-        if (!u64(out.dv_promotions)) return false;
-      } else if (key == "dv_demotions") {
-        if (!u64(out.dv_demotions)) return false;
-      } else if (key == "serve_queries") {
-        if (!u64(out.serve_queries)) return false;
-        out.has_serve = true;
-      } else if (key == "snapshot_age_steps") {
-        if (!u64(out.snapshot_age_steps)) return false;
-        out.has_serve = true;
-      } else if (key == "topk_overlap") {
-        if (!parse_json_number(c, out.topk_overlap)) return false;
-        saw_overlap = true;
-      } else if (key == "kendall_tau") {
-        if (!parse_json_number(c, out.kendall_tau)) return false;
-        saw_tau = true;
+        if (!parse_json_number(c, out.ranks) || out.ranks < 0) return false;
       } else if (key == "top") {
         if (!parse_vertex_array(c, out.top)) return false;
-      } else {
-        if (!skip_json_value(c)) return false;
+      } else if (!parse_event_field(c, key, out, known)) {
+        return false;
       }
+      if (!known && !skip_json_value(c)) return false;
       if (c.eat('}')) break;
       if (!c.eat(',')) return false;
     }
   }
   c.ws();
   if (c.p != c.end) return false;  // trailing garbage
-  out.has_estimators = saw_overlap && saw_tau;
   return saw_version && !out.phase.empty();
 }
 

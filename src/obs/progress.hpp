@@ -58,24 +58,19 @@ struct ProgressEvent {
   // ---- transport + recovery health (cumulative) ----
   std::uint64_t bytes = 0;        ///< wire bytes sent so far (all ranks)
   std::uint64_t retransmits = 0;  ///< frames resent so far
-  // ---- exchange wait this step (additive v1 field; older readers skip
-  // it via the unknown-field rule) ----
+  // ---- exchange wait this step ----
   double exchange_wait_seconds = 0;  ///< Σ over ranks of blocked recv time
-  // ---- live critical-path proxy (additive v1 fields): the longest
-  // single blocked recv interval any rank saw this step, and the peer
-  // whose arrival ended it ("blocked on rank r for t seconds"; -1 when no
-  // exchange blocked this step) ----
+  // Live critical-path proxy: the longest single blocked recv any rank saw
+  // this step, and the peer whose arrival ended it (-1: nothing blocked).
   double blocked_on_seconds = 0;
   std::int64_t blocked_on_rank = -1;
   std::size_t recoveries = 0;        ///< supervised relaunches so far
-  // ---- DV residency (additive v1 fields; zero under the resident store
-  // except dv_resident_bytes) ----
+  // ---- DV residency (zero under the resident store but resident bytes) ----
   std::uint64_t dv_resident_bytes = 0;  ///< hot (dense) row bytes, Σ ranks
   std::uint64_t dv_cold_bytes = 0;      ///< demoted (compressed) bytes, Σ ranks
   std::uint64_t dv_promotions = 0;      ///< cold→hot decodes so far, Σ ranks
   std::uint64_t dv_demotions = 0;       ///< hot→cold encodes so far, Σ ranks
-  // ---- live serving (additive v1 fields, present only when the run is
-  // driven by an EngineSession; has_serve gates the JSON fields) ----
+  // ---- live serving (EngineSession runs; has_serve gates the fields) ----
   bool has_serve = false;
   std::uint64_t serve_queries = 0;  ///< queries answered so far (all views)
   /// Steps between the current step and the oldest published per-rank
@@ -95,14 +90,16 @@ struct ProgressEvent {
 
 inline constexpr int kProgressSchemaVersion = 1;
 
-/// Serializes one event as a single NDJSON line (no trailing newline):
-/// stable field order, doubles printed round-trippably, optional fields
-/// (estimators, top, detail) omitted when absent.
+/// Serializes one event as a single NDJSON line (no trailing newline): the
+/// metric catalog's field order (core/metric_catalog.hpp), doubles printed
+/// round-trippably, optional groups (serve, estimators, top, detail)
+/// omitted when absent.
 [[nodiscard]] std::string to_ndjson(const ProgressEvent& ev);
 
 /// Parses one NDJSON line produced by to_ndjson (used by `aacc tail` and
-/// tests). Tolerates unknown fields; returns false on malformed input or a
-/// schema version newer than kProgressSchemaVersion.
+/// tests). Tolerates unknown fields; returns false on malformed input: a
+/// version outside [1, kProgressSchemaVersion], a non-finite number, or an
+/// integer field that is fractional or out of range for its type.
 bool parse_progress_event(const std::string& line, ProgressEvent& out);
 
 /// Sink interface. Implementations receive events strictly serially (see

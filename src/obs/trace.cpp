@@ -8,6 +8,8 @@
 #include <fstream>
 #include <ostream>
 
+#include "obs/json.hpp"
+
 namespace aacc::obs {
 namespace {
 
@@ -86,23 +88,6 @@ Trace Tracer::merge() const {
 }
 
 namespace {
-
-void write_json_string(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
-}
 
 void write_ts(std::ostream& os, std::uint64_t ts_ns) {
   // Chrome trace-event timestamps are microseconds; keep nanosecond

@@ -121,6 +121,38 @@ TEST(Anytime, BaselineRestartMatchesReferenceAfterChanges) {
   test::expect_apsp_exact(truth, r);
 }
 
+TEST(Anytime, BaselineStatsCoverEveryRerun) {
+  // run_baseline_restart folds whole reruns through RunStats::accumulate:
+  // the step log, the violation count and the per-step work must cover
+  // every rerun, not only the first run.
+  const Graph g = make_ba(120, 2, 43);
+  EngineConfig cfg;
+  cfg.num_ranks = 4;
+  cfg.validate_each_step = true;
+  EventSchedule sched;
+  sched.push_back({1, {EdgeAddEvent{0, 119, 1}}});
+  sched.push_back({2, {EdgeAddEvent{3, 60, 1}}});
+  const auto relaxations = [](const RunStats& s) {
+    std::uint64_t n = 0;
+    for (const StepStats& step : s.steps) n += step.relaxations;
+    return n;
+  };
+  Graph cur = g;
+  std::uint64_t expected = relaxations(AnytimeEngine(cur, cfg).run().stats);
+  std::size_t expected_steps = 0;
+  for (const EventBatch& batch : sched) {
+    for (const Event& e : batch.events) apply_event(cur, e);
+    const RunStats rerun = AnytimeEngine(cur, cfg).run().stats;
+    expected += relaxations(rerun);
+    expected_steps += rerun.rc_steps;
+  }
+  const RunResult r = run_baseline_restart(g, sched, cfg);
+  EXPECT_EQ(r.stats.steps.size(), r.stats.rc_steps);
+  EXPECT_GT(r.stats.rc_steps, expected_steps);  // plus the initial run
+  EXPECT_EQ(relaxations(r.stats), expected);
+  EXPECT_EQ(r.stats.invariant_violations, 0u);
+}
+
 TEST(Anytime, AnytimeBeatsBaselineOnWork) {
   // The headline claim (Fig. 4): incremental ingestion does much less work
   // than restart. Compare total relaxation counts + bytes.

@@ -4,13 +4,16 @@
 // deterministic stats whether tracing is on or off.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/engine.hpp"
+#include "core/metric_catalog.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -307,40 +310,99 @@ TEST(EngineMetrics, RegistryAgreesWithStats) {
   AnytimeEngine engine(g, cfg);
   const RunResult r = engine.run(small_schedule(g));
 
-  // RunStats ledger fields are derived from the registry; check both views
-  // agree and the algorithm counters match the per-step aggregates.
-  EXPECT_EQ(r.metrics.counter_value("transport/bytes_sent"),
-            r.stats.total_bytes);
-  EXPECT_EQ(r.metrics.counter_value("transport/messages_sent"),
-            r.stats.total_messages);
-  EXPECT_EQ(r.metrics.counter_value("transport/frame_overhead_bytes"),
-            r.stats.frame_overhead_bytes);
-  EXPECT_EQ(r.metrics.counter_value("transport/retransmits"),
-            r.stats.retransmits);
-  EXPECT_DOUBLE_EQ(r.metrics.gauge_value("cpu/total"),
-                   r.stats.total_cpu_seconds);
-  EXPECT_DOUBLE_EQ(r.metrics.gauge_value("cpu/max_rank"),
-                   r.stats.max_rank_cpu_seconds);
-  EXPECT_DOUBLE_EQ(r.metrics.gauge_value("net/modeled_serialized"),
-                   r.stats.modeled_network_seconds_serialized);
-
-  std::uint64_t relaxations = 0;
-  std::uint64_t poisons = 0;
-  std::uint64_t repairs = 0;
-  for (const StepStats& s : r.stats.steps) {
-    relaxations += s.relaxations;
-    poisons += s.poisons;
-    repairs += s.repairs;
+  // Walk the catalog: every registered metric sits in the registry under
+  // its declared kind, and agrees with its RunStats / StepStats view.
+  // Per-step metrics are totalled in step order (rank order within a
+  // step), the registry sums rank by rank, so doubles get a tolerance.
+  std::set<std::string> declared;
+  for (const metrics::Metric& m : metrics::kCatalog) {
+    if (m.name == nullptr) continue;
+    declared.insert(m.name);
+    SCOPED_TRACE(m.name);
+    const auto registered = [&](const auto& instruments) {
+      return instruments.count(m.name) != 0;
+    };
+    EXPECT_FALSE(m.kind != metrics::Kind::kCounter &&
+                 registered(r.metrics.counters()));
+    EXPECT_FALSE(m.kind != metrics::Kind::kGauge &&
+                 registered(r.metrics.gauges()));
+    EXPECT_FALSE(m.kind != metrics::Kind::kHistogram &&
+                 registered(r.metrics.histograms()));
+    const double value = m.kind == metrics::Kind::kCounter
+                             ? static_cast<double>(
+                                   r.metrics.counter_value(m.name))
+                             : r.metrics.gauge_value(m.name);
+    if (m.step.key != nullptr) {
+      double total = 0.0;
+      metrics::each(m.step.member, [&](auto p) {
+        for (const StepStats& s : r.stats.steps) {
+          total += static_cast<double>(s.*p);
+        }
+      });
+      if (m.reduce == metrics::Reduce::kSum) {
+        EXPECT_NEAR(value, total, 1e-9 * (1.0 + total));
+      } else {
+        EXPECT_GE(value, total * (1.0 - 1e-9));  // Σ ranks ≥ max rank
+      }
+    } else {
+      metrics::each(m.run.member, [&](auto p) {
+        EXPECT_EQ(value, static_cast<double>(r.stats.*p));
+      });
+    }
   }
-  EXPECT_EQ(r.metrics.counter_value("rc/relaxations"), relaxations);
-  EXPECT_EQ(r.metrics.counter_value("rc/poisons"), poisons);
-  EXPECT_EQ(r.metrics.counter_value("rc/repairs"), repairs);
+  // ...and nothing is registered outside the catalog but the per-phase
+  // CPU gauges.
+  for (const auto& [name, c] : r.metrics.counters()) {
+    EXPECT_TRUE(declared.count(name) != 0) << name;
+  }
+  for (const auto& [name, h] : r.metrics.histograms()) {
+    EXPECT_TRUE(declared.count(name) != 0) << name;
+  }
+  for (const auto& [name, gauge] : r.metrics.gauges()) {
+    EXPECT_TRUE(declared.count(name) != 0 || name.rfind("cpu/phase/", 0) == 0)
+        << name;
+  }
+  EXPECT_GT(r.metrics.counter_value("rc/relaxations"), 0u);
   EXPECT_EQ(r.metrics.counter_value("rc/steps"),
             static_cast<std::uint64_t>(cfg.num_ranks) * r.stats.steps.size());
   const obs::Histogram* depth =
       r.metrics.find_histogram("rc/drain_queue_depth");
   ASSERT_NE(depth, nullptr);
   EXPECT_GT(depth->count, 0u);
+}
+
+// docs/OBSERVABILITY.md §Metrics catalog renders the catalog: one table
+// row per registry name, with its kind and unit.
+TEST(MetricCatalog, EveryRegistryNameIsDocumented) {
+  std::ifstream in(std::string(AACC_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  ASSERT_TRUE(in);
+  std::map<std::string, std::vector<std::string>> rows;  // name -> cells
+  bool in_section = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("## ", 0) == 0) in_section = line == "## Metrics catalog";
+    if (!in_section || line.rfind("| `", 0) != 0) continue;
+    std::vector<std::string> cells;
+    std::stringstream row(line.substr(1));
+    for (std::string cell; std::getline(row, cell, '|');) {
+      cells.push_back(cell.substr(1, cell.size() - 2));  // drop the padding
+    }
+    ASSERT_GE(cells.size(), 3u) << line;
+    rows[cells[0].substr(1, cells[0].size() - 2)] = cells;  // drop backticks
+  }
+  static constexpr const char* kKinds[] = {"counter", "gauge", "histogram"};
+  std::set<std::string> declared;
+  for (const metrics::Metric& m : metrics::kCatalog) {
+    if (m.name == nullptr) continue;
+    declared.insert(m.name);
+    const auto it = rows.find(m.name);
+    ASSERT_NE(it, rows.end()) << m.name << " missing from the table";
+    EXPECT_EQ(it->second[1], kKinds[static_cast<int>(m.kind)]) << m.name;
+    EXPECT_EQ(it->second[2], m.unit) << m.name;
+  }
+  for (const auto& [name, cells] : rows) {
+    EXPECT_TRUE(declared.count(name) != 0 || name == "cpu/phase/<phase>")
+        << name << " is documented but not in the catalog";
+  }
 }
 
 TEST(RunStatsJson, SchemaAndDeterminism) {
@@ -480,6 +542,29 @@ TEST(RunStatsJson, GoldenBytes) {
   EXPECT_EQ(s.to_json(), expected);
   EXPECT_EQ(s.to_json(/*include_steps=*/false),
             expected.substr(0, expected.find(",\"steps\":")) + "}");
+}
+
+TEST(RunStats, AccumulateSumsKeepsLatestAndAppendsSteps) {
+  RunStats total = golden_stats();
+  RunStats rerun = golden_stats();
+  total.invariant_violations = 1;
+  rerun.invariant_violations = 1;
+  rerun.cut_edges_final = 50;
+  rerun.dv_resident_bytes = 1;
+  rerun.steps.resize(1);
+  total.accumulate(rerun);
+  EXPECT_EQ(total.invariant_violations, 2u);
+  EXPECT_EQ(total.rc_steps, 4u);
+  EXPECT_EQ(total.total_bytes, 2u * 123456789u);
+  EXPECT_DOUBLE_EQ(total.wall_seconds, 2.5);
+  EXPECT_DOUBLE_EQ(total.cpu_by_phase.at("ia"), 0.5);
+  EXPECT_EQ(total.recovery_log.size(), 2u);
+  EXPECT_EQ(total.cut_edges_initial, 40u);  // latest-value fields
+  EXPECT_EQ(total.cut_edges_final, 50u);
+  EXPECT_EQ(total.dv_resident_bytes, 1u);
+  EXPECT_EQ(total.dv_promotions, 34u);  // run totals add
+  ASSERT_EQ(total.steps.size(), 3u);
+  EXPECT_EQ(total.steps[2].step, 1u);
 }
 
 }  // namespace

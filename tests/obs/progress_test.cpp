@@ -175,6 +175,38 @@ TEST(ProgressEvent, ParserRejectsMalformedInput) {
   // Trailing garbage after the document.
   EXPECT_FALSE(obs::parse_progress_event(
       "{\"v\":1,\"phase\":\"ia\",\"step\":0} trailing", ev));
+  // Numbers from outside the writer (aacc tail reads any file): no
+  // non-finite values, integer fields integral and in range for their type
+  // (a 1e30 count used to be an undefined float-to-integer cast), and a
+  // version in [1, kProgressSchemaVersion].
+  for (const char* bad : {
+           "{\"v\":1,\"phase\":\"ia\",\"dirty\":1e30}",
+           "{\"v\":1,\"phase\":\"ia\",\"dirty\":18446744073709551616}",
+           "{\"v\":1,\"phase\":\"ia\",\"dirty\":-1}",
+           "{\"v\":1,\"phase\":\"ia\",\"dirty\":2.5}",
+           "{\"v\":1,\"phase\":\"ia\",\"step\":1e300}",
+           "{\"v\":1,\"phase\":\"ia\",\"ranks\":-3}",
+           "{\"v\":1,\"phase\":\"ia\",\"ranks\":4294967296}",
+           "{\"v\":1,\"phase\":\"ia\",\"blocked_on_rank\":1e19}",
+           "{\"v\":1,\"phase\":\"ia\",\"dirty_fraction\":1e999}",
+           "{\"v\":1,\"phase\":\"ia\",\"kendall_tau\":nan}",
+           "{\"v\":1,\"phase\":\"ia\",\"topk_overlap\":-inf}",
+           "{\"v\":1,\"phase\":\"ia\",\"top\":[1,4294967296]}",
+           "{\"v\":1,\"phase\":\"ia\",\"top\":[0.5]}",
+           "{\"v\":1,\"phase\":\"ia\",\"future\":1e999}",
+           "{\"v\":-7,\"phase\":\"ia\"}",
+           "{\"v\":0,\"phase\":\"ia\"}",
+           "{\"v\":1.5,\"phase\":\"ia\"}",
+       }) {
+    EXPECT_FALSE(obs::parse_progress_event(bad, ev)) << bad;
+  }
+  // In-range extremes still parse.
+  ASSERT_TRUE(obs::parse_progress_event(
+      "{\"v\":1,\"phase\":\"ia\",\"dirty\":9007199254740992,"
+      "\"blocked_on_rank\":-1,\"ranks\":2147483647}",
+      ev));
+  EXPECT_EQ(ev.dirty, 9007199254740992u);
+  EXPECT_EQ(ev.ranks, 2147483647);
 }
 
 TEST(ProgressEvent, ParserToleratesUnknownFields) {
