@@ -766,8 +766,7 @@ RunResult run_driver(const DriverArgs& args) {
   // The runtime ledgers land in each rank's registry first and RunStats
   // reads the merged registry back, so the two views cannot disagree
   // (docs/OBSERVABILITY.md: the registry is the single source of truth).
-  // Gauges fold per rank in rank order, replicating the double-summation
-  // order of the World::total_* helpers bit for bit.
+  // Gauges fold per rank in rank order, so double sums are bit-stable.
   const auto& ledgers = world.ledgers();
   for (Rank r = 0; r < cfg_.num_ranks; ++r) {
     const rt::RankLedger& ledger = ledgers[static_cast<std::size_t>(r)];

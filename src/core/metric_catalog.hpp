@@ -6,8 +6,9 @@
 // catalog).
 //
 // Adding a metric means one catalog line plus one record site: a StepLocal
-// field filled in RankEngine::sample(), a rt::RankLedger counter, or a
-// direct registry call for registry-only instruments.
+// field (bumped in RankEngine::counts_ or read in RankEngine::sample()), a
+// rt::RankLedger counter, or a direct registry call for registry-only
+// instruments.
 //
 // The table is header-only data (names, enums, member pointers), so the
 // obs-layer NDJSON codec walks it without linking the core library.
@@ -76,6 +77,7 @@ enum class Irregular : std::uint8_t {
   kRecoveryLog,
 };
 
+/// A field of view struct S, by value type; monostate when S lacks it.
 template <class S>
 using Member = std::variant<std::monostate, std::uint64_t S::*,
                             std::int64_t S::*, double S::*>;

@@ -1820,7 +1820,7 @@ void RankEngine::record_step(std::size_t step) {
   StepLocal& rec = step_log_.emplace_back(sample());
   rec.step = step;
   if (metrics_ != nullptr) {
-    // Once per step (the hot loops bump plain members): counters and summed
+    // Once per step (the hot loops only bump counts_): counters and summed
     // gauges take the delta since the previous record, latest-value gauges
     // the level. cpu_seconds has no registry name — the driver derives CPU
     // gauges from the world's phase ledgers instead.

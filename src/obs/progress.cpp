@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 // Header-only catalog data: the codec walks it without linking core.
 #include "core/metric_catalog.hpp"
@@ -145,25 +146,18 @@ bool parse_vertex_array(Cursor& c, std::vector<VertexId>& out) {
   }
 }
 
-// Parses the value of a catalog key into its event field (member or
-// partner) and sets the field's group flag. False on a malformed value;
-// `known` reports whether the catalog names the key at all.
-bool parse_event_field(Cursor& c, const std::string& key, ProgressEvent& out,
-                       bool& known) {
+// The catalog metric and event field (member or partner) a key names;
+// nulls when the catalog has no such key.
+std::pair<const metrics::Metric*, const metrics::Member<ProgressEvent>*>
+find_event_field(const std::string& key) {
   for (const metrics::Metric& m : metrics::kCatalog) {
     const metrics::View<ProgressEvent>& v = m.event;
-    const metrics::Member<ProgressEvent>* field = nullptr;
-    if (v.key != nullptr && key == v.key) field = &v.member;
-    if (v.partner_key != nullptr && key == v.partner_key) field = &v.partner;
-    if (field == nullptr) continue;
-    known = true;
-    bool ok = false;
-    metrics::each(*field, [&](auto p) { ok = parse_json_number(c, out.*p); });
-    if (ok && m.gate != nullptr) out.*m.gate = true;
-    return ok;
+    if (v.key != nullptr && key == v.key) return {&m, &v.member};
+    if (v.partner_key != nullptr && key == v.partner_key) {
+      return {&m, &v.partner};
+    }
   }
-  known = false;
-  return true;
+  return {nullptr, nullptr};
 }
 
 }  // namespace
@@ -177,7 +171,7 @@ bool parse_progress_event(const std::string& line, ProgressEvent& out) {
     for (;;) {
       std::string key;
       if (!parse_json_string(c, key) || !c.eat(':')) return false;
-      bool known = true;
+      const auto [metric, field] = find_event_field(key);
       if (key == "v") {
         int version = 0;
         if (!parse_json_number(c, version) || version < 1 ||
@@ -195,10 +189,14 @@ bool parse_progress_event(const std::string& line, ProgressEvent& out) {
         if (!parse_json_number(c, out.ranks) || out.ranks < 0) return false;
       } else if (key == "top") {
         if (!parse_vertex_array(c, out.top)) return false;
-      } else if (!parse_event_field(c, key, out, known)) {
+      } else if (field != nullptr) {
+        bool ok = false;
+        metrics::each(*field, [&](auto p) { ok = parse_json_number(c, out.*p); });
+        if (!ok) return false;
+        if (metric->gate != nullptr) out.*metric->gate = true;
+      } else if (!skip_json_value(c)) {
         return false;
       }
-      if (!known && !skip_json_value(c)) return false;
       if (c.eat('}')) break;
       if (!c.eat(',')) return false;
     }

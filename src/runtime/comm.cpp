@@ -884,12 +884,6 @@ double World::modeled_network_seconds(SchedulePolicy policy) const {
   return rt::modeled_network_seconds(log_, params_, policy, size_);
 }
 
-double World::total_cpu_seconds() const {
-  double t = 0.0;
-  for (const auto& l : ledgers_) t += l.total_cpu_seconds();
-  return t;
-}
-
 double World::max_rank_cpu_seconds() const {
   double t = 0.0;
   for (const auto& l : ledgers_) t = std::max(t, l.total_cpu_seconds());

@@ -410,8 +410,7 @@ class World {
   [[nodiscard]] const std::vector<MsgRecord>& message_log() const { return log_; }
   [[nodiscard]] double modeled_network_seconds(SchedulePolicy policy) const;
 
-  /// Sum over ranks / max over ranks of compute CPU seconds.
-  [[nodiscard]] double total_cpu_seconds() const;
+  /// Max over ranks of compute CPU seconds.
   [[nodiscard]] double max_rank_cpu_seconds() const;
   [[nodiscard]] std::uint64_t total_bytes() const;
   [[nodiscard]] std::uint64_t total_messages() const;

@@ -499,9 +499,9 @@ RunStats golden_stats() {
   return s;
 }
 
-// Byte-exact RunStats::to_json, recorded before the metric catalog replaced
-// the hand-written emitter: key order, %.17g doubles and the irregular
-// fields must not move.
+// Byte-exact RunStats::to_json: key order, %.17g doubles and the place of
+// each irregular field are the schema benches and CI artifacts carry
+// (EXPERIMENTS.md §Machine-readable output).
 TEST(RunStatsJson, GoldenBytes) {
   const std::string expected =
       "{\"wall_seconds\":1.25,\"dd_seconds\":0.10000000000000001,"

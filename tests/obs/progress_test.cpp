@@ -72,9 +72,9 @@ TEST(ProgressEvent, NdjsonRoundTrip) {
   EXPECT_EQ(back.top, ev.top);
 }
 
-// Byte-exact v1 lines, recorded before the metric catalog replaced the
-// hand-written serializer: without the optional groups, with the serve and
-// estimator groups, and a recovery event (detail, no top list).
+// Byte-exact v1 lines, the schema `aacc tail` and CI read: without the
+// optional groups, with the serve and estimator groups, and a recovery
+// event (detail, no top list).
 TEST(ProgressEvent, GoldenNdjson) {
   obs::ProgressEvent ev;
   ev.phase = "rc_step";
