@@ -44,15 +44,6 @@ std::vector<double> harmonic_exact(const Graph& g) {
   return c;
 }
 
-std::vector<double> degree_centrality(const Graph& g) {
-  std::vector<double> c(g.num_vertices(), 0.0);
-  const double denom = g.num_alive() > 1 ? static_cast<double>(g.num_alive() - 1) : 1.0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (g.is_alive(v)) c[v] = static_cast<double>(g.degree(v)) / denom;
-  }
-  return c;
-}
-
 std::vector<VertexId> top_k(const std::vector<double>& scores, std::size_t k) {
   std::vector<VertexId> idx(scores.size());
   std::iota(idx.begin(), idx.end(), VertexId{0});

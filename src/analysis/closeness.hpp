@@ -26,7 +26,6 @@ double harmonic_from_row(const std::vector<Dist>& row, VertexId self);
 /// Exact centralities by reference APSP (sequential ground truth).
 std::vector<double> closeness_exact(const Graph& g);
 std::vector<double> harmonic_exact(const Graph& g);
-std::vector<double> degree_centrality(const Graph& g);
 
 /// Indices of the k largest scores, ties broken by smaller id.
 std::vector<VertexId> top_k(const std::vector<double>& scores, std::size_t k);

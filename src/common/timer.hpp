@@ -2,8 +2,15 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 namespace aacc {
+
+/// Steady-clock nanoseconds: a timestamp every thread can compare.
+inline std::int64_t steady_now_ns() {
+  return std::chrono::steady_clock::now().time_since_epoch() /
+         std::chrono::nanoseconds(1);
+}
 
 class Timer {
  public:

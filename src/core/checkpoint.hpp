@@ -177,10 +177,6 @@ class PeriodicCheckpoints {
     return history.back();
   }
 
-  void clear() {
-    for (auto& history : slots_) history.clear();
-  }
-
  private:
   std::vector<std::deque<std::pair<std::size_t, std::vector<std::byte>>>> slots_;
 };

@@ -1,6 +1,7 @@
 #include "core/config.hpp"
 
 #include <sstream>
+#include <string>
 
 namespace aacc {
 
@@ -11,29 +12,33 @@ namespace {
 }  // namespace
 
 void EngineConfig::validate() const {
-  // Thread/rank caps exist to catch sign bugs: a negative count cast into
-  // an unsigned field shows up as an absurdly large value.
+  // Thread/rank/count caps exist to catch sign bugs: a negative count cast
+  // into an unsigned field shows up as an absurdly large value.
   constexpr std::size_t kMaxThreads = 4096;
   constexpr Rank kMaxRanks = 4096;
+  const auto sign_cap = [&](std::size_t value, const std::string& field,
+                            const char* zero) {
+    if (value <= kMaxThreads) return;
+    std::ostringstream os;
+    os << "EngineConfig::" << field << " must be at most " << kMaxThreads
+       << zero << ", got " << value
+       << " — was a negative value cast to size_t?";
+    fail(os.str());
+  };
   if (num_ranks < 1 || num_ranks > kMaxRanks) {
     std::ostringstream os;
     os << "EngineConfig::num_ranks must be in [1, " << kMaxRanks << "], got "
        << num_ranks;
     fail(os.str());
   }
-  if (ia_threads > kMaxThreads) {
-    std::ostringstream os;
-    os << "EngineConfig::ia_threads must be at most " << kMaxThreads
-       << " (0 = auto), got " << ia_threads
-       << " — was a negative value cast to size_t?";
-    fail(os.str());
-  }
-  if (rc_threads > kMaxThreads) {
-    std::ostringstream os;
-    os << "EngineConfig::rc_threads must be at most " << kMaxThreads
-       << " (0 = auto), got " << rc_threads
-       << " — was a negative value cast to size_t?";
-    fail(os.str());
+  sign_cap(ia_threads, "ia_threads", " (0 = auto)");
+  sign_cap(rc_threads, "rc_threads", " (0 = auto)");
+  sign_cap(checkpoint_every, "checkpoint_every", " (0 = off)");
+  sign_cap(max_recoveries, "max_recoveries", "");
+  for (std::size_t i = 0; i < recovery_policy.size(); ++i) {
+    sign_cap(recovery_policy[i].budget,
+             "recovery_policy[" + std::to_string(i) + "].budget",
+             " (0 = unlimited)");
   }
   if (dv_budget_bytes != 0 && dv_budget_bytes < kMinDvBudgetBytes) {
     std::ostringstream os;

@@ -125,12 +125,6 @@ struct EngineConfig {
   /// Record per-step closeness snapshots (E3 quality curves). Adds one
   /// gather per RC step.
   bool record_step_quality = false;
-  /// Bound for record_step_quality: each rank keeps only its top-k
-  /// (vertex, harmonic) pairs per step — memory O(k · steps) instead of
-  /// O(n · steps), and RunResult::step_harmonic reports 0 for vertices
-  /// outside the per-rank top-k. 0 = unbounded (full snapshots, the exact
-  /// E3 behavior).
-  std::size_t quality_top_k = 0;
   /// Gather the full APSP matrix into RunResult (tests; O(n^2) memory).
   bool gather_apsp = false;
   /// Safety cap on RC steps (0 = no cap). A converged static run needs at
@@ -215,8 +209,9 @@ struct EngineConfig {
   /// run and throws ConfigError naming the offending field. Called by the
   /// AnytimeEngine constructors. The rules (see docs/API.md):
   ///   * num_ranks in [1, 4096]
-  ///   * ia_threads / rc_threads at most 4096 (0 = auto; a negative count
-  ///     cast into these unsigned fields lands far above the cap)
+  ///   * ia_threads / rc_threads, checkpoint_every, max_recoveries and each
+  ///     recovery_policy rung's budget at most 4096 (a negative count cast
+  ///     into these unsigned fields lands far above the cap)
   ///   * dv_budget_bytes is 0 (fully resident) or >= kMinDvBudgetBytes —
   ///     a smaller budget cannot hold one hot row and would thrash
   ///   * rebalance_threshold is 0 (off) or >= 1.0 — max/ideal load is

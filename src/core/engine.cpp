@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -14,6 +13,7 @@
 #include "common/timer.hpp"
 #include "core/metric_catalog.hpp"
 #include "core/rank_engine.hpp"
+#include "core/supervisor.hpp"
 #include "runtime/comm.hpp"
 #include "serve/context.hpp"
 #include "runtime/serialize.hpp"
@@ -80,22 +80,105 @@ RunResult AnytimeEngine::run(const EventSchedule& schedule) {
   args.graph = &graph_;
   args.cfg = cfg_;
   args.schedule = &schedule;
-  args.resume = &resume_;
-  args.resuming = resuming_;
+  args.resume = resuming_ ? &resume_ : nullptr;
   return detail::run_driver(args);
 }
 
 namespace detail {
+
+namespace {
+
+// A served recovery's I/O, on the driver thread while the rank world is
+// joined: trace instant, progress `recovery` event, serve provenance flags.
+void report_recovery(const Supervisor::Outcome& rec,
+                     const std::vector<RecoveryRecord>& log,
+                     obs::TraceTrack* drv, obs::ProgressEmitter* progress,
+                     serve::ServeContext* serve, Rank ranks) {
+  const std::size_t recoveries = log.size();
+  static constexpr const char* kInstants[] = {
+      "recovery:adopt", "recovery:rollback", "recovery:degraded"};
+  if (drv != nullptr) {
+    drv->instant(kInstants[static_cast<int>(rec.rung)], "attempt", recoveries);
+  }
+  if (serve != nullptr) {
+    // A rollback's replay resurrects every seat and clears both flags.
+    const auto release = std::memory_order_release;
+    if (rec.rung != RecoveryPolicy::kAdopt) {
+      serve->degraded.store(rec.rung == RecoveryPolicy::kDegrade, release);
+    }
+    if (rec.rung != RecoveryPolicy::kDegrade) {
+      serve->adopted.store(rec.rung == RecoveryPolicy::kAdopt, release);
+    }
+  }
+  if (progress != nullptr) {
+    progress->recoveries = recoveries;
+    obs::ProgressEvent ev;
+    ev.phase = "recovery";
+    ev.detail = log.back().kind;
+    ev.step = rec.step;
+    ev.ranks = ranks;
+    ev.recoveries = recoveries;
+    progress->emit(ev);
+  }
+}
+
+// The terminal progress event: totals from the final RunStats plus the
+// exact final top-k, so a consumer that only tails the feed ends with the
+// same ranking RunResult::harmonic would give it.
+void emit_done(const RunResult& out, obs::ProgressEmitter& progress,
+               const serve::ServeContext* serve, const EngineConfig& cfg) {
+  obs::ProgressEvent ev;
+  ev.phase = "done";
+  ev.step = out.stats.rc_steps;
+  ev.ranks = cfg.num_ranks;
+  // Integer totals only: settled/dirty are not re-gathered after
+  // teardown, and the timing fields describe a single step.
+  for (const metrics::Metric& m : metrics::kCatalog) {
+    if (std::holds_alternative<double obs::ProgressEvent::*>(
+            m.event.member)) {
+      continue;
+    }
+    if (m.run.key != nullptr) {
+      metrics::zip(m.run.member, m.event.member,
+                   [&](auto rp, auto ep) { ev.*ep = out.stats.*rp; });
+    } else {
+      metrics::zip(m.step.member, m.event.member, [&](auto sp, auto ep) {
+        for (const StepStats& s : out.stats.steps) ev.*ep += s.*sp;
+      });
+    }
+  }
+  if (serve != nullptr) {
+    ev.has_serve = true;
+    ev.serve_queries = serve->queries.load(std::memory_order_relaxed);
+    ev.snapshot_age_steps = 0;  // terminal snapshots are exact
+  }
+  const std::size_t k = cfg.progress.top_k;
+  std::vector<std::pair<VertexId, double>> final_top;
+  for (VertexId v : top_k(out.harmonic, k)) {
+    final_top.emplace_back(v, out.harmonic[v]);
+  }
+  if (!progress.prev_top.empty()) {
+    ev.has_estimators = true;
+    ev.topk_overlap = top_k_overlap(progress.prev_top, final_top, k);
+    ev.kendall_tau = kendall_tau(progress.prev_top, final_top);
+  }
+  ev.top.reserve(final_top.size());
+  for (const auto& [v, score] : final_top) {
+    (void)score;
+    ev.top.push_back(v);
+  }
+  progress.prev_top = std::move(final_top);
+  progress.emit(ev);
+}
+
+}  // namespace
 
 RunResult run_driver(const DriverArgs& args) {
   // Batch mode and live mode share this driver verbatim; the locals below
   // keep the historical member names so the body reads unchanged.
   Graph& graph_ = *args.graph;
   const EngineConfig& cfg_ = args.cfg;
-  const bool resuming_ = args.resuming;
-  const Checkpoint no_resume;
-  const Checkpoint& resume_ =
-      args.resume != nullptr ? *args.resume : no_resume;
+  const bool resuming_ = args.resume != nullptr;
   serve::ServeContext* const serve = args.serve;
   const bool live = serve != nullptr;
   // In live mode the consumed-batch journal is the schedule. It only grows
@@ -191,56 +274,14 @@ RunResult run_driver(const DriverArgs& args) {
   std::vector<std::unique_ptr<RankEngine>> engines(
       static_cast<std::size_t>(cfg_.num_ranks));
   std::vector<std::size_t> rc_steps(static_cast<std::size_t>(cfg_.num_ranks), 0);
-
-  // Supervision state, rewritten between attempts and read-only while rank
-  // threads run.
-  enum class Mode { kFresh, kResume, kDegraded, kAdopt };
-  Mode mode = resuming_ ? Mode::kResume : Mode::kFresh;
-  Checkpoint restart = resume_;  // used in kResume
-  std::vector<bool> dead(static_cast<std::size_t>(cfg_.num_ranks), false);
-  std::vector<Rank> newly_dead;  // poison targets of the next degraded attempt
-  std::vector<std::vector<std::byte>> stash(
-      static_cast<std::size_t>(cfg_.num_ranks));
-  std::size_t degraded_step = 0;  // survivor restart cursors (degrade + adopt)
-  std::size_t degraded_batch = 0;
-  std::vector<Rank> ghost_owner;  // the map ghosts track (O_new under adopt)
-  std::uint64_t ghost_vertices_added = 0;
-  // Adoption plan (Mode::kAdopt): driver-owned copies of the dead ranks'
-  // snapshot blobs (AdoptShards holds pointers into them), the ranks the
-  // round-robin deal must skip, and per-ladder-rung budget accounting.
-  RankEngine::AdoptShards adopt_plan;
-  std::vector<std::vector<std::byte>> adopt_blobs;
-  std::vector<Rank> adopt_skip;
-  std::vector<std::size_t> rung_used(cfg_.recovery_policy.size(), 0);
-  // MTTR probe (docs/FAULTS.md §Recovery timing): the next attempt's ranks
-  // fetch-max steady-now into recovery_mark at their first completed step
-  // >= mttr_mark_step; the pending RecoveryRecord is resolved against the
-  // death-declaration time at the next failure or at run completion.
-  std::atomic<std::int64_t> recovery_mark{-1};
-  bool mttr_pending = false;
-  std::size_t mttr_mark_step = 0;
-  std::size_t mttr_record_idx = 0;
-  std::int64_t mttr_death_ns = 0;
-  const auto steady_ns = [] {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  };
-  const auto resolve_pending_mttr = [&] {
-    if (!mttr_pending) return;
-    mttr_pending = false;
-    const std::int64_t mark = recovery_mark.load(std::memory_order_relaxed);
-    if (mark >= mttr_death_ns) {
-      out.stats.recovery_log[mttr_record_idx].mttr_seconds =
-          static_cast<double>(mark - mttr_death_ns) / 1e9;
-    }
-  };
+  // Rewritten between attempts, read-only while rank threads run.
+  Supervisor supervisor(cfg_, {part.assignment, &edges}, args.resume,
+                        periodic ? &*periodic : nullptr);
 
   const auto attempt_fn = [&](rt::Comm& comm) {
     const auto me = static_cast<std::size_t>(comm.rank());
     RankEngine::Init init;
     init.me = comm.rank();
-    init.world = cfg_.num_ranks;
     init.schedule = &schedule;
     init.cfg = cfg_;
     init.checkpoint_slot = &slots[me];
@@ -252,84 +293,17 @@ RunResult run_driver(const DriverArgs& args) {
     // keeps the emitter even as a ghost — the merged survivor data still
     // flows through its seat in the collectives.
     init.progress = me == 0 ? progress.get() : nullptr;
-    bool fresh = false;
-    switch (mode) {
-      case Mode::kFresh:
-        init.owner = part.assignment;
-        init.edges = &edges;
-        init.periodic = periodic ? &*periodic : nullptr;
-        fresh = true;
-        break;
-      case Mode::kResume:
-        init.restore_blob = &restart.rank_blobs[me];
-        init.start_step = restart.step + 1;
-        init.start_batch = restart.next_batch;
-        init.periodic = periodic ? &*periodic : nullptr;
-        break;
-      case Mode::kDegraded:
-        init.start_step = degraded_step;
-        init.start_batch = degraded_batch;
-        if (dead[me]) {
-          // A ghost keeps the dead rank's seat in the SPMD collectives: it
-          // owns no rows but tracks the owner map and consumes the event
-          // feed so the survivors' protocol is undisturbed.
-          init.ghost = true;
-          init.owner = ghost_owner;
-          init.edges = &edges;
-          init.start_vertices_added = ghost_vertices_added;
-        } else {
-          init.restore_blob = &stash[me];
-          init.poison_ranks = newly_dead;
-        }
-        break;
-      case Mode::kAdopt:
-        // Shard adoption (docs/FAULTS.md §Shard adoption): survivors restore
-        // their stash, then rebuild topology under the rewritten owner map
-        // and re-derive the adopted rows; ghosts hold the dead seats. The
-        // periodic store stays live so further deaths remain adoptable, and
-        // the round-robin deal skips the ghost seats on every rank.
-        init.start_step = degraded_step;
-        init.start_batch = degraded_batch;
-        init.periodic = periodic ? &*periodic : nullptr;
-        init.assign_skip = adopt_skip;
-        if (dead[me]) {
-          init.ghost = true;
-          init.owner = ghost_owner;
-          init.edges = &edges;
-          init.start_vertices_added = ghost_vertices_added;
-        } else {
-          init.restore_blob = &stash[me];
-          init.owner = ghost_owner;  // O_new rides in the owner field
-          init.adopt = &adopt_plan;
-        }
-        break;
-    }
-    if (mttr_pending) {
-      init.recovery_mark_step = mttr_mark_step;
-      init.recovery_mark = &recovery_mark;
-    }
+    supervisor.prepare(init);
     // Constructed into the shared slot immediately so a failing rank's
     // partial state is stashed for the supervisor (survivors' pending sends
     // and cursors seed the next attempt).
     engines[me] = std::make_unique<RankEngine>(init, comm);
     RankEngine& engine = *engines[me];
-    if (fresh) {
+    if (std::holds_alternative<RankEngine::Fresh>(init.start)) {
       engine.run_ia();
       comm.barrier();  // IA/RC phase boundary
     }
     rc_steps[me] = engine.run_rc();
-  };
-
-  const auto rethrow_root = [](const rt::World::RunReport& report) {
-    for (const Rank r : report.failed) {
-      try {
-        std::rethrow_exception(report.errors[static_cast<std::size_t>(r)]);
-      } catch (const rt::PeerFailedError&) {
-        // collateral; keep looking for the root cause
-      }
-    }
-    std::rethrow_exception(
-        report.errors[static_cast<std::size_t>(report.failed.front())]);
   };
 
   for (;;) {
@@ -342,301 +316,19 @@ RunResult run_driver(const DriverArgs& args) {
     // so replay windows and batch cursors are computed against everything
     // rank 0 actually consumed.
     if (live) live_sched = serve->feed.journal_copy();
-
-    // Classify: injected crashes and transport failures are recoverable
-    // roots; PeerFailedError is collateral damage on survivors; anything
-    // else (CheckpointError, logic errors) is a real bug and propagates.
-    std::vector<Rank> roots;
-    for (const Rank r : report.failed) {
-      try {
-        std::rethrow_exception(report.errors[static_cast<std::size_t>(r)]);
-      } catch (const rt::InjectedCrash&) {
-        roots.push_back(r);
-      } catch (const rt::PeerFailedError&) {
-        // survivor interrupted by a failed peer
-      } catch (const rt::TransportError&) {
-        roots.push_back(r);
-      }
+    std::vector<std::optional<Supervisor::RankView>> views(engines.size());
+    for (std::size_t r = 0; r < engines.size(); ++r) {
+      if (engines[r]) views[r] = Supervisor::RankView::of(*engines[r]);
     }
-    // Health supervision can declare a wedged rank dead while the rank
-    // itself later returns without an exception of its own: union the
-    // declarations in so the ladder treats it as a root too.
-    for (const Rank r : world.declared_dead()) {
-      if (std::find(roots.begin(), roots.end(), r) == roots.end()) {
-        roots.push_back(r);
-      }
-    }
-    if (roots.empty()) rethrow_root(report);
-    if (out.stats.recoveries >= cfg_.max_recoveries) rethrow_root(report);
-    ++out.stats.recoveries;
-    // MTTR bookkeeping: a probe from the previous recovery resolves now
-    // (the run got this far, so the mark is final), then the death
-    // declaration for this failure is timestamped.
-    resolve_pending_mttr();
-    const std::int64_t death_ns = steady_ns();
-    std::size_t death_step = 0;
-    for (const auto& engine : engines) {
-      if (engine != nullptr) {
-        death_step = std::max(death_step, engine->current_step());
-      }
-    }
-    for (const Rank r : roots) dead[static_cast<std::size_t>(r)] = true;
-    // Recovery events are emitted from this (driver) thread; the rank
-    // world has joined, so sinks stay single-writer.
-    const auto emit_recovery = [&](const char* kind, std::size_t at_step) {
-      if (!progress) return;
-      progress->recoveries = out.stats.recoveries;
-      obs::ProgressEvent ev;
-      ev.phase = "recovery";
-      ev.detail = kind;
-      ev.step = at_step;
-      ev.ranks = cfg_.num_ranks;
-      ev.recoveries = out.stats.recoveries;
-      progress->emit(ev);
-    };
-    const auto push_record = [&](const char* kind, std::size_t at_step,
-                                 std::size_t mark_step) {
-      out.stats.recovery_log.push_back({kind, at_step, -1.0});
-      mttr_pending = true;
-      mttr_record_idx = out.stats.recovery_log.size() - 1;
-      mttr_mark_step = mark_step;
-      mttr_death_ns = death_ns;
-      recovery_mark.store(-1, std::memory_order_relaxed);
-    };
-
-    // Every survivor stopped blocked in the same step's collective (crashes
-    // fire at the step top or mid-exchange, both before ingest), so their
-    // cursors agree; verify, then stash their state for restore. Shared by
-    // the adopt and degrade rungs.
-    const auto stash_survivors = [&]() -> const RankEngine* {
-      const RankEngine* witness = nullptr;
-      for (Rank r = 0; r < cfg_.num_ranks; ++r) {
-        const auto idx = static_cast<std::size_t>(r);
-        if (dead[idx]) continue;
-        AACC_CHECK_MSG(engines[idx] != nullptr,
-                       "survivor rank " << r << " has no stashed engine");
-        const RankEngine& eng = *engines[idx];
-        if (witness == nullptr) {
-          witness = &eng;
-        } else {
-          AACC_CHECK_MSG(eng.current_step() == witness->current_step() &&
-                             eng.current_batch() == witness->current_batch(),
-                         "survivors stopped at different cursors; a partial "
-                         "restart would be incoherent (rank "
-                             << r << " at step " << eng.current_step()
-                             << " batch " << eng.current_batch()
-                             << ", witness at step " << witness->current_step()
-                             << " batch " << witness->current_batch() << ")");
-        }
-        rt::ByteWriter w;
-        eng.serialize_state(w);
-        stash[idx] = w.take();
-      }
-      AACC_CHECK_MSG(witness != nullptr,
-                     "all ranks failed; nothing to recover on");
-      return witness;
-    };
-
-    // ---- rung: shard adoption (docs/FAULTS.md §Shard adoption). The dead
-    // ranks' rows move to the survivors: structure from their latest
-    // snapshot blobs + structural journal replay, values re-derived from
-    // the survivors' live state. Zero lost vertices, no global rollback. --
-    const auto try_adopt = [&] {
-      if (!periodic) {
-        throw RecoveryError(
-            "adoption requires periodic snapshots (checkpoint_every > 0)");
-      }
-      if (cfg_.add_mode == EdgeAddMode::kEager) {
-        throw RecoveryError(
-            "adoption requires seeded edge adds (EdgeAddMode::kEager "
-            "broadcasts rows the adopted vertices do not have yet)");
-      }
-      if (cfg_.assign != AssignStrategy::kRoundRobin) {
-        throw RecoveryError(
-            "adoption requires round-robin vertex assignment (the "
-            "ghost-skipping deal is only defined there)");
-      }
-      if (cfg_.rebalance_threshold != 0.0) {
-        throw RecoveryError(
-            "adoption requires automatic rebalancing off (a repartition "
-            "would migrate rows back onto ghost seats)");
-      }
-      // Every newly dead rank must have snapshotted at least once, and its
-      // blob must be structurally sound.
-      std::vector<std::pair<Rank, std::pair<std::size_t, std::vector<std::byte>>>>
-          snaps;
-      for (const Rank r : roots) {
-        auto snap = periodic->latest_for(r);
-        if (!snap) {
-          throw RecoveryError("adoption source rank " + std::to_string(r) +
-                              " has no periodic snapshot yet");
-        }
-        try {
-          validate_blob_header(snap->second,
-                               "adoption source rank " + std::to_string(r));
-        } catch (const CheckpointError& e) {
-          throw RecoveryError(e.what());
-        }
-        snaps.emplace_back(r, std::move(*snap));
-      }
-      const RankEngine* witness = stash_survivors();
-      degraded_step = witness->current_step();
-      degraded_batch = witness->current_batch();
-      ghost_vertices_added = witness->vertices_added();
-      // O_new: the witness map (its tombstones are current) with every
-      // newly dead rank's alive vertices dealt round-robin onto the
-      // ascending survivors.
-      std::vector<Rank> owner = witness->local_graph().owner_map();
-      std::vector<Rank> survivors;
-      adopt_skip.clear();
-      for (Rank r = 0; r < cfg_.num_ranks; ++r) {
-        if (dead[static_cast<std::size_t>(r)]) {
-          adopt_skip.push_back(r);
-        } else {
-          survivors.push_back(r);
-        }
-      }
-      std::vector<bool> adopting(static_cast<std::size_t>(cfg_.num_ranks),
-                                 false);
-      for (const Rank r : roots) adopting[static_cast<std::size_t>(r)] = true;
-      std::size_t deal = 0;
-      for (VertexId v = 0; v < owner.size(); ++v) {
-        const Rank o = owner[v];
-        if (o == kNoRank || !adopting[static_cast<std::size_t>(o)]) continue;
-        owner[v] = survivors[deal % survivors.size()];
-        ++deal;
-      }
-      // Structural replay window: every fact in a batch at or before a
-      // source's snapshot step is inside that blob, so only batches after
-      // the *oldest* snapshot need replaying.
-      adopt_blobs.clear();
-      adopt_plan.sources.clear();
-      std::size_t replay_from = degraded_batch;
-      adopt_blobs.reserve(snaps.size());
-      for (auto& [src, snap] : snaps) {
-        (void)src;
-        std::size_t first_after = 0;
-        for (const EventBatch& b : schedule) {
-          if (b.at_step > snap.first) break;
-          ++first_after;
-        }
-        replay_from = std::min(replay_from, first_after);
-        adopt_blobs.push_back(std::move(snap.second));
-      }
-      for (std::size_t i = 0; i < snaps.size(); ++i) {
-        adopt_plan.sources.emplace_back(snaps[i].first, &adopt_blobs[i]);
-      }
-      adopt_plan.replay_from_batch = replay_from;
-      ghost_owner = std::move(owner);
-      // No portal poisoning: the graph did not change, so remote finite
-      // values stay sound upper bounds and adopted rows re-derive quietly.
-      newly_dead.clear();
-      if (live) serve->adopted.store(true, std::memory_order_release);
-      mode = Mode::kAdopt;
-      if (drv != nullptr) {
-        drv->instant("recovery:adopt", "attempt", out.stats.recoveries);
-      }
-      emit_recovery("adopt", degraded_step);
-      push_record("adopt", degraded_step, degraded_step);
-    };
-
-    // ---- rung: checkpoint rollback: replay from the newest snapshot every
-    // rank holds; replay is deterministic, so the final state is
-    // bit-identical to a fault-free run. No snapshot yet -> restart the
-    // whole run from scratch (also bit-identical). ----
-    const auto try_rollback = [&] {
-      if (!periodic) {
-        throw RecoveryError(
-            "rollback requires periodic snapshots (checkpoint_every > 0)");
-      }
-      if (auto ck = periodic->latest_consistent()) {
-        ck->next_batch = 0;
-        for (const EventBatch& b : schedule) {
-          if (b.at_step <= ck->step) ++ck->next_batch;
-        }
-        restart = std::move(*ck);
-        mode = Mode::kResume;
-      } else {
-        mode = resuming_ ? Mode::kResume : Mode::kFresh;
-        restart = resume_;
-      }
-      // The whole-world replay resurrects every seat: ghosts and any prior
-      // degraded verdict are wiped.
-      std::fill(dead.begin(), dead.end(), false);
-      newly_dead.clear();
-      out.degraded = false;
-      if (live) {
-        // The replay resurrects every seat; snapshots published by the next
-        // attempt drop the degraded/adopted provenance again.
-        serve->degraded.store(false, std::memory_order_release);
-        serve->adopted.store(false, std::memory_order_release);
-      }
-      if (drv != nullptr) {
-        drv->instant("recovery:rollback", "attempt", out.stats.recoveries);
-      }
-      emit_recovery("rollback", mode == Mode::kResume ? restart.step : 0);
-      push_record("rollback", death_step, death_step);
-    };
-
-    // ---- rung: degraded fallback. The root ranks' rows are lost;
-    // survivors carry on and the result reports the exact coverage gap. --
-    const auto try_degrade = [&] {
-      if (cfg_.add_mode == EdgeAddMode::kEager ||
-          cfg_.assign == AssignStrategy::kRepartition ||
-          cfg_.rebalance_threshold != 0.0) {
-        throw RecoveryError(
-            "degraded fallback requires seeded adds and a fixed partition "
-            "(enable checkpoint_every for full recovery)");
-      }
-      newly_dead = roots;
-      const RankEngine* witness = stash_survivors();
-      degraded_step = witness->current_step();
-      degraded_batch = witness->current_batch();
-      ghost_owner = witness->local_graph().owner_map();
-      ghost_vertices_added = witness->vertices_added();
-      mode = Mode::kDegraded;
-      out.degraded = true;
-      if (live) serve->degraded.store(true, std::memory_order_release);
-      if (drv != nullptr) {
-        drv->instant("recovery:degraded", "attempt", out.stats.recoveries);
-      }
-      emit_recovery("degraded", degraded_step);
-      push_record("degraded", degraded_step, degraded_step);
-    };
-
-    // ---- walk the policy ladder: the first rung with unspent budget whose
-    // preconditions hold serves the recovery. RecoveryError falls through
-    // to the next rung; an exhausted ladder rethrows the last precondition
-    // failure (or the failure's root cause when only budgets ran out). ----
-    bool handled = false;
-    std::exception_ptr precondition_failure;
-    for (std::size_t i = 0; i < cfg_.recovery_policy.size() && !handled; ++i) {
-      const RecoveryRung& rung = cfg_.recovery_policy[i];
-      if (rung.budget != 0 && rung_used[i] >= rung.budget) continue;
-      try {
-        switch (rung.policy) {
-          case RecoveryPolicy::kAdopt:
-            try_adopt();
-            break;
-          case RecoveryPolicy::kRollback:
-            try_rollback();
-            break;
-          case RecoveryPolicy::kDegrade:
-            try_degrade();
-            break;
-        }
-        ++rung_used[i];
-        handled = true;
-      } catch (const RecoveryError&) {
-        precondition_failure = std::current_exception();
-      }
-    }
-    if (!handled) {
-      if (precondition_failure) std::rethrow_exception(precondition_failure);
-      rethrow_root(report);
-    }
+    const Supervisor::Outcome rec =
+        supervisor.recover(report, world.declared_dead(), views, schedule);
+    report_recovery(rec, supervisor.log(), drv, progress.get(), serve,
+                    cfg_.num_ranks);
   }
-  resolve_pending_mttr();
+  supervisor.finish();
+  out.stats.recoveries = supervisor.log().size();
+  out.stats.recovery_log = supervisor.log();
+  out.degraded = supervisor.degraded();
   // Final refresh: the result must reflect every batch the closed feed's
   // journal recorded (the rank world is joined; the journal is final).
   if (live) live_sched = serve->feed.journal_copy();
@@ -645,10 +337,8 @@ RunResult run_driver(const DriverArgs& args) {
     out.checkpoint.rank_blobs = std::move(slots);
     out.checkpoint.step = cfg_.checkpoint_at_step;
     out.checkpoint.num_ranks = cfg_.num_ranks;
-    out.checkpoint.next_batch = 0;
-    for (const EventBatch& b : schedule) {
-      if (b.at_step <= cfg_.checkpoint_at_step) ++out.checkpoint.next_batch;
-    }
+    out.checkpoint.next_batch =
+        batches_through(schedule, cfg_.checkpoint_at_step);
   }
 
   // ---- driver-side ground truth and result assembly ----
@@ -708,8 +398,7 @@ RunResult run_driver(const DriverArgs& args) {
     // Exact coverage gap: every alive vertex whose row died with its rank
     // (including vertices round-robined onto a ghost after the failure).
     for (VertexId v = 0; v < n; ++v) {
-      if (graph_.is_alive(v) &&
-          dead[static_cast<std::size_t>(out.final_owner[v])]) {
+      if (graph_.is_alive(v) && supervisor.dead(out.final_owner[v])) {
         out.lost_vertices.push_back(v);
       }
     }
@@ -838,54 +527,7 @@ RunResult run_driver(const DriverArgs& args) {
 
   out.stats.wall_seconds = wall.seconds();
 
-  if (progress) {
-    // Terminal event: totals from the final RunStats plus the exact final
-    // top-k, so a consumer that only tails the feed ends with the same
-    // ranking RunResult::harmonic would give it.
-    obs::ProgressEvent ev;
-    ev.phase = "done";
-    ev.step = out.stats.rc_steps;
-    ev.ranks = cfg_.num_ranks;
-    // Integer totals only: settled/dirty are not re-gathered after
-    // teardown, and the timing fields describe a single step.
-    for (const metrics::Metric& m : metrics::kCatalog) {
-      if (std::holds_alternative<double obs::ProgressEvent::*>(
-              m.event.member)) {
-        continue;
-      }
-      if (m.run.key != nullptr) {
-        metrics::zip(m.run.member, m.event.member,
-                     [&](auto rp, auto ep) { ev.*ep = out.stats.*rp; });
-      } else {
-        metrics::zip(m.step.member, m.event.member, [&](auto sp, auto ep) {
-          for (const StepStats& s : out.stats.steps) ev.*ep += s.*sp;
-        });
-      }
-    }
-    if (live) {
-      ev.has_serve = true;
-      ev.serve_queries = serve->queries.load(std::memory_order_relaxed);
-      ev.snapshot_age_steps = 0;  // terminal snapshots are exact
-    }
-    const std::size_t k = cfg_.progress.top_k;
-    std::vector<std::pair<VertexId, double>> final_top;
-    for (VertexId v : top_k(out.harmonic, k)) {
-      final_top.emplace_back(v, out.harmonic[v]);
-    }
-    if (!progress->prev_top.empty()) {
-      ev.has_estimators = true;
-      ev.topk_overlap =
-          top_k_overlap(progress->prev_top, final_top, k);
-      ev.kendall_tau = kendall_tau(progress->prev_top, final_top);
-    }
-    ev.top.reserve(final_top.size());
-    for (const auto& [v, score] : final_top) {
-      (void)score;
-      ev.top.push_back(v);
-    }
-    progress->prev_top = std::move(final_top);
-    progress->emit(ev);
-  }
+  if (progress) emit_done(out, *progress, serve, cfg_);
 
   if (tracer) {
     out.trace = tracer->merge();

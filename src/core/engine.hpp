@@ -242,8 +242,7 @@ struct DriverArgs {
   Graph* graph = nullptr;  ///< ground truth; events applied at assembly
   EngineConfig cfg;        ///< already validated
   const EventSchedule* schedule = nullptr;  ///< batch mode only
-  const Checkpoint* resume = nullptr;       ///< optional resume snapshot
-  bool resuming = false;
+  const Checkpoint* resume = nullptr;       ///< set when resuming
   serve::ServeContext* serve = nullptr;  ///< live mode only
 };
 

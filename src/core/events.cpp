@@ -1,5 +1,7 @@
 #include "core/events.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace aacc {
@@ -140,6 +142,12 @@ std::size_t event_count(const EventSchedule& schedule) {
   std::size_t n = 0;
   for (const EventBatch& b : schedule) n += b.events.size();
   return n;
+}
+
+std::size_t batches_through(const EventSchedule& schedule, std::size_t step) {
+  return static_cast<std::size_t>(
+      std::count_if(schedule.begin(), schedule.end(),
+                    [&](const EventBatch& b) { return b.at_step <= step; }));
 }
 
 }  // namespace aacc

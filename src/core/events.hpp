@@ -71,4 +71,8 @@ std::vector<Event> deserialize_events(rt::ByteReader& r);
 /// Total count of events across a schedule.
 std::size_t event_count(const EventSchedule& schedule);
 
+/// Batches ingested at or before RC step `step`: the batch cursor of a run
+/// that restarts after that step.
+std::size_t batches_through(const EventSchedule& schedule, std::size_t step);
+
 }  // namespace aacc

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <ctime>
 #include <numeric>
@@ -51,7 +50,31 @@ void for_each_gathered(obs::ProgressEvent& ev, Fn&& fn) {
   }
 }
 
-const std::vector<std::tuple<VertexId, VertexId, Weight>> kNoEdges;
+// The edge list of a checkpoint blob's topology section.
+RankEngine::Edges read_edges(rt::ByteReader& r) {
+  const auto count = r.read<std::uint64_t>();
+  RankEngine::Edges edges;
+  edges.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto u = r.read<VertexId>();
+    const auto v = r.read<VertexId>();
+    const auto wt = r.read<Weight>();
+    edges.emplace_back(u, v, wt);
+  }
+  return edges;
+}
+
+// The topology an engine starts from. A ghost's `me` is an impossible rank,
+// so it owns no rows; blob starts rebuild the graph in restore_state.
+LocalGraph initial_graph(const RankEngine::Init& init) {
+  if (const auto* f = std::get_if<RankEngine::Fresh>(&init.start)) {
+    return {init.me, f->owner, *f->edges};
+  }
+  if (const auto* g = std::get_if<RankEngine::Ghost>(&init.start)) {
+    return {init.cfg.num_ranks, g->owner, *g->edges};
+  }
+  return {init.me, {}, {}};
+}
 
 }  // namespace
 
@@ -64,15 +87,10 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
       checkpoint_slot_(init.checkpoint_slot),
       periodic_(init.periodic),
       injector_(init.injector),
-      ghost_(init.ghost),
+      ghost_(std::holds_alternative<Ghost>(init.start)),
       cur_step_(init.start_step),
       cur_batch_(init.start_batch),
-      // A ghost impersonates a dead rank in the collectives but owns no
-      // rows: its LocalGraph `me` is an impossible rank, so is_local() is
-      // false for every vertex and num_local() == 0.
-      lg_(init.ghost ? static_cast<Rank>(init.world) : init.me,
-          init.restore_blob != nullptr ? std::vector<Rank>{} : init.owner,
-          init.restore_blob != nullptr ? kNoEdges : *init.edges) {
+      lg_(initial_graph(init)) {
   if (init.tracer != nullptr) {
     tracer_ = init.tracer;
     trace_ = &tracer_->track(init.me);
@@ -96,24 +114,28 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
   recovery_mark_step_ = init.recovery_mark_step;
   recovery_mark_ = init.recovery_mark;
   dv_ = DvStore::create(cfg_.dv_budget_bytes);
-  if (init.restore_blob != nullptr) {
+  const auto* restore = std::get_if<Restore>(&init.start);
+  const auto* adopt = std::get_if<Adopt>(&init.start);
+  if (restore != nullptr || adopt != nullptr) {
     const obs::ScopedSpan span(trace_, "restore");
-    restore_state(*init.restore_blob);
-    if (init.adopt != nullptr) adopt_shards(init);
+    restore_state(restore != nullptr ? *restore->blob : *adopt->blob);
+    if (adopt != nullptr) adopt_shards(*adopt);
   } else {
     dv_->grow_columns(lg_.n());
     for (std::size_t r = 0; r < lg_.num_local(); ++r) {
       dv_->append_fresh(lg_.vertex_of(r));
     }
-    vertices_added_ = init.start_vertices_added;
+    if (const auto* g = std::get_if<Ghost>(&init.start)) {
+      vertices_added_ = g->vertices_added;
+    }
   }
-  if (!init.poison_ranks.empty()) {
+  if (restore != nullptr && !restore->poison_ranks.empty()) {
     // Degraded restart: the rows these ranks owned are gone, so every
     // portal-cache value they published is a dead witness. Poison the
     // cached entries; the cascade invalidates every local entry routed
     // through them and queues repairs over surviving routes.
-    std::vector<bool> dead(static_cast<std::size_t>(init.world), false);
-    for (const Rank d : init.poison_ranks) {
+    std::vector<bool> dead(static_cast<std::size_t>(comm_.size()), false);
+    for (const Rank d : restore->poison_ranks) {
       dead[static_cast<std::size_t>(d)] = true;
     }
     const auto& owner = lg_.owner_map();
@@ -143,13 +165,7 @@ void RankEngine::serialize_state(rt::ByteWriter& w) const {
   // edge once from this rank's perspective; the LocalGraph constructor
   // rebuilds both half-edges and the portal index).
   w.write_vec(lg_.owner_map());
-  std::vector<std::tuple<VertexId, VertexId, Weight>> edges;
-  for (std::size_t r = 0; r < dv_->size(); ++r) {
-    const VertexId u = lg_.vertex_of(r);
-    for (const Edge& e : lg_.adj(r)) {
-      if (!lg_.is_local(e.to) || u < e.to) edges.emplace_back(u, e.to, e.w);
-    }
-  }
+  const Edges edges = local_edges();
   w.write(static_cast<std::uint64_t>(edges.size()));
   for (const auto& [u, v, wt] : edges) {
     w.write(u);
@@ -175,6 +191,17 @@ void RankEngine::serialize_state(rt::ByteWriter& w) const {
   w.write(vertices_added_);
 }
 
+RankEngine::Edges RankEngine::local_edges() const {
+  Edges edges;
+  for (std::size_t r = 0; r < dv_->size(); ++r) {
+    const VertexId u = lg_.vertex_of(r);
+    for (const Edge& e : lg_.adj(r)) {
+      if (!lg_.is_local(e.to) || u < e.to) edges.emplace_back(u, e.to, e.w);
+    }
+  }
+  return edges;
+}
+
 void RankEngine::restore_state(std::span<const std::byte> blob) {
   try {
     restore_state_impl(blob);
@@ -194,16 +221,7 @@ void RankEngine::restore_state_impl(std::span<const std::byte> blob) {
   rt::ByteReader r(blob.subspan(kCkptHeaderBytes));
 
   auto owner = r.read_vec<Rank>();
-  const auto edge_count = r.read<std::uint64_t>();
-  std::vector<std::tuple<VertexId, VertexId, Weight>> edges;
-  edges.reserve(edge_count);
-  for (std::uint64_t i = 0; i < edge_count; ++i) {
-    const auto u = r.read<VertexId>();
-    const auto v = r.read<VertexId>();
-    const auto wt = r.read<Weight>();
-    edges.emplace_back(u, v, wt);
-  }
-  lg_ = LocalGraph(comm_.rank(), std::move(owner), edges);
+  lg_ = LocalGraph(comm_.rank(), std::move(owner), read_edges(r));
 
   const auto row_count = r.read<std::uint64_t>();
   AACC_CHECK(row_count == lg_.num_local());
@@ -293,20 +311,10 @@ namespace {
 /// post-snapshot deletions can make snapshot *values* stale-low (the dead
 /// rank's poison broadcasts for them completed before the crash, so
 /// re-installing the old finite values would silently revoke them).
-std::vector<std::tuple<VertexId, VertexId, Weight>> read_blob_edges(
-    std::span<const std::byte> blob) {
+RankEngine::Edges read_blob_edges(std::span<const std::byte> blob) {
   rt::ByteReader r(blob.subspan(kCkptHeaderBytes));  // validate_blob_header
   (void)r.read_vec<Rank>();  // snapshot-time owner map, superseded
-  const auto edge_count = r.read<std::uint64_t>();
-  std::vector<std::tuple<VertexId, VertexId, Weight>> edges;
-  edges.reserve(edge_count);
-  for (std::uint64_t i = 0; i < edge_count; ++i) {
-    const auto u = r.read<VertexId>();
-    const auto v = r.read<VertexId>();
-    const auto wt = r.read<Weight>();
-    edges.emplace_back(u, v, wt);
-  }
-  return edges;
+  return read_edges(r);
 }
 
 std::uint64_t edge_key(VertexId u, VertexId v) {
@@ -317,14 +325,13 @@ std::uint64_t edge_key(VertexId u, VertexId v) {
 
 }  // namespace
 
-void RankEngine::adopt_shards(const Init& init) {
+void RankEngine::adopt_shards(const Adopt& adopt) {
   const obs::ScopedSpan span(trace_, "adopt", "sources",
-                             init.adopt->sources.size());
+                             adopt.shards->sources.size());
   adopted_ = true;  // recovery provenance, stamped into published snapshots
-  // The rewritten owner map rides in init.owner (the one field the restore
-  // path ignores); its tombstones come from the stash map, so is_alive
-  // stays authoritative for everything below.
-  const std::vector<Rank>& new_owner = init.owner;
+  // The rewritten owner map's tombstones come from the stash map, so
+  // is_alive stays authoritative for everything below.
+  const std::vector<Rank>& new_owner = adopt.new_owner;
   const auto alive = [&](VertexId v) { return new_owner[v] != kNoRank; };
 
   // 1. Merge edge sets: this rank's live incident edges first (current as
@@ -338,15 +345,9 @@ void RankEngine::adopt_shards(const Init& init) {
     if (!alive(u) || !alive(v)) return;
     if (seen.insert(edge_key(u, v)).second) merged.emplace_back(u, v, w);
   };
-  for (std::size_t r = 0; r < dv_->size(); ++r) {
-    const VertexId u = lg_.vertex_of(r);
-    for (const Edge& e : lg_.adj(r)) {
-      if (!lg_.is_local(e.to) || u < e.to) push(u, e.to, e.w);
-    }
-  }
-  for (const auto& [source, blob] : init.adopt->sources) {
-    (void)source;
-    for (const auto& [u, v, w] : read_blob_edges(*blob)) push(u, v, w);
+  for (const auto& [u, v, w] : local_edges()) push(u, v, w);
+  for (const auto& source : adopt.shards->sources) {
+    for (const auto& [u, v, w] : read_blob_edges(*source.second)) push(u, v, w);
   }
 
   // 2. Rebuild the topology under the rewritten map. Surviving rows are
@@ -376,7 +377,7 @@ void RankEngine::adopt_shards(const Init& init) {
       if (!lg_.is_local(u) && !lg_.is_local(v)) return;
       if (!lg_.has_edge(u, v)) lg_.add_edge(u, v, w);
     };
-    for (std::size_t b = init.adopt->replay_from_batch;
+    for (std::size_t b = adopt.shards->replay_from_batch;
          b < start_batch_ && b < schedule_->size(); ++b) {
       for (const Event& ev : (*schedule_)[b].events) {
         if (const auto* ea = std::get_if<EdgeAddEvent>(&ev)) {
@@ -480,8 +481,8 @@ void RankEngine::adopt_shards(const Init& init) {
     std::deque<std::pair<VertexId, VertexId>> seeds;
     for (VertexId v = 0; v < lg_.n(); ++v) {
       const Rank o = v < old_owner.size() ? old_owner[v] : kNoRank;
-      if (std::find(init.assign_skip.begin(), init.assign_skip.end(), o) ==
-          init.assign_skip.end()) {
+      if (std::find(assign_skip_.begin(), assign_skip_.end(), o) ==
+          assign_skip_.end()) {
         continue;
       }
       const auto it = caches_.find(v);
@@ -2149,9 +2150,7 @@ std::size_t RankEngine::run_rc() {
       // Harmonic centrality is the anytime-safe quality metric: distance
       // upper bounds make it a monotone lower bound of the exact value,
       // whereas 1/Σ(known distances) overshoots while coverage is partial.
-      // quality_top_k bounds the snapshot to the rank's best k vertices
-      // (memory O(k · steps)); 0 keeps the full per-vertex snapshot.
-      step_quality_.push_back(local_top_harmonic(cfg_.quality_top_k));
+      step_quality_.push_back(local_top_harmonic(0));
     }
     // Residency pass at the step boundary: the queues are empty (drain just
     // ran), so no demoted row can hold a kQueued flag — maintain()'s
@@ -2173,17 +2172,13 @@ std::size_t RankEngine::run_rc() {
     // this rank recovered; the supervisor takes the max over ranks as the
     // recovery-complete instant. Rollback restarts earlier than the death
     // step, so its replay cost is inside the measured window by design.
-    if (!ghost_ && !recovery_marked_ && recovery_mark_ != nullptr &&
-        step >= recovery_mark_step_) {
-      recovery_marked_ = true;
-      const std::int64_t now =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count();
+    if (!ghost_ && recovery_mark_ != nullptr && step >= recovery_mark_step_) {
+      const std::int64_t now = steady_now_ns();
       std::int64_t cur = recovery_mark_->load(std::memory_order_relaxed);
       while (cur < now && !recovery_mark_->compare_exchange_weak(
                               cur, now, std::memory_order_relaxed)) {
       }
+      recovery_mark_ = nullptr;  // once per rank
     }
 
     if (!ghost_ && periodic_ != nullptr && cfg_.checkpoint_every > 0 &&

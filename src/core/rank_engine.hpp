@@ -23,6 +23,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -43,99 +44,56 @@ namespace aacc {
 
 class RankEngine {
  public:
-  /// Shard-adoption plan (docs/FAULTS.md §Shard adoption): survivors split
-  /// the newly dead ranks' rows among themselves. `sources` holds each dead
-  /// rank's latest periodic-checkpoint blob (structure only is consumed:
-  /// row *values* are re-derived from the survivors' live state via the
-  /// quiet repair pass, because post-snapshot deletions make blob values
-  /// potentially stale-low). The schedule batches in
-  /// [replay_from_batch, start_batch) are replayed structurally so edges
-  /// the snapshot predates — including edges between two dead-owned
-  /// vertices that no survivor's stash saw — reappear.
+  /// Shard-adoption plan (docs/FAULTS.md §Shard adoption). Only the
+  /// structure of the dead ranks' snapshot blobs is used: row values are
+  /// re-derived from the survivors (post-snapshot deletions can make blob
+  /// values stale-low). Batches [replay_from_batch, start_batch) are
+  /// replayed structurally, restoring edges no blob or stash holds.
   struct AdoptShards {
     /// (dead rank, its latest snapshot blob), one entry per newly dead rank.
     std::vector<std::pair<Rank, const std::vector<std::byte>*>> sources;
-    /// First schedule batch whose structural effects may be missing from
-    /// every source blob (min over sources of the first batch after its
-    /// snapshot step).
+    /// Min over sources of the first batch after the snapshot step.
     std::size_t replay_from_batch = 0;
   };
 
-  struct Init {
-    Rank me = 0;
-    Rank world = 1;
-    /// Owner per vertex id (identical on all ranks).
+  using Edges = std::vector<std::tuple<VertexId, VertexId, Weight>>;
+
+  // How an attempt's engine starts (Init::start; the supervisor picks one
+  // per rank and attempt). Pointers are non-owning.
+  /// From scratch: the owner map (identical on all ranks) and the full
+  /// edge list, of which the engine keeps the locally incident edges.
+  struct Fresh {
     std::vector<Rank> owner;
-    /// Full edge list; the engine keeps only locally incident edges.
-    const std::vector<std::tuple<VertexId, VertexId, Weight>>* edges = nullptr;
-    /// The event schedule (all ranks hold the step indices; batch contents
-    /// are broadcast from rank 0 at ingestion time for honest accounting).
-    const EventSchedule* schedule = nullptr;
-    EngineConfig cfg;
-    /// Resume path: when set, all state comes from this serialized blob
-    /// (owner/edges above are ignored) and the RC loop continues at
-    /// start_step / start_batch.
-    const std::vector<std::byte>* restore_blob = nullptr;
-    std::size_t start_step = 0;
-    std::size_t start_batch = 0;
-    /// Checkpoint path: when the RC loop reaches cfg.checkpoint_at_step it
-    /// serializes into this slot and stops.
-    std::vector<std::byte>* checkpoint_slot = nullptr;
-    /// Recovery checkpointing: with cfg.checkpoint_every > 0, the rank
-    /// snapshots its state into this store each k RC steps.
-    PeriodicCheckpoints* periodic = nullptr;
-    /// Chaos hook: polled at each RC step boundary; a scheduled crash
-    /// throws rt::InjectedCrash out of run_rc. Non-owning.
-    rt::FaultInjector* injector = nullptr;
-    /// Degraded mode (docs/FAULTS.md): a ghost stands in for a dead rank so
-    /// the SPMD collectives stay in lockstep. It owns no rows (its
-    /// LocalGraph `me` is an impossible rank) but tracks the owner map and
-    /// consumes the event feed like everyone else.
-    bool ghost = false;
-    /// Degraded mode: on construction, poison every portal-cache entry
-    /// owned by these (dead) ranks — their rows are lost, so every value
-    /// routed through them must be re-derived from surviving routes.
-    std::vector<Rank> poison_ranks;
-    /// Round-robin assignment cursor for a ghost (survivors restore theirs
-    /// from the blob; the ghost must agree or owner maps diverge).
-    std::uint64_t start_vertices_added = 0;
-    /// Shard adoption (survivors of an adopt-mode restart only): after the
-    /// stash restore, the engine rebuilds its topology under `owner` (the
-    /// rewritten map — the one Init field the restore path otherwise
-    /// ignores), installs fresh rows for its adopted vertices and queues
-    /// their quiet re-derivation. Non-owning.
-    const AdoptShards* adopt = nullptr;
-    /// Ranks excluded from round-robin vertex assignment (adopt-mode
-    /// restarts: a vertex dealt to a ghost seat would be lost again).
-    /// Identical on every rank or owner maps diverge. Empty = no exclusion.
-    std::vector<Rank> assign_skip;
-    /// MTTR probe (docs/FAULTS.md §Recovery timing): when the RC loop
-    /// completes a step >= recovery_mark_step, the rank folds steady-clock
-    /// now into *recovery_mark (fetch-max, once per rank) — the supervisor
-    /// reads the max as "recovery complete" and subtracts the death
-    /// declaration time. Ghosts do not write. Non-owning, nullable.
-    std::size_t recovery_mark_step = static_cast<std::size_t>(-1);
-    std::atomic<std::int64_t>* recovery_mark = nullptr;
-    /// Observability (non-owning, both nullable). The tracer provides this
-    /// rank's main track and drain-shard subtracks; the registry receives
-    /// per-step counter folds (owned by the driver so it survives
-    /// supervised attempts, like the runtime ledgers).
-    obs::Tracer* tracer = nullptr;
-    obs::MetricsRegistry* metrics = nullptr;
-    /// Progress feed (docs/OBSERVABILITY.md §Progress events): non-null on
-    /// the driver rank (rank 0) only, and only when cfg.progress is active.
-    /// Every rank still participates in the per-step telemetry gather
-    /// (cfg.progress.active() is the SPMD-consistent switch); rank 0 merges
-    /// and emits. Driver-owned so estimator state survives attempts.
-    obs::ProgressEmitter* progress = nullptr;
-    /// Live session context (docs/API.md §"Serving sessions"): non-null on
-    /// every rank of an EngineSession run, null under batch run(). Turns on
-    /// snapshot publication at publish_every granularity, the live mutation
-    /// feed (rank 0 pops BatchFeed batches and broadcasts them once the
-    /// replayed journal prefix is consumed) and the quiescent idle-wait
-    /// instead of loop termination. Non-owning; outlives the rank threads.
-    serve::ServeContext* serve = nullptr;
+    const Edges* edges = nullptr;
   };
+  /// From a serialized blob (checkpoint resume, rollback, or a degraded
+  /// survivor's stash). A degraded survivor also poisons the portal caches
+  /// owned by `poison_ranks`: their rows are lost, so every value routed
+  /// through them must be re-derived from surviving routes.
+  struct Restore {
+    const std::vector<std::byte>* blob = nullptr;
+    std::vector<Rank> poison_ranks;
+  };
+  /// A ghost holds a dead rank's seat so the SPMD collectives stay in
+  /// lockstep: it owns no rows but tracks the owner map and consumes the
+  /// event feed, with the survivors' round-robin cursor.
+  struct Ghost {
+    std::vector<Rank> owner;
+    const Edges* edges = nullptr;
+    std::uint64_t vertices_added = 0;
+  };
+  /// An adopting survivor: restores its stash, then rebuilds its topology
+  /// under `new_owner` and re-derives its adopted rows (adopt_shards).
+  struct Adopt {
+    const std::vector<std::byte>* blob = nullptr;
+    std::vector<Rank> new_owner;
+    const AdoptShards* shards = nullptr;
+  };
+  using Start = std::variant<Fresh, Restore, Ghost, Adopt>;
+
+  /// Constructor arguments (defined below the class: the start variant's
+  /// alternatives must be complete first).
+  struct Init;
 
   RankEngine(const Init& init, rt::Comm& comm);
 
@@ -333,6 +291,9 @@ class RankEngine {
                  std::uint64_t& dirty_added);
   [[nodiscard]] std::size_t ia_thread_count() const;
 
+  /// This rank's incident edges, each once (from the smaller id when both
+  /// ends are local): the topology section of a checkpoint blob.
+  [[nodiscard]] Edges local_edges() const;
   /// Deserializes a checkpoint blob; malformed/truncated input raises
   /// CheckpointError with rank context (restore_state wraps the reader's
   /// logic_errors; _impl does the parsing).
@@ -346,7 +307,7 @@ class RankEngine {
   /// adopted vertices and queues their re-derivation (quiet poison — no
   /// markers broadcast, the graph did not change); marks every boundary
   /// row's finite entries dirty so rewired subscriptions repopulate.
-  void adopt_shards(const Init& init);
+  void adopt_shards(const Adopt& adopt);
 
   rt::Comm& comm_;
   EngineConfig cfg_;
@@ -373,10 +334,9 @@ class RankEngine {
   std::vector<Rank> assign_skip_;     // see Init::assign_skip
 
   // MTTR probe (see Init): fold steady-now into *recovery_mark_ once, at
-  // the first completed step >= recovery_mark_step_.
+  // the first completed step >= recovery_mark_step_, then drop the pointer.
   std::size_t recovery_mark_step_ = static_cast<std::size_t>(-1);
   std::atomic<std::int64_t>* recovery_mark_ = nullptr;
-  bool recovery_marked_ = false;
 
   // Reusable scratch, cleared in place each step instead of reallocated:
   // drain shards, exchange() send-assembly shards (one in the serial case),
@@ -432,6 +392,55 @@ class RankEngine {
   StepLocal counts_;
   std::vector<StepLocal> step_log_;
   std::vector<std::vector<std::pair<VertexId, double>>> step_quality_;
+};
+
+struct RankEngine::Init {
+  Rank me = 0;
+  /// The event schedule (all ranks hold the step indices; batch contents
+  /// are broadcast from rank 0 at ingestion time for honest accounting).
+  const EventSchedule* schedule = nullptr;
+  EngineConfig cfg;
+  Start start;
+  /// RC loop cursors a restart continues from.
+  std::size_t start_step = 0;
+  std::size_t start_batch = 0;
+  /// Checkpoint path: when the RC loop reaches cfg.checkpoint_at_step it
+  /// serializes into this slot and stops.
+  std::vector<std::byte>* checkpoint_slot = nullptr;
+  /// Recovery checkpointing: with cfg.checkpoint_every > 0, the rank
+  /// snapshots its state into this store each k RC steps.
+  PeriodicCheckpoints* periodic = nullptr;
+  /// Chaos hook: polled at each RC step boundary; a scheduled crash
+  /// throws rt::InjectedCrash out of run_rc. Non-owning.
+  rt::FaultInjector* injector = nullptr;
+  /// Ranks excluded from round-robin vertex assignment (adopt-mode
+  /// restarts: a vertex dealt to a ghost seat would be lost again).
+  /// Identical on every rank or owner maps diverge. Empty = no exclusion.
+  std::vector<Rank> assign_skip;
+  /// MTTR probe (docs/FAULTS.md §Recovery timing): at the first completed
+  /// step >= recovery_mark_step, a non-ghost rank fetch-maxes steady-clock
+  /// now into *recovery_mark (the supervisor's "recovery complete").
+  std::size_t recovery_mark_step = static_cast<std::size_t>(-1);
+  std::atomic<std::int64_t>* recovery_mark = nullptr;
+  /// Observability (non-owning, both nullable). The tracer provides this
+  /// rank's main track and drain-shard subtracks; the registry receives
+  /// per-step counter folds (owned by the driver so it survives
+  /// supervised attempts, like the runtime ledgers).
+  obs::Tracer* tracer = nullptr;
+  obs::MetricsRegistry* metrics = nullptr;
+  /// Progress feed (docs/OBSERVABILITY.md §Progress events): non-null on
+  /// the driver rank (rank 0) only, and only when cfg.progress is active.
+  /// Every rank still participates in the per-step telemetry gather
+  /// (cfg.progress.active() is the SPMD-consistent switch); rank 0 merges
+  /// and emits. Driver-owned so estimator state survives attempts.
+  obs::ProgressEmitter* progress = nullptr;
+  /// Live session context (docs/API.md §"Serving sessions"): non-null on
+  /// every rank of an EngineSession run, null under batch run(). Turns on
+  /// snapshot publication at publish_every granularity, the live mutation
+  /// feed (rank 0 pops BatchFeed batches and broadcasts them once the
+  /// replayed journal prefix is consumed) and the quiescent idle-wait
+  /// instead of loop termination. Non-owning; outlives the rank threads.
+  serve::ServeContext* serve = nullptr;
 };
 
 }  // namespace aacc

@@ -1,6 +1,5 @@
 #include "graph/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <queue>
 
@@ -43,128 +42,6 @@ Components connected_components(const Graph& g) {
 bool is_connected(const Graph& g) {
   if (g.num_alive() == 0) return true;
   return connected_components(g).count == 1;
-}
-
-double clustering_coefficient(const Graph& g, Rng& rng, std::size_t samples) {
-  const auto alive = g.alive_vertices();
-  if (alive.empty()) return 0.0;
-  std::vector<VertexId> pool = alive;
-  if (samples < pool.size()) {
-    for (std::size_t i = 0; i < samples; ++i) {
-      std::swap(pool[i], pool[i + rng.next_below(pool.size() - i)]);
-    }
-    pool.resize(samples);
-  }
-  double sum = 0.0;
-  std::size_t counted = 0;
-  for (VertexId v : pool) {
-    const auto nbrs = g.neighbors(v);
-    if (nbrs.size() < 2) continue;
-    std::size_t closed = 0;
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-        if (g.has_edge(nbrs[i].to, nbrs[j].to)) ++closed;
-      }
-    }
-    const double possible =
-        static_cast<double>(nbrs.size()) * (static_cast<double>(nbrs.size()) - 1) / 2.0;
-    sum += static_cast<double>(closed) / possible;
-    ++counted;
-  }
-  return counted == 0 ? 0.0 : sum / static_cast<double>(counted);
-}
-
-std::vector<VertexId> k_core(const Graph& g) {
-  const VertexId n = g.num_vertices();
-  std::vector<VertexId> core(n, 0);
-  std::vector<std::size_t> deg(n, 0);
-  std::size_t max_deg = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    if (!g.is_alive(v)) continue;
-    deg[v] = g.degree(v);
-    max_deg = std::max(max_deg, deg[v]);
-  }
-  // Bucket peeling in O(n + m).
-  std::vector<std::vector<VertexId>> buckets(max_deg + 1);
-  for (VertexId v = 0; v < n; ++v) {
-    if (g.is_alive(v)) buckets[deg[v]].push_back(v);
-  }
-  std::vector<char> removed(n, 0);
-  std::size_t current = 0;
-  for (std::size_t filled = 0; filled < g.num_alive();) {
-    while (current <= max_deg && buckets[current].empty()) ++current;
-    if (current > max_deg) break;
-    const VertexId v = buckets[current].back();
-    buckets[current].pop_back();
-    if (removed[v] != 0 || deg[v] > current) continue;  // stale bucket entry
-    removed[v] = 1;
-    core[v] = static_cast<VertexId>(current);
-    ++filled;
-    for (const Edge& e : g.neighbors(v)) {
-      if (removed[e.to] != 0) continue;
-      if (deg[e.to] > current) {
-        --deg[e.to];
-        buckets[deg[e.to]].push_back(e.to);
-      }
-    }
-    if (current > 0) --current;  // peeling can reopen lower buckets
-  }
-  return core;
-}
-
-double degree_assortativity(const Graph& g) {
-  // Pearson correlation over directed edge endpoint degrees (each
-  // undirected edge contributes both orientations, the standard Newman
-  // formulation).
-  double sum_xy = 0.0;
-  double sum_x = 0.0;
-  double sum_x2 = 0.0;
-  std::size_t m2 = 0;
-  for (const auto& [u, v, w] : g.edges()) {
-    (void)w;
-    const auto du = static_cast<double>(g.degree(u));
-    const auto dv = static_cast<double>(g.degree(v));
-    sum_xy += 2.0 * du * dv;
-    sum_x += du + dv;
-    sum_x2 += du * du + dv * dv;
-    m2 += 2;
-  }
-  if (m2 == 0) return 0.0;
-  const double inv = 1.0 / static_cast<double>(m2);
-  const double num = inv * sum_xy - (inv * sum_x) * (inv * sum_x);
-  const double den = inv * sum_x2 - (inv * sum_x) * (inv * sum_x);
-  return den == 0.0 ? 0.0 : num / den;
-}
-
-std::size_t diameter_lower_bound(const Graph& g, Rng& rng, unsigned sweeps) {
-  const auto alive = g.alive_vertices();
-  if (alive.empty()) return 0;
-  std::vector<std::size_t> hops(g.num_vertices());
-  std::size_t best = 0;
-  VertexId start = alive[rng.next_below(alive.size())];
-  for (unsigned s = 0; s < 2 * sweeps; ++s) {
-    std::fill(hops.begin(), hops.end(), static_cast<std::size_t>(-1));
-    std::queue<VertexId> q;
-    hops[start] = 0;
-    q.push(start);
-    VertexId farthest = start;
-    while (!q.empty()) {
-      const VertexId u = q.front();
-      q.pop();
-      for (const Edge& e : g.neighbors(u)) {
-        if (hops[e.to] == static_cast<std::size_t>(-1)) {
-          hops[e.to] = hops[u] + 1;
-          if (hops[e.to] > hops[farthest]) farthest = e.to;
-          q.push(e.to);
-        }
-      }
-    }
-    best = std::max(best, hops[farthest]);
-    // Double sweep: restart from the farthest vertex found; every other
-    // sweep jumps to a fresh random start.
-    start = (s % 2 == 0) ? farthest : alive[rng.next_below(alive.size())];
-  }
-  return best;
 }
 
 double power_law_alpha_mle(const Graph& g, std::size_t d_min) {

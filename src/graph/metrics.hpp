@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "graph/graph.hpp"
 
@@ -24,29 +23,10 @@ Components connected_components(const Graph& g);
 
 [[nodiscard]] bool is_connected(const Graph& g);
 
-/// Average local clustering coefficient over `samples` random alive
-/// vertices (exact if samples >= alive count).
-double clustering_coefficient(const Graph& g, Rng& rng, std::size_t samples = 512);
-
 /// Fits an exponent to the degree distribution tail via the standard
 /// maximum-likelihood estimator alpha = 1 + k/sum(ln(d_i/(dmin-0.5))).
 /// Returns 0 when there are too few tail vertices. Used by tests to confirm
 /// the Barabási–Albert generator is in the scale-free regime.
 double power_law_alpha_mle(const Graph& g, std::size_t d_min = 2);
-
-/// K-core decomposition (Matula–Beck peeling): result[v] = the largest k
-/// such that v belongs to a subgraph of minimum degree k (kNoVertex-free;
-/// tombstoned vertices get 0).
-std::vector<VertexId> k_core(const Graph& g);
-
-/// Degree assortativity (Pearson correlation of endpoint degrees over
-/// edges). Scale-free graphs built by preferential attachment trend
-/// slightly disassortative; social networks positive.
-double degree_assortativity(const Graph& g);
-
-/// BFS eccentricity lower bound on the diameter: runs a double sweep from
-/// `sweeps` random alive starts and returns the largest hop-distance seen
-/// (ignores weights).
-std::size_t diameter_lower_bound(const Graph& g, Rng& rng, unsigned sweeps = 4);
 
 }  // namespace aacc

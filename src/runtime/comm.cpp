@@ -664,24 +664,6 @@ std::vector<std::vector<std::byte>> Comm::gather(std::vector<std::byte> buf,
   return out;
 }
 
-std::vector<std::byte> Comm::scatter(std::vector<std::vector<std::byte>> bufs,
-                                     Rank root) {
-  const Rank P = size();
-  const std::int32_t tag = collective_tag(op_seq_);
-  const std::uint32_t op = op_seq_++;
-  if (rank_ == root) {
-    AACC_CHECK(static_cast<Rank>(bufs.size()) == P);
-    for (Rank q = 0; q < P; ++q) {
-      if (q == root) continue;
-      put_message(q, tag, std::move(bufs[static_cast<std::size_t>(q)]),
-                  OpKind::kBroadcast, op);
-    }
-    return std::move(bufs[static_cast<std::size_t>(root)]);
-  }
-  Message m = recv(root, tag);
-  return std::move(m.payload);
-}
-
 bool Comm::probe(Rank src, std::int32_t tag) {
   return world_->mailbox(rank_).has(src, tag);
 }

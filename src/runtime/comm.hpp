@@ -234,11 +234,6 @@ class Comm {
   std::vector<std::vector<std::byte>> gather(std::vector<std::byte> buf,
                                              Rank root);
 
-  /// Scatter: the root provides one buffer per rank; every rank returns its
-  /// own slice.
-  std::vector<std::byte> scatter(std::vector<std::vector<std::byte>> bufs,
-                                 Rank root);
-
   std::uint64_t all_reduce_sum(std::uint64_t value);
   std::uint64_t all_reduce_max(std::uint64_t value);
   bool all_reduce_or(bool value);

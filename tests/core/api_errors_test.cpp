@@ -50,6 +50,22 @@ TEST(ConfigValidate, ThreadCapsCatchSignBugs) {
   cfg = EngineConfig{};
   cfg.rc_threads = 4097;
   EXPECT_NE(config_error_message(cfg).find("rc_threads"), std::string::npos);
+  // The recovery counts: `--checkpoint-every -1` would stop periodic
+  // snapshots after step 0, and a wrapped budget would be unlimited.
+  cfg = EngineConfig{};
+  cfg.checkpoint_every = static_cast<std::size_t>(-1);
+  EXPECT_NE(config_error_message(cfg).find("checkpoint_every"),
+            std::string::npos);
+  cfg = EngineConfig{};
+  cfg.max_recoveries = static_cast<std::size_t>(-1);
+  EXPECT_NE(config_error_message(cfg).find("max_recoveries"),
+            std::string::npos);
+  cfg = EngineConfig{};
+  cfg.recovery_policy[1].budget = static_cast<std::size_t>(-1);
+  EXPECT_NE(config_error_message(cfg).find("recovery_policy[1].budget"),
+            std::string::npos);
+  cfg.recovery_policy[1].budget = 4096;  // the cap itself is allowed
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(ConfigValidate, RebalanceThreshold) {

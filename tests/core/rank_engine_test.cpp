@@ -34,9 +34,7 @@ RankEngine::Init init_for(const Fixture& f, Rank me,
                           const EventSchedule* sched = nullptr) {
   RankEngine::Init init;
   init.me = me;
-  init.world = f.cfg.num_ranks;
-  init.owner = f.part.assignment;
-  init.edges = &f.edges;
+  init.start = RankEngine::Fresh{f.part.assignment, &f.edges};
   init.schedule = sched;
   init.cfg = f.cfg;
   return init;
@@ -105,7 +103,7 @@ TEST(RankEngineState, SerializeRestoreRoundTrip) {
     const auto blob = w.take();
 
     RankEngine::Init init = init_for(f, comm.rank());
-    init.restore_blob = &blob;
+    init.start = RankEngine::Restore{&blob, {}};
     RankEngine twin(init, comm);
 
     // Same rows, same values, same next hops.

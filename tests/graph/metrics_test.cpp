@@ -1,4 +1,5 @@
-// Structural metrics: k-core, assortativity, diameter bound, components.
+// Structural metrics on the R-MAT and grid generators: degree histogram,
+// connectivity.
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
@@ -6,74 +7,6 @@
 
 namespace aacc {
 namespace {
-
-TEST(KCore, CliquePlusTail) {
-  // 4-clique (core 3) with a pendant path (cores 1).
-  Graph g(6);
-  for (VertexId u = 0; u < 4; ++u) {
-    for (VertexId v = u + 1; v < 4; ++v) g.add_edge(u, v);
-  }
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  const auto core = k_core(g);
-  for (VertexId v = 0; v < 4; ++v) EXPECT_EQ(core[v], 3u) << v;
-  EXPECT_EQ(core[4], 1u);
-  EXPECT_EQ(core[5], 1u);
-}
-
-TEST(KCore, CycleIsTwoCore) {
-  Graph g(5);
-  for (VertexId v = 0; v < 5; ++v) g.add_edge(v, (v + 1) % 5);
-  const auto core = k_core(g);
-  for (VertexId v = 0; v < 5; ++v) EXPECT_EQ(core[v], 2u);
-}
-
-TEST(KCore, TombstonesGetZero) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.remove_vertex(2);
-  const auto core = k_core(g);
-  EXPECT_EQ(core[2], 0u);
-  EXPECT_EQ(core[0], 1u);
-}
-
-TEST(Assortativity, StarIsMaximallyDisassortative) {
-  Graph g(6);
-  for (VertexId v = 1; v < 6; ++v) g.add_edge(0, v);
-  EXPECT_NEAR(degree_assortativity(g), -1.0, 1e-9);
-}
-
-TEST(Assortativity, RegularGraphIsDegenerate) {
-  Graph g(6);
-  for (VertexId v = 0; v < 6; ++v) g.add_edge(v, (v + 1) % 6);
-  EXPECT_DOUBLE_EQ(degree_assortativity(g), 0.0);  // zero variance
-}
-
-TEST(Assortativity, BaIsNonPositive) {
-  Rng rng(3);
-  const Graph g = barabasi_albert(1500, 2, rng);
-  EXPECT_LT(degree_assortativity(g), 0.05);
-}
-
-TEST(DiameterBound, PathGraphExact) {
-  Graph g(30);
-  for (VertexId v = 0; v + 1 < 30; ++v) g.add_edge(v, v + 1);
-  Rng rng(1);
-  EXPECT_EQ(diameter_lower_bound(g, rng), 29u);
-}
-
-TEST(DiameterBound, GridMatchesManhattan) {
-  Rng rng(2);
-  const Graph g = grid2d(6, 9, rng);
-  Rng r2(3);
-  EXPECT_EQ(diameter_lower_bound(g, r2, 6), 5u + 8u);
-}
-
-TEST(DiameterBound, EmptyGraphIsZero) {
-  Graph g(0);
-  Rng rng(1);
-  EXPECT_EQ(diameter_lower_bound(g, rng), 0u);
-}
 
 TEST(Rmat, SizesAndSkew) {
   Rng rng(7);
@@ -99,20 +32,6 @@ TEST(Grid2d, StructureAndDegrees) {
   EXPECT_EQ(g.degree(0), 2u);                   // corner
   EXPECT_EQ(g.degree(6), 4u);                   // interior
   EXPECT_TRUE(is_connected(g));
-}
-
-TEST(ClusteringCoefficient, TriangleVsStar) {
-  Graph tri(3);
-  tri.add_edge(0, 1);
-  tri.add_edge(1, 2);
-  tri.add_edge(2, 0);
-  Rng rng(5);
-  EXPECT_DOUBLE_EQ(clustering_coefficient(tri, rng, 100), 1.0);
-
-  Graph star(5);
-  for (VertexId v = 1; v < 5; ++v) star.add_edge(0, v);
-  Rng rng2(6);
-  EXPECT_DOUBLE_EQ(clustering_coefficient(star, rng2, 100), 0.0);
 }
 
 }  // namespace

@@ -436,59 +436,5 @@ TEST(ProgressFeed, RecoveryEventsUnderInjectedCrash) {
   EXPECT_TRUE(saw_recovered_step);
 }
 
-// ------------------------------------------- bounded quality snapshots
-
-TEST(BoundedQuality, LargeKMatchesUnboundedSnapshotsExactly) {
-  const Graph g = make_ba(200, 2, 7);
-  EngineConfig base;
-  base.num_ranks = 4;
-  base.record_step_quality = true;
-
-  AnytimeEngine unbounded_engine(g, base);
-  const RunResult unbounded = unbounded_engine.run();
-
-  EngineConfig bounded_cfg = base;
-  bounded_cfg.quality_top_k = g.num_vertices();  // k = n: same content
-  AnytimeEngine bounded_engine(g, bounded_cfg);
-  const RunResult bounded = bounded_engine.run();
-
-  ASSERT_EQ(bounded.step_harmonic.size(), unbounded.step_harmonic.size());
-  for (std::size_t s = 0; s < unbounded.step_harmonic.size(); ++s) {
-    ASSERT_EQ(bounded.step_harmonic[s], unbounded.step_harmonic[s])
-        << "step " << s;
-  }
-}
-
-TEST(BoundedQuality, SmallKKeepsPerRankTopScores) {
-  const Graph g = make_ba(200, 2, 7);
-  EngineConfig base;
-  base.num_ranks = 4;
-  base.record_step_quality = true;
-
-  AnytimeEngine unbounded_engine(g, base);
-  const RunResult unbounded = unbounded_engine.run();
-
-  EngineConfig bounded_cfg = base;
-  bounded_cfg.quality_top_k = 5;
-  AnytimeEngine bounded_engine(g, bounded_cfg);
-  const RunResult bounded = bounded_engine.run();
-
-  ASSERT_EQ(bounded.step_harmonic.size(), unbounded.step_harmonic.size());
-  for (std::size_t s = 0; s < bounded.step_harmonic.size(); ++s) {
-    std::size_t kept = 0;
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      const double bv = bounded.step_harmonic[s][v];
-      if (bv == 0.0) continue;  // outside some rank's top-k
-      // Every kept entry is bit-identical to the unbounded snapshot.
-      ASSERT_EQ(bv, unbounded.step_harmonic[s][v])
-          << "step " << s << " vertex " << v;
-      ++kept;
-    }
-    // 4 ranks x top-5 bounds the survivors.
-    EXPECT_LE(kept, 4u * 5u) << "step " << s;
-    EXPECT_GT(kept, 0u) << "step " << s;
-  }
-}
-
 }  // namespace
 }  // namespace aacc

@@ -185,27 +185,6 @@ TEST_P(CollectiveSizes, GatherCollectsAllContributions) {
   for (const int v : ok) EXPECT_EQ(v, 1);
 }
 
-TEST_P(CollectiveSizes, ScatterDeliversPerRankSlices) {
-  const Rank P = GetParam();
-  World world(P);
-  std::vector<std::uint64_t> got(static_cast<std::size_t>(P), 0);
-  world.run([&](Comm& comm) {
-    std::vector<std::vector<std::byte>> bufs;
-    if (comm.rank() == 0) {
-      for (Rank q = 0; q < P; ++q) {
-        bufs.push_back(payload_of(static_cast<std::uint64_t>(100 + q)));
-      }
-    }
-    auto mine = comm.scatter(std::move(bufs), 0);
-    ByteReader r(mine);
-    got[static_cast<std::size_t>(comm.rank())] = r.read<std::uint64_t>();
-  });
-  for (Rank q = 0; q < P; ++q) {
-    EXPECT_EQ(got[static_cast<std::size_t>(q)],
-              static_cast<std::uint64_t>(100 + q));
-  }
-}
-
 TEST(Comm, ProbeSeesPendingMessage) {
   World world(2);
   std::vector<int> saw(2, -1);

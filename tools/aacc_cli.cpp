@@ -82,7 +82,7 @@ int usage() {
                "  aacc info <graph-file>\n"
                "  aacc partition <graph-file> --parts K [--kind KIND] [--seed S]\n"
                "  aacc analyze <graph-file> [--ranks N] [--top K] [--seed S]\n"
-               "       [--measure closeness|harmonic|degree] [--exact]\n"
+               "       [--measure closeness|harmonic] [--exact]\n"
                "       [--stats-json FILE] [--trace FILE] "
                "[--dv-budget BYTES|auto]\n"
                "       [--recovery-policy LADDER] [--checkpoint-every N]\n"
@@ -538,22 +538,12 @@ int cmd_generate(const Args& args) {
 int cmd_info(const Args& args) {
   if (args.positional.size() < 2) return usage();
   const Graph g = load_graph(args.positional[1]);
-  Rng rng(1);
   const auto comps = connected_components(g);
   std::printf("vertices:       %u (%u alive)\n", g.num_vertices(), g.num_alive());
   std::printf("edges:          %zu\n", g.num_edges());
   std::printf("components:     %u\n", comps.count);
-  std::printf("clustering:     %.4f (sampled)\n",
-              clustering_coefficient(g, rng, 512));
-  std::printf("assortativity:  %+.4f\n", degree_assortativity(g));
-  std::printf("diameter >=     %zu (double sweep)\n",
-              diameter_lower_bound(g, rng));
   const double alpha = power_law_alpha_mle(g);
   if (alpha > 0) std::printf("power-law alpha %.2f (MLE)\n", alpha);
-  const auto core = k_core(g);
-  VertexId kmax = 0;
-  for (const VertexId c : core) kmax = std::max(kmax, c);
-  std::printf("max k-core:     %u\n", kmax);
   Rng lr(2);
   const auto lv = louvain(g, lr);
   std::printf("louvain:        %u communities, modularity %.3f\n",
@@ -629,51 +619,48 @@ int cmd_analyze(const Args& args) {
   const auto ranks = static_cast<Rank>(args.get_int("ranks", 8));
   const auto top = static_cast<std::size_t>(args.get_int("top", 10));
   const std::string measure = args.get("measure", "closeness");
+  if (measure != "closeness" && measure != "harmonic") return usage();
 
-  std::vector<double> scores;
   Timer t;
-  if (measure == "degree") {
-    scores = degree_centrality(g);
-  } else {
-    EngineConfig cfg;
-    cfg.num_ranks = ranks;
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    if (args.has("dv-budget")) {
-      cfg.dv_budget_bytes =
-          parse_dv_budget(args.get("dv-budget", "0"), cfg.num_ranks);
+  EngineConfig cfg;
+  cfg.num_ranks = ranks;
+  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  if (args.has("dv-budget")) {
+    cfg.dv_budget_bytes =
+        parse_dv_budget(args.get("dv-budget", "0"), cfg.num_ranks);
+  }
+  apply_recovery_flags(args, cfg);
+  if (args.has("trace")) {
+    cfg.trace.enabled = true;
+    cfg.trace.path = args.get("trace", "trace.json");
+    cfg.trace.flow_stamping = true;  // feeds analyze --critical-path
+  }
+  AnytimeEngine engine(g, cfg);
+  const RunResult r = engine.run();
+  const std::vector<double>& scores =
+      measure == "harmonic" ? r.harmonic : r.closeness;
+  std::printf("engine: %d ranks\n%s\n", ranks, r.stats.summary().c_str());
+  if (args.has("stats-json")) {
+    const std::string path = args.get("stats-json", "stats.json");
+    if (!write_stats_json(path, r.stats)) {
+      std::fprintf(stderr, "error: could not write %s\n", path.c_str());
+      return 1;
     }
-    apply_recovery_flags(args, cfg);
-    if (args.has("trace")) {
-      cfg.trace.enabled = true;
-      cfg.trace.path = args.get("trace", "trace.json");
-      cfg.trace.flow_stamping = true;  // feeds analyze --critical-path
+    std::printf("stats json: %s\n", path.c_str());
+  }
+  if (cfg.trace.enabled) {
+    std::printf("trace: %s (%zu events)\n", cfg.trace.path.c_str(),
+                r.trace.events.size());
+  }
+  if (args.has("exact")) {
+    const auto exact =
+        measure == "harmonic" ? harmonic_exact(g) : closeness_exact(g);
+    double max_diff = 0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      max_diff = std::max(max_diff, std::abs(exact[v] - scores[v]));
     }
-    AnytimeEngine engine(g, cfg);
-    const RunResult r = engine.run();
-    scores = measure == "harmonic" ? r.harmonic : r.closeness;
-    std::printf("engine: %d ranks\n%s\n", ranks, r.stats.summary().c_str());
-    if (args.has("stats-json")) {
-      const std::string path = args.get("stats-json", "stats.json");
-      if (!write_stats_json(path, r.stats)) {
-        std::fprintf(stderr, "error: could not write %s\n", path.c_str());
-        return 1;
-      }
-      std::printf("stats json: %s\n", path.c_str());
-    }
-    if (cfg.trace.enabled) {
-      std::printf("trace: %s (%zu events)\n", cfg.trace.path.c_str(),
-                  r.trace.events.size());
-    }
-    if (args.has("exact")) {
-      const auto exact =
-          measure == "harmonic" ? harmonic_exact(g) : closeness_exact(g);
-      double max_diff = 0;
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        max_diff = std::max(max_diff, std::abs(exact[v] - scores[v]));
-      }
-      std::printf("cross-check vs sequential reference: max diff %.3g\n",
-                  max_diff);
-    }
+    std::printf("cross-check vs sequential reference: max diff %.3g\n",
+                max_diff);
   }
   std::printf("%s computed in %.3fs\n", measure.c_str(), t.seconds());
   std::printf("%-8s %-10s %s\n", "rank", "vertex", measure.c_str());
