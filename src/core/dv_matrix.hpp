@@ -11,9 +11,11 @@
 //
 // Sparse change tracking: besides the per-entry flag byte, a row keeps two
 // compact index lists so the RC hot path never scans the full column range:
-//   * dirty list  — columns changed since the last send (kDirty). Send
-//     assembly, dirty clearing and checkpoint serialization walk this list,
-//     taking per-step cost from O(n) to O(dirty).
+//   * dirty list  — columns changed since the last send (kDirty). Dirty
+//     clearing walks this list, taking per-step cost from O(n) to O(dirty);
+//     send assembly and checkpoint serialization read it through
+//     sorted_dirty(), which sorts a short list and scans the flag bytes
+//     once the list is long relative to the row width.
 //   * reach list  — columns that have ever been finite (kReached).
 //     mark-finite-dirty walks this instead of all n columns.
 // Both lists are *lazy*: clearing an entry only drops its flag, the column
@@ -25,6 +27,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <vector>
 
 #include "common/check.hpp"
@@ -206,6 +210,10 @@ class DvRow {
     reach_.shrink_to_fit();
   }
 
+  /// sorted_dirty() scans the flag bytes once at least one column in this
+  /// many is dirty (EXPERIMENTS.md §M3 measures the crossover).
+  static constexpr std::size_t kScanDensityInverse = 64;
+
   // Entry flags used by the rank engine.
   static constexpr std::uint8_t kDirty = 1;    ///< changed since last send
   static constexpr std::uint8_t kQueued = 2;   ///< in the relaxation worklist
@@ -255,14 +263,50 @@ class DvRow {
     return cleared;
   }
 
-  /// Fills `out` with the currently dirty columns in ascending order
-  /// (stale list entries are filtered out). O(dirty log dirty).
+  /// Fills `out` with the currently dirty columns in ascending order. Picks
+  /// the cheaper of two exact methods: filter and sort the dirty list,
+  /// O(dirty log dirty), or scan the flag bytes, O(n) at a few columns per
+  /// instruction. Both yield the same set in the same order.
   void sorted_dirty(std::vector<VertexId>& out) const {
+    if (static_cast<std::size_t>(dirty_count_) * kScanDensityInverse >=
+        d_.size()) {
+      scan_dirty(out);
+    } else {
+      sort_dirty_list(out);
+    }
+  }
+  /// Dirty-list method of sorted_dirty(): stale list entries are filtered
+  /// out, the rest sorted.
+  void sort_dirty_list(std::vector<VertexId>& out) const {
     out.clear();
     for (const VertexId t : dirty_) {
       if ((flags_[t] & kDirty) != 0) out.push_back(t);
     }
     std::sort(out.begin(), out.end());
+  }
+  /// Flag-scan method of sorted_dirty(): every column whose kDirty bit is
+  /// set, read eight flag bytes per word.
+  void scan_dirty(std::vector<VertexId>& out) const {
+    out.clear();
+    out.reserve(dirty_count_);
+    const std::uint8_t* f = flags_.data();
+    const auto n = static_cast<VertexId>(flags_.size());
+    VertexId t = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      constexpr std::uint64_t kDirtyLanes = 0x0101010101010101ULL * kDirty;
+      for (; t + 8 <= n; t += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, f + t, sizeof(word));
+        word &= kDirtyLanes;
+        while (word != 0) {
+          out.push_back(t + static_cast<VertexId>(std::countr_zero(word) / 8));
+          word &= word - 1;
+        }
+      }
+    }
+    for (; t < n; ++t) {
+      if ((f[t] & kDirty) != 0) out.push_back(t);
+    }
   }
 
   /// Calls fn(t) for every finite non-self column, walking the reach list

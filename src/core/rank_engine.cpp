@@ -660,7 +660,11 @@ void RankEngine::relax(ShardCtx& ctx, VertexId x, VertexId t, Dist nd,
   if (nd == kInfDist || !lg_.is_alive(t)) return;
   const std::int32_t ri = lg_.row_of(x);
   AACC_DCHECK(ri >= 0);
-  DvRow& row = dv_->row(static_cast<std::size_t>(ri));
+  relax_row(ctx, ri, dv_->row(static_cast<std::size_t>(ri)), x, t, nd, nh);
+}
+
+void RankEngine::relax_row(ShardCtx& ctx, std::int32_t ri, DvRow& row,
+                           VertexId x, VertexId t, Dist nd, VertexId nh) {
   if (row.dist(t) == kInfDist && row.test_flag(t, DvRow::kDirty)) {
     // Undelivered poison marker: subscribers have not yet been told this
     // entry died. Overwriting it now (e.g. from a stale portal cache while
@@ -699,10 +703,18 @@ void RankEngine::propagate(ShardCtx& ctx, VertexId x, VertexId t) {
   row.clear_flag(t, DvRow::kQueued);
   const Dist base = row.dist(t);
   if (base == kInfDist) return;  // poisoned since queueing
+  if (!lg_.is_alive(t)) return;  // relax() would drop every candidate
   for (const Edge& e : lg_.adj(static_cast<std::size_t>(ri))) {
-    if (lg_.is_local(e.to)) {
-      relax(ctx, e.to, t, dist_add(base, e.w), x);
-    }
+    if (!lg_.is_local(e.to)) continue;
+    const Dist nd = dist_add(base, e.w);
+    if (nd == kInfDist) continue;
+    const std::int32_t yi = lg_.row_of(e.to);
+    DvRow& yrow = dv_->row(static_cast<std::size_t>(yi));
+    // Most candidates improve nothing: reject them here. A finite nd can
+    // only tie or lose against a finite entry, so an undelivered poison
+    // marker (kInfDist) always reaches relax_row(), which defers it.
+    if (nd >= yrow.dist(t)) continue;
+    relax_row(ctx, yi, yrow, e.to, t, nd, x);
   }
 }
 
@@ -1037,8 +1049,10 @@ void RankEngine::exchange() {
         sh.subs.clear();
         lg_.subscribers(r, sh.subs);
         if (!sh.subs.empty()) {
-          // Send assembly walks the sparse dirty list (sorted, as the delta
-          // codec requires); the record is encoded once and fanned out.
+          // Send assembly collects the dirty columns ascending, as the delta
+          // codec requires (sorted list or flag scan, whichever is cheaper
+          // for the row's density); the record is encoded once and fanned
+          // out.
           // collect_dirty_entries is read-only, so cold rows serve their
           // sends without promotion (shards partition rows, never racing).
           sh.entries.clear();
@@ -1129,12 +1143,15 @@ void RankEngine::maintain_store() {
 }
 
 void RankEngine::apply_incoming(const std::vector<std::vector<std::byte>>& in) {
+  const obs::ScopedSpan span(trace_, "apply_incoming");
   PortalSink sink;  // one record's portal, resolved once for its entries
   for (Rank q = 0; q < comm_.size(); ++q) {
     if (q == comm_.rank()) continue;
     rt::ByteReader rd(in[static_cast<std::size_t>(q)]);
     while (!rd.done()) {
-      rt::DvRecordReader rec(rd);
+      // Targets index the portal caches and the owner map: a corrupt one
+      // must throw here, not read out of bounds.
+      rt::DvRecordReader rec(rd, lg_.n());
       const VertexId b = rec.vid();
       const bool portal = lg_.is_portal(b);
       if (portal) reset_sink(sink, b);
@@ -1164,8 +1181,8 @@ bool RankEngine::poison_sync_round() {
     if (dv_->dirty_count(r) == 0) continue;
     subs.clear();
     lg_.subscribers(r, subs);
-    // The newly-invalid entries are dirty by construction, so the sparse
-    // list (sorted for the delta codec) is a complete candidate set; a
+    // The newly-invalid entries are dirty by construction, so the dirty
+    // set (ascending, for the delta codec) is a complete candidate set; a
     // dirty column with no live entry is by definition a poison marker, so
     // the cold rows' collect view (absent → kInfDist) matches the dense
     // dist() reads exactly.

@@ -182,6 +182,10 @@ class RankEngine {
   [[nodiscard]] ShardCtx serial_ctx();
   void relax(ShardCtx& ctx, VertexId x, VertexId t, Dist nd, VertexId nh);
   void relax(VertexId x, VertexId t, Dist nd, VertexId nh);
+  /// relax() past its liveness check, on x's already fetched row `row`
+  /// (row index ri).
+  void relax_row(ShardCtx& ctx, std::int32_t ri, DvRow& row, VertexId x,
+                 VertexId t, Dist nd, VertexId nh);
   void drain();
   void drain_parallel(std::size_t shards);
   void propagate(ShardCtx& ctx, VertexId x, VertexId t);

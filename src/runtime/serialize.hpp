@@ -40,13 +40,34 @@ class ByteWriter {
 
   /// LEB128 unsigned varint: 7 value bits per byte, high bit = continue.
   /// 1 byte for values < 128, 2 bytes < 16384, at most 5 bytes for u32
-  /// payloads and 10 for the full u64 range.
+  /// payloads and kMaxVarintBytes for the full u64 range.
+  static constexpr std::size_t kMaxVarintBytes = 10;
   void write_varint(std::uint64_t v) {
+    std::byte tmp[kMaxVarintBytes];
+    buf_.insert(buf_.end(), tmp, put_varint(tmp, v));
+  }
+  /// Encodes v at p (room for kMaxVarintBytes); returns one past the last
+  /// byte written.
+  static std::byte* put_varint(std::byte* p, std::uint64_t v) {
     while (v >= 0x80) {
-      write(static_cast<std::uint8_t>((v & 0x7f) | 0x80));
+      *p++ = static_cast<std::byte>((v & 0x7f) | 0x80);
       v >>= 7;
     }
-    write(static_cast<std::uint8_t>(v));
+    *p++ = static_cast<std::byte>(v);
+    return p;
+  }
+
+  /// Appends `max_bytes` bytes and returns a pointer to the first: a caller
+  /// that knows only an upper bound of its encoded size writes through the
+  /// pointer, then hands the end of what it wrote to trim_to().
+  std::byte* extend(std::size_t max_bytes) {
+    const std::size_t old = buf_.size();
+    buf_.resize(old + max_bytes);
+    return buf_.data() + old;
+  }
+  /// Drops every byte from `end` on (the unused tail of an extend()).
+  void trim_to(const std::byte* end) {
+    buf_.resize(static_cast<std::size_t>(end - buf_.data()));
   }
 
   template <typename T>
@@ -261,36 +282,45 @@ inline std::vector<VertexId> read_ascending_ids(ByteReader& r) {
 
 inline constexpr std::uint8_t kDvRecordV2 = 2;
 
-/// Entries must be sorted by target id (ascending, unique).
+/// Entries must be sorted by target id (ascending, unique). The record is
+/// written through one reservation of its worst-case size (every field a
+/// u32 varint, at most 5 bytes), trimmed afterwards.
 inline void write_dv_record(
     ByteWriter& w, VertexId vid,
     const std::vector<std::pair<VertexId, Dist>>& entries) {
-  w.write(kDvRecordV2);
-  w.write_varint(vid);
-  w.write_varint(entries.size());
+  constexpr std::size_t kMaxU32Varint = 5;
+  std::byte* p = w.extend(1 + kMaxU32Varint + ByteWriter::kMaxVarintBytes +
+                          entries.size() * 2 * kMaxU32Varint);
+  *p++ = static_cast<std::byte>(kDvRecordV2);
+  p = ByteWriter::put_varint(p, vid);
+  p = ByteWriter::put_varint(p, entries.size());
   VertexId prev = 0;
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto [t, d] = entries[i];
-    if (i == 0) {
-      w.write_varint(t);
-    } else {
-      AACC_DCHECK(t > prev);
-      w.write_varint(t - prev - 1);
-    }
+    AACC_DCHECK(i == 0 || t > prev);
+    p = ByteWriter::put_varint(p, i == 0 ? t : t - prev - 1);
     prev = t;
-    w.write_varint(encode_u32_sentinel(d));
+    p = ByteWriter::put_varint(p, encode_u32_sentinel(d));
   }
+  w.trim_to(p);
 }
 
 /// Streaming decoder for one record: construct, read vid()/count(), then
-/// call next() exactly count() times.
+/// call next() exactly count() times. A malformed record throws instead of
+/// yielding a wrapped id: every field must fit in 32 bits, every target
+/// must lie below `target_limit` (by default: must not wrap past 2^32),
+/// and the count must fit in the bytes left (an entry takes ≥ 2).
 class DvRecordReader {
  public:
-  explicit DvRecordReader(ByteReader& r) : r_(r) {
+  explicit DvRecordReader(ByteReader& r,
+                          std::uint64_t target_limit = std::uint64_t{1} << 32)
+      : r_(r), target_limit_(target_limit) {
     AACC_CHECK_MSG(r_.read<std::uint8_t>() == kDvRecordV2,
                    "unknown DV record version");
-    vid_ = static_cast<VertexId>(r_.read_varint());
-    count_ = static_cast<std::uint32_t>(r_.read_varint());
+    vid_ = read_u32();
+    const std::uint64_t count = r_.read_varint();
+    AACC_CHECK_MSG(count <= r_.remaining() / 2, "DV record count overflows");
+    count_ = static_cast<std::uint32_t>(count);
   }
 
   [[nodiscard]] VertexId vid() const { return vid_; }
@@ -298,14 +328,26 @@ class DvRecordReader {
 
   std::pair<VertexId, Dist> next() {
     AACC_DCHECK(read_ < count_);
-    const auto delta = static_cast<VertexId>(r_.read_varint());
-    prev_ = (read_ == 0) ? delta : prev_ + delta + 1;
+    const std::uint64_t delta = read_u32();
+    const std::uint64_t t =
+        (read_ == 0) ? delta : std::uint64_t{prev_} + delta + 1;
+    AACC_CHECK_MSG(t < target_limit_,
+                   "DV record target " << t << " out of range");
+    prev_ = static_cast<VertexId>(t);
     ++read_;
-    return {prev_, decode_u32_sentinel(r_.read_varint())};
+    return {prev_, decode_u32_sentinel(read_u32())};
   }
 
  private:
+  std::uint32_t read_u32() {
+    const std::uint64_t v = r_.read_varint();
+    AACC_CHECK_MSG(v <= std::numeric_limits<std::uint32_t>::max(),
+                   "DV record field exceeds 32 bits");
+    return static_cast<std::uint32_t>(v);
+  }
+
   ByteReader& r_;
+  std::uint64_t target_limit_;
   VertexId vid_ = 0;
   std::uint32_t count_ = 0;
   std::uint32_t read_ = 0;

@@ -166,6 +166,10 @@ TEST(DvRow, FuzzSparseTrackingMatchesBruteForce) {
       std::vector<VertexId> got_dirty;
       row.sorted_dirty(got_dirty);
       ASSERT_EQ(got_dirty, want_dirty);
+      row.sort_dirty_list(got_dirty);
+      ASSERT_EQ(got_dirty, want_dirty);
+      row.scan_dirty(got_dirty);
+      ASSERT_EQ(got_dirty, want_dirty);
 
       std::vector<VertexId> got_finite;
       row.for_each_finite([&](VertexId c) { got_finite.push_back(c); });
@@ -179,6 +183,68 @@ TEST(DvRow, FuzzSparseTrackingMatchesBruteForce) {
         ASSERT_NE(row.dist(c), kInfDist);
       }
     }
+  }
+}
+
+// Fuzz: sorted_dirty() switches between the sorted dirty list and a flag
+// scan on the row's dirty density; both methods, and the switch, must give
+// the sparse list's result at densities on either side of the crossover,
+// including while the list holds stale ids (after clears, after the
+// compaction that mark_dirty and shrink_to_fit trigger, after reset_flags).
+TEST(DvRow, FuzzHybridDirtyMatchesSparseAcrossDensities) {
+  std::mt19937 rng(20261017);
+  const VertexId n = 1000 + 13;  // not a multiple of the 8-column word
+  const std::size_t crossover = n / DvRow::kScanDensityInverse;
+  for (const std::size_t target :
+       {std::size_t{1}, crossover / 2, crossover - 1, crossover,
+        crossover + 1, 4 * crossover, std::size_t{n} / 2,
+        std::size_t{n}}) {
+    for (int round = 0; round < 4; ++round) {
+      DvRow row(static_cast<VertexId>(rng() % n), n);
+      for (int step = 0; step < 300; ++step) {
+        const auto op = rng() % 100;
+        if (op < 70) {
+          // Drift toward the target density: mark below it, clear above.
+          const auto t = static_cast<VertexId>(rng() % n);
+          if (row.dirty_count() < target) {
+            (void)row.mark_dirty(t);
+          } else {
+            (void)row.clear_dirty(t);
+          }
+        } else if (op < 90) {
+          (void)row.clear_dirty(static_cast<VertexId>(rng() % n));
+        } else if (op < 95) {
+          row.shrink_to_fit();  // compacts the stale ids away
+        } else if (op < 97) {
+          row.reset_flags();
+        } else {
+          (void)row.clear_all_dirty();
+        }
+
+        std::vector<VertexId> sparse;
+        row.sort_dirty_list(sparse);
+        ASSERT_EQ(sparse.size(), row.dirty_count());
+        std::vector<VertexId> got;
+        row.scan_dirty(got);
+        ASSERT_EQ(got, sparse) << "scan, target " << target;
+        row.sorted_dirty(got);
+        ASSERT_EQ(got, sparse) << "hybrid, target " << target;
+      }
+    }
+  }
+}
+
+TEST(DvRow, ScanDirtyCoversWordEdges) {
+  // Columns at every position of the first and last 8-byte words, plus the
+  // tail past the last whole word.
+  for (const VertexId n : {1u, 7u, 8u, 9u, 16u, 23u}) {
+    DvRow row(0, n);
+    for (VertexId t = 0; t < n; t += 2) (void)row.mark_dirty(t);
+    std::vector<VertexId> want;
+    row.sort_dirty_list(want);
+    std::vector<VertexId> got;
+    row.scan_dirty(got);
+    EXPECT_EQ(got, want) << n;
   }
 }
 

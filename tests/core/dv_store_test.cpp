@@ -227,6 +227,40 @@ TEST(TieredLru, DirtyOpsWorkInPlaceOnColdRows) {
   EXPECT_EQ(store.promotions(), 1u);
 }
 
+TEST(TieredLru, DenseDirtyCollectMatchesResident) {
+  // Dirty densities on both sides of the hot row's sort/scan crossover:
+  // the cold merge-join and the resident collect must emit the same
+  // entries, poison markers (dirty, kInfDist) included.
+  Rng rng(29);
+  const VertexId n = 700;
+  for (const double density : {0.005, 0.02, 0.5, 1.0}) {
+    DvRow row(3, n);
+    for (VertexId t = 0; t < n; ++t) {
+      if (t == 3) continue;
+      if (rng.next_bool(0.8)) {
+        row.set(t, static_cast<Dist>(1 + rng.next_below(50)), 3);
+      }
+      if (rng.next_bool(density)) (void)row.mark_dirty(t);
+    }
+    ResidentDvStore resident;
+    TieredDvStore tiered(kMinDvBudgetBytes);
+    resident.grow_columns(n);
+    tiered.grow_columns(n);
+    resident.append(DvRow(row));
+    tiered.append(DvRow(row));
+    tiered.maintain(std::vector<std::uint8_t>(1, 0));
+    ASSERT_FALSE(tiered.is_hot(0));
+
+    std::vector<VertexId> cols;
+    std::vector<std::pair<VertexId, Dist>> want;
+    std::vector<std::pair<VertexId, Dist>> got;
+    resident.collect_dirty_entries(0, cols, want);
+    tiered.collect_dirty_entries(0, cols, got);
+    EXPECT_EQ(got, want) << density;
+    EXPECT_EQ(want.size(), row.dirty_count()) << density;
+  }
+}
+
 // ------------------------------------------- resident vs tiered equivalence
 
 EngineConfig matrix_cfg(std::uint64_t budget) {

@@ -247,8 +247,9 @@ TEST(EngineTrace, StructurallyValidAndComplete) {
 
   // Every phase of the run shows up as a span.
   for (const char* expected :
-       {"dd", "attempt", "ia", "rc_step", "exchange", "drain", "poison_sync",
-        "ingest", "result_assembly"}) {
+       {"dd", "attempt", "ia", "rc_step", "exchange", "send_assembly",
+        "apply_incoming", "drain", "poison_sync", "ingest",
+        "result_assembly"}) {
     EXPECT_GT(names[expected], 0) << "missing span " << expected;
   }
 }

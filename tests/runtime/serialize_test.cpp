@@ -245,5 +245,139 @@ TEST(DvRecord, EmptyRecordRoundTrip) {
   EXPECT_TRUE(r.done());
 }
 
+/// Hex dump of a writer's bytes.
+std::string hex(const ByteWriter& w) {
+  std::string out;
+  for (const std::byte b : w.view()) {
+    const auto v = std::to_integer<unsigned>(b);
+    out += "0123456789abcdef"[v >> 4];
+    out += "0123456789abcdef"[v & 0xf];
+  }
+  return out;
+}
+
+/// Encodes one record after a byte already in the writer (records are
+/// appended to per-destination buffers that hold earlier records).
+ByteWriter record_after_prefix(
+    VertexId vid, const std::vector<std::pair<VertexId, Dist>>& entries) {
+  ByteWriter w;
+  w.write(std::uint8_t{0xab});
+  write_dv_record(w, vid, entries);
+  return w;
+}
+
+// The encoder's bytes are pinned: these were captured from the original
+// byte-at-a-time encoder, so any rewrite must reproduce them exactly.
+TEST(DvRecord, GoldenBytes) {
+  EXPECT_EQ(hex(record_after_prefix(3, {})), "ab020300");
+  EXPECT_EQ(hex(record_after_prefix(7, {{0, 0}, {1, 5}, {300, 127}, {301, 128}})),
+            "ab02070400010006aa028001008101");
+  EXPECT_EQ(hex(record_after_prefix(0x4000, {{5, kInfDist}, {6, 2}})),
+            "ab028080010205000003");
+  // Every entry a 5-byte target delta and a 5-byte distance code.
+  EXPECT_EQ(hex(record_after_prefix(0xFFFFFFFEu, {{0x10000000u, 0xFFFFFFFEu},
+                                                 {0x20000001u, 0x10000000u},
+                                                 {0xFFFFFFFEu, 0xFFFFFFFEu}})),
+            "ab02feffffff0f038080808001ffffffff0f80808080018180808001fcffffff0d"
+            "ffffffff0f");
+}
+
+TEST(DvRecord, GoldenBytesDenseRow) {
+  std::vector<std::pair<VertexId, Dist>> entries;
+  for (VertexId t = 0; t < 6000; ++t) {
+    entries.emplace_back(t, t % 7 == 0 ? kInfDist : (t * 37u) % 20000u);
+  }
+  const ByteWriter w = record_after_prefix(5999, entries);
+  ASSERT_EQ(w.size(), 18034u);
+  EXPECT_EQ(hex(w).substr(0, 80),
+            "ab02ef2ef02e00000026004b007000950100ba0100df01000000a90200ce0200f3"
+            "0200980300bd03");
+  std::uint64_t fnv = 1469598103934665603ULL;  // FNV-1a over every byte
+  for (const std::byte b : w.view()) {
+    fnv = (fnv ^ std::to_integer<std::uint64_t>(b)) * 1099511628211ULL;
+  }
+  EXPECT_EQ(fnv, 5797229513224244632ULL);
+}
+
+/// Decodes a whole hand-built record (vid, count, then count entries).
+void decode_all(const ByteWriter& w) {
+  const auto buf = w.view();
+  ByteReader r(buf);
+  DvRecordReader rec(r);
+  for (std::uint32_t i = 0; i < rec.count(); ++i) (void)rec.next();
+}
+
+ByteWriter record_header(std::uint64_t vid, std::uint64_t count) {
+  ByteWriter w;
+  w.write(kDvRecordV2);
+  w.write_varint(vid);
+  w.write_varint(count);
+  return w;
+}
+
+TEST(DvRecord, CountBeyondPayloadRejected) {
+  // Every entry takes at least two bytes; a count the remaining bytes
+  // cannot hold is corrupt, including one that would narrow to a small u32.
+  for (const std::uint64_t count : {std::uint64_t{3}, std::uint64_t{1} << 32}) {
+    ByteWriter w = record_header(1, count);
+    for (int i = 0; i < 5; ++i) w.write(std::uint8_t{0});
+    EXPECT_THROW(decode_all(w), std::logic_error) << count;
+  }
+  ByteWriter ok = record_header(1, 2);
+  for (int i = 0; i < 4; ++i) ok.write(std::uint8_t{0});
+  EXPECT_NO_THROW(decode_all(ok));
+}
+
+TEST(DvRecord, FieldsBeyond32BitsRejected) {
+  const std::uint64_t big = std::uint64_t{1} << 32;
+  EXPECT_THROW(decode_all(record_header(big, 0)), std::logic_error);
+  ByteWriter target = record_header(1, 1);
+  target.write_varint(big);  // first target
+  target.write_varint(1);
+  EXPECT_THROW(decode_all(target), std::logic_error);
+  ByteWriter dist = record_header(1, 1);
+  dist.write_varint(4);
+  dist.write_varint(big);  // distance code
+  EXPECT_THROW(decode_all(dist), std::logic_error);
+}
+
+TEST(DvRecord, WrappingTargetRejected) {
+  ByteWriter w = record_header(1, 2);
+  w.write_varint(0xFFFFFFF0u);
+  w.write_varint(1);
+  w.write_varint(0x20);  // 0xFFFFFFF0 + 0x20 + 1 wraps past 2^32
+  w.write_varint(1);
+  EXPECT_THROW(decode_all(w), std::logic_error);
+
+  // The largest id that still fits decodes.
+  ByteWriter edge = record_header(1, 2);
+  edge.write_varint(0xFFFFFFF0u);
+  edge.write_varint(1);
+  edge.write_varint(0xE);
+  edge.write_varint(1);
+  const auto buf = edge.view();
+  ByteReader r(buf);
+  DvRecordReader rec(r);
+  EXPECT_EQ(rec.next().first, 0xFFFFFFF0u);
+  EXPECT_EQ(rec.next().first, 0xFFFFFFFFu);
+}
+
+TEST(DvRecord, TargetBeyondLimitRejected) {
+  // The engine bounds targets by its column count; the last column passes.
+  ByteWriter w;
+  write_dv_record(w, 1, {{3, 1}, {9, 2}});
+  const auto buf = w.view();
+  {
+    ByteReader r(buf);
+    DvRecordReader rec(r, 10);
+    (void)rec.next();
+    EXPECT_EQ(rec.next().first, 9u);
+  }
+  ByteReader r(buf);
+  DvRecordReader rec(r, 9);
+  EXPECT_EQ(rec.next().first, 3u);
+  EXPECT_THROW((void)rec.next(), std::logic_error);
+}
+
 }  // namespace
 }  // namespace aacc::rt
