@@ -709,6 +709,7 @@ void RankEngine::propagate(ShardCtx& ctx, VertexId x, VertexId t) {
     const Dist nd = dist_add(base, e.w);
     if (nd == kInfDist) continue;
     const std::int32_t yi = lg_.row_of(e.to);
+    AACC_DCHECK(yi >= 0);
     DvRow& yrow = dv_->row(static_cast<std::size_t>(yi));
     // Most candidates improve nothing: reject them here. A finite nd can
     // only tie or lose against a finite entry, so an undelivered poison

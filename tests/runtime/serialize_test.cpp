@@ -9,6 +9,9 @@
 namespace aacc::rt {
 namespace {
 
+/// DvRecordReader bound that admits every 32-bit target.
+constexpr std::uint64_t kAnyTarget = std::uint64_t{1} << 32;
+
 TEST(Serialize, ScalarRoundTrip) {
   ByteWriter w;
   w.write(std::uint32_t{42});
@@ -216,7 +219,7 @@ TEST(DvRecord, V2RoundTrip) {
   write_dv_record(w, 42, entries);
   const auto buf = w.take();
   ByteReader r(buf);
-  DvRecordReader rec(r);
+  DvRecordReader rec(r, kAnyTarget);
   EXPECT_EQ(rec.vid(), 42u);
   ASSERT_EQ(rec.count(), entries.size());
   for (const auto& e : entries) EXPECT_EQ(rec.next(), e);
@@ -230,7 +233,8 @@ TEST(DvRecord, UnknownVersionRejected) {
     w.write(version);
     const auto buf = w.take();
     ByteReader r(buf);
-    EXPECT_THROW(DvRecordReader rec(r), std::logic_error) << int{version};
+    EXPECT_THROW(DvRecordReader rec(r, kAnyTarget), std::logic_error)
+        << int{version};
   }
 }
 
@@ -239,7 +243,7 @@ TEST(DvRecord, EmptyRecordRoundTrip) {
   write_dv_record(w, 3, {});
   const auto buf = w.take();
   ByteReader r(buf);
-  DvRecordReader rec(r);
+  DvRecordReader rec(r, kAnyTarget);
   EXPECT_EQ(rec.vid(), 3u);
   EXPECT_EQ(rec.count(), 0u);
   EXPECT_TRUE(r.done());
@@ -303,7 +307,7 @@ TEST(DvRecord, GoldenBytesDenseRow) {
 void decode_all(const ByteWriter& w) {
   const auto buf = w.view();
   ByteReader r(buf);
-  DvRecordReader rec(r);
+  DvRecordReader rec(r, kAnyTarget);
   for (std::uint32_t i = 0; i < rec.count(); ++i) (void)rec.next();
 }
 
@@ -357,7 +361,7 @@ TEST(DvRecord, WrappingTargetRejected) {
   edge.write_varint(1);
   const auto buf = edge.view();
   ByteReader r(buf);
-  DvRecordReader rec(r);
+  DvRecordReader rec(r, kAnyTarget);
   EXPECT_EQ(rec.next().first, 0xFFFFFFF0u);
   EXPECT_EQ(rec.next().first, 0xFFFFFFFFu);
 }
