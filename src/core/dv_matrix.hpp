@@ -7,7 +7,11 @@
 //
 // Each row maintains its running Σ(finite non-self distances) and finite
 // count so that an anytime closeness snapshot costs O(local rows), not
-// O(local rows × n).
+// O(local rows × n). Harmonic centrality is a float sum, so it is cached
+// instead of maintained: every write marks the cached value stale, and the
+// next read re-sums the row with harmonic_from_row, the reference function
+// itself — never an incremental float add or subtract — so the value is
+// bit-identical to a fresh sum.
 //
 // Sparse change tracking: besides the per-entry flag byte, a row keeps two
 // compact index lists so the RC hot path never scans the full column range:
@@ -31,6 +35,7 @@
 #include <cstring>
 #include <vector>
 
+#include "analysis/closeness.hpp"
 #include "common/check.hpp"
 #include "common/types.hpp"
 
@@ -87,9 +92,21 @@ class DvRow {
     return sum_ == 0 ? 0.0 : 1.0 / static_cast<double>(sum_);
   }
 
+  /// Harmonic centrality estimate, harmonic_from_row(dists(), self()).
+  /// Re-summed only when a write since the last read marked it stale, so
+  /// a row nothing touched costs O(1). Serial only: the cache is mutable.
+  [[nodiscard]] double harmonic() const {
+    if (harmonic_stale_) {
+      harmonic_ = harmonic_from_row(d_, self_);
+      harmonic_stale_ = false;
+    }
+    return harmonic_;
+  }
+
   /// Overwrites entry t. Maintains aggregates; does not touch flags.
   void set(VertexId t, Dist nd, VertexId nh) {
     AACC_DCHECK(t != self_ || nd == 0);
+    harmonic_stale_ = true;
     const Dist old = d_[t];
     if (t != self_) {
       if (old != kInfDist) {
@@ -112,7 +129,8 @@ class DvRow {
   /// Shard-mode set(): writes the per-column entry in place but diverts the
   /// aggregate and reach-list changes into `delta`. Safe to run concurrently
   /// with other shards of the same row as long as no two shards share a
-  /// column.
+  /// column. Leaves the harmonic cache alone (a row-global field every
+  /// shard would race on); apply_delta marks it stale at the merge.
   void set_sharded(VertexId t, Dist nd, VertexId nh, DvRowDelta& delta) {
     AACC_DCHECK(t != self_ || nd == 0);
     const Dist old = d_[t];
@@ -154,6 +172,7 @@ class DvRow {
   /// Every buffered id still holds its dirty bit (nothing clears flags
   /// during a drain), so the post-append compaction check cannot drop them.
   void apply_delta(DvRowDelta& delta) {
+    harmonic_stale_ = true;
     sum_ = static_cast<std::uint64_t>(static_cast<std::int64_t>(sum_) +
                                       delta.sum);
     finite_ = static_cast<VertexId>(static_cast<std::int64_t>(finite_) +
@@ -175,6 +194,7 @@ class DvRow {
 
   /// Appends `count` new (unreachable) columns, reserving geometrically so
   /// a stream of vertex-addition batches does not reallocate per batch.
+  /// The harmonic cache stays valid: infinite entries add nothing to it.
   void grow(VertexId count) {
     const std::size_t need = d_.size() + count;
     if (need > d_.capacity()) {
@@ -372,12 +392,14 @@ class DvRow {
   }
 
   VertexId self_;
+  mutable bool harmonic_stale_ = true;  ///< harmonic_ predates a write
   std::vector<Dist> d_;
   std::vector<VertexId> nh_;
   std::vector<std::uint8_t> flags_;
   std::vector<VertexId> dirty_;  ///< sparse dirty index list (may hold stale ids)
   std::vector<VertexId> reach_;  ///< columns ever finite (may hold stale ids)
   std::uint64_t sum_ = 0;
+  mutable double harmonic_ = 0.0;  ///< valid when !harmonic_stale_
   VertexId finite_ = 0;
   VertexId dirty_count_ = 0;
 };

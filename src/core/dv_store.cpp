@@ -37,6 +37,18 @@ void write_cold_entry(rt::ByteWriter& w, VertexId col, VertexId prev,
   w.write_varint(rt::encode_u32_sentinel(nh));
 }
 
+/// harmonic_from_row fed the finite entries in ascending column order: it
+/// skips infinite columns without adding, so the additions and their order
+/// — hence the bits — are the same as the dense reference's.
+struct HarmonicSum {
+  VertexId self;
+  double h = 0.0;
+  void add(VertexId t, Dist d) {
+    if (t == self || d == 0 || d == kInfDist) return;
+    h += 1.0 / static_cast<double>(d);
+  }
+};
+
 bool cold_find(const ColdDvRow& c, VertexId t, Dist* d_out, VertexId* nh_out) {
   ColdCursor cur(c);
   while (!cur.done()) {
@@ -72,12 +84,15 @@ ColdDvRow encode_cold_row(const DvRow& row) {
   rt::ByteWriter w;
   w.write_varint(cols.size());
   VertexId prev = 0;
+  HarmonicSum h{row.self()};
   for (std::size_t i = 0; i < cols.size(); ++i) {
     const VertexId t = cols[i];
     write_cold_entry(w, t, prev, i == 0, row.dist(t), row.next_hop(t));
+    h.add(t, row.dist(t));
     prev = t;
   }
   cold.blob = w.take();
+  cold.harmonic = h.h;
   // Cold rows are long-lived and their bytes() are the budget currency:
   // growth slack from the writer/push_back doubling is not free to keep.
   cold.blob.shrink_to_fit();
@@ -111,6 +126,7 @@ ColdDvRow encode_cold_row(VertexId self, const std::vector<Dist>& d,
     }
   }
   cold.blob = w.take();
+  cold.harmonic = harmonic_from_row(d, self);
   cold.blob.shrink_to_fit();
   cold.dirty.shrink_to_fit();
   return cold;
@@ -186,16 +202,19 @@ double DvStore::closeness(std::size_t i) const {
 }
 
 double DvStore::harmonic(std::size_t i) const {
-  // Mirrors harmonic_from_row: ascending columns, skip self / unreachable /
-  // zero. for_each_entry yields exactly the finite columns ascending in
-  // both residency states, so the FP accumulation order is identical.
-  const VertexId s = self(i);
-  double h = 0.0;
-  for_each_entry(i, [&](VertexId t, Dist d, VertexId) {
-    if (t == s || d == 0) return;
-    h += 1.0 / static_cast<double>(d);
-  });
-  return h;
+  const Slot& s = slots_[i];
+  if (const DvRow* p = s.hot.load(std::memory_order_acquire)) {
+    return p->harmonic();
+  }
+  return s.cold->harmonic;
+}
+
+double DvStore::harmonic_uncached(std::size_t i) const {
+  // for_each_entry yields exactly the finite columns ascending in both
+  // residency states, so the FP accumulation order is harmonic_from_row's.
+  HarmonicSum h{self(i)};
+  for_each_entry(i, [&h](VertexId t, Dist d, VertexId) { h.add(t, d); });
+  return h.h;
 }
 
 VertexId DvStore::dirty_count(std::size_t i) const {
@@ -335,12 +354,15 @@ bool DvStore::tombstone_column(std::size_t i, VertexId v) {
   rt::ByteWriter w;
   w.write_varint(entries.size());
   VertexId prev = 0;
+  HarmonicSum h{c.self};
   for (std::size_t k = 0; k < entries.size(); ++k) {
     const auto [t, dt, nt] = entries[k];
     write_cold_entry(w, t, prev, k == 0, dt, nt);
+    h.add(t, dt);
     prev = t;
   }
   c.blob = w.take();
+  c.harmonic = h.h;  // re-summed, never 1/d subtracted
   c.sum -= d;
   --c.finite;
   return was_dirty;
@@ -498,6 +520,7 @@ void TieredDvStore::append_fresh(VertexId self) {
   auto cold = std::make_unique<ColdDvRow>();
   cold->self = self;
   cold->columns = cols_;
+  cold->harmonic = 0.0;  // the self entry alone
   rt::ByteWriter w;
   w.write_varint(1);
   write_cold_entry(w, self, 0, /*first=*/true, 0, kNoVertex);
@@ -536,10 +559,12 @@ VertexId TieredDvStore::install_ia(std::size_t i, VertexId src,
   VertexId prev = 0;
   std::uint64_t sum = 0;
   VertexId finite = 0;
+  HarmonicSum h{src};
   c->dirty.clear();
   for (std::size_t k = 0; k < cols.size(); ++k) {
     const VertexId t = cols[k];
     write_cold_entry(w, t, prev, k == 0, dist[t], hop[t]);
+    h.add(t, dist[t]);
     prev = t;
     if (t != src) {
       sum += dist[t];
@@ -552,6 +577,7 @@ VertexId TieredDvStore::install_ia(std::size_t i, VertexId src,
   c->dirty.shrink_to_fit();
   c->sum = sum;
   c->finite = finite;
+  c->harmonic = h.h;
   return finite;
 }
 

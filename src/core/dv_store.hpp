@@ -150,8 +150,8 @@ class ColdDirty {
 /// wire-v2 stream — varint entry count, then per entry in ascending column
 /// order a delta-coded column id (first raw, then id - prev - 1) followed
 /// by the sentinel-varint distance and next hop. The row aggregates and the
-/// live dirty set ride alongside so closeness snapshots, send assembly and
-/// dirty retirement never need the dense form.
+/// live dirty set ride alongside so closeness and harmonic snapshots, send
+/// assembly and dirty retirement never need the dense form.
 struct ColdDvRow {
   std::vector<std::byte> blob;
   ColdDirty dirty;  ///< live dirty columns, delta-compressed
@@ -159,6 +159,9 @@ struct ColdDvRow {
   VertexId columns = 0;  ///< logical column count (grows with the id space)
   VertexId finite = 0;   ///< finite non-self entries
   std::uint64_t sum = 0; ///< Σ finite non-self distances
+  /// Harmonic centrality of the blob's entries, summed ascending like
+  /// harmonic_from_row. Every path that writes `blob` sets it.
+  double harmonic = 0.0;
 
   [[nodiscard]] std::size_t bytes() const {
     return sizeof(ColdDvRow) + blob.capacity() + dirty.bytes();
@@ -219,9 +222,14 @@ class DvStore {
   [[nodiscard]] VertexId finite_count(std::size_t i) const;
   [[nodiscard]] std::uint64_t finite_sum(std::size_t i) const;
   [[nodiscard]] double closeness(std::size_t i) const;
-  /// Bit-identical to harmonic_from_row(row.dists(), self): ascending
-  /// columns, skipping self, unreachable and zero distances.
+  /// The row's cached harmonic value, bit-identical to
+  /// harmonic_from_row(row.dists(), self). O(1) for a cold row and for a
+  /// hot row nothing wrote since the last read; a written hot row is
+  /// re-summed once (DESIGN.md §"Tiered DV storage").
   [[nodiscard]] double harmonic(std::size_t i) const;
+  /// A fresh ascending sum over the row's entries, bypassing the cache
+  /// (the invariant check compares the two bit for bit).
+  [[nodiscard]] double harmonic_uncached(std::size_t i) const;
   [[nodiscard]] VertexId dirty_count(std::size_t i) const;
   /// Point lookups without promotion (poison scans, invariant checks).
   /// Cold rows pay a linear decode per call — serial paths only.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <ctime>
 #include <numeric>
@@ -1775,10 +1776,18 @@ std::vector<std::string> RankEngine::check_invariants() const {
     out.push_back(os.str());
   };
   for (std::size_t r = 0; r < dv_->size(); ++r) {
+    const VertexId x = lg_.vertex_of(r);
+    // The cached harmonic value must be a fresh ascending sum, bit for bit.
+    // Read before row() so a cold row is checked in its cold form.
+    const double cached = dv_->harmonic(r);
+    const double fresh = dv_->harmonic_uncached(r);
+    if (std::bit_cast<std::uint64_t>(cached) !=
+        std::bit_cast<std::uint64_t>(fresh)) {
+      report(x, x, "cached harmonic ", cached, " != fresh sum ", fresh);
+    }
     // Validation is a whole-matrix walk; const row access promotes cold
     // rows (observable state is unchanged — that is what const means here).
     const DvRow& row = dv_->row(r);
-    const VertexId x = lg_.vertex_of(r);
     for (VertexId t = 0; t < row.size(); ++t) {
       if (t == x || row.dist(t) == kInfDist) continue;
       const VertexId nh = row.next_hop(t);
@@ -1867,10 +1876,11 @@ std::vector<std::pair<VertexId, double>> RankEngine::local_top_harmonic(
   std::vector<std::pair<VertexId, double>> all;
   all.reserve(dv_->size());
   for (std::size_t r = 0; r < dv_->size(); ++r) {
-    // Ascending-column summation order, exactly like the pre-bounded
-    // snapshots: the k = 0 path stays bit-identical to the historical E3
-    // output, and bounded runs agree with it on the surviving entries.
-    // The store computes it from either residency form without promotion.
+    // The cached value is the ascending-column sum, exactly like the
+    // pre-bounded snapshots: the k = 0 path stays bit-identical to the
+    // historical E3 output, and bounded runs agree with it on the
+    // surviving entries. After publish_snapshot in the same step every
+    // read here is O(1); neither residency form is promoted.
     all.emplace_back(dv_->self(r), dv_->harmonic(r));
   }
   if (k > 0 && all.size() > k) {
@@ -1888,6 +1898,7 @@ std::vector<std::pair<VertexId, double>> RankEngine::local_top_harmonic(
 
 void RankEngine::progress_step(const char* phase, std::size_t step) {
   if (!progress_active_) return;  // the whole feed costs this one test
+  const obs::ScopedSpan span(trace_, "progress", "step", step);
 
   // ---- this rank's share of the event ----
   // Per-step churn between the last two step records (the same derivation
@@ -1992,6 +2003,7 @@ void RankEngine::progress_step(const char* phase, std::size_t step) {
 }
 
 void RankEngine::publish_snapshot(std::size_t step) {
+  const obs::ScopedSpan span(trace_, "publish", "step", step);
   const Timer timer;
   auto& cell = serve_->snapshots[static_cast<std::size_t>(comm_.rank())];
   auto snap = std::make_shared<serve::SnapshotData>();
@@ -2017,6 +2029,7 @@ void RankEngine::publish_snapshot(std::size_t step) {
     snap->ids[i] = v;
     // Metadata reads — the tiered store serves them from either residency
     // form without promotion, so publication cannot perturb residency.
+    // Only rows written since the last read re-sum their harmonic value.
     snap->closeness[i] = dv_->closeness(r);
     snap->harmonic[i] = dv_->harmonic(r);
   }

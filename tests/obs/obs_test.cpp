@@ -17,6 +17,7 @@
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/session.hpp"
 
 namespace aacc {
 namespace {
@@ -252,6 +253,32 @@ TEST(EngineTrace, StructurallyValidAndComplete) {
         "result_assembly"}) {
     EXPECT_GT(names[expected], 0) << "missing span " << expected;
   }
+}
+
+TEST(EngineTrace, LiveSessionTracesPublishAndProgress) {
+  // Live steps publish a snapshot and run the progress fold; both are
+  // spans of their own instead of unattributed RC-step time.
+  Rng rng(6);
+  const Graph g = barabasi_albert(200, 2, rng);
+  serve::EngineSession session(g, traced_cfg(2));
+  session.ingest(small_schedule(g).front().events);
+  const RunResult r = session.close();
+  std::map<std::pair<int, std::string>, int> open;
+  std::map<std::string, int> closed;
+  for (const obs::Trace::Entry& e : r.trace.events) {
+    if (e.ev.kind == obs::EventKind::kBegin) {
+      ++open[{e.pid, e.ev.name}];
+    } else if (e.ev.kind == obs::EventKind::kEnd) {
+      --open[{e.pid, e.ev.name}];
+      ++closed[e.ev.name];
+    }
+  }
+  for (const auto& [key, depth] : open) {
+    EXPECT_EQ(depth, 0) << "unbalanced " << key.second << " on " << key.first;
+  }
+  // At least the post-IA and the terminal publish on each of two ranks.
+  EXPECT_GE(closed["publish"], 4);
+  EXPECT_GE(closed["progress"], 2 * static_cast<int>(r.stats.rc_steps));
 }
 
 TEST(EngineTrace, LogicalClockTraceIsReproducible) {
