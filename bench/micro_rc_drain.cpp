@@ -1,24 +1,16 @@
-// M5 micro benchmark: the column-sharded parallel recombination drain
-// (DESIGN.md §"Column-sharded parallel recombination drain").
+// M5 micro benchmark: the RC drain's observability overheads
+// (DESIGN.md §"The RC drain is serial per rank").
 //
 // Runs the full engine (DD + IA + RC to quiescence) on a scale-free graph
-// at several rc_threads settings and reports, per setting:
-//   * drain_cpu_seconds     — CPU actually burnt inside drain() across all
-//                             ranks and shard workers (the work),
-//   * drain_modeled_seconds — the modeled drain makespan: serial
-//                             partition/merge plus the slowest shard per
-//                             step, summed over ranks' worst steps (the
-//                             1-core stand-in for multicore wall time,
-//                             mirroring the LogGP network model),
-//   * modeled_speedup       — serial modeled drain / this modeled drain.
-// Sharded runs must be bit-identical to serial; the bench asserts it on the
-// closeness doubles and the step count before reporting any number.
+// and measures, on rc_drain_cpu_seconds (thread-CPU spent inside drain(),
+// Σ over ranks):
+//   * the tracing overhead, disabled (the CI gate) and enabled,
+//   * the progress feed's enabled overhead (report-only).
 //
-// Prints a table and writes AACC_OUT_DIR/micro_rc_drain.json (schema:
+// Prints a summary and writes AACC_OUT_DIR/micro_rc_drain.json (schema:
 // EXPERIMENTS.md §M5). Knobs: AACC_N (vertices, default 8000 — the paper
 // scale is AACC_N=50000), AACC_P (ranks, default 4), AACC_SEED.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -31,22 +23,8 @@
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 
-namespace {
-
-using namespace aacc;
-
-struct Case {
-  std::size_t rc_threads;
-  double drain_cpu;
-  double drain_modeled;
-  double speedup;
-  std::size_t rc_steps;
-  bool identical;
-};
-
-}  // namespace
-
 int main() {
+  using namespace aacc;
   const auto n = static_cast<VertexId>(env_int("AACC_N", 8000));
   const auto ranks = static_cast<Rank>(env_int("AACC_P", 4));
   const auto seed = static_cast<std::uint64_t>(env_int("AACC_SEED", 1));
@@ -54,47 +32,19 @@ int main() {
   Rng rng(seed);
   const Graph g = barabasi_albert(n, 3, rng);
 
-  std::vector<Case> cases;
-  std::vector<double> ref_closeness;
-  double serial_modeled = 0.0;
-  std::size_t ref_steps = 0;
-  for (const std::size_t t : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+  // The default 120 s recv watchdog assumes ranks progress concurrently;
+  // on an oversubscribed box a large-AACC_N step keeps one rank computing
+  // for longer than that while its peers block in the collective, and the
+  // misfired timeout is escalated to a rank failure. Fault tolerance is
+  // not under test here — the shared bench default disables the watchdog
+  // (AACC_RECV_TIMEOUT_MS overrides).
+  const auto base_cfg = [&] {
     EngineConfig cfg;
     cfg.num_ranks = ranks;
     cfg.seed = seed;
-    cfg.rc_threads = t;
-    // The default 120 s recv watchdog assumes ranks progress concurrently;
-    // on an oversubscribed box a large-AACC_N step keeps one rank computing
-    // for longer than that while its peers block in the collective, and the
-    // misfired timeout is escalated to a rank failure. Fault tolerance is
-    // not under test here — the shared bench default disables the watchdog
-    // (AACC_RECV_TIMEOUT_MS overrides).
     cfg.transport.recv_timeout = bench::watchdog_timeout();
-    AnytimeEngine engine(g, cfg);
-    const RunResult r = engine.run();
-
-    Case c;
-    c.rc_threads = t;
-    c.drain_cpu = r.stats.rc_drain_cpu_seconds;
-    c.drain_modeled = r.stats.rc_drain_modeled_seconds;
-    c.rc_steps = r.stats.rc_steps;
-    if (t == 1) {
-      ref_closeness = r.closeness;
-      serial_modeled = c.drain_modeled;
-      ref_steps = c.rc_steps;
-      c.identical = true;
-    } else {
-      c.identical =
-          r.closeness == ref_closeness && r.stats.rc_steps == ref_steps;
-    }
-    c.speedup = c.drain_modeled > 0.0 ? serial_modeled / c.drain_modeled : 0.0;
-    cases.push_back(c);
-    if (!c.identical) {
-      std::fprintf(stderr,
-                   "FATAL: rc_threads=%zu diverged from the serial drain\n", t);
-      return 1;
-    }
-  }
+    return cfg;
+  };
 
   // ---- tracing-overhead section (CI gate, docs/OBSERVABILITY.md) ----
   // There is no un-instrumented binary to compare against, so the
@@ -108,11 +58,7 @@ int main() {
   // noise that has nothing to do with the hooks. enabled_overhead_pct
   // compares the best trace-on run against the best trace-off run.
   const auto traced_run = [&](bool trace_on) {
-    EngineConfig cfg;
-    cfg.num_ranks = ranks;
-    cfg.seed = seed;
-    cfg.rc_threads = 2;
-    cfg.transport.recv_timeout = bench::watchdog_timeout();
+    EngineConfig cfg = base_cfg();
     cfg.trace.enabled = trace_on;
     // Trace-on runs carry the full observability cost, flow stamping
     // included, so the enabled/disabled gates cover the stamped wire
@@ -145,11 +91,7 @@ int main() {
   // honest feature cost, not an instrumentation leak.
   std::uint64_t progress_events = 0;
   const auto progress_run = [&] {
-    EngineConfig cfg;
-    cfg.num_ranks = ranks;
-    cfg.seed = seed;
-    cfg.rc_threads = 2;
-    cfg.transport.recv_timeout = bench::watchdog_timeout();
+    EngineConfig cfg = base_cfg();
     progress_events = 0;
     cfg.progress.callback = [&](const obs::ProgressEvent&) {
       ++progress_events;
@@ -166,13 +108,6 @@ int main() {
       off_min > 0.0 ? 100.0 * std::max(0.0, prog_min - off_min) / off_min : 0.0;
 
   std::printf("\n== micro_rc_drain (n=%u vertices, P=%d ranks) ==\n", n, ranks);
-  std::printf("%10s %9s %15s %19s %9s %10s\n", "rc_threads", "rc_steps",
-              "drain_cpu_s", "drain_modeled_s", "speedup", "identical");
-  for (const Case& c : cases) {
-    std::printf("%10zu %9zu %15.3f %19.3f %8.2fx %10s\n", c.rc_threads,
-                c.rc_steps, c.drain_cpu, c.drain_modeled, c.speedup,
-                c.identical ? "yes" : "NO");
-  }
   std::printf("trace overhead: disabled %.2f%% (spread of 2 fastest of 5 off"
               " runs), enabled %.2f%% (drain CPU, best off vs best of 2 on)\n",
               disabled_overhead_pct, enabled_overhead_pct);
@@ -185,17 +120,8 @@ int main() {
   (void)std::system(("mkdir -p " + dir).c_str());
   std::ofstream json(dir + "/micro_rc_drain.json");
   json << "{\"bench\":\"micro_rc_drain\",\"vertices\":" << n
-       << ",\"ranks\":" << static_cast<int>(ranks) << ",\"cases\":[";
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const Case& c = cases[i];
-    if (i != 0) json << ',';
-    json << "{\"rc_threads\":" << c.rc_threads << ",\"rc_steps\":" << c.rc_steps
-         << ",\"drain_cpu_seconds\":" << c.drain_cpu
-         << ",\"drain_modeled_seconds\":" << c.drain_modeled
-         << ",\"modeled_speedup\":" << c.speedup
-         << ",\"identical\":" << (c.identical ? "true" : "false") << '}';
-  }
-  json << "],\"trace_overhead\":{\"drain_cpu_off_min\":" << off_min
+       << ",\"ranks\":" << static_cast<int>(ranks)
+       << ",\"trace_overhead\":{\"drain_cpu_off_min\":" << off_min
        << ",\"drain_cpu_off_second\":" << off_second
        << ",\"drain_cpu_on_min\":" << on_min
        << ",\"disabled_overhead_pct\":" << disabled_overhead_pct

@@ -32,7 +32,6 @@ void EngineConfig::validate() const {
     fail(os.str());
   }
   sign_cap(ia_threads, "ia_threads", " (0 = auto)");
-  sign_cap(rc_threads, "rc_threads", " (0 = auto)");
   sign_cap(checkpoint_every, "checkpoint_every", " (0 = off)");
   sign_cap(max_recoveries, "max_recoveries", "");
   for (std::size_t i = 0; i < recovery_policy.size(); ++i) {

@@ -102,14 +102,10 @@ struct EngineConfig {
   /// Any value produces bit-identical rows and ledgers: sources are
   /// disjoint rows and per-row counters merge in row order.
   std::size_t ia_threads = 0;
-  /// Intra-rank worker threads for the RC recombination drain. Queued
-  /// (vertex, target) work shards by target column (t mod shards) — columns
-  /// are independent relaxation problems, so shards share nothing — and
-  /// each shard replays the serial schedule restricted to its columns, so
-  /// any value produces bit-identical matrices, results and ledgers (see
-  /// DESIGN.md §"Column-sharded parallel recombination drain"). Also sizes
-  /// the parallel send-assembly pass in exchange(). 0 = auto, like
-  /// ia_threads (hardware_concurrency / num_ranks, clamped to [1, 8]).
+  /// Has no effect: each rank drains and assembles its sends on its own
+  /// thread (DESIGN.md §"The RC drain is serial per rank"). Kept only so
+  /// existing callers that assign it still compile; removed with the next
+  /// benchmark change.
   std::size_t rc_threads = 0;
   /// Per-rank byte budget for resident (hot) DV rows. 0 = fully resident
   /// (the historical dense store). Nonzero selects the tiered store: settled
@@ -209,7 +205,7 @@ struct EngineConfig {
   /// run and throws ConfigError naming the offending field. Called by the
   /// AnytimeEngine constructors. The rules (see docs/API.md):
   ///   * num_ranks in [1, 4096]
-  ///   * ia_threads / rc_threads, checkpoint_every, max_recoveries and each
+  ///   * ia_threads, checkpoint_every, max_recoveries and each
   ///     recovery_policy rung's budget at most 4096 (a negative count cast
   ///     into these unsigned fields lands far above the cap)
   ///   * dv_budget_bytes is 0 (fully resident) or >= kMinDvBudgetBytes —

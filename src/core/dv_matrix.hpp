@@ -41,23 +41,6 @@
 
 namespace aacc {
 
-/// Per-(shard, row) accumulator for the column-sharded parallel RC drain
-/// (DESIGN.md §"Parallel recombination drain"). The per-column fields of a
-/// DvRow (distance, next hop, flag byte) are distinct memory locations per
-/// column and columns never cross shards, so shards write them in place.
-/// Everything row-global — the Σ/finite aggregates, the dirty/reach index
-/// lists, the live dirty count — would race, so shard-mode mutators buffer
-/// those changes here and DvRow::apply_delta folds them in serially at
-/// drain exit, in shard-id order.
-struct DvRowDelta {
-  std::int64_t sum = 0;        ///< Σ finite-distance change
-  std::int64_t finite = 0;     ///< finite-count change
-  std::int64_t dirty = 0;      ///< live dirty-bit count change
-  std::vector<VertexId> dirty_append;  ///< columns newly tracked (kTracked already set)
-  std::vector<VertexId> reach_append;  ///< columns newly reached (kReached already set)
-  bool live = false;  ///< registered in the owning shard's touched-row list
-};
-
 class DvRow {
  public:
   DvRow(VertexId self, VertexId n) : self_(self) {
@@ -124,72 +107,6 @@ class DvRow {
     }
     d_[t] = nd;
     nh_[t] = nh;
-  }
-
-  /// Shard-mode set(): writes the per-column entry in place but diverts the
-  /// aggregate and reach-list changes into `delta`. Safe to run concurrently
-  /// with other shards of the same row as long as no two shards share a
-  /// column. Leaves the harmonic cache alone (a row-global field every
-  /// shard would race on); apply_delta marks it stale at the merge.
-  void set_sharded(VertexId t, Dist nd, VertexId nh, DvRowDelta& delta) {
-    AACC_DCHECK(t != self_ || nd == 0);
-    const Dist old = d_[t];
-    if (t != self_) {
-      if (old != kInfDist) {
-        delta.sum -= static_cast<std::int64_t>(old);
-        --delta.finite;
-      }
-      if (nd != kInfDist) {
-        delta.sum += static_cast<std::int64_t>(nd);
-        ++delta.finite;
-        if ((flags_[t] & kReached) == 0) {
-          flags_[t] |= kReached;
-          delta.reach_append.push_back(t);
-        }
-      }
-    }
-    d_[t] = nd;
-    nh_[t] = nh;
-  }
-
-  /// Shard-mode mark_dirty(): flips the per-column flag bits in place,
-  /// buffers the count change and the index-list append in `delta`. Never
-  /// compacts (compaction rewrites the shared list).
-  bool mark_dirty_sharded(VertexId t, DvRowDelta& delta) {
-    if ((flags_[t] & kDirty) != 0) return false;
-    flags_[t] |= kDirty;
-    ++delta.dirty;
-    if ((flags_[t] & kTracked) == 0) {
-      flags_[t] |= kTracked;
-      delta.dirty_append.push_back(t);
-    }
-    return true;
-  }
-
-  /// Folds one shard's buffered mutations into the row-global fields and
-  /// resets the delta for reuse. Serial only (drain exit); callers iterate
-  /// shards in shard-id order so the merged list contents are deterministic.
-  /// Every buffered id still holds its dirty bit (nothing clears flags
-  /// during a drain), so the post-append compaction check cannot drop them.
-  void apply_delta(DvRowDelta& delta) {
-    harmonic_stale_ = true;
-    sum_ = static_cast<std::uint64_t>(static_cast<std::int64_t>(sum_) +
-                                      delta.sum);
-    finite_ = static_cast<VertexId>(static_cast<std::int64_t>(finite_) +
-                                    delta.finite);
-    dirty_count_ = static_cast<VertexId>(
-        static_cast<std::int64_t>(dirty_count_) + delta.dirty);
-    dirty_.insert(dirty_.end(), delta.dirty_append.begin(),
-                  delta.dirty_append.end());
-    reach_.insert(reach_.end(), delta.reach_append.begin(),
-                  delta.reach_append.end());
-    maybe_compact_dirty();
-    delta.sum = 0;
-    delta.finite = 0;
-    delta.dirty = 0;
-    delta.dirty_append.clear();
-    delta.reach_append.clear();
-    delta.live = false;
   }
 
   /// Appends `count` new (unreachable) columns, reserving geometrically so

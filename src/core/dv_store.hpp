@@ -13,10 +13,10 @@
 // Residency discipline:
 //   * row(i) is the only thread-safe entry point: it promotes a cold row on
 //     first touch (full decode under the store mutex, double-checked via the
-//     per-slot atomic pointer) and is safe to call from the drain shard
-//     workers. Everything else — metadata reads, dirty ops, structural ops,
-//     maintain() — is serial-only, called from the owning rank thread
-//     outside the sharded sections.
+//     per-slot atomic pointer) and is safe to call from the IA workers,
+//     which can promote rows under a tiered budget. Everything else —
+//     metadata reads, dirty ops, structural ops, maintain() — is
+//     serial-only, called from the owning rank thread outside the IA pool.
 //   * Demotion happens only in maintain(), which the engine calls at the
 //     end of an RC step when the worklist and repair queues are empty — so
 //     no demoted row can carry a kQueued flag, and the dirty set (which
@@ -198,8 +198,8 @@ class DvStore {
   }
 
   /// Dense-row access; promotes a cold row on first touch. The only member
-  /// safe to call from the drain shard workers (promotion serializes on the
-  /// store mutex; the hot fast path is one acquire load).
+  /// safe to call from the IA workers (promotion serializes on the store
+  /// mutex; the hot fast path is one acquire load).
   [[nodiscard]] DvRow& row(std::size_t i) {
     Slot& s = slots_[i];
     DvRow* p = s.hot.load(std::memory_order_acquire);
@@ -268,7 +268,7 @@ class DvStore {
 
   /// Appends the live dirty columns ascending with their current distances
   /// (kInfDist for poisoned columns). `cols` is caller scratch. Read-only:
-  /// safe from the parallel send-assembly shards, which partition rows.
+  /// cold rows serve it without promotion.
   void collect_dirty_entries(std::size_t i, std::vector<VertexId>& cols,
                              std::vector<std::pair<VertexId, Dist>>& out) const;
   /// Clears the whole dirty set; returns how many live entries were cleared.

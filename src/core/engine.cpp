@@ -199,19 +199,16 @@ RunResult run_driver(const DriverArgs& args) {
   // rank world has joined.
   std::unique_ptr<obs::Tracer> tracer;
   if (cfg_.trace.enabled) {
-    // Subtrack count covers the widest worker pool either phase can open
-    // (the same auto rule as RankEngine::ia_thread_count / rc_thread_count).
+    // One subtrack per IA worker (the same auto rule as
+    // RankEngine::ia_thread_count).
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    const auto resolve = [&](std::size_t configured) {
-      return configured != 0
-                 ? configured
-                 : std::clamp<std::size_t>(
-                       hw / static_cast<unsigned>(cfg_.num_ranks), 1, 8);
-    };
-    tracer = std::make_unique<obs::Tracer>(
-        cfg_.num_ranks,
-        std::max(resolve(cfg_.ia_threads), resolve(cfg_.rc_threads)),
-        cfg_.trace);
+    const std::size_t ia_workers =
+        cfg_.ia_threads != 0
+            ? cfg_.ia_threads
+            : std::clamp<std::size_t>(
+                  hw / static_cast<unsigned>(cfg_.num_ranks), 1, 8);
+    tracer = std::make_unique<obs::Tracer>(cfg_.num_ranks, ia_workers,
+                                           cfg_.trace);
   }
   obs::TraceTrack* const drv = tracer ? &tracer->driver() : nullptr;
   std::vector<obs::MetricsRegistry> rank_metrics(

@@ -71,11 +71,8 @@ struct StepStats {
   std::uint64_t relaxations = 0;
   std::uint64_t poisons = 0;
   std::uint64_t repairs = 0;
-  /// RC drain cost this step: Σ CPU across ranks (and their drain shards),
-  /// and the slowest rank's modeled parallel-drain makespan (serial
-  /// partition/merge + slowest shard; see StepLocal).
+  /// RC drain cost this step: Σ CPU across ranks.
   double sum_drain_cpu_seconds = 0.0;
-  double max_drain_modeled_seconds = 0.0;
   /// Exchange wait this step: Σ over ranks of wall time blocked in
   /// collective recvs.
   double sum_exchange_wait_seconds = 0.0;
@@ -107,11 +104,8 @@ struct RunStats {
   double modeled_network_seconds_shifted = 0.0;
   double modeled_network_seconds_flood = 0.0;
   std::size_t rc_steps = 0;
-  /// RC drain totals: CPU actually burnt in drain() across all ranks and
-  /// shards, and the modeled makespan (Σ over steps of the slowest rank's
-  /// modeled drain) — the multicore analogue of modeled_makespan_seconds.
+  /// RC drain total: CPU burnt in drain(), Σ over ranks and steps.
   double rc_drain_cpu_seconds = 0.0;
-  double rc_drain_modeled_seconds = 0.0;
   /// Blocked-recv wall time in the exchanges, summed over ranks and steps.
   double rc_exchange_wait_seconds = 0.0;
   /// Critical-path attribution totals (docs/OBSERVABILITY.md §Causal

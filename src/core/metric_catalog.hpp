@@ -36,7 +36,6 @@ struct StepLocal {
   std::uint64_t repairs = 0;
   double cpu_seconds = 0.0;
   double drain_cpu_seconds = 0.0;
-  double drain_modeled_seconds = 0.0;
   double exchange_wait_seconds = 0.0;
   double blocked_on_seconds = 0.0;
   std::int64_t blocked_on_rank = -1;  ///< -1 = never blocked
@@ -188,10 +187,6 @@ inline constexpr Metric kCatalog[] = {
     {.name = "drain/cpu_seconds", .kind = kGauge, .unit = "s", .reduce = kSum,
      .local = {LOCAL(drain_cpu_seconds)}, .step = {STEP(sum_drain_cpu_seconds)},
      .run = {RUN(rc_drain_cpu_seconds)}},
-    {.name = "drain/modeled_seconds", .kind = kGauge, .unit = "s", .reduce = kMax,
-     .local = {LOCAL(drain_modeled_seconds)},
-     .step = {STEP(max_drain_modeled_seconds)},
-     .run = {RUN(rc_drain_modeled_seconds)}},
     {.name = "exchange/wait_seconds", .kind = kGauge, .unit = "s", .reduce = kSum,
      .local = {LOCAL(exchange_wait_seconds)},
      .step = {STEP(sum_exchange_wait_seconds)},

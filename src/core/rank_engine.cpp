@@ -641,63 +641,37 @@ static void watch(const char* what, Rank rank, VertexId x, VertexId t, Dist d,
 #define AACC_WATCH_HIT(what, x, t, d, nh)
 #endif
 
-RankEngine::ShardCtx RankEngine::serial_ctx() {
-  ShardCtx ctx;
-  ctx.worklist = &worklist_;
-  ctx.repairs = &repairs_;
-  ctx.relaxations = &counts_.relaxations;
-  ctx.dirty_entries = &dirty_entries_;
-  ctx.repairs_run = &counts_.repairs;
-  return ctx;
-}
-
 void RankEngine::relax(VertexId x, VertexId t, Dist nd, VertexId nh) {
-  ShardCtx ctx = serial_ctx();
-  relax(ctx, x, t, nd, nh);
-}
-
-void RankEngine::relax(ShardCtx& ctx, VertexId x, VertexId t, Dist nd,
-                       VertexId nh) {
   if (nd == kInfDist || !lg_.is_alive(t)) return;
   const std::int32_t ri = lg_.row_of(x);
   AACC_DCHECK(ri >= 0);
-  relax_row(ctx, ri, dv_->row(static_cast<std::size_t>(ri)), x, t, nd, nh);
+  relax_row(dv_->row(static_cast<std::size_t>(ri)), x, t, nd, nh);
 }
 
-void RankEngine::relax_row(ShardCtx& ctx, std::int32_t ri, DvRow& row,
-                           VertexId x, VertexId t, Dist nd, VertexId nh) {
+void RankEngine::relax_row(DvRow& row, VertexId x, VertexId t, Dist nd,
+                           VertexId nh) {
   if (row.dist(t) == kInfDist && row.test_flag(t, DvRow::kDirty)) {
     // Undelivered poison marker: subscribers have not yet been told this
     // entry died. Overwriting it now (e.g. from a stale portal cache while
     // ingesting a later event of the same batch) would silently revoke the
     // invalidation and leave remote dependents holding stale-low values.
     // Defer: repairs run only after the poison barrier has drained.
-    ctx.repairs->emplace_back(x, t);
+    repairs_.emplace_back(x, t);
     return;
   }
   if (nd < row.dist(t)) {
     AACC_WATCH_HIT("relax", x, t, nd, nh);
-    if (ctx.deltas == nullptr) {
-      row.set(t, nd, nh);
-      if (row.mark_dirty(t)) ++*ctx.dirty_entries;
-    } else {
-      DvRowDelta& delta = (*ctx.deltas)[static_cast<std::size_t>(ri)];
-      if (!delta.live) {
-        delta.live = true;
-        ctx.touched->push_back(static_cast<std::uint32_t>(ri));
-      }
-      row.set_sharded(t, nd, nh, delta);
-      if (row.mark_dirty_sharded(t, delta)) ++*ctx.dirty_entries;
-    }
-    ++*ctx.relaxations;
+    row.set(t, nd, nh);
+    if (row.mark_dirty(t)) ++dirty_entries_;
+    ++counts_.relaxations;
     if (!row.test_flag(t, DvRow::kQueued)) {
       row.set_flag(t, DvRow::kQueued);
-      ctx.worklist->emplace_back(x, t);
+      worklist_.emplace_back(x, t);
     }
   }
 }
 
-void RankEngine::propagate(ShardCtx& ctx, VertexId x, VertexId t) {
+void RankEngine::propagate(VertexId x, VertexId t) {
   const std::int32_t ri = lg_.row_of(x);
   if (ri < 0) return;  // migrated or deleted since queueing
   DvRow& row = dv_->row(static_cast<std::size_t>(ri));
@@ -716,12 +690,12 @@ void RankEngine::propagate(ShardCtx& ctx, VertexId x, VertexId t) {
     // only tie or lose against a finite entry, so an undelivered poison
     // marker (kInfDist) always reaches relax_row(), which defers it.
     if (nd >= yrow.dist(t)) continue;
-    relax_row(ctx, yi, yrow, e.to, t, nd, x);
+    relax_row(yrow, e.to, t, nd, x);
   }
 }
 
-void RankEngine::repair(ShardCtx& ctx, VertexId x, VertexId t) {
-  ++*ctx.repairs_run;
+void RankEngine::repair(VertexId x, VertexId t) {
+  ++counts_.repairs;
   const std::int32_t ri = lg_.row_of(x);
   if (ri < 0 || !lg_.is_alive(t) || x == t) return;
   Dist best = kInfDist;
@@ -742,22 +716,7 @@ void RankEngine::repair(ShardCtx& ctx, VertexId x, VertexId t) {
       best_hop = e.to;
     }
   }
-  relax(ctx, x, t, best, best_hop);
-}
-
-namespace {
-/// Below this many queued items a parallel drain costs more in thread
-/// start/join than it saves; the shard count scales with the work so small
-/// drains stay serial. Purely a performance knob: serial and sharded drains
-/// produce bit-identical state, so the branch cannot change results.
-constexpr std::size_t kDrainShardGrain = 128;
-}  // namespace
-
-std::size_t RankEngine::rc_thread_count() const {
-  if (cfg_.rc_threads != 0) return cfg_.rc_threads;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const auto ranks = static_cast<unsigned>(std::max<Rank>(comm_.size(), 1));
-  return std::clamp<std::size_t>(hw / ranks, 1, 8);
+  relax(x, t, best, best_hop);
 }
 
 void RankEngine::drain() {
@@ -767,118 +726,26 @@ void RankEngine::drain() {
   queue_depth_step_ += queued;  // progress feed: frontier depth this step
   const std::uint64_t repairs_before = counts_.repairs;
   const double t0 = thread_cpu_now();
-  const std::size_t shards =
-      std::min(rc_thread_count(), queued / kDrainShardGrain);
-  if (shards > 1) {
-    drain_parallel(shards);
-  } else {
-    // Serial path. Repairs first: they re-derive poisoned entries, whose
-    // improvements then flow through the worklist.
-    ShardCtx ctx = serial_ctx();
-    while (!repairs_.empty() || !worklist_.empty()) {
-      if (!repairs_.empty()) {
-        const auto [x, t] = repairs_.front();
-        repairs_.pop_front();
-        repair(ctx, x, t);
-      } else {
-        const auto [x, t] = worklist_.front();
-        worklist_.pop_front();
-        propagate(ctx, x, t);
-      }
+  // Repairs first: they re-derive poisoned entries, whose improvements
+  // then flow through the worklist.
+  while (!repairs_.empty() || !worklist_.empty()) {
+    if (!repairs_.empty()) {
+      const auto [x, t] = repairs_.front();
+      repairs_.pop_front();
+      repair(x, t);
+    } else {
+      const auto [x, t] = worklist_.front();
+      worklist_.pop_front();
+      propagate(x, t);
     }
-    const double dt = thread_cpu_now() - t0;
-    counts_.drain_cpu_seconds += dt;
-    counts_.drain_modeled_seconds += dt;
   }
+  counts_.drain_cpu_seconds += thread_cpu_now() - t0;
   // Repairs interleave with propagation inside the drain (FIFO, repairs
   // first), so repair activity surfaces as one counted instant per drain
   // rather than per-item spans.
   if (trace_ != nullptr && counts_.repairs > repairs_before) {
     trace_->instant("repairs", "count", counts_.repairs - repairs_before);
   }
-}
-
-void RankEngine::drain_parallel(std::size_t shards) {
-  // Column-sharded drain (DESIGN.md §"Column-sharded parallel recombination
-  // drain"). Every queued (x, t) item reads and writes column t only —
-  // propagation enqueues (neighbour, t), a deferred repair re-enqueues
-  // (x, t), and repair() reads neighbour rows and portal caches at column t
-  // — so partitioning by t mod shards yields shard-disjoint work. The
-  // partition below is a stable filter of the FIFO queues, each shard runs
-  // the same repairs-first FIFO rule, and no item ever changes shard, so
-  // every shard replays exactly the serial schedule restricted to its
-  // columns: distances, next hops, flag bytes, queue contents and counter
-  // totals come out bit-identical to the serial drain for any shard count.
-  const double part0 = thread_cpu_now();
-  if (rc_shards_.size() < shards) rc_shards_.resize(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    rc_shards_[s].deltas.resize(dv_->size());
-  }
-  for (const auto& [x, t] : repairs_) {
-    rc_shards_[t % shards].repairs.emplace_back(x, t);
-  }
-  for (const auto& [x, t] : worklist_) {
-    rc_shards_[t % shards].worklist.emplace_back(x, t);
-  }
-  repairs_.clear();
-  worklist_.clear();
-  const double partition_cpu = thread_cpu_now() - part0;
-
-  run_workers(shards, [&](std::size_t s) {
-    const obs::ScopedSpan wspan(
-        tracer_ != nullptr ? &tracer_->subtrack(comm_.rank(), s) : nullptr,
-        "drain_shard", "queued",
-        rc_shards_[s].repairs.size() + rc_shards_[s].worklist.size());
-    const double w0 = thread_cpu_now();
-    RcShard& sh = rc_shards_[s];
-    ShardCtx ctx;
-    ctx.worklist = &sh.worklist;
-    ctx.repairs = &sh.repairs;
-    ctx.relaxations = &sh.relaxations;
-    ctx.dirty_entries = &sh.dirty_entries;
-    ctx.repairs_run = &sh.repairs_run;
-    ctx.deltas = &sh.deltas;
-    ctx.touched = &sh.touched;
-    while (!sh.repairs.empty() || !sh.worklist.empty()) {
-      if (!sh.repairs.empty()) {
-        const auto [x, t] = sh.repairs.front();
-        sh.repairs.pop_front();
-        repair(ctx, x, t);
-      } else {
-        const auto [x, t] = sh.worklist.front();
-        sh.worklist.pop_front();
-        propagate(ctx, x, t);
-      }
-    }
-    sh.cpu_seconds = thread_cpu_now() - w0;
-  });
-
-  // Deterministic merge, in shard-id order: row aggregates and index-list
-  // appends fold in via apply_delta, counters sum. The append order differs
-  // from the serial drain's interleaving, but list order is unobservable —
-  // every consumer sorts, clears, or filters by the per-column flags.
-  const double merge0 = thread_cpu_now();
-  double max_shard_cpu = 0.0;
-  double sum_shard_cpu = 0.0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    RcShard& sh = rc_shards_[s];
-    for (const std::uint32_t ri : sh.touched) {
-      dv_->row(ri).apply_delta(sh.deltas[ri]);
-    }
-    sh.touched.clear();
-    counts_.relaxations += sh.relaxations;
-    dirty_entries_ += sh.dirty_entries;
-    counts_.repairs += sh.repairs_run;
-    sh.relaxations = 0;
-    sh.dirty_entries = 0;
-    sh.repairs_run = 0;
-    max_shard_cpu = std::max(max_shard_cpu, sh.cpu_seconds);
-    sum_shard_cpu += sh.cpu_seconds;
-    sh.cpu_seconds = 0.0;
-  }
-  const double merge_cpu = thread_cpu_now() - merge0;
-  counts_.drain_cpu_seconds += partition_cpu + sum_shard_cpu + merge_cpu;
-  counts_.drain_modeled_seconds += partition_cpu + max_shard_cpu + merge_cpu;
 }
 
 // ------------------------------------------------------------- poisoning
@@ -1020,78 +887,39 @@ void RankEngine::apply_portal_value(PortalSink& p, VertexId t, Dist d) {
 void RankEngine::exchange() {
   const obs::ScopedSpan span(trace_, "exchange", "dirty", dirty_entries_);
   const auto P = static_cast<std::size_t>(comm_.size());
-  const std::size_t num_rows = dv_->size();
-  // Send assembly only reads shared state (rows, dirty lists, subscriber
-  // index) and writes per-shard buffers, so contiguous row blocks fan out
-  // across the worker pool. As with the drain, the shard count scales with
-  // the pending work so small steps stay on one (inline) worker.
-  const std::size_t shards = std::clamp<std::size_t>(
-      std::min(rc_thread_count(),
-               static_cast<std::size_t>(dirty_entries_) / kDrainShardGrain),
-      1, std::max<std::size_t>(num_rows, 1));
-  if (send_shards_.size() < shards) send_shards_.resize(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    SendShard& sh = send_shards_[s];
-    if (sh.writers.size() < P) sh.writers.resize(P);
-    for (auto& w : sh.writers) w.clear();
-    sh.sent_rows.clear();
-  }
+  if (exch_writers_.size() < P) exch_writers_.resize(P);
+  for (auto& w : exch_writers_) w.clear();
 
   {
     const obs::ScopedSpan assembly(trace_, "send_assembly");
-    run_workers(shards, [&](std::size_t s) {
-      const obs::ScopedSpan wspan(
-          tracer_ != nullptr ? &tracer_->subtrack(comm_.rank(), s) : nullptr,
-          "send_shard");
-      SendShard& sh = send_shards_[s];
-      const std::size_t begin = num_rows * s / shards;
-      const std::size_t end = num_rows * (s + 1) / shards;
-      for (std::size_t r = begin; r < end; ++r) {
-        if (dv_->dirty_count(r) == 0) continue;
-        sh.subs.clear();
-        lg_.subscribers(r, sh.subs);
-        if (!sh.subs.empty()) {
-          // Send assembly collects the dirty columns ascending, as the delta
-          // codec requires (sorted list or flag scan, whichever is cheaper
-          // for the row's density); the record is encoded once and fanned
-          // out.
-          // collect_dirty_entries is read-only, so cold rows serve their
-          // sends without promotion (shards partition rows, never racing).
-          sh.entries.clear();
-          dv_->collect_dirty_entries(r, sh.dirty_cols, sh.entries);
-          sh.record.clear();
-          rt::write_dv_record(sh.record, dv_->self(r), sh.entries);
-          for (const Rank q : sh.subs) {
-            sh.writers[static_cast<std::size_t>(q)].write_bytes(
-                sh.record.view());
-          }
-        }
-        sh.sent_rows.push_back(r);
+    for (std::size_t r = 0; r < dv_->size(); ++r) {
+      if (dv_->dirty_count(r) == 0) continue;
+      exch_subs_.clear();
+      lg_.subscribers(r, exch_subs_);
+      if (exch_subs_.empty()) continue;
+      // Send assembly collects the dirty columns ascending, as the delta
+      // codec requires (sorted list or flag scan, whichever is cheaper for
+      // the row's density); the record is encoded once and fanned out.
+      // collect_dirty_entries is read-only, so cold rows serve their sends
+      // without promotion.
+      exch_entries_.clear();
+      dv_->collect_dirty_entries(r, exch_dirty_cols_, exch_entries_);
+      exch_record_.clear();
+      rt::write_dv_record(exch_record_, dv_->self(r), exch_entries_);
+      for (const Rank q : exch_subs_) {
+        exch_writers_[static_cast<std::size_t>(q)].write_bytes(
+            exch_record_.view());
       }
-    });
+    }
   }
 
-  // Concatenating each destination's shard buffers in shard-id order yields
-  // exactly the bytes a serial ascending-row walk produces, for any shard
-  // count.
   std::vector<std::vector<std::byte>> out(P);
-  for (std::size_t q = 0; q < P; ++q) {
-    std::size_t total = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-      total += send_shards_[s].writers[q].size();
-    }
-    out[q].reserve(total);
-    for (std::size_t s = 0; s < shards; ++s) {
-      const auto v = send_shards_[s].writers[q].view();
-      out[q].insert(out[q].end(), v.begin(), v.end());
-    }
-  }
+  for (std::size_t q = 0; q < P; ++q) out[q] = exch_writers_[q].take();
   // Dirty flags are retired only once the collective has returned: if the
   // exchange throws (a peer died mid-step), the pending sends stay dirty in
   // this rank's state and survive into the recovery stash — subscribers
   // will still receive them after the restart. Cleared before
   // apply_incoming so entries re-dirtied by the incoming values are kept.
-  // Shard-id order over contiguous blocks = ascending row order.
   rt::ExchangeWait wait;
   const auto in = comm_.all_to_all(std::move(out), &wait);
   // Chaos hook (FaultPlan CrashPhase::kMidExchange): die once every send
@@ -1104,10 +932,10 @@ void RankEngine::exchange() {
     throw rt::InjectedCrash(comm_.rank(), cur_step_);
   }
   note_exchange_wait(wait);
-  for (std::size_t s = 0; s < shards; ++s) {
-    for (const std::size_t r : send_shards_[s].sent_rows) {
-      dirty_entries_ -= dv_->retire_dirty(r);
-    }
+  // Nothing since send assembly wrote a row, so the rows dirty now are
+  // exactly the ones assembled (rows without subscribers included).
+  for (std::size_t r = 0; r < dv_->size(); ++r) {
+    if (dv_->dirty_count(r) != 0) dirty_entries_ -= dv_->retire_dirty(r);
   }
   apply_incoming(in);
 }
@@ -1168,10 +996,10 @@ void RankEngine::apply_incoming(const std::vector<std::vector<std::byte>>& in) {
 
 bool RankEngine::poison_sync_round() {
   const Rank P = comm_.size();
-  if (sync_writers_.size() < static_cast<std::size_t>(P)) {
-    sync_writers_.resize(static_cast<std::size_t>(P));
+  if (exch_writers_.size() < static_cast<std::size_t>(P)) {
+    exch_writers_.resize(static_cast<std::size_t>(P));
   }
-  std::vector<rt::ByteWriter>& writers = sync_writers_;
+  std::vector<rt::ByteWriter>& writers = exch_writers_;
   for (auto& w : writers) w.clear();
   std::vector<Rank>& subs = exch_subs_;
   std::vector<VertexId>& dirty_cols = exch_dirty_cols_;

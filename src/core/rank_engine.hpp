@@ -144,53 +144,12 @@ class RankEngine {
 
  private:
   // ---- relaxation machinery ----
-  /// Mutation sink for the relaxation kernel. Serial entry points bind it
-  /// to the engine-level queues/counters and mutate rows directly
-  /// (deltas == nullptr); each drain shard binds its own queues, counters
-  /// and per-row delta buffers, so the parallel hot path takes no locks and
-  /// touches no shared aggregate.
-  struct ShardCtx {
-    std::deque<std::pair<VertexId, VertexId>>* worklist = nullptr;
-    std::deque<std::pair<VertexId, VertexId>>* repairs = nullptr;
-    std::uint64_t* relaxations = nullptr;
-    std::uint64_t* dirty_entries = nullptr;
-    std::uint64_t* repairs_run = nullptr;
-    std::vector<DvRowDelta>* deltas = nullptr;   // null => direct row mutation
-    std::vector<std::uint32_t>* touched = nullptr;  // rows with live deltas
-  };
-  /// Reusable per-shard drain state (worklists keyed by t mod shards).
-  struct RcShard {
-    std::deque<std::pair<VertexId, VertexId>> worklist;
-    std::deque<std::pair<VertexId, VertexId>> repairs;
-    std::vector<DvRowDelta> deltas;      // one slot per local row
-    std::vector<std::uint32_t> touched;  // rows whose delta is live
-    std::uint64_t relaxations = 0;
-    std::uint64_t dirty_entries = 0;
-    std::uint64_t repairs_run = 0;
-    double cpu_seconds = 0.0;
-  };
-  /// Reusable per-worker send-assembly state for exchange().
-  struct SendShard {
-    std::vector<rt::ByteWriter> writers;  // one per destination rank
-    std::vector<std::size_t> sent_rows;
-    std::vector<Rank> subs;
-    std::vector<VertexId> dirty_cols;
-    std::vector<std::pair<VertexId, Dist>> entries;
-    rt::ByteWriter record;
-  };
-
-  [[nodiscard]] ShardCtx serial_ctx();
-  void relax(ShardCtx& ctx, VertexId x, VertexId t, Dist nd, VertexId nh);
   void relax(VertexId x, VertexId t, Dist nd, VertexId nh);
-  /// relax() past its liveness check, on x's already fetched row `row`
-  /// (row index ri).
-  void relax_row(ShardCtx& ctx, std::int32_t ri, DvRow& row, VertexId x,
-                 VertexId t, Dist nd, VertexId nh);
+  /// relax() past its liveness check, on x's already fetched row `row`.
+  void relax_row(DvRow& row, VertexId x, VertexId t, Dist nd, VertexId nh);
   void drain();
-  void drain_parallel(std::size_t shards);
-  void propagate(ShardCtx& ctx, VertexId x, VertexId t);
-  void repair(ShardCtx& ctx, VertexId x, VertexId t);
-  [[nodiscard]] std::size_t rc_thread_count() const;
+  void propagate(VertexId x, VertexId t);
+  void repair(VertexId x, VertexId t);
   /// Transitively invalidates every local entry whose next-hop chain passes
   /// through a seed; seeds are (vertex, target) pairs already known bad.
   /// Drains `seeds` (the queue also receives the cascade's own seeds).
@@ -342,17 +301,16 @@ class RankEngine {
   std::size_t recovery_mark_step_ = static_cast<std::size_t>(-1);
   std::atomic<std::int64_t>* recovery_mark_ = nullptr;
 
-  // Reusable scratch, cleared in place each step instead of reallocated:
-  // drain shards, exchange() send-assembly shards (one in the serial case),
-  // and the poison_sync_round() buffers.
-  std::vector<RcShard> rc_shards_;
-  std::vector<SendShard> send_shards_;
+  // Reusable scratch shared by exchange() and poison_sync_round(), cleared
+  // in place each round instead of reallocated: per-destination writers,
+  // one row's subscribers, its dirty columns and entries, and its encoded
+  // record.
+  std::vector<rt::ByteWriter> exch_writers_;
   std::vector<Rank> exch_subs_;
   std::vector<VertexId> exch_dirty_cols_;
   std::vector<std::pair<VertexId, Dist>> exch_entries_;
   rt::ByteWriter exch_record_;
-  /// poison_sync_round() per-destination writers + sent markers.
-  std::vector<rt::ByteWriter> sync_writers_;
+  /// poison_sync_round() sent markers and collected dirty entries.
   std::vector<std::pair<std::size_t, VertexId>> sync_markers_;
   std::vector<std::pair<VertexId, Dist>> sync_scratch_;
   /// poison_cascade() candidate rows and the seed queue apply_portal_value
@@ -363,7 +321,7 @@ class RankEngine {
   /// DvStore::maintain.
   std::vector<std::uint8_t> boundary_flags_;
 
-  // Observability. trace_ is this rank's main track (null = off); shard
+  // Observability. trace_ is this rank's main track (null = off); IA
   // workers fetch their subtrack from tracer_. record_step folds each step
   // into metrics_ by walking the metric catalog.
   obs::Tracer* tracer_ = nullptr;
@@ -427,7 +385,7 @@ struct RankEngine::Init {
   std::size_t recovery_mark_step = static_cast<std::size_t>(-1);
   std::atomic<std::int64_t>* recovery_mark = nullptr;
   /// Observability (non-owning, both nullable). The tracer provides this
-  /// rank's main track and drain-shard subtracks; the registry receives
+  /// rank's main track and IA-worker subtracks; the registry receives
   /// per-step counter folds (owned by the driver so it survives
   /// supervised attempts, like the runtime ledgers).
   obs::Tracer* tracer = nullptr;

@@ -167,10 +167,9 @@ std::string RunStats::summary() const {
     os << buf;
   }
   std::snprintf(buf, sizeof(buf),
-                "cut edges %zu -> %zu  imbalance %.3f  drain cpu %.3f s "
-                "(modeled %.3f s)",
+                "cut edges %zu -> %zu  imbalance %.3f  drain cpu %.3f s",
                 cut_edges_initial, cut_edges_final, imbalance_final,
-                rc_drain_cpu_seconds, rc_drain_modeled_seconds);
+                rc_drain_cpu_seconds);
   os << buf;
   return os.str();
 }

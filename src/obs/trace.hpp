@@ -7,8 +7,8 @@
 //     TraceTrack* that is null when disabled, and the inline helpers below
 //     compile down to one predictable branch.
 //   * No locks on the hot path: a TraceTrack is owned by exactly one thread
-//     at a time (rank threads own their rank track; drain/IA shard workers
-//     own their shard subtrack; ownership hand-offs are synchronized by the
+//     at a time (rank threads own their rank track; IA workers own their
+//     shard subtrack; ownership hand-offs are synchronized by the
 //     worker-pool joins that already order the algorithm itself). Buffers
 //     are only read after World::run has joined every rank thread.
 //   * Bounded memory: each track is a ring of `track_capacity` events.
@@ -142,7 +142,7 @@ class Tracer {
     AACC_CHECK(r >= 0 && r < num_ranks_);
     return *tracks_[static_cast<std::size_t>(r) * (1 + subtracks_)];
   }
-  /// Shard subtrack `s` of rank `r` (drain shards, IA workers). Worker 0
+  /// Shard subtrack `s` of rank `r` (IA workers). Worker 0
   /// is the rank thread itself but still records on its subtrack so shard
   /// timelines are comparable across workers.
   [[nodiscard]] TraceTrack& subtrack(Rank r, std::size_t s) {

@@ -47,9 +47,6 @@ TEST(ConfigValidate, ThreadCapsCatchSignBugs) {
   EngineConfig cfg;
   cfg.ia_threads = static_cast<std::size_t>(-1);  // the bug the cap exists for
   EXPECT_NE(config_error_message(cfg).find("ia_threads"), std::string::npos);
-  cfg = EngineConfig{};
-  cfg.rc_threads = 4097;
-  EXPECT_NE(config_error_message(cfg).find("rc_threads"), std::string::npos);
   // The recovery counts: `--checkpoint-every -1` would stop periodic
   // snapshots after step 0, and a wrapped budget would be unlimited.
   cfg = EngineConfig{};

@@ -140,6 +140,7 @@ TEST(Recovery, CrashWithPeriodicCheckpointsIsBitIdentical) {
   }
   EXPECT_EQ(recovered.apsp, clean.apsp);
   EXPECT_EQ(recovered.final_owner, clean.final_owner);
+  expect_apsp_exact(engine.graph(), recovered);
 }
 
 TEST(Recovery, CrashBeforeAnySnapshotRestartsFromScratch) {

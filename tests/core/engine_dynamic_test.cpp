@@ -219,6 +219,49 @@ TEST(EngineDynamic, IncrementalBatchesAcrossSteps) {
   expect_apsp_exact(cursor, r);
 }
 
+TEST(EngineDynamic, RandomizedMixedScheduleFuzz) {
+  // Seeded fuzz over one mixed batch on a weighted graph: growth, then
+  // edge deletions, then weight changes, at 2-4 ranks.
+  for (const std::uint64_t seed : {11u, 22u, 33u}) {
+    Rng rng(seed);
+    const Graph g = make_er(170, 510, 1000 + seed, WeightRange{1, 5});
+    Graph truth = g;
+    EventSchedule sched;
+    EventBatch b;
+    b.at_step = 1;
+    for (const Event& e :
+         grow_vertices(truth, 4 + rng.next_below(6), 2, rng)) {
+      apply_event(truth, e);
+      b.events.push_back(e);
+    }
+    const std::size_t dels = 2 + rng.next_below(5);
+    for (std::size_t i = 0; i < dels; ++i) {
+      const auto edges = truth.edges();
+      const auto& [u, v, w] = edges[rng.next_below(edges.size())];
+      (void)w;
+      truth.remove_edge(u, v);
+      b.events.emplace_back(EdgeDeleteEvent{u, v});
+    }
+    const std::size_t changes = 1 + rng.next_below(4);
+    for (std::size_t i = 0; i < changes; ++i) {
+      const auto edges = truth.edges();
+      const auto& [u, v, w] = edges[rng.next_below(edges.size())];
+      const Weight nw = 1 + static_cast<Weight>(rng.next_below(9));
+      if (nw == w) continue;
+      truth.set_weight(u, v, nw);
+      b.events.emplace_back(WeightChangeEvent{u, v, nw});
+    }
+    sched.push_back(std::move(b));
+
+    EngineConfig cfg = base_cfg(2 + static_cast<Rank>(seed % 3));
+    cfg.validate_each_step = true;  // DVR invariant audited every step
+    AnytimeEngine engine(g, cfg);
+    const RunResult r = engine.run(sched);
+    EXPECT_EQ(r.stats.invariant_violations, 0u) << "seed " << seed;
+    expect_apsp_exact(truth, r);
+  }
+}
+
 // Property sweep: random interleavings of every event type at random steps
 // must still converge to the reference. Seeds parameterize the chaos.
 class DynamicChaos : public ::testing::TestWithParam<std::uint64_t> {};

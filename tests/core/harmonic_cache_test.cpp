@@ -1,9 +1,9 @@
 // The per-row harmonic cache (DvRow / ColdDvRow) under churn: every edge
 // and vertex event kind plus repartition, resident and at the smallest
-// tiered budget, with the serial and the column-sharded drain. At every
-// RC step the cached values must equal a fresh ascending sum bit for bit
-// (the validate_each_step invariant check), and E3's per-step harmonic
-// estimates must equal harmonic_from_row over that step's distance rows.
+// tiered budget. At every RC step the cached values must equal a fresh
+// ascending sum bit for bit (the validate_each_step invariant check), and
+// E3's per-step harmonic estimates must equal harmonic_from_row over that
+// step's distance rows.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -177,25 +177,14 @@ EventSchedule churn_schedule(const Graph& g, std::uint64_t seed, Graph* truth) {
   return sched;
 }
 
-struct Variant {
-  std::uint64_t budget;
-  std::size_t rc_threads;
-};
+/// Fully resident and the smallest tiered budget.
+constexpr std::uint64_t kBudgets[] = {0, kMinDvBudgetBytes};
 
-std::string name_of(const Variant& v) {
-  return "budget=" + std::to_string(v.budget) +
-         " rc_threads=" + std::to_string(v.rc_threads);
-}
-
-constexpr Variant kVariants[] = {
-    {0, 1}, {0, 2}, {kMinDvBudgetBytes, 1}, {kMinDvBudgetBytes, 2}};
-
-EngineConfig base_cfg(const Variant& v) {
+EngineConfig base_cfg(std::uint64_t budget) {
   EngineConfig cfg;
   cfg.num_ranks = 3;
   cfg.ia_threads = 1;
-  cfg.rc_threads = v.rc_threads;
-  cfg.dv_budget_bytes = v.budget;
+  cfg.dv_budget_bytes = budget;
   cfg.assign = AssignStrategy::kRepartition;  // vertex adds migrate rows
   cfg.validate_each_step = true;  // cached == fresh sum, every row and step
   cfg.record_step_quality = true;
@@ -227,9 +216,9 @@ TEST(HarmonicCache, BatchRunMatchesPerRowRecomputeAtEveryStep) {
   const Graph g = make_er(70, 200, 31, WeightRange{1, 5});
   Graph truth;
   const EventSchedule sched = churn_schedule(g, 7, &truth);
-  for (const Variant& var : kVariants) {
-    const std::string where = name_of(var);
-    const RunResult full = AnytimeEngine(g, base_cfg(var)).run(sched);
+  for (const std::uint64_t budget : kBudgets) {
+    const std::string where = "budget=" + std::to_string(budget);
+    const RunResult full = AnytimeEngine(g, base_cfg(budget)).run(sched);
     EXPECT_EQ(full.stats.invariant_violations, 0u) << where;
     test::expect_apsp_exact(truth, full);
     expect_bit_identical(full.harmonic, recompute(full), where + " final");
@@ -238,7 +227,7 @@ TEST(HarmonicCache, BatchRunMatchesPerRowRecomputeAtEveryStep) {
     for (std::size_t s = 0; s < steps; ++s) {
       // Stopping at step s gathers that step's rows: the values E3
       // recorded at step s must be their fresh per-row sums.
-      EngineConfig cfg = base_cfg(var);
+      EngineConfig cfg = base_cfg(budget);
       cfg.checkpoint_at_step = full.stats.steps[s].step;
       const RunResult cut = AnytimeEngine(g, cfg).run(sched);
       const std::string at = where + " step " + std::to_string(s);
@@ -260,9 +249,9 @@ TEST(HarmonicCache, LiveSessionPublishesFreshSums) {
   const Graph g = make_er(70, 200, 32, WeightRange{1, 5});
   Graph truth;
   const EventSchedule sched = churn_schedule(g, 8, &truth);
-  for (const Variant& var : kVariants) {
-    const std::string where = name_of(var);
-    serve::EngineSession session(g, base_cfg(var));
+  for (const std::uint64_t budget : kBudgets) {
+    const std::string where = "budget=" + std::to_string(budget);
+    serve::EngineSession session(g, base_cfg(budget));
     for (const EventBatch& b : sched) session.ingest(b.events);
     const serve::QueryView view = session.view();
     const RunResult r = session.close();

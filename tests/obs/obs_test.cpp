@@ -108,8 +108,8 @@ TEST(Tracer, GoldenChromeTrace) {
   obs::Tracer tracer(2, 1, logical_cfg());
   tracer.track(0).begin("ia", "rows", 3);
   tracer.track(0).end("ia");
-  tracer.subtrack(0, 0).begin("drain_shard");
-  tracer.subtrack(0, 0).end("drain_shard");
+  tracer.subtrack(0, 0).begin("ia_shard");
+  tracer.subtrack(0, 0).end("ia_shard");
   tracer.track(1).instant("repairs", "count", 7);
   tracer.driver().begin("dd");
   tracer.driver().end("dd");
@@ -135,9 +135,9 @@ TEST(Tracer, GoldenChromeTrace) {
       "{\"name\":\"ia\",\"ph\":\"B\",\"pid\":0,\"tid\":0,\"ts\":1.000,"
       "\"args\":{\"rows\":3}},\n"
       "{\"name\":\"ia\",\"ph\":\"E\",\"pid\":0,\"tid\":0,\"ts\":2.000},\n"
-      "{\"name\":\"drain_shard\",\"ph\":\"B\",\"pid\":0,\"tid\":1,"
+      "{\"name\":\"ia_shard\",\"ph\":\"B\",\"pid\":0,\"tid\":1,"
       "\"ts\":1.000},\n"
-      "{\"name\":\"drain_shard\",\"ph\":\"E\",\"pid\":0,\"tid\":1,"
+      "{\"name\":\"ia_shard\",\"ph\":\"E\",\"pid\":0,\"tid\":1,"
       "\"ts\":2.000},\n"
       "{\"name\":\"repairs\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":1.000,"
       "\"s\":\"t\",\"args\":{\"count\":7}},\n"
@@ -199,7 +199,6 @@ TEST(ScopedSpan, NullTrackIsNoOp) {
 EngineConfig traced_cfg(Rank ranks) {
   EngineConfig cfg;
   cfg.num_ranks = ranks;
-  cfg.rc_threads = 2;
   cfg.trace.enabled = true;
   cfg.trace.logical_clock = true;
   return cfg;
@@ -231,7 +230,9 @@ TEST(EngineTrace, StructurallyValidAndComplete) {
   for (const obs::Trace::Entry& e : r.trace.events) {
     const std::pair<int, int> track{e.pid, e.tid};
     const auto it = last_ts.find(track);
-    if (it != last_ts.end()) EXPECT_GE(e.ev.ts_ns, it->second);
+    if (it != last_ts.end()) {
+      EXPECT_GE(e.ev.ts_ns, it->second);
+    }
     last_ts[track] = e.ev.ts_ns;
     if (e.ev.kind == obs::EventKind::kBegin) {
       ++depth[track];
@@ -303,7 +304,6 @@ TEST(EngineTrace, ResultsIdenticalWithTracingOnOrOff) {
   for (int i = 0; i < 2; ++i) {
     EngineConfig cfg;
     cfg.num_ranks = 4;
-    cfg.rc_threads = 2;
     cfg.trace.enabled = i == 1;
     AnytimeEngine engine(g, cfg);
     results[i] = engine.run(small_schedule(g));
@@ -476,7 +476,6 @@ RunStats golden_stats() {
   s.modeled_network_seconds_flood = 0.125;
   s.rc_steps = 2;
   s.rc_drain_cpu_seconds = 0.7;
-  s.rc_drain_modeled_seconds = 0.35;
   s.rc_exchange_wait_seconds = 0.015625;
   s.rc_blocked_on_seconds = 0.01;
   s.rc_blocked_on_by_rank[1] = 0.004;
@@ -508,7 +507,6 @@ RunStats golden_stats() {
   a.poisons = 0;
   a.repairs = 0;
   a.sum_drain_cpu_seconds = 0.4;
-  a.max_drain_modeled_seconds = 0.15;
   a.sum_exchange_wait_seconds = 0.01;
   a.max_blocked_seconds = 0.004;
   a.blocked_on_rank = 1;
@@ -521,7 +519,6 @@ RunStats golden_stats() {
   b.poisons = 3;
   b.repairs = 5;
   b.sum_drain_cpu_seconds = 0.3;
-  b.max_drain_modeled_seconds = 0.2;
   b.sum_exchange_wait_seconds = 0.005625;
   s.steps = {a, b};
   return s;
@@ -541,7 +538,6 @@ TEST(RunStatsJson, GoldenBytes) {
       "\"modeled_network_seconds\":{\"serialized\":0.29999999999999999,"
       "\"shifted\":0.20000000000000001,\"flood\":0.125},\"rc_steps\":2,"
       "\"rc_drain_cpu_seconds\":0.69999999999999996,"
-      "\"rc_drain_modeled_seconds\":0.34999999999999998,"
       "\"rc_exchange_wait_seconds\":0.015625,"
       "\"rc_blocked_on_seconds\":0.01,\"rc_blocked_on\":[{\"rank\":1,"
       "\"seconds\":0.0040000000000000001},{\"rank\":3,"
@@ -557,13 +553,11 @@ TEST(RunStatsJson, GoldenBytes) {
       "\"max_cpu_seconds\":0.20000000000000001,\"sum_cpu_seconds\":0.5,"
       "\"relaxations\":300,\"poisons\":0,\"repairs\":0,"
       "\"sum_drain_cpu_seconds\":0.40000000000000002,"
-      "\"max_drain_modeled_seconds\":0.14999999999999999,"
       "\"sum_exchange_wait_seconds\":0.01,\"blocked_on_rank\":1,"
       "\"blocked_seconds\":0.0040000000000000001},{\"step\":2,\"bytes\":24,"
       "\"max_cpu_seconds\":0.050000000000000003,\"sum_cpu_seconds\":0.125,"
       "\"relaxations\":7,\"poisons\":3,\"repairs\":5,"
       "\"sum_drain_cpu_seconds\":0.29999999999999999,"
-      "\"max_drain_modeled_seconds\":0.20000000000000001,"
       "\"sum_exchange_wait_seconds\":0.0056249999999999998,"
       "\"blocked_on_rank\":-1,\"blocked_seconds\":0}]}";
   const RunStats s = golden_stats();

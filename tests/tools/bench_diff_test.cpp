@@ -120,7 +120,9 @@ TEST(DiffBench, BaselineIsBestHistoricalSample) {
   const DiffReport rep = diff_bench(history, bench_run(1.00, 2.00, 7));
   EXPECT_EQ(rep.regressions, 0u);
   for (const auto& d : rep.rows) {
-    if (d.gated) EXPECT_NEAR(d.delta_pct, 0.0, 1e-9) << d.path;
+    if (d.gated) {
+      EXPECT_NEAR(d.delta_pct, 0.0, 1e-9) << d.path;
+    }
   }
 }
 
