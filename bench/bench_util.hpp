@@ -23,7 +23,6 @@
 #include "common/timer.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
-#include "graph/louvain.hpp"
 
 namespace aacc::bench {
 
@@ -54,7 +53,7 @@ inline Graph base_graph(const Scale& s, unsigned edges_per_vertex = 2) {
 }
 
 /// A batch of new vertices with explicit community structure, standing in
-/// for the paper's "extracted from a larger graph using Pajek's Louvain":
+/// for the paper's batches extracted from a larger graph with Pajek:
 /// we *generate* a community-structured graph among the newcomers (so that
 /// CutEdge-PS has structure to exploit, exactly as in the paper's setup)
 /// and attach each newcomer to the existing graph preferentially.
@@ -90,20 +89,6 @@ inline std::vector<Event> community_vertex_batch(const Graph& base,
     events.emplace_back(std::move(ev));
   }
   return events;
-}
-
-/// Verifies the batch construction produced real community structure
-/// (used by the benches to print the modularity of the injected batch).
-inline double batch_modularity(const std::vector<Event>& events, VertexId n0) {
-  Graph g(static_cast<VertexId>(events.size()));
-  for (const Event& e : events) {
-    const auto& ev = std::get<VertexAddEvent>(e);
-    for (const auto& [to, w] : ev.edges) {
-      if (to >= n0) g.add_edge(ev.id - n0, to - n0, w);
-    }
-  }
-  Rng rng(7);
-  return louvain(g, rng).modularity;
 }
 
 /// One experiment measurement.

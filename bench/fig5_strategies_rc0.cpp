@@ -1,7 +1,8 @@
 // Figure 5 — "Vertex Additions at RC0".
 //
-// Paper setup: batches of 500..6000 community-structured vertices (Louvain
-// extracted) added at recombination step 0 of a 50,000-vertex run on 16
+// Paper setup: batches of 500..6000 community-structured vertices (extracted
+// by Pajek's community detection; here generated by community_vertex_batch)
+// added at recombination step 0 of a 50,000-vertex run on 16
 // processors, under Repartition-S / CutEdge-PS / RoundRobin-PS.
 //
 // Expected shape: RoundRobin-PS ≈ CutEdge-PS fastest for small batches;

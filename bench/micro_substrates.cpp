@@ -1,5 +1,5 @@
 // M1 — google-benchmark micro benchmarks for the substrate kernels:
-// Dijkstra, multilevel partitioning, Louvain, serialization, and the
+// Dijkstra, multilevel partitioning, serialization, and the
 // communicator collectives. These are the building blocks whose constants
 // determine every figure's absolute numbers.
 #include <benchmark/benchmark.h>
@@ -7,7 +7,6 @@
 #include "analysis/shortest_paths.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
-#include "graph/louvain.hpp"
 #include "partition/partition.hpp"
 #include "runtime/comm.hpp"
 #include "runtime/serialize.hpp"
@@ -49,17 +48,6 @@ void BM_MultilevelPartition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MultilevelPartition)->Arg(1000)->Arg(4000)->Arg(16000);
-
-void BM_Louvain(benchmark::State& state) {
-  const auto n = static_cast<VertexId>(state.range(0));
-  Rng grng(3);
-  const Graph g = planted_partition(n, 8, std::min(1.0, 40.0 / n), 0.002, grng);
-  Rng rng(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(louvain(g, rng));
-  }
-}
-BENCHMARK(BM_Louvain)->Arg(500)->Arg(2000);
 
 void BM_SerializeDistRow(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -41,9 +41,6 @@ int main(int argc, char** argv) {
   if (const char* trace_path = std::getenv("AACC_TRACE")) {
     cfg.trace.enabled = true;
     cfg.trace.path = trace_path;
-    // Flow-stamp the transport so the trace feeds `aacc analyze
-    // --critical-path` (docs/OBSERVABILITY.md §Causal flows).
-    cfg.trace.flow_stamping = true;
   }
   if (const char* progress_path = std::getenv("AACC_PROGRESS")) {
     cfg.progress.path = progress_path;

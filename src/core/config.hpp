@@ -1,6 +1,7 @@
 // Shared configuration enums for the anytime anywhere engine.
 #pragma once
 
+#include <iterator>
 #include <stdexcept>
 
 #include "common/types.hpp"
@@ -75,6 +76,12 @@ struct RecoveryRung {
   /// next rung. 0 = unlimited (still bounded by max_recoveries overall).
   std::size_t budget = 0;
 };
+
+/// The default recovery ladder: rollback, then degraded ghost mode.
+/// EngineConfig copies it from static storage: a braced list in the member
+/// initializer trips a GCC 12 -Wmaybe-uninitialized false positive.
+inline constexpr RecoveryRung kDefaultRecoveryPolicy[] = {
+    {RecoveryPolicy::kRollback, 0}, {RecoveryPolicy::kDegrade, 0}};
 
 /// Local refinement inside an RC step (ablation A3).
 enum class RefineMode {
@@ -159,8 +166,8 @@ struct EngineConfig {
   /// hard-coded order: rollback whenever periodic checkpoints are enabled,
   /// else degraded ghost mode. Adoption must be opted in, e.g.
   /// {{kAdopt}, {kRollback}, {kDegrade}}.
-  std::vector<RecoveryRung> recovery_policy{
-      {RecoveryPolicy::kRollback, 0}, {RecoveryPolicy::kDegrade, 0}};
+  std::vector<RecoveryRung> recovery_policy{std::begin(kDefaultRecoveryPolicy),
+                                            std::end(kDefaultRecoveryPolicy)};
   /// Peer-health supervision deadlines (docs/FAULTS.md §Health
   /// supervision): straggler -> suspect -> dead escalation on awaited
   /// peers, so a wedged rank is *declared* dead after health.dead_after of
@@ -193,7 +200,7 @@ struct EngineConfig {
   /// snapshot is more than this many steps behind the engine's current
   /// step is flagged stale (ResponseMeta::stale). 0 = never flag.
   std::size_t max_snapshot_lag = 0;
-  /// Per-query flow sampling (docs/OBSERVABILITY.md §Causal flows): query
+  /// Per-query flow sampling (docs/OBSERVABILITY.md §Serve latency SLOs): query
   /// index i is sampled when (i + seed) % every == 0, recording latency and
   /// the snapshot publish that served it. Deterministic given the same
   /// query order; 0 disables sampling. The buffer is bounded

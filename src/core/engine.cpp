@@ -263,10 +263,6 @@ RunResult run_driver(const DriverArgs& args) {
   if (injector) world.install_faults(&*injector);
   if (cfg_.health.enabled) world.install_health(cfg_.health);
   if (tracer) world.install_tracer(tracer.get());
-  // Flow stamping rides the tracer: without one there is nowhere to record
-  // the flow:send/flow:recv instants, so the wire stays unstamped (and
-  // bit-identical to the v2.1 format).
-  world.install_flow_stamping(tracer != nullptr && cfg_.trace.flow_stamping);
 
   std::vector<std::unique_ptr<RankEngine>> engines(
       static_cast<std::size_t>(cfg_.num_ranks));
@@ -484,12 +480,7 @@ RunResult run_driver(const DriverArgs& args) {
         .merge(serve->query_ns_rank_of.snapshot());
   }
   merged.gauge("cpu/max_rank").set(world.max_rank_cpu_seconds());
-  merged.gauge("net/modeled_serialized")
-      .set(world.modeled_network_seconds(rt::SchedulePolicy::kSerialized));
-  merged.gauge("net/modeled_shifted")
-      .set(world.modeled_network_seconds(rt::SchedulePolicy::kShifted));
-  merged.gauge("net/modeled_flood")
-      .set(world.modeled_network_seconds(rt::SchedulePolicy::kFlood));
+  merged.gauge("net/modeled_serialized").set(world.modeled_network_seconds());
   merged.gauge("time/dd_seconds").set(out.stats.dd_seconds);
 
   // Run-level fields of registered metrics without a per-step view.

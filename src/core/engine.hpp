@@ -76,9 +76,10 @@ struct StepStats {
   /// Exchange wait this step: Σ over ranks of wall time blocked in
   /// collective recvs.
   double sum_exchange_wait_seconds = 0.0;
-  /// Live critical-path proxy this step: the longest single blocked recv
-  /// interval any rank saw, and the peer whose arrival ended it (-1 when
-  /// no exchange blocked — e.g. a single rank).
+  /// The longest single blocked recv inside this step's RC all-to-all on
+  /// any rank, and the peer whose arrival ended it (-1 when no exchange
+  /// blocked — e.g. a single rank). Waits in the verdict broadcast and
+  /// barriers are not timed.
   double max_blocked_seconds = 0.0;
   std::int64_t blocked_on_rank = -1;
 };
@@ -101,18 +102,14 @@ struct RunStats {
   std::uint64_t frame_overhead_bytes = 0;
   std::uint64_t retransmits = 0;
   double modeled_network_seconds_serialized = 0.0;  ///< the paper's schedule
-  double modeled_network_seconds_shifted = 0.0;
-  double modeled_network_seconds_flood = 0.0;
   std::size_t rc_steps = 0;
   /// RC drain total: CPU burnt in drain(), Σ over ranks and steps.
   double rc_drain_cpu_seconds = 0.0;
   /// Blocked-recv wall time in the exchanges, summed over ranks and steps.
   double rc_exchange_wait_seconds = 0.0;
-  /// Critical-path attribution totals (docs/OBSERVABILITY.md §Causal
-  /// flows): Σ over steps of the worst single blocked interval, and the
-  /// same broken down by the rank waited on. Derived from the per-step
-  /// blocked-on proxy; the exact trace-stitched attribution lives in
-  /// `aacc analyze --critical-path`.
+  /// Σ over steps of StepStats::max_blocked_seconds — the longest single
+  /// blocked recv inside each step's RC all-to-all — and the same broken
+  /// down by the rank waited on (docs/OBSERVABILITY.md §Waiting on peers).
   double rc_blocked_on_seconds = 0.0;
   std::map<std::int64_t, double> rc_blocked_on_by_rank;
   /// Supervised relaunches after injected/transport failures (adoptions,

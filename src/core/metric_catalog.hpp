@@ -175,12 +175,6 @@ inline constexpr Metric kCatalog[] = {
     {.name = "net/modeled_serialized", .kind = kGauge, .unit = "s",
      .run = {"serialized", &RunStats::modeled_network_seconds_serialized},
      .run_group = "modeled_network_seconds"},
-    {.name = "net/modeled_shifted", .kind = kGauge, .unit = "s",
-     .run = {"shifted", &RunStats::modeled_network_seconds_shifted},
-     .run_group = "modeled_network_seconds"},
-    {.name = "net/modeled_flood", .kind = kGauge, .unit = "s",
-     .run = {"flood", &RunStats::modeled_network_seconds_flood},
-     .run_group = "modeled_network_seconds"},
     // ---- recombination ----
     {.unit = "steps", .run = {RUN(rc_steps)}},
     {.name = "rc/steps", .unit = "rank-steps"},

@@ -1887,9 +1887,8 @@ std::size_t RankEngine::run_rc() {
 
   for (;;) {
     cur_step_ = step;
-    // Flow ids minted from here on carry this step (obs/causal.hpp); the
-    // causal stitcher uses it to bound edges to their RC epoch.
-    comm_.set_flow_step(static_cast<std::uint32_t>(step));
+    // Health supervision names this step when a wait on a peer stalls.
+    comm_.set_rc_step(static_cast<std::uint32_t>(step));
     // Opened before the crash hook so a mid-step InjectedCrash unwinds
     // through the span and the trace still shows the truncated step.
     const obs::ScopedSpan step_span(trace_, "rc_step", "step", step);

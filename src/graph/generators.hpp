@@ -2,9 +2,9 @@
 //
 // The paper generates undirected scale-free graphs with Pajek; the
 // experiments additionally need community-structured vertex batches
-// (extracted there with Pajek's Louvain plugin). These generators are the
-// offline substitute: deterministic given the Rng seed, with the same
-// qualitative structure (power-law degrees for Barabási–Albert, tunable
+// (extracted there with Pajek's community detection). These generators
+// are the offline substitute: deterministic given the Rng seed, with the
+// same qualitative structure (power-law degrees for Barabási–Albert, tunable
 // community strength for the planted-partition model).
 #pragma once
 

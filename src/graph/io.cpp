@@ -148,53 +148,11 @@ void write_pajek(const Graph& g, std::ostream& out) {
   }
 }
 
-Graph read_dimacs(std::istream& in) {
-  std::string line;
-  std::size_t n = 0;
-  std::size_t declared_arcs = 0;
-  Graph g;
-  bool seen_header = false;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == 'c') continue;
-    std::istringstream ls(line);
-    char kind = 0;
-    ls >> kind;
-    if (kind == 'p') {
-      std::string tag;
-      ls >> tag >> n >> declared_arcs;
-      AACC_CHECK_MSG(!ls.fail() && tag == "sp", "malformed DIMACS header: " << line);
-      g = Graph(static_cast<VertexId>(n));
-      seen_header = true;
-    } else if (kind == 'a') {
-      AACC_CHECK_MSG(seen_header, "DIMACS arc before header");
-      VertexId u = 0;
-      VertexId v = 0;
-      Weight w = 1;
-      ls >> u >> v >> w;
-      AACC_CHECK_MSG(!ls.fail(), "malformed DIMACS arc: " << line);
-      AACC_CHECK(u >= 1 && v >= 1 && u <= n && v <= n);
-      if (u != v && !g.has_edge(u - 1, v - 1)) g.add_edge(u - 1, v - 1, w);
-    }
-  }
-  AACC_CHECK_MSG(seen_header, "DIMACS file missing 'p sp' header");
-  return g;
-}
-
-void write_dimacs(const Graph& g, std::ostream& out) {
-  out << "c aacc DIMACS shortest-path export\n";
-  out << "p sp " << g.num_vertices() << ' ' << 2 * g.num_edges() << '\n';
-  for (const auto& [u, v, w] : g.edges()) {
-    out << "a " << (u + 1) << ' ' << (v + 1) << ' ' << w << '\n';
-    out << "a " << (v + 1) << ' ' << (u + 1) << ' ' << w << '\n';
-  }
-}
-
 Graph load_graph(const std::string& path) {
   std::ifstream in(path);
   AACC_CHECK_MSG(in.good(), "cannot open " << path);
   if (ends_with(path, ".graph")) return read_metis(in);
   if (ends_with(path, ".net")) return read_pajek(in);
-  if (ends_with(path, ".gr")) return read_dimacs(in);
   return read_edge_list(in);
 }
 
@@ -205,8 +163,6 @@ void save_graph(const Graph& g, const std::string& path) {
     write_metis(g, out);
   } else if (ends_with(path, ".net")) {
     write_pajek(g, out);
-  } else if (ends_with(path, ".gr")) {
-    write_dimacs(g, out);
   } else {
     write_edge_list(g, out);
   }

@@ -26,14 +26,8 @@ void write_metis(const Graph& g, std::ostream& out);
 Graph read_pajek(std::istream& in);
 void write_pajek(const Graph& g, std::ostream& out);
 
-/// DIMACS shortest-path format (.gr): "c" comments, "p sp n m" header,
-/// "a u v w" arc lines (1-based). Undirected graphs list each edge in both
-/// directions on write; duplicate arcs collapse on read.
-Graph read_dimacs(std::istream& in);
-void write_dimacs(const Graph& g, std::ostream& out);
-
 /// Convenience file wrappers; format chosen by extension
-/// (.txt/.edges → edge list, .graph → METIS, .net → Pajek, .gr → DIMACS).
+/// (.txt/.edges → edge list, .graph → METIS, .net → Pajek).
 Graph load_graph(const std::string& path);
 void save_graph(const Graph& g, const std::string& path);
 

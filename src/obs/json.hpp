@@ -1,6 +1,5 @@
 // JSON output helpers shared by the machine-readable writers: RunStats, the
-// progress feed, the metrics registry, Chrome traces and the critical-path
-// attribution.
+// progress feed, the metrics registry and Chrome traces.
 #pragma once
 
 #include <cstdint>

@@ -60,8 +60,8 @@ struct ProgressEvent {
   std::uint64_t retransmits = 0;  ///< frames resent so far
   // ---- exchange wait this step ----
   double exchange_wait_seconds = 0;  ///< Σ over ranks of blocked recv time
-  // Live critical-path proxy: the longest single blocked recv any rank saw
-  // this step, and the peer whose arrival ended it (-1: nothing blocked).
+  // The longest single blocked recv inside this step's RC all-to-all on
+  // any rank, and the peer whose arrival ended it (-1: nothing blocked).
   double blocked_on_seconds = 0;
   std::int64_t blocked_on_rank = -1;
   std::size_t recoveries = 0;        ///< supervised relaunches so far

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <ostream>
@@ -207,26 +206,6 @@ void write_chrome_trace(std::ostream& os, const Trace& trace) {
       os << ":" << e.ev.arg << "}";
     }
     os << "}";
-    // Flow instants additionally get a Perfetto flow event ("s" opens the
-    // arrow at the sender, "f" binds it at the receiver) so the stitched
-    // causality renders as arrows in the trace viewer. The extra line only
-    // appears for flow:send / flow:recv instants, keeping every other
-    // trace byte-identical to the unstamped format.
-    if (e.ev.kind == EventKind::kInstant && e.ev.arg_name != nullptr &&
-        std::strcmp(e.ev.arg_name, "flow") == 0) {
-      const bool is_send = std::strcmp(e.ev.name, "flow:send") == 0;
-      const bool is_recv = !is_send && std::strcmp(e.ev.name, "flow:recv") == 0;
-      if (is_send || is_recv) {
-        os << ",\n{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\""
-           << (is_send ? "s" : "f") << "\",";
-        if (is_recv) os << "\"bp\":\"e\",";
-        os << "\"id\":" << e.ev.arg << ",";
-        write_track_ids(os, e.pid, e.tid);
-        os << ",\"ts\":";
-        write_ts(os, e.ev.ts_ns);
-        os << "}";
-      }
-    }
   }
   close_open_spans();
   os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":"

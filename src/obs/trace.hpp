@@ -59,12 +59,6 @@ struct TraceConfig {
   /// Deterministic per-track tick timestamps instead of the wall clock
   /// (golden-file tests; see header comment).
   bool logical_clock = false;
-  /// Stamp every transport frame with a 64-bit flow id (obs/causal.hpp)
-  /// and record flow:send / flow:recv instants, enabling cross-rank
-  /// causal stitching and `aacc analyze --critical-path`. Adds 8 bytes
-  /// per frame on the wire; off = frames are bit-identical to the
-  /// unstamped v2.1 format. Only honored while `enabled` is true.
-  bool flow_stamping = false;
   /// Ring capacity per main track, in events (shard subtracks get 1/16 of
   /// this, min 64). Overflowing events are dropped and counted
   /// (TraceTrack::dropped).

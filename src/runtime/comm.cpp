@@ -5,7 +5,6 @@
 #include <sstream>
 #include <thread>
 
-#include "obs/causal.hpp"
 #include "runtime/serialize.hpp"
 
 namespace aacc::rt {
@@ -27,22 +26,6 @@ std::uint32_t frame_checksum(Rank src, std::int32_t tag, std::uint32_t seqno,
   return crc32_final(crc);
 }
 
-std::uint32_t stamped_frame_checksum(Rank src, std::int32_t tag,
-                                     std::uint32_t seqno, std::uint64_t flow,
-                                     std::span<const std::byte> payload) {
-  // Wire v2.2: the flow id joins the covered header fields, so a flipped
-  // flow byte is rejected like any other header corruption.
-  std::uint32_t crc = crc32_init();
-  const std::uint32_t fields[5] = {
-      static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(tag), seqno,
-      static_cast<std::uint32_t>(flow & 0xffffffffu),
-      static_cast<std::uint32_t>(flow >> 32)};
-  crc = crc32_update(
-      crc, std::as_bytes(std::span<const std::uint32_t>(fields, 5)));
-  crc = crc32_update(crc, payload);
-  return crc32_final(crc);
-}
-
 }  // namespace
 
 std::vector<std::byte> encode_frame(Rank src, std::int32_t tag,
@@ -51,17 +34,6 @@ std::vector<std::byte> encode_frame(Rank src, std::int32_t tag,
   ByteWriter w;
   w.write(seqno);
   w.write(frame_checksum(src, tag, seqno, payload));
-  w.write_bytes(payload);
-  return w.take();
-}
-
-std::vector<std::byte> encode_frame(Rank src, std::int32_t tag,
-                                    std::uint32_t seqno, std::uint64_t flow,
-                                    std::span<const std::byte> payload) {
-  ByteWriter w;
-  w.write(seqno);
-  w.write(stamped_frame_checksum(src, tag, seqno, flow, payload));
-  w.write(flow);
   w.write_bytes(payload);
   return w.take();
 }
@@ -77,26 +49,15 @@ void Mailbox::put(Message m) {
 }
 
 Mailbox::AdmitStatus Mailbox::admit_frame(Rank src, std::int32_t tag,
-                                          std::vector<std::byte> frame,
-                                          bool stamped) {
-  const std::size_t header =
-      stamped ? kStampedFrameHeaderBytes : kFrameHeaderBytes;
-  if (frame.size() < header) return AdmitStatus::kCorrupt;
+                                          std::vector<std::byte> frame) {
+  if (frame.size() < kFrameHeaderBytes) return AdmitStatus::kCorrupt;
   std::uint32_t seqno = 0;
   std::uint32_t crc = 0;
-  std::uint64_t flow = 0;
   std::memcpy(&seqno, frame.data(), sizeof(seqno));
   std::memcpy(&crc, frame.data() + sizeof(seqno), sizeof(crc));
-  if (stamped) {
-    std::memcpy(&flow, frame.data() + sizeof(seqno) + sizeof(crc),
-                sizeof(flow));
-  }
-  const std::span<const std::byte> payload(frame.data() + header,
-                                           frame.size() - header);
-  const std::uint32_t want =
-      stamped ? stamped_frame_checksum(src, tag, seqno, flow, payload)
-              : frame_checksum(src, tag, seqno, payload);
-  if (crc != want) {
+  const std::span<const std::byte> payload(frame.data() + kFrameHeaderBytes,
+                                           frame.size() - kFrameHeaderBytes);
+  if (crc != frame_checksum(src, tag, seqno, payload)) {
     return AdmitStatus::kCorrupt;
   }
 
@@ -107,8 +68,7 @@ Mailbox::AdmitStatus Mailbox::admit_frame(Rank src, std::int32_t tag,
     if (seqno < st.next || st.held.count(seqno) != 0) {
       return AdmitStatus::kDuplicate;
     }
-    Message m{src, tag, std::vector<std::byte>(payload.begin(), payload.end()),
-              flow};
+    Message m{src, tag, std::vector<std::byte>(payload.begin(), payload.end())};
     if (seqno == st.next) {
       queue_.push_back(std::move(m));
       ++st.next;
@@ -232,18 +192,11 @@ constexpr std::int32_t collective_tag(std::uint32_t op_seq) {
 }  // namespace
 
 Comm::Comm(World* world, Rank rank)
-    : world_(world), rank_(rank), flow_attempt_(world->run_attempt()) {
+    : world_(world), rank_(rank) {
   last_cpu_mark_ = thread_cpu_seconds();
   if (world_->transport().reliable) {
     next_seq_.assign(static_cast<std::size_t>(world_->size()), 0);
   }
-}
-
-std::uint64_t Comm::next_flow_id() {
-  const std::uint64_t id =
-      obs::pack_flow_id(rank_, flow_attempt_, flow_step_, ++flow_seq_);
-  if (trace_ != nullptr) trace_->instant("flow:send", "flow", id);
-  return id;
 }
 
 Rank Comm::size() const { return world_->size(); }
@@ -299,10 +252,8 @@ void Comm::put_message(Rank dst, std::int32_t tag,
     put_reliable(dst, tag, std::move(payload), kind, op_id);
     return;
   }
-  const std::uint64_t flow =
-      world_->flow_stamping() ? next_flow_id() : 0;
   charge_send(dst, tag, payload.size(), kind, op_id, false);
-  world_->mailbox(dst).put(Message{rank_, tag, std::move(payload), flow});
+  world_->mailbox(dst).put(Message{rank_, tag, std::move(payload)});
 }
 
 void Comm::put_reliable(Rank dst, std::int32_t tag,
@@ -314,22 +265,15 @@ void Comm::put_reliable(Rank dst, std::int32_t tag,
     next_seq_.assign(static_cast<std::size_t>(size()), 0);
   }
   const std::uint32_t seq = next_seq_[static_cast<std::size_t>(dst)]++;
-  // One flow id per logical message: retries and injected duplicates are
-  // the same causal message, so the stamp survives retry/dedup unchanged.
-  const bool stamped = world_->flow_stamping();
-  const std::uint64_t flow = stamped ? next_flow_id() : 0;
-  const std::size_t header_bytes =
-      stamped ? kStampedFrameHeaderBytes : kFrameHeaderBytes;
   FaultInjector* inj = world_->injector();
   Mailbox& box = world_->mailbox(dst);
   const TransportConfig& tc = world_->transport();
 
   for (std::uint32_t attempt = 0; attempt < tc.max_retries; ++attempt) {
-    auto frame = stamped ? encode_frame(rank_, tag, seq, flow, payload)
-                         : encode_frame(rank_, tag, seq, payload);
+    auto frame = encode_frame(rank_, tag, seq, payload);
     const FrameFate fate =
         inj != nullptr ? inj->fate(rank_, dst, seq, attempt) : FrameFate::kDeliver;
-    ledger_.frame_overhead_bytes += header_bytes;
+    ledger_.frame_overhead_bytes += kFrameHeaderBytes;
     charge_send(dst, tag, frame.size(), kind, op_id, attempt > 0);
 
     if (fate == FrameFate::kDrop) {
@@ -348,14 +292,13 @@ void Comm::put_reliable(Rank dst, std::int32_t tag,
       const bool duplicate = fate == FrameFate::kDuplicate;
       std::vector<std::byte> copy;
       if (duplicate) copy = frame;
-      const auto verdict = box.admit_frame(rank_, tag, std::move(frame),
-                                           stamped);
+      const auto verdict = box.admit_frame(rank_, tag, std::move(frame));
       if (duplicate) {
         // The duplicate is wire traffic too; the receiver's seqno dedup
         // discards it.
         charge_send(dst, tag, copy.size(), kind, op_id, true);
-        ledger_.frame_overhead_bytes += header_bytes;
-        (void)box.admit_frame(rank_, tag, std::move(copy), stamped);
+        ledger_.frame_overhead_bytes += kFrameHeaderBytes;
+        (void)box.admit_frame(rank_, tag, std::move(copy));
       }
       if (verdict != Mailbox::AdmitStatus::kCorrupt) {
         flush_delayed(dst);
@@ -388,10 +331,7 @@ void Comm::flush_delayed(Rank dst) {
   delayed_.erase(it);
   for (auto& f : frames) {
     // Held frames are intact: admission can only accept or dedup them.
-    // Stamping is constant across a run and held frames never outlive
-    // one, so the current format matches how they were encoded.
-    (void)world_->mailbox(dst).admit_frame(rank_, f.tag, std::move(f.frame),
-                                           world_->flow_stamping());
+    (void)world_->mailbox(dst).admit_frame(rank_, f.tag, std::move(f.frame));
   }
 }
 
@@ -416,7 +356,7 @@ bool Comm::escalate_peer(Rank peer, double elapsed_seconds,
     // Keep the silence record pointed at the exact awaited message while
     // the wait drags on, so even a straggler escalation names it.
     ph.has_awaited = true;
-    ph.awaited_step = flow_step_;
+    ph.awaited_step = rc_step_;
     ph.awaited_seq = world_->mailbox(rank_).next_expected_seq(peer);
   }
   const HealthConfig& hc = world_->health();
@@ -503,12 +443,6 @@ Message Comm::recv(Rank src, std::int32_t tag) {
         if (hc.enabled) note_peer_ok(res.msg.src);
         ledger_.bytes_received += res.msg.payload.size();
         ++ledger_.messages_received;
-        // The receiver thread owns this track, so the flow:recv instant
-        // that binds to the sender's flow:send lands here — the single
-        // delivery point every collective funnels through.
-        if (trace_ != nullptr && res.msg.flow != 0) {
-          trace_->instant("flow:recv", "flow", res.msg.flow);
-        }
         return std::move(res.msg);
       }
       case Mailbox::TakeStatus::kInterrupted: {
@@ -539,7 +473,7 @@ Message Comm::recv(Rank src, std::int32_t tag) {
             // reliable transport has per-peer seqno streams to consult.
             const bool rel = world_->transport().reliable;
             vh.has_awaited = rel;
-            vh.awaited_step = flow_step_;
+            vh.awaited_step = rc_step_;
             vh.awaited_seq =
                 rel ? world_->mailbox(rank_).next_expected_seq(src) : 0;
             ++ledger_.health_dead_declared;
@@ -664,10 +598,6 @@ std::vector<std::vector<std::byte>> Comm::gather(std::vector<std::byte> buf,
   return out;
 }
 
-bool Comm::probe(Rank src, std::int32_t tag) {
-  return world_->mailbox(rank_).has(src, tag);
-}
-
 std::uint64_t Comm::all_reduce(
     std::uint64_t value,
     const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>& op) {
@@ -790,9 +720,6 @@ void World::run(const std::function<void(Comm&)>& fn) {
 World::RunReport World::run_contained(const std::function<void(Comm&)>& fn) {
   // Fresh failure state and transport streams: Comm seqnos restart at zero
   // each run, and a failed previous run may have left undelivered frames.
-  // The attempt counter separates this run's flow ids from every earlier
-  // attempt's, so a rollback replay can never match pre-rollback sends.
-  ++run_attempt_;
   any_failed_.store(false, std::memory_order_release);
   {
     const std::lock_guard lock(failed_mu_);
@@ -862,8 +789,8 @@ void World::append_log(const MsgRecord& m) {
   log_.push_back(m);
 }
 
-double World::modeled_network_seconds(SchedulePolicy policy) const {
-  return rt::modeled_network_seconds(log_, params_, policy, size_);
+double World::modeled_network_seconds() const {
+  return rt::modeled_network_seconds(log_, params_, size_);
 }
 
 double World::max_rank_cpu_seconds() const {

@@ -12,7 +12,7 @@
 //
 // Every Comm records a per-rank ledger (bytes, messages, per-phase thread
 // CPU seconds) and appends to a message log that logp.hpp replays to model
-// network time under the paper's serialized schedule or alternatives.
+// network time under the paper's serialized schedule.
 //
 // Fault tolerance (docs/FAULTS.md): with TransportConfig::reliable on (or a
 // FaultInjector installed), every payload travels as a checksummed frame
@@ -52,28 +52,15 @@ struct Message {
   Rank src = 0;
   std::int32_t tag = 0;
   std::vector<std::byte> payload;
-  /// Causal flow id the message traveled under (obs/causal.hpp); 0 when
-  /// flow stamping was off at the sender.
-  std::uint64_t flow = 0;
 };
 
 /// Reliable-frame layout: [seqno u32][crc u32][payload]. The CRC covers
 /// (src, tag, seqno, payload), so header corruption is detected too.
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 
-/// Flow-stamped frame layout (wire v2.2, additive — negotiated run-wide by
-/// World::install_flow_stamping): [seqno u32][crc u32][flow u64][payload].
-/// The CRC additionally covers the flow id.
-inline constexpr std::size_t kStampedFrameHeaderBytes = 16;
-
 /// Encodes a payload into a wire frame (exposed for frame-rejection tests).
 [[nodiscard]] std::vector<std::byte> encode_frame(
     Rank src, std::int32_t tag, std::uint32_t seqno,
-    std::span<const std::byte> payload);
-
-/// Flow-stamped variant (wire v2.2).
-[[nodiscard]] std::vector<std::byte> encode_frame(
-    Rank src, std::int32_t tag, std::uint32_t seqno, std::uint64_t flow,
     std::span<const std::byte> payload);
 
 /// Thread-safe mailbox with (source, tag) matching and per-sender FIFO.
@@ -104,11 +91,9 @@ class Mailbox {
   /// in a reorder buffer until the gap fills). Runs on the *sender's*
   /// thread — it models the receiving NIC, so the sender learns the
   /// admission verdict synchronously and can retry without an ack round
-  /// trip that would deadlock symmetric exchanges. `stamped` selects the
-  /// wire v2.2 flow-stamped header (both endpoints agree run-wide).
+  /// trip that would deadlock symmetric exchanges.
   AdmitStatus admit_frame(Rank src, std::int32_t tag,
-                          std::vector<std::byte> frame,
-                          bool stamped = false);
+                          std::vector<std::byte> frame);
 
   /// Blocks until a message matching (src or kAnySource, tag) is available.
   /// Throws MailboxClosedError if the mailbox is poisoned or interrupted.
@@ -131,7 +116,7 @@ class Mailbox {
   /// World run).
   void reset();
 
-  /// Non-blocking probe (used by tests).
+  /// Non-blocking check for a pending match (recv's failed-peer path).
   [[nodiscard]] bool has(Rank src, std::int32_t tag);
 
   /// Next frame seqno this mailbox expects from `src` (reliable transport
@@ -238,9 +223,6 @@ class Comm {
   std::uint64_t all_reduce_max(std::uint64_t value);
   bool all_reduce_or(bool value);
 
-  /// Non-blocking probe for a pending message (testing/polling loops).
-  [[nodiscard]] bool probe(Rank src, std::int32_t tag);
-
   /// Switches the CPU-accounting phase label; time since the last boundary
   /// is charged to the previous phase.
   void set_phase(const std::string& phase);
@@ -256,10 +238,9 @@ class Comm {
     return peer_health_;
   }
 
-  /// Sets the RC step recorded in outgoing flow ids (obs/causal.hpp).
-  /// Called by the engine at the top of each RC step; harmless no-op when
-  /// flow stamping is off.
-  void set_flow_step(std::uint32_t step) { flow_step_ = step; }
+  /// Sets the RC step that health supervision names when a wait on a
+  /// peer stalls. Called by the engine at the top of each RC step.
+  void set_rc_step(std::uint32_t step) { rc_step_ = step; }
 
  private:
   friend class World;
@@ -310,15 +291,8 @@ class Comm {
     std::vector<std::byte> frame;
   };
   std::unordered_map<Rank, std::vector<DelayedFrame>> delayed_;
-  /// Causal flow stamping (obs/causal.hpp): per-sender monotone seq, the
-  /// RC step the engine says we are in, and the World's contained-run
-  /// attempt number (cached at construction — Comms are rebuilt per
-  /// attempt, which is what isolates flows across rollback replays).
-  std::uint32_t flow_seq_ = 0;
-  std::uint32_t flow_step_ = 0;
-  std::uint32_t flow_attempt_ = 0;
-  /// Builds the next outbound flow id and records the flow:send instant.
-  [[nodiscard]] std::uint64_t next_flow_id();
+  /// The RC step the engine says we are in (set_rc_step).
+  std::uint32_t rc_step_ = 0;
   /// Per-peer health ledger (sized lazily on the first supervised wait).
   std::vector<PeerHealth> peer_health_;
 };
@@ -365,17 +339,6 @@ class World {
   void install_health(const HealthConfig& health) { health_ = health; }
   [[nodiscard]] const HealthConfig& health() const { return health_; }
 
-  /// Arms causal flow stamping for subsequent runs: every frame carries a
-  /// 64-bit flow id (wire v2.2) and senders/receivers record flow:send /
-  /// flow:recv instants on their trace tracks. Off (the default) keeps
-  /// wire bytes bit-identical to the unstamped v2.1 format.
-  void install_flow_stamping(bool on) { flow_stamping_ = on; }
-  [[nodiscard]] bool flow_stamping() const { return flow_stamping_; }
-  /// Contained-run attempt counter (bumped at each run/run_contained
-  /// start): the attempt field of every flow id minted in that run, so a
-  /// rollback replay can never be stitched to pre-rollback sends.
-  [[nodiscard]] std::uint32_t run_attempt() const { return run_attempt_; }
-
   /// Marks a rank failed mid-run and interrupts every blocking wait.
   void mark_failed(Rank r);
 
@@ -403,7 +366,7 @@ class World {
   /// Per-rank ledgers, merged message log, and modeled network time.
   [[nodiscard]] const std::vector<RankLedger>& ledgers() const { return ledgers_; }
   [[nodiscard]] const std::vector<MsgRecord>& message_log() const { return log_; }
-  [[nodiscard]] double modeled_network_seconds(SchedulePolicy policy) const;
+  [[nodiscard]] double modeled_network_seconds() const;
 
   /// Max over ranks of compute CPU seconds.
   [[nodiscard]] double max_rank_cpu_seconds() const;
@@ -425,8 +388,6 @@ class World {
   HealthConfig health_;
   FaultInjector* injector_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  bool flow_stamping_ = false;
-  std::uint32_t run_attempt_ = 0;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<RankLedger> ledgers_;
   std::vector<MsgRecord> log_;

@@ -4,9 +4,9 @@
 // 1 Gb/s Ethernet cluster. On this single machine, communication is memcpy
 // through mailboxes, so "communication time" must be *modeled*: every
 // message's byte count is recorded, and these functions replay the log
-// under LogGP (LogP + per-byte Gap for long messages) with a choice of
-// schedule policy, reproducing the trade-off the paper's personalized
-// all-to-all schedule makes (serialize the network to avoid flooding).
+// under LogGP (LogP + per-byte Gap for long messages) with the paper's
+// personalized all-to-all schedule: exactly one message traverses the
+// network at any time (serialize the network to avoid flooding).
 #pragma once
 
 #include <cstdint>
@@ -21,20 +21,6 @@ struct LogGPParams {
   double o = 5e-6;   ///< per-message CPU overhead at sender and receiver (s)
   double g = 10e-6;  ///< minimum gap between consecutive messages (s)
   double G = 8e-9;   ///< per-byte gap (s/byte): 1 Gb/s wire = 8 ns/byte
-};
-
-/// How a personalized all-to-all is scheduled on the wire.
-enum class SchedulePolicy {
-  /// The paper's schedule: exactly one message traverses the network at any
-  /// time — O(P^2) steps, no contention.
-  kSerialized,
-  /// Classic shift schedule: P-1 rounds, all ranks send concurrently to
-  /// (rank + s) mod P; round time is the slowest message in the round.
-  kShifted,
-  /// Everyone blasts all messages at once; the wire is shared, so the cost
-  /// is the total byte volume serialized through one network, but paying
-  /// per-message overheads only once per rank-pair (models flooding).
-  kFlood,
 };
 
 enum class OpKind : std::uint8_t {
@@ -61,7 +47,6 @@ double message_cost(const LogGPParams& p, std::uint64_t bytes);
 /// Replays a merged message log and returns modeled network seconds. The
 /// log may be unsorted; records are grouped by (op, kind).
 double modeled_network_seconds(const std::vector<MsgRecord>& log,
-                               const LogGPParams& params, SchedulePolicy policy,
-                               Rank world_size);
+                               const LogGPParams& params, Rank world_size);
 
 }  // namespace aacc::rt

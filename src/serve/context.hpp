@@ -86,7 +86,7 @@ struct LatencyHistogram {
 };
 
 /// One sampled query, tying a served response to the snapshot publish that
-/// answered it (docs/OBSERVABILITY.md §Causal flows). Collected 1-in-N so
+/// answered it (docs/OBSERVABILITY.md §Serve latency SLOs). Collected 1-in-N so
 /// the buffer stays bounded regardless of query volume.
 struct QuerySample {
   char kind = '?';           ///< 'p' point, 't' top_k, 'r' rank_of

@@ -71,9 +71,6 @@ TEST(Anytime, AccountingIsPopulated) {
   EXPECT_GT(r.stats.total_messages, 0u);
   EXPECT_GT(r.stats.rc_steps, 0u);
   EXPECT_GT(r.stats.modeled_network_seconds_serialized, 0.0);
-  // The paper's serialized schedule is never faster than the shift schedule.
-  EXPECT_GE(r.stats.modeled_network_seconds_serialized,
-            r.stats.modeled_network_seconds_shifted);
   EXPECT_EQ(r.stats.steps.size(), r.stats.rc_steps);
   EXPECT_GT(r.stats.cut_edges_initial, 0u);
   // Static run: the distribution does not change.

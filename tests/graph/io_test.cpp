@@ -89,32 +89,5 @@ TEST(IoFiles, MissingFileThrows) {
   EXPECT_THROW(load_graph("/tmp/definitely_missing_aacc.txt"), std::logic_error);
 }
 
-
-TEST(IoDimacs, RoundTrip) {
-  const Graph g = fixture();
-  std::stringstream ss;
-  write_dimacs(g, ss);
-  const Graph h = read_dimacs(ss);
-  EXPECT_TRUE(same_graph(g, h));
-}
-
-TEST(IoDimacs, ParsesCommentsAndHeader) {
-  std::stringstream ss("c a comment\np sp 3 2\na 1 2 4\na 2 3 1\n");
-  const Graph g = read_dimacs(ss);
-  EXPECT_EQ(g.num_vertices(), 3u);
-  EXPECT_EQ(g.edge_weight(0, 1), 4u);
-  EXPECT_EQ(g.edge_weight(1, 2), 1u);
-}
-
-TEST(IoDimacs, MissingHeaderThrows) {
-  std::stringstream ss("a 1 2 3\n");
-  EXPECT_THROW(read_dimacs(ss), std::logic_error);
-}
-
-TEST(IoDimacs, FileDispatch) {
-  const Graph g = fixture();
-  save_graph(g, "/tmp/aacc_io_test.gr");
-  EXPECT_TRUE(same_graph(g, load_graph("/tmp/aacc_io_test.gr")));
-}
 }  // namespace
 }  // namespace aacc

@@ -1,5 +1,5 @@
-// Remaining distinct behaviours: sampled Kendall tau, Louvain corner
-// cases, generator guard rails, timer monotonicity, large-root broadcasts,
+// Remaining distinct behaviours: sampled Kendall tau, generator guard
+// rails, timer monotonicity, large-root broadcasts,
 // and config interplay (max_rc_steps + checkpoint).
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "common/timer.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
-#include "graph/louvain.hpp"
 #include "runtime/comm.hpp"
 #include "test_util.hpp"
 
@@ -32,26 +31,6 @@ TEST(Quality, KendallTauSampledBranchAgreesWithExact) {
 TEST(Quality, KendallTauAllTiesIsOne) {
   const std::vector<double> flat(10, 3.0);
   EXPECT_DOUBLE_EQ(kendall_tau(flat, flat), 1.0);
-}
-
-TEST(Louvain, IsolatedVerticesGetOwnCommunities) {
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  Rng rng(4);
-  const LouvainResult res = louvain(g, rng);
-  // Connected trio likely merges; isolated 3 and 4 stay singletons.
-  EXPECT_NE(res.community[3], res.community[0]);
-  EXPECT_NE(res.community[4], res.community[0]);
-  EXPECT_NE(res.community[3], res.community[4]);
-}
-
-TEST(Louvain, EdgelessGraphZeroModularity) {
-  Graph g(4);
-  Rng rng(5);
-  const LouvainResult res = louvain(g, rng);
-  EXPECT_DOUBLE_EQ(res.modularity, 0.0);
-  EXPECT_EQ(res.num_communities, 4u);
 }
 
 TEST(Generators, BaRejectsTooSmallN) {

@@ -472,8 +472,6 @@ RunStats golden_stats() {
   s.frame_overhead_bytes = 96;
   s.retransmits = 2;
   s.modeled_network_seconds_serialized = 0.3;
-  s.modeled_network_seconds_shifted = 0.2;
-  s.modeled_network_seconds_flood = 0.125;
   s.rc_steps = 2;
   s.rc_drain_cpu_seconds = 0.7;
   s.rc_exchange_wait_seconds = 0.015625;
@@ -535,8 +533,8 @@ TEST(RunStatsJson, GoldenBytes) {
       "\"cpu_by_phase\":{\"ia\":0.25,\"rc\":9.9999999999999995e-08},"
       "\"total_bytes\":123456789,\"total_messages\":4321,"
       "\"frame_overhead_bytes\":96,\"retransmits\":2,"
-      "\"modeled_network_seconds\":{\"serialized\":0.29999999999999999,"
-      "\"shifted\":0.20000000000000001,\"flood\":0.125},\"rc_steps\":2,"
+      "\"modeled_network_seconds\":{\"serialized\":0.29999999999999999},"
+      "\"rc_steps\":2,"
       "\"rc_drain_cpu_seconds\":0.69999999999999996,"
       "\"rc_exchange_wait_seconds\":0.015625,"
       "\"rc_blocked_on_seconds\":0.01,\"rc_blocked_on\":[{\"rank\":1,"
@@ -587,6 +585,51 @@ TEST(RunStats, AccumulateSumsKeepsLatestAndAppendsSteps) {
   EXPECT_EQ(total.dv_promotions, 34u);  // run totals add
   ASSERT_EQ(total.steps.size(), 3u);
   EXPECT_EQ(total.steps[2].step, 1u);
+}
+
+// ------------------------------------------------- histogram percentiles
+
+TEST(HistogramQuantile, EmptySingleAndClampedCases) {
+  obs::Histogram h;
+  EXPECT_EQ(obs::histogram_quantile(h, 0.5), 0.0);
+
+  h.record(1000);
+  EXPECT_EQ(obs::histogram_quantile(h, 0.0), 1000.0);
+  EXPECT_EQ(obs::histogram_quantile(h, 0.5), 1000.0);
+  EXPECT_EQ(obs::histogram_quantile(h, 1.0), 1000.0);
+
+  obs::Histogram u;
+  for (std::uint64_t v = 1; v <= 1024; ++v) u.record(v);
+  // Power-of-two buckets: the estimate is exact to within one bucket
+  // width (a factor of two), and always clamped to [min, max].
+  const double p50 = obs::histogram_quantile(u, 0.50);
+  EXPECT_GE(p50, 256.0);
+  EXPECT_LE(p50, 1024.0);
+  const double p99 = obs::histogram_quantile(u, 0.99);
+  EXPECT_GE(p99, 512.0);
+  EXPECT_LE(p99, 1024.0);
+  EXPECT_LE(obs::histogram_quantile(u, 0.5), obs::histogram_quantile(u, 0.95));
+  EXPECT_LE(obs::histogram_quantile(u, 0.95), obs::histogram_quantile(u, 0.99));
+  EXPECT_EQ(obs::histogram_quantile(u, 1.0), 1024.0);
+  EXPECT_EQ(obs::histogram_quantile(u, 0.0), 1.0);
+}
+
+TEST(HistogramQuantile, RegistryJsonCarriesThePercentiles) {
+  obs::MetricsRegistry reg;
+  for (std::uint64_t v = 1; v <= 64; ++v) reg.histogram("lat").record(v * 10);
+  std::ostringstream os;
+  reg.to_json(os);
+  const std::string json = os.str();
+  const std::size_t at = json.find("\"lat\"");
+  ASSERT_NE(at, std::string::npos);
+  // Stable key order: count, sum, min, max, p50, p95, p99, buckets.
+  const char* keys[] = {"\"count\":", "\"sum\":",  "\"min\":", "\"max\":",
+                        "\"p50\":",   "\"p95\":", "\"p99\":", "\"buckets\":"};
+  std::size_t pos = at;
+  for (const char* k : keys) {
+    pos = json.find(k, pos);
+    ASSERT_NE(pos, std::string::npos) << "missing " << k;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // exactness of the reliable transport under a hostile wire.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
 #include <thread>
 
 #include "runtime/comm.hpp"
@@ -395,6 +397,47 @@ TEST(World, RunPrefersTheRootCauseOverCollateralErrors) {
     EXPECT_EQ(e.rank(), 2);
     EXPECT_EQ(e.step(), 7u);
   }
+}
+
+// ------------------------------------------- silence names the stuck flow
+
+TEST(HealthFlow, DeathMessageNamesTheAwaitedFlow) {
+  // PeerFailedError from a health declaration under the reliable
+  // transport names the exact message the observer was stuck on (RC step +
+  // next expected frame seqno from that peer).
+  TransportConfig tc;
+  tc.reliable = true;
+  tc.recv_timeout = std::chrono::milliseconds(30000);
+  tc.retry_backoff = std::chrono::microseconds(1);
+  World world(2, {}, tc);
+  HealthConfig hc;
+  hc.enabled = true;
+  hc.straggler_after = std::chrono::milliseconds(10);
+  hc.suspect_after = std::chrono::milliseconds(20);
+  hc.dead_after = std::chrono::milliseconds(60);
+  world.install_health(hc);
+  const auto report = world.run_contained([&](Comm& comm) {
+    if (comm.rank() == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      return;
+    }
+    (void)comm.recv(1, 5);
+  });
+  ASSERT_FALSE(report.ok());
+  bool saw_flow = false;
+  for (const Rank r : report.failed) {
+    try {
+      std::rethrow_exception(report.errors[static_cast<std::size_t>(r)]);
+    } catch (const PeerFailedError& e) {
+      EXPECT_EQ(e.peer(), 1);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("stuck awaiting flow (step="), std::string::npos)
+          << what;
+      saw_flow = true;
+    } catch (...) {
+    }
+  }
+  EXPECT_TRUE(saw_flow);
 }
 
 }  // namespace

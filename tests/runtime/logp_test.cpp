@@ -1,4 +1,4 @@
-// LogGP model: analytic costs and schedule-policy orderings.
+// LogGP model: analytic costs of the serialized schedule.
 #include <gtest/gtest.h>
 
 #include "runtime/logp.hpp"
@@ -36,40 +36,16 @@ TEST(LogGP, SerializedIsSumOfMessages) {
   const auto p = params();
   const Rank P = 4;
   const auto log = full_a2a(P, 500);
-  const double t = modeled_network_seconds(log, p, SchedulePolicy::kSerialized, P);
+  const double t = modeled_network_seconds(log, p, P);
   const double expect = 12 * (message_cost(p, 500) + p.g);
   EXPECT_NEAR(t, expect, 1e-12);
-}
-
-TEST(LogGP, ShiftedIsPerRoundMax) {
-  const auto p = params();
-  const Rank P = 4;
-  const auto log = full_a2a(P, 500);
-  const double t = modeled_network_seconds(log, p, SchedulePolicy::kShifted, P);
-  const double expect = 3 * (message_cost(p, 500) + p.g);  // P-1 rounds
-  EXPECT_NEAR(t, expect, 1e-12);
-}
-
-TEST(LogGP, PolicyOrderingForUniformTraffic) {
-  const auto p = params();
-  const Rank P = 8;
-  const auto log = full_a2a(P, 2000);
-  const double serial =
-      modeled_network_seconds(log, p, SchedulePolicy::kSerialized, P);
-  const double shifted =
-      modeled_network_seconds(log, p, SchedulePolicy::kShifted, P);
-  const double flood = modeled_network_seconds(log, p, SchedulePolicy::kFlood, P);
-  // Serialization never beats the shift schedule; flooding pays total bytes
-  // on one wire but amortizes per-message overheads.
-  EXPECT_GT(serial, shifted);
-  EXPECT_GT(serial, flood);
 }
 
 TEST(LogGP, BroadcastScalesLogarithmically) {
   const auto p = params();
   std::vector<MsgRecord> log{{1, OpKind::kBroadcast, 0, 1, 64}};
-  const double t2 = modeled_network_seconds(log, p, SchedulePolicy::kShifted, 2);
-  const double t16 = modeled_network_seconds(log, p, SchedulePolicy::kShifted, 16);
+  const double t2 = modeled_network_seconds(log, p, 2);
+  const double t16 = modeled_network_seconds(log, p, 16);
   EXPECT_NEAR(t16, 4 * t2, 1e-12);  // depth 4 vs depth 1
 }
 
@@ -77,13 +53,13 @@ TEST(LogGP, DistinctOpsAccumulate) {
   const auto p = params();
   std::vector<MsgRecord> log{{1, OpKind::kPointToPoint, 0, 1, 100},
                              {2, OpKind::kPointToPoint, 1, 0, 100}};
-  const double t = modeled_network_seconds(log, p, SchedulePolicy::kSerialized, 2);
+  const double t = modeled_network_seconds(log, p, 2);
   EXPECT_NEAR(t, 2 * message_cost(p, 100), 1e-12);
 }
 
 TEST(LogGP, EmptyLogIsFree) {
   EXPECT_DOUBLE_EQ(
-      modeled_network_seconds({}, params(), SchedulePolicy::kSerialized, 8), 0.0);
+      modeled_network_seconds({}, params(), 8), 0.0);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 //   aacc serve <graph-file> [--ranks N] [--mutations FILE] [--batch N]
 //   aacc tail <events.ndjson>
 //
-// Graph files: .txt/.edges (edge list), .graph (METIS), .net (Pajek),
-// .gr (DIMACS). `analyze` runs the distributed anytime anywhere engine;
+// Graph files: .txt/.edges (edge list), .graph (METIS), .net (Pajek).
+// `analyze` runs the distributed anytime anywhere engine;
 // `--exact` cross-checks against the sequential reference. `run` streams the
 // live anytime-progress feed (docs/OBSERVABILITY.md §Progress events) and
 // `tail` replays a recorded NDJSON feed through the same renderer. `serve`
@@ -29,9 +29,7 @@
 #include <thread>
 
 #include "aacc/aacc.hpp"
-#include "graph/louvain.hpp"
 #include "graph/metrics.hpp"
-#include "obs/causal.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
@@ -86,8 +84,6 @@ int usage() {
                "       [--stats-json FILE] [--trace FILE] "
                "[--dv-budget BYTES|auto]\n"
                "       [--recovery-policy LADDER] [--checkpoint-every N]\n"
-               "  aacc analyze --critical-path --trace FILE [--json FILE] "
-               "[--top N]\n"
                "  aacc run <graph-file> [--ranks N] [--seed S] [--top-k K]\n"
                "       [--events FILE] [--progress] [--trace FILE]\n"
                "       [--dv-budget BYTES|auto]\n"
@@ -105,13 +101,6 @@ int usage() {
                "answers queries from stdin: point V | topk K | rankof V |\n"
                "stats | quit. Every answer carries its publishing step, age\n"
                "in RC steps and the convergence estimators.\n"
-               "\n"
-               "analyze --critical-path reads a flow-stamped Chrome trace\n"
-               "(written by analyze/run --trace, which enable flow stamping)\n"
-               "and prints the per-step critical-path attribution — the top-N\n"
-               "straggler chains with blocked-on rank/phase breakdowns\n"
-               "(docs/OBSERVABILITY.md §Causal flows). --json also writes the\n"
-               "full attribution table as JSON.\n"
                "\n"
                "LADDER is a comma list of recovery rungs tried in order when\n"
                "a rank dies (docs/FAULTS.md §Recovery policy ladder), each\n"
@@ -273,7 +262,6 @@ int cmd_run(const Args& args) {
   if (args.has("trace")) {
     cfg.trace.enabled = true;
     cfg.trace.path = args.get("trace", "trace.json");
-    cfg.trace.flow_stamping = true;  // traces feed analyze --critical-path
   }
   // Live rendering is the default purpose of `run`: render unless the user
   // asked only for a file feed.
@@ -544,10 +532,6 @@ int cmd_info(const Args& args) {
   std::printf("components:     %u\n", comps.count);
   const double alpha = power_law_alpha_mle(g);
   if (alpha > 0) std::printf("power-law alpha %.2f (MLE)\n", alpha);
-  Rng lr(2);
-  const auto lv = louvain(g, lr);
-  std::printf("louvain:        %u communities, modularity %.3f\n",
-              lv.num_communities, lv.modularity);
   return 0;
 }
 
@@ -577,43 +561,7 @@ int cmd_partition(const Args& args) {
   return 0;
 }
 
-/// `analyze --critical-path`: offline causal analysis of a flow-stamped
-/// Chrome trace (docs/OBSERVABILITY.md §Causal flows). Reads the trace
-/// named by --trace, merges the per-rank tracks into the cross-rank causal
-/// DAG and prints the top-N straggler chains with per-step blocked-on
-/// attribution; --json additionally writes the full table as JSON.
-int cmd_critical_path(const Args& args) {
-  const std::string path = args.get("trace", "trace.json");
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open trace %s\n", path.c_str());
-    return 1;
-  }
-  std::vector<obs::CausalEvent> events;
-  if (!obs::load_chrome_trace(in, events)) {
-    std::fprintf(stderr, "error: %s is not a Chrome trace JSON\n",
-                 path.c_str());
-    return 1;
-  }
-  const obs::CausalAnalysis a = obs::analyze_causal(events);
-  obs::write_attribution_report(
-      std::cout, a, static_cast<std::size_t>(args.get_int("top", 5)));
-  if (args.has("json")) {
-    const std::string out = args.get("json", "attribution.json");
-    std::ofstream os(out, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      std::fprintf(stderr, "error: could not write %s\n", out.c_str());
-      return 1;
-    }
-    obs::write_attribution_json(os, a);
-    os << '\n';
-    std::printf("attribution json: %s\n", out.c_str());
-  }
-  return 0;
-}
-
 int cmd_analyze(const Args& args) {
-  if (args.has("critical-path")) return cmd_critical_path(args);
   if (args.positional.size() < 2) return usage();
   const Graph g = load_graph(args.positional[1]);
   const auto ranks = static_cast<Rank>(args.get_int("ranks", 8));
@@ -633,7 +581,6 @@ int cmd_analyze(const Args& args) {
   if (args.has("trace")) {
     cfg.trace.enabled = true;
     cfg.trace.path = args.get("trace", "trace.json");
-    cfg.trace.flow_stamping = true;  // feeds analyze --critical-path
   }
   AnytimeEngine engine(g, cfg);
   const RunResult r = engine.run();
