@@ -4,9 +4,11 @@
 //      RC step (O(local_rows × n)); the sparse path filters and sorts only
 //      the dirty list (O(dirty log dirty)); the scan path builds the same
 //      ascending list from the flag bytes (O(n), eight columns per word);
-//      the hybrid path is DvRow::sorted_dirty, which picks between the two
-//      by dirty density. Measured head-to-head on one 50k-column row from
-//      0.1% to 100% dirty; the sweep places kScanDensityInverse.
+//      the hybrid path is DvRow::sorted_dirty, which reads the list until
+//      it passes its cap of n / kScanDensityInverse ids and scans after.
+//      Measured head-to-head on one 50k-column row from 0.1% to 100%
+//      dirty; the sparse path exists only up to the cap, so above it the
+//      sweep reports null.
 //   2. Wire format: the seed's fixed-width (v1) DV records vs v2
 //      delta/varint records, encoded bytes for the same entry sets.
 //
@@ -15,6 +17,7 @@
 // AACC_SEED.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -116,7 +119,7 @@ struct Case {
   std::size_t dirty;
   double density;
   double dense_ns;
-  double sparse_ns;
+  double sparse_ns;  ///< < 0: the row's list overflowed (no list path)
   double scan_ns;
   double hybrid_ns;
   double speedup;  ///< dense / hybrid
@@ -160,13 +163,15 @@ int main() {
     c.dirty = k;
     c.density = static_cast<double>(k) / n;
     c.dense_ns = time_ns([&] { sink(assemble_dense(row).size()); });
-    c.sparse_ns = time_v2(sparse);
+    const bool has_list = !row.dirty_list_overflowed();
+    c.sparse_ns = has_list ? time_v2(sparse) : -1.0;
     c.scan_ns = time_v2(scan);
     c.hybrid_ns = time_v2(hybrid);
     c.speedup = c.dense_ns / c.hybrid_ns;
     c.v1_bytes = assemble_dense(row).size();
     c.v2_bytes = assemble_v2(row, hybrid, dirty, entries).size();
-    if (assemble_v2(row, sparse, dirty, entries).size() != c.v2_bytes ||
+    if ((has_list &&
+         assemble_v2(row, sparse, dirty, entries).size() != c.v2_bytes) ||
         assemble_v2(row, scan, dirty, entries).size() != c.v2_bytes) {
       std::fprintf(stderr, "dirty=%zu: collection methods disagree\n", k);
       return 1;
@@ -176,15 +181,18 @@ int main() {
     cases.push_back(c);
   }
 
-  std::printf("\n== micro_dirty_path (n=%u columns, scan at >= 1/%zu dirty) ==\n",
+  std::printf("\n== micro_dirty_path (n=%u columns, list cap n/%zu) ==\n",
               n, DvRow::kScanDensityInverse);
   std::printf("%8s %8s %11s %11s %11s %11s %8s %8s %8s %6s\n", "dirty",
               "density", "dense_ns", "sparse_ns", "scan_ns", "hybrid_ns",
               "speedup", "v1_bytes", "v2_bytes", "v2/v1");
   for (const Case& c : cases) {
-    std::printf("%8zu %7.2f%% %11.0f %11.0f %11.0f %11.0f %7.1fx %8zu %8zu %6.3f\n",
-                c.dirty, 100.0 * c.density, c.dense_ns, c.sparse_ns, c.scan_ns,
-                c.hybrid_ns, c.speedup, c.v1_bytes, c.v2_bytes, c.bytes_ratio);
+    const std::string sparse_ns =
+        c.sparse_ns < 0 ? "-" : std::to_string(std::lround(c.sparse_ns));
+    std::printf("%8zu %7.2f%% %11.0f %11s %11.0f %11.0f %7.1fx %8zu %8zu %6.3f\n",
+                c.dirty, 100.0 * c.density, c.dense_ns, sparse_ns.c_str(),
+                c.scan_ns, c.hybrid_ns, c.speedup, c.v1_bytes, c.v2_bytes,
+                c.bytes_ratio);
   }
 
   const std::string dir = env_str("AACC_OUT_DIR", "/tmp/aacc_bench");
@@ -198,8 +206,13 @@ int main() {
     if (i != 0) json << ',';
     json << "{\"dirty\":" << c.dirty << ",\"density\":" << c.density
          << ",\"dense_assembly_ns\":" << c.dense_ns
-         << ",\"sparse_assembly_ns\":" << c.sparse_ns
-         << ",\"scan_assembly_ns\":" << c.scan_ns
+         << ",\"sparse_assembly_ns\":";
+    if (c.sparse_ns < 0) {
+      json << "null";
+    } else {
+      json << c.sparse_ns;
+    }
+    json << ",\"scan_assembly_ns\":" << c.scan_ns
          << ",\"hybrid_assembly_ns\":" << c.hybrid_ns
          << ",\"speedup\":" << c.speedup << ",\"v1_bytes\":" << c.v1_bytes
          << ",\"v2_bytes\":" << c.v2_bytes

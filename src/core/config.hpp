@@ -200,13 +200,6 @@ struct EngineConfig {
   /// snapshot is more than this many steps behind the engine's current
   /// step is flagged stale (ResponseMeta::stale). 0 = never flag.
   std::size_t max_snapshot_lag = 0;
-  /// Per-query flow sampling (docs/OBSERVABILITY.md §Serve latency SLOs): query
-  /// index i is sampled when (i + seed) % every == 0, recording latency and
-  /// the snapshot publish that served it. Deterministic given the same
-  /// query order; 0 disables sampling. The buffer is bounded
-  /// (ServeContext::kMaxSamples) so long sessions keep only a prefix.
-  std::size_t serve_sample_every = 64;
-  std::uint64_t serve_sample_seed = 0;
 
   /// Checks the configuration for values that cannot produce a meaningful
   /// run and throws ConfigError naming the offending field. Called by the

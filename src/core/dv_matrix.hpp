@@ -14,20 +14,23 @@
 // bit-identical to a fresh sum.
 //
 // Sparse change tracking: besides the per-entry flag byte, a row keeps two
-// compact index lists so the RC hot path never scans the full column range:
-//   * dirty list  — columns changed since the last send (kDirty). Dirty
-//     clearing walks this list, taking per-step cost from O(n) to O(dirty);
-//     send assembly and checkpoint serialization read it through
-//     sorted_dirty(), which sorts a short list and scans the flag bytes
-//     once the list is long relative to the row width.
-//   * reach list  — columns that have ever been finite (kReached).
-//     mark-finite-dirty walks this instead of all n columns.
-// Both lists are *lazy*: clearing an entry only drops its flag, the column
-// id stays in the list until the next compaction (triggered when stale
-// entries outnumber live ones). Membership bits (kTracked/kReached) keep
-// the lists duplicate-free, so consumers only need to filter on the live
-// flag. The fuzz tests in dv_matrix_test.cpp assert list/flag agreement
-// under random op sequences.
+// bounded column lists (ColumnList) so the RC hot path need not scan the
+// full column range while a row is sparse:
+//   * dirty list  — columns marked dirty since the last bulk clear. Dirty
+//     clearing walks it, and sorted_dirty() filters and sorts it for send
+//     assembly and checkpoint serialization.
+//   * reach list  — columns that turned finite since the row was built.
+//     sorted_finite() filters and sorts it for the whole-row resends and
+//     for demotion's cold encoding.
+// Each list holds at most size() / kScanDensityInverse ids. An append past
+// that cap frees the list and marks it overflowed; from then on the row
+// scans instead — the flag bytes for dirty columns, d_ for finite ones. So
+// a dense row costs its 9 bytes per column and nothing more, and a row
+// pays no O(n) scan while its lists are under the cap. The dirty list
+// starts over at every clear_all_dirty/reset_flags; the reach list only
+// when the row is rebuilt. Lists are append-only: a cleared or poisoned
+// column stays as a stale id, and a re-marked one appears twice, so
+// consumers keep the live ids, sort and de-duplicate.
 #pragma once
 
 #include <algorithm>
@@ -40,6 +43,48 @@
 #include "common/types.hpp"
 
 namespace aacc {
+
+/// Append-only list of column ids with a caller-supplied cap. Appending
+/// past the cap frees the storage and marks the list overflowed until
+/// reset(). May hold duplicate and stale ids (see file comment).
+class ColumnList {
+ public:
+  void push(VertexId t, std::size_t cap) {
+    if (overflowed_) return;
+    if (ids_.size() >= cap) {
+      std::vector<VertexId>().swap(ids_);
+      overflowed_ = true;
+      return;
+    }
+    ids_.push_back(t);
+  }
+  void reset() {
+    ids_.clear();
+    overflowed_ = false;
+  }
+  [[nodiscard]] bool overflowed() const { return overflowed_; }
+  [[nodiscard]] const std::vector<VertexId>& ids() const { return ids_; }
+  [[nodiscard]] std::size_t bytes() const {
+    return ids_.capacity() * sizeof(VertexId);
+  }
+  void shrink_to_fit() { ids_.shrink_to_fit(); }
+
+  /// Fills `out` with the ids for which live(t) holds, ascending and
+  /// without duplicates.
+  template <typename Live>
+  void sorted_live(std::vector<VertexId>& out, Live&& live) const {
+    out.clear();
+    for (const VertexId t : ids_) {
+      if (live(t)) out.push_back(t);
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+  }
+
+ private:
+  std::vector<VertexId> ids_;
+  bool overflowed_ = false;
+};
 
 class DvRow {
  public:
@@ -55,7 +100,13 @@ class DvRow {
       : self_(self), d_(std::move(d)), nh_(std::move(nh)) {
     AACC_CHECK(d_.size() == nh_.size());
     flags_.assign(d_.size(), 0);
-    recompute_aggregates();
+    for (VertexId t = 0; t < d_.size(); ++t) {
+      if (t != self_ && d_[t] != kInfDist) {
+        sum_ += d_[t];
+        ++finite_;
+        reach_.push(t, list_cap());
+      }
+    }
   }
 
   [[nodiscard]] VertexId self() const { return self_; }
@@ -99,10 +150,7 @@ class DvRow {
       if (nd != kInfDist) {
         sum_ += nd;
         ++finite_;
-        if ((flags_[t] & kReached) == 0) {
-          flags_[t] |= kReached;
-          reach_.push_back(t);
-        }
+        if (old == kInfDist) reach_.push(t, list_cap());
       }
     }
     d_[t] = nd;
@@ -126,20 +174,18 @@ class DvRow {
   }
 
   /// Resident-memory footprint of this row (capacity-based, including the
-  /// sparse index lists) — the unit the tiered store's budget is charged
-  /// in (DESIGN.md §"Tiered DV storage").
+  /// column lists) — the unit the tiered store's budget is charged in
+  /// (DESIGN.md §"Tiered DV storage").
   [[nodiscard]] std::size_t footprint_bytes() const {
     return sizeof(DvRow) + d_.capacity() * sizeof(Dist) +
            nh_.capacity() * sizeof(VertexId) + flags_.capacity() +
-           (dirty_.capacity() + reach_.capacity()) * sizeof(VertexId);
+           dirty_.bytes() + reach_.bytes();
   }
 
-  /// Releases slack capacity (columns and index lists). Called after a
-  /// repartition rebuilt the row set: the geometric growth headroom of the
-  /// pre-migration era is dead weight on the new owner.
+  /// Releases slack capacity. Called after a repartition rebuilt the row
+  /// set: the geometric growth headroom of the pre-migration era is dead
+  /// weight on the new owner.
   void shrink_to_fit() {
-    compact_dirty();
-    compact_reach();
     d_.shrink_to_fit();
     nh_.shrink_to_fit();
     flags_.shrink_to_fit();
@@ -147,16 +193,13 @@ class DvRow {
     reach_.shrink_to_fit();
   }
 
-  /// sorted_dirty() scans the flag bytes once at least one column in this
-  /// many is dirty (EXPERIMENTS.md §M3 measures the crossover).
+  /// Each column list holds at most size() / kScanDensityInverse ids; past
+  /// that the row scans (EXPERIMENTS.md §M3 measures the crossover).
   static constexpr std::size_t kScanDensityInverse = 64;
 
   // Entry flags used by the rank engine.
   static constexpr std::uint8_t kDirty = 1;    ///< changed since last send
   static constexpr std::uint8_t kQueued = 2;   ///< in the relaxation worklist
-  // Internal membership bits for the sparse index lists (not for engine use).
-  static constexpr std::uint8_t kTracked = 4;  ///< column id is in dirty_
-  static constexpr std::uint8_t kReached = 8;  ///< column id is in reach_
 
   [[nodiscard]] bool test_flag(VertexId t, std::uint8_t bit) const {
     return (flags_[t] & bit) != 0;
@@ -171,15 +214,11 @@ class DvRow {
     if ((flags_[t] & kDirty) != 0) return false;
     flags_[t] |= kDirty;
     ++dirty_count_;
-    if ((flags_[t] & kTracked) == 0) {
-      flags_[t] |= kTracked;
-      maybe_compact_dirty();
-      dirty_.push_back(t);
-    }
+    dirty_.push(t, list_cap());
     return true;
   }
   /// Clears the dirty bit. Returns true if it was set. The column stays in
-  /// the index list as a stale entry until the next compaction.
+  /// the dirty list as a stale id.
   bool clear_dirty(VertexId t) {
     if ((flags_[t] & kDirty) == 0) return false;
     flags_[t] &= static_cast<std::uint8_t>(~kDirty);
@@ -187,39 +226,43 @@ class DvRow {
     return true;
   }
   [[nodiscard]] VertexId dirty_count() const { return dirty_count_; }
+  /// True once the dirty list passed its cap; sorted_dirty() then scans.
+  [[nodiscard]] bool dirty_list_overflowed() const {
+    return dirty_.overflowed();
+  }
 
-  /// Clears every dirty bit by walking the sparse list — O(dirty), not
-  /// O(n). Returns the number of live entries cleared.
+  /// Clears every dirty bit — by walking the dirty list while it holds
+  /// every dirty column, O(dirty), else by one pass over the flag bytes.
+  /// Returns the number of live entries cleared.
   VertexId clear_all_dirty() {
-    for (const VertexId t : dirty_) {
-      flags_[t] &= static_cast<std::uint8_t>(~(kDirty | kTracked));
+    constexpr auto kKeep = static_cast<std::uint8_t>(~kDirty);
+    if (dirty_.overflowed()) {
+      for (std::uint8_t& f : flags_) f &= kKeep;
+    } else {
+      for (const VertexId t : dirty_.ids()) flags_[t] &= kKeep;
     }
-    dirty_.clear();
+    dirty_.reset();
     const VertexId cleared = dirty_count_;
     dirty_count_ = 0;
     return cleared;
   }
 
-  /// Fills `out` with the currently dirty columns in ascending order. Picks
-  /// the cheaper of two exact methods: filter and sort the dirty list,
-  /// O(dirty log dirty), or scan the flag bytes, O(n) at a few columns per
-  /// instruction. Both yield the same set in the same order.
+  /// Fills `out` with the currently dirty columns in ascending order: from
+  /// the dirty list while it exists, O(list log list), else by scanning the
+  /// flag bytes, O(n) at a few columns per instruction.
   void sorted_dirty(std::vector<VertexId>& out) const {
-    if (static_cast<std::size_t>(dirty_count_) * kScanDensityInverse >=
-        d_.size()) {
+    if (dirty_.overflowed()) {
       scan_dirty(out);
     } else {
       sort_dirty_list(out);
     }
   }
-  /// Dirty-list method of sorted_dirty(): stale list entries are filtered
-  /// out, the rest sorted.
+  /// List method of sorted_dirty(): live ids, sorted and de-duplicated.
+  /// Only valid while the list has not overflowed.
   void sort_dirty_list(std::vector<VertexId>& out) const {
-    out.clear();
-    for (const VertexId t : dirty_) {
-      if ((flags_[t] & kDirty) != 0) out.push_back(t);
-    }
-    std::sort(out.begin(), out.end());
+    AACC_DCHECK(!dirty_.overflowed());
+    dirty_.sorted_live(out,
+                       [this](VertexId t) { return (flags_[t] & kDirty) != 0; });
   }
   /// Flag-scan method of sorted_dirty(): every column whose kDirty bit is
   /// set, read eight flag bytes per word.
@@ -246,66 +289,33 @@ class DvRow {
     }
   }
 
-  /// Calls fn(t) for every finite non-self column, walking the reach list
-  /// instead of the full column range — O(ever-finite), not O(n).
-  template <typename Fn>
-  void for_each_finite(Fn&& fn) const {
-    for (const VertexId t : reach_) {
-      if (d_[t] != kInfDist) fn(t);
+  /// Fills `out` with every finite non-self column in ascending order: from
+  /// the reach list while it exists, else by scanning d_.
+  void sorted_finite(std::vector<VertexId>& out) const {
+    if (!reach_.overflowed()) {
+      reach_.sorted_live(out, [this](VertexId t) { return d_[t] != kInfDist; });
+      return;
+    }
+    out.clear();
+    out.reserve(finite_);
+    for (VertexId t = 0; t < d_.size(); ++t) {
+      if (t != self_ && d_[t] != kInfDist) out.push_back(t);
     }
   }
 
-  /// Clears every flag (dirty + queued) and the dirty list. Reachability
-  /// bookkeeping survives: the distances themselves are untouched, so the
-  /// reach list must keep describing them. Used when a row survives a
-  /// repartition in place: the new ownership invalidates send/queue state.
+  /// Clears every flag (dirty + queued) and the dirty list. The reach list
+  /// survives: the distances themselves are untouched. Used when a row
+  /// survives a repartition in place: the new ownership invalidates
+  /// send/queue state.
   void reset_flags() {
-    for (std::uint8_t& f : flags_) f &= kReached;
-    dirty_.clear();
+    std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
+    dirty_.reset();
     dirty_count_ = 0;
   }
 
  private:
-  void recompute_aggregates() {
-    sum_ = 0;
-    finite_ = 0;
-    for (VertexId t = 0; t < d_.size(); ++t) {
-      if (t != self_ && d_[t] != kInfDist) {
-        sum_ += d_[t];
-        ++finite_;
-        flags_[t] |= kReached;
-        reach_.push_back(t);
-      }
-    }
-  }
-
-  /// Drops stale ids once they outnumber live ones (amortized O(1) per op).
-  void maybe_compact_dirty() {
-    if (dirty_.size() > 2 * static_cast<std::size_t>(dirty_count_) + 8) {
-      compact_dirty();
-    }
-  }
-  void compact_dirty() {
-    std::size_t keep = 0;
-    for (const VertexId t : dirty_) {
-      if ((flags_[t] & kDirty) != 0) {
-        dirty_[keep++] = t;
-      } else {
-        flags_[t] &= static_cast<std::uint8_t>(~kTracked);
-      }
-    }
-    dirty_.resize(keep);
-  }
-  void compact_reach() {
-    std::size_t keep = 0;
-    for (const VertexId t : reach_) {
-      if (d_[t] != kInfDist) {
-        reach_[keep++] = t;
-      } else {
-        flags_[t] &= static_cast<std::uint8_t>(~kReached);
-      }
-    }
-    reach_.resize(keep);
+  [[nodiscard]] std::size_t list_cap() const {
+    return d_.size() / kScanDensityInverse;
   }
 
   VertexId self_;
@@ -313,8 +323,8 @@ class DvRow {
   std::vector<Dist> d_;
   std::vector<VertexId> nh_;
   std::vector<std::uint8_t> flags_;
-  std::vector<VertexId> dirty_;  ///< sparse dirty index list (may hold stale ids)
-  std::vector<VertexId> reach_;  ///< columns ever finite (may hold stale ids)
+  ColumnList dirty_;  ///< columns marked dirty since the last bulk clear
+  ColumnList reach_;  ///< columns that turned finite since construction
   std::uint64_t sum_ = 0;
   mutable double harmonic_ = 0.0;  ///< valid when !harmonic_stale_
   VertexId finite_ = 0;

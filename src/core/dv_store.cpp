@@ -30,13 +30,6 @@ struct ColdCursor {
   }
 };
 
-void write_cold_entry(rt::ByteWriter& w, VertexId col, VertexId prev,
-                      bool first, Dist d, VertexId nh) {
-  w.write_varint(first ? col : col - prev - 1);
-  w.write_varint(rt::encode_u32_sentinel(d));
-  w.write_varint(rt::encode_u32_sentinel(nh));
-}
-
 /// harmonic_from_row fed the finite entries in ascending column order: it
 /// skips infinite columns without adding, so the additions and their order
 /// — hence the bits — are the same as the dense reference's.
@@ -48,6 +41,59 @@ struct HarmonicSum {
     h += 1.0 / static_cast<double>(d);
   }
 };
+
+/// The one writer of a cold row's entry stream: `count` (column, dist,
+/// next hop) triples, added in ascending column order. finish() stores the
+/// blob and the sum, finite count and harmonic value of what was added.
+class ColdRowWriter {
+ public:
+  ColdRowWriter(ColdDvRow& c, std::uint64_t count) : c_(c), h_{c.self} {
+    w_.write_varint(count);
+  }
+  void add(VertexId t, Dist d, VertexId nh) {
+    w_.write_varint(first_ ? t : t - prev_ - 1);
+    w_.write_varint(rt::encode_u32_sentinel(d));
+    w_.write_varint(rt::encode_u32_sentinel(nh));
+    h_.add(t, d);
+    if (t != c_.self) {
+      sum_ += d;
+      ++finite_;
+    }
+    prev_ = t;
+    first_ = false;
+  }
+  void finish() {
+    c_.blob = w_.take();
+    // Cold rows are long-lived and their bytes() are the budget currency:
+    // the writer's doubling slack is not free to keep.
+    c_.blob.shrink_to_fit();
+    c_.sum = sum_;
+    c_.finite = finite_;
+    c_.harmonic = h_.h;  // re-summed, never 1/d added or subtracted
+  }
+
+ private:
+  ColdDvRow& c_;
+  rt::ByteWriter w_;
+  HarmonicSum h_;
+  std::uint64_t sum_ = 0;
+  VertexId finite_ = 0;
+  VertexId prev_ = 0;
+  bool first_ = true;
+};
+
+/// install_ia on a dense row: the settle-order set/mark_dirty replay.
+VertexId replay_ia(DvRow& r, VertexId src, const std::vector<VertexId>& touched,
+                   const std::vector<Dist>& dist,
+                   const std::vector<VertexId>& hop) {
+  VertexId dirty_added = 0;
+  for (const VertexId t : touched) {
+    if (t == src) continue;
+    r.set(t, dist[t], hop[t]);
+    if (r.mark_dirty(t)) ++dirty_added;
+  }
+  return dirty_added;
+}
 
 bool cold_find(const ColdDvRow& c, VertexId t, Dist* d_out, VertexId* nh_out) {
   ColdCursor cur(c);
@@ -69,34 +115,20 @@ ColdDvRow encode_cold_row(const DvRow& row) {
   ColdDvRow cold;
   cold.self = row.self();
   cold.columns = row.size();
-  cold.finite = row.finite_count();
-  cold.sum = row.finite_sum();
-  std::vector<VertexId> dirty;
-  row.sorted_dirty(dirty);
-  cold.dirty.assign_sorted(dirty);
-
   std::vector<VertexId> cols;
-  cols.reserve(static_cast<std::size_t>(row.finite_count()) + 1);
-  cols.push_back(row.self());
-  row.for_each_finite([&](VertexId t) { cols.push_back(t); });
-  std::sort(cols.begin(), cols.end());
-
-  rt::ByteWriter w;
-  w.write_varint(cols.size());
-  VertexId prev = 0;
-  HarmonicSum h{row.self()};
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    const VertexId t = cols[i];
-    write_cold_entry(w, t, prev, i == 0, row.dist(t), row.next_hop(t));
-    h.add(t, row.dist(t));
-    prev = t;
-  }
-  cold.blob = w.take();
-  cold.harmonic = h.h;
-  // Cold rows are long-lived and their bytes() are the budget currency:
-  // growth slack from the writer/push_back doubling is not free to keep.
-  cold.blob.shrink_to_fit();
+  row.sorted_dirty(cols);
+  cold.dirty.assign_sorted(cols);
   cold.dirty.shrink_to_fit();
+
+  // The self column (distance 0) is part of the stream, in its place.
+  row.sorted_finite(cols);
+  cols.insert(std::lower_bound(cols.begin(), cols.end(), row.self()),
+              row.self());
+  ColdRowWriter w(cold, cols.size());
+  for (const VertexId t : cols) w.add(t, row.dist(t), row.next_hop(t));
+  w.finish();
+  AACC_DCHECK(cold.sum == row.finite_sum());
+  AACC_DCHECK(cold.finite == row.finite_count());
   return cold;
 }
 
@@ -107,28 +139,14 @@ ColdDvRow encode_cold_row(VertexId self, const std::vector<Dist>& d,
   cold.self = self;
   cold.columns = static_cast<VertexId>(d.size());
   cold.dirty.assign_sorted(dirty);
-  std::uint64_t count = 0;
-  for (const Dist dt : d) {
-    if (dt != kInfDist) ++count;
-  }
-  rt::ByteWriter w;
-  w.write_varint(count);
-  VertexId prev = 0;
-  bool first = true;
-  for (VertexId t = 0; t < cold.columns; ++t) {
-    if (d[t] == kInfDist) continue;
-    write_cold_entry(w, t, prev, first, d[t], nh[t]);
-    prev = t;
-    first = false;
-    if (t != self) {
-      cold.sum += d[t];
-      ++cold.finite;
-    }
-  }
-  cold.blob = w.take();
-  cold.harmonic = harmonic_from_row(d, self);
-  cold.blob.shrink_to_fit();
   cold.dirty.shrink_to_fit();
+  const auto count = static_cast<std::uint64_t>(
+      std::count_if(d.begin(), d.end(), [](Dist dt) { return dt != kInfDist; }));
+  ColdRowWriter w(cold, count);
+  for (VertexId t = 0; t < cold.columns; ++t) {
+    if (d[t] != kInfDist) w.add(t, d[t], nh[t]);
+  }
+  w.finish();
   return cold;
 }
 
@@ -300,10 +318,12 @@ bool DvStore::retire_dirty_one(std::size_t i, VertexId t) {
 VertexId DvStore::mark_finite_dirty(std::size_t i) {
   Slot& s = slots_[i];
   if (DvRow* p = s.hot.load(std::memory_order_acquire)) {
+    std::vector<VertexId> cols;
+    p->sorted_finite(cols);
     VertexId added = 0;
-    p->for_each_finite([&](VertexId t) {
+    for (const VertexId t : cols) {
       if (p->mark_dirty(t)) ++added;
-    });
+    }
     return added;
   }
   ColdDvRow& c = *s.cold;
@@ -351,20 +371,9 @@ bool DvStore::tombstone_column(std::size_t i, VertexId v) {
       if (std::get<0>(e) != v) entries.push_back(e);
     }
   }
-  rt::ByteWriter w;
-  w.write_varint(entries.size());
-  VertexId prev = 0;
-  HarmonicSum h{c.self};
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    const auto [t, dt, nt] = entries[k];
-    write_cold_entry(w, t, prev, k == 0, dt, nt);
-    h.add(t, dt);
-    prev = t;
-  }
-  c.blob = w.take();
-  c.harmonic = h.h;  // re-summed, never 1/d subtracted
-  c.sum -= d;
-  --c.finite;
+  ColdRowWriter w(c, entries.size());
+  for (const auto& [t, dt, nt] : entries) w.add(t, dt, nt);
+  w.finish();
   return was_dirty;
 }
 
@@ -488,14 +497,7 @@ VertexId ResidentDvStore::install_ia(std::size_t i, VertexId src,
                                      const std::vector<VertexId>& touched,
                                      const std::vector<Dist>& dist,
                                      const std::vector<VertexId>& hop) {
-  DvRow& r = row(i);
-  VertexId dirty_added = 0;
-  for (const VertexId t : touched) {
-    if (t == src) continue;
-    r.set(t, dist[t], hop[t]);
-    if (r.mark_dirty(t)) ++dirty_added;
-  }
-  return dirty_added;
+  return replay_ia(row(i), src, touched, dist, hop);
 }
 
 void ResidentDvStore::put_cold(std::size_t i, ColdDvRow&& cold) {
@@ -520,11 +522,9 @@ void TieredDvStore::append_fresh(VertexId self) {
   auto cold = std::make_unique<ColdDvRow>();
   cold->self = self;
   cold->columns = cols_;
-  cold->harmonic = 0.0;  // the self entry alone
-  rt::ByteWriter w;
-  w.write_varint(1);
-  write_cold_entry(w, self, 0, /*first=*/true, 0, kNoVertex);
-  cold->blob = w.take();
+  ColdRowWriter w(*cold, 1);
+  w.add(self, 0, kNoVertex);
+  w.finish();
   slots_.emplace_back();
   slots_.back().cold = std::move(cold);
 }
@@ -537,14 +537,7 @@ VertexId TieredDvStore::install_ia(std::size_t i, VertexId src,
   ColdDvRow* c = s.cold.get();
   if (c == nullptr || c->finite != 0 || !c->dirty.empty()) {
     // Promoted or already-seeded row: replay the dense sequence.
-    DvRow& r = row(i);
-    VertexId dirty_added = 0;
-    for (const VertexId t : touched) {
-      if (t == src) continue;
-      r.set(t, dist[t], hop[t]);
-      if (r.mark_dirty(t)) ++dirty_added;
-    }
-    return dirty_added;
+    return replay_ia(row(i), src, touched, dist, hop);
   }
   // Fresh cold row: encode the sweep result directly — the cold form is
   // the same whether built here or via a dense round-trip (ascending
@@ -554,31 +547,16 @@ VertexId TieredDvStore::install_ia(std::size_t i, VertexId src,
     cols.push_back(src);
   }
   std::sort(cols.begin(), cols.end());
-  rt::ByteWriter w;
-  w.write_varint(cols.size());
-  VertexId prev = 0;
-  std::uint64_t sum = 0;
-  VertexId finite = 0;
-  HarmonicSum h{src};
+  AACC_DCHECK(c->self == src);
+  ColdRowWriter w(*c, cols.size());
   c->dirty.clear();
-  for (std::size_t k = 0; k < cols.size(); ++k) {
-    const VertexId t = cols[k];
-    write_cold_entry(w, t, prev, k == 0, dist[t], hop[t]);
-    h.add(t, dist[t]);
-    prev = t;
-    if (t != src) {
-      sum += dist[t];
-      ++finite;
-      c->dirty.append(t);
-    }
+  for (const VertexId t : cols) {
+    w.add(t, dist[t], hop[t]);
+    if (t != src) c->dirty.append(t);
   }
-  c->blob = w.take();
-  c->blob.shrink_to_fit();
+  w.finish();
   c->dirty.shrink_to_fit();
-  c->sum = sum;
-  c->finite = finite;
-  c->harmonic = h.h;
-  return finite;
+  return c->finite;
 }
 
 void TieredDvStore::put_cold(std::size_t i, ColdDvRow&& cold) {

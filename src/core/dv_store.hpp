@@ -27,9 +27,11 @@
 //
 // Determinism: promotion rebuilds a DvRow whose observable state (values,
 // aggregates, live dirty set, finite set) is identical to the row that was
-// demoted; only the internal stale-id tails of the lazy index lists differ,
-// and no engine-visible ordering depends on those (see DESIGN.md §"Tiered
-// DV storage" for the full argument).
+// demoted; only the contents of its bounded column lists differ (stale and
+// duplicate ids, or an overflow the rebuilt row has not reached), and every
+// consumer of those lists filters, sorts and de-duplicates, so no
+// engine-visible ordering depends on them (see DESIGN.md §"Tiered DV
+// storage" for the full argument).
 #pragma once
 
 #include <algorithm>
@@ -180,7 +182,7 @@ ColdDvRow encode_cold_row(VertexId self, const std::vector<Dist>& d,
                           std::vector<VertexId> dirty);
 
 /// Full decode back to the dense form; the inverse of encode_cold_row up to
-/// stale index-list tails (see file comment).
+/// the contents of the row's column lists (see file comment).
 DvRow decode_cold_row(const ColdDvRow& cold);
 
 class DvStore {

@@ -1059,6 +1059,15 @@ bool RankEngine::poison_sync_round() {
   return mine;
 }
 
+void RankEngine::poison_barrier() {
+  const obs::ScopedSpan sync_span(trace_, "poison_sync");
+  bool mine = poison_pending_;
+  poison_pending_ = false;
+  while (comm_.all_reduce_or(mine)) {
+    mine = poison_sync_round();
+  }
+}
+
 // ----------------------------------------------------------- dirty helper
 
 void RankEngine::mark_finite_dirty(std::size_t row_idx) {
@@ -1102,25 +1111,22 @@ void RankEngine::apply_edge_add(const EdgeAddEvent& e) {
   if (lu) {
     // The owner of v just became (or already is) a subscriber of u's row.
     mark_finite_dirty(static_cast<std::size_t>(lg_.row_of(e.u)));
-    const auto it = caches_.find(e.v);
-    if (it != caches_.end()) {
-      const std::vector<Dist>& cache = it->second;
-      for (VertexId t = 0; t < cache.size(); ++t) {
-        if (t != e.u) relax(e.u, t, dist_add(cache[t], e.w), e.v);
-      }
-    }
-    relax(e.u, e.v, e.w, e.v);  // the new edge itself
+    relax_through_portal(e.u, e.v, e.w);
   } else if (lv) {
     mark_finite_dirty(static_cast<std::size_t>(lg_.row_of(e.v)));
-    const auto it = caches_.find(e.u);
-    if (it != caches_.end()) {
-      const std::vector<Dist>& cache = it->second;
-      for (VertexId t = 0; t < cache.size(); ++t) {
-        if (t != e.v) relax(e.v, t, dist_add(cache[t], e.w), e.u);
-      }
-    }
-    relax(e.v, e.u, e.w, e.u);
+    relax_through_portal(e.v, e.u, e.w);
   }
+}
+
+void RankEngine::relax_through_portal(VertexId x, VertexId z, Weight w) {
+  const auto it = caches_.find(z);
+  if (it != caches_.end()) {
+    const std::vector<Dist>& cache = it->second;
+    for (VertexId t = 0; t < cache.size(); ++t) {
+      if (t != x) relax(x, t, dist_add(cache[t], w), z);
+    }
+  }
+  relax(x, z, w, z);
 }
 
 void RankEngine::eager_edge_relax(const EdgeAddEvent& e) {
@@ -1228,21 +1234,9 @@ void RankEngine::apply_weight_change(const WeightChangeEvent& e) {
       seed_through_edge(e.u, e.v, e.w_new);
       seed_through_edge(e.v, e.u, e.w_new);
     } else if (lu) {
-      const auto it = caches_.find(e.v);
-      if (it != caches_.end()) {
-        for (VertexId t = 0; t < it->second.size(); ++t) {
-          if (t != e.u) relax(e.u, t, dist_add(it->second[t], e.w_new), e.v);
-        }
-      }
-      relax(e.u, e.v, e.w_new, e.v);
+      relax_through_portal(e.u, e.v, e.w_new);
     } else {
-      const auto it = caches_.find(e.u);
-      if (it != caches_.end()) {
-        for (VertexId t = 0; t < it->second.size(); ++t) {
-          if (t != e.v) relax(e.v, t, dist_add(it->second[t], e.w_new), e.u);
-        }
-      }
-      relax(e.v, e.u, e.w_new, e.u);
+      relax_through_portal(e.v, e.u, e.w_new);
     }
   } else if (e.w_new > old) {
     // Behaves like a deletion: witnesses crossing the edge are stale; the
@@ -1362,14 +1356,7 @@ void RankEngine::apply_repartition(const std::vector<VertexAddEvent>& batch) {
   // rows: the rebuild below resets dirty flags, so a pending poison that
   // has not reached its cross-rank dependents yet would otherwise be lost
   // and a stale (too small) value would survive.
-  {
-    const obs::ScopedSpan sync_span(trace_, "poison_sync");
-    bool mine = poison_pending_;
-    poison_pending_ = false;
-    while (comm_.all_reduce_or(mine)) {
-      mine = poison_sync_round();
-    }
-  }
+  poison_barrier();
 
   // 1. Gather the current edge list at rank 0 (the paper runs ParMETIS here;
   //    the gather+partition+broadcast is our accounted substitute).
@@ -1980,14 +1967,7 @@ std::size_t RankEngine::run_rc() {
     // Poison-synchronization barrier: all invalidations must settle on
     // every rank before any repair runs, otherwise two ranks can re-derive
     // distances from each other's stale entries and count to infinity.
-    {
-      const obs::ScopedSpan sync_span(trace_, "poison_sync");
-      bool mine = poison_pending_;
-      poison_pending_ = false;
-      while (comm_.all_reduce_or(mine)) {
-        mine = poison_sync_round();
-      }
-    }
+    poison_barrier();
 
     drain();
     if (cfg_.refine == RefineMode::kBoundaryFloydWarshall) {

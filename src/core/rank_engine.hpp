@@ -196,6 +196,9 @@ class RankEngine {
   /// read a value whose witness chain is already known to be dead
   /// elsewhere.
   bool poison_sync_round();
+  /// The barrier itself (collective): poison_sync_round() until no rank
+  /// generated new poisons, under one poison_sync span.
+  void poison_barrier();
   void ingest_batch(const std::vector<Event>& events);
   /// This rank's StepLocal counters right now (step left 0).
   [[nodiscard]] StepLocal sample() const;
@@ -232,6 +235,9 @@ class RankEngine {
 
   void eager_edge_relax(const EdgeAddEvent& e);
   void seed_through_edge(VertexId x, VertexId z, Weight w);
+  /// x local, z remote: relaxes x's row through z's cached portal row, then
+  /// through the edge x–z itself.
+  void relax_through_portal(VertexId x, VertexId z, Weight w);
   void poison_first_hops(VertexId u, VertexId v,
                          std::deque<std::pair<VertexId, VertexId>>& seeds);
   void grow_columns(VertexId count);

@@ -306,11 +306,10 @@ struct ServeContext {
   LatencyHistogram query_ns_point;
   LatencyHistogram query_ns_top_k;
   LatencyHistogram query_ns_rank_of;
-  /// Deterministic 1-in-N query sampling: query index i is sampled when
-  /// (i + sample_seed) % sample_every == 0. Bounded buffer; oldest samples
-  /// win (the cap drops the tail, keeping capture deterministic).
-  std::size_t sample_every = 64;
-  std::uint64_t sample_seed = 0;
+  /// Deterministic 1-in-64 query sampling: query index i is sampled when
+  /// i % kSampleEvery == 0. Bounded buffer; oldest samples win (the cap
+  /// drops the tail, keeping capture deterministic).
+  static constexpr std::uint64_t kSampleEvery = 64;
   static constexpr std::size_t kMaxSamples = 256;
   std::mutex samples_mu;  ///< cold path: taken only for sampled queries
   std::vector<QuerySample> samples;

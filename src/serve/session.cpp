@@ -76,10 +76,7 @@ void record_query(ServeContext& ctx, LatencyHistogram& hist, char kind,
           std::chrono::steady_clock::now() - t0)
           .count());
   hist.record(ns);
-  if (ctx.sample_every == 0 ||
-      (index + ctx.sample_seed) % ctx.sample_every != 0) {
-    return;
-  }
+  if (index % ServeContext::kSampleEvery != 0) return;
   std::lock_guard<std::mutex> lk(ctx.samples_mu);
   if (ctx.samples.size() >= ServeContext::kMaxSamples) return;
   QuerySample s;
@@ -260,8 +257,6 @@ EngineSession::EngineSession(Graph g, EngineConfig cfg)
   }
   ctx_ = std::make_shared<ServeContext>(cfg_.num_ranks, cfg_.publish_every,
                                         cfg_.max_snapshot_lag);
-  ctx_->sample_every = cfg_.serve_sample_every;
-  ctx_->sample_seed = cfg_.serve_sample_seed;
   next_vertex_id_ = graph_.num_vertices();
   driver_ = std::thread([this] {
     detail::DriverArgs args;

@@ -189,8 +189,8 @@ class EngineSession {
                        ctx_->query_ns_rank_of.snapshot()};
   }
 
-  /// Copy of the sampled per-query flow records (deterministic 1-in-N per
-  /// EngineConfig::serve_sample_every/serve_sample_seed, bounded buffer).
+  /// Copy of the sampled per-query flow records (deterministic 1-in-64
+  /// per ServeContext::kSampleEvery, bounded buffer).
   [[nodiscard]] std::vector<QuerySample> query_samples() const {
     std::lock_guard<std::mutex> lk(ctx_->samples_mu);
     return ctx_->samples;

@@ -112,126 +112,209 @@ TEST(DvRow, ClearAllDirtyReturnsCount) {
   EXPECT_EQ(row.dirty_count(), 1u);
 }
 
-TEST(DvRow, ForEachFiniteVisitsReachableColumns) {
+TEST(DvRow, SortedFiniteVisitsReachableColumns) {
   DvRow row(1, 6);
   row.set(0, 4, 0);
   row.set(3, 2, 3);
   row.set(5, 9, 3);
   row.set(5, kInfDist, kNoVertex);  // poisoned after being reached
   std::vector<VertexId> seen;
-  row.for_each_finite([&](VertexId t) { seen.push_back(t); });
-  std::sort(seen.begin(), seen.end());
+  row.sorted_finite(seen);
   EXPECT_EQ(seen, (std::vector<VertexId>{0, 3}));
 }
 
-// Fuzz: the sparse dirty list and reach list must agree with a brute-force
-// scan of the per-column flags/distances after any interleaving of set,
-// mark, clear, grow, bulk-clear, and reset operations.
+// Brute-force views straight off the dense arrays.
+std::vector<VertexId> brute_dirty(const DvRow& row) {
+  std::vector<VertexId> out;
+  for (VertexId c = 0; c < row.size(); ++c) {
+    if (row.test_flag(c, DvRow::kDirty)) out.push_back(c);
+  }
+  return out;
+}
+std::vector<VertexId> brute_finite(const DvRow& row) {
+  std::vector<VertexId> out;
+  for (VertexId c = 0; c < row.size(); ++c) {
+    if (c != row.self() && row.dist(c) != kInfDist) out.push_back(c);
+  }
+  return out;
+}
+
+/// Tracks when a row's dirty list must have overflowed: every successful
+/// mark appends one id, the cap is the row width / kScanDensityInverse at
+/// the time of the append, and only a bulk clear or reset starts over.
+struct DirtyListModel {
+  std::size_t ids = 0;
+  bool overflowed = false;
+  void on_mark(VertexId width) {
+    if (overflowed) return;
+    if (ids >= width / DvRow::kScanDensityInverse) {
+      overflowed = true;
+    } else {
+      ++ids;
+    }
+  }
+  void on_bulk_clear() { *this = {}; }
+};
+
+// Checks every view of a row's dirty and finite sets against brute force.
+void expect_views_match(const DvRow& row, const DirtyListModel& model) {
+  const std::vector<VertexId> want_dirty = brute_dirty(row);
+  ASSERT_EQ(row.dirty_count(), want_dirty.size());
+  ASSERT_EQ(row.dirty_list_overflowed(), model.overflowed);
+  std::vector<VertexId> got;
+  row.sorted_dirty(got);
+  ASSERT_EQ(got, want_dirty);
+  row.scan_dirty(got);
+  ASSERT_EQ(got, want_dirty);
+  if (!row.dirty_list_overflowed()) {
+    row.sort_dirty_list(got);
+    ASSERT_EQ(got, want_dirty);
+  }
+  row.sorted_finite(got);
+  ASSERT_EQ(got, brute_finite(row));  // ascending, no duplicate visit
+}
+
+// Fuzz: the bounded dirty and reach lists, and the scans that replace them
+// past the cap, must agree with brute force after any interleaving of set,
+// mark, clear, grow, bulk clear, reset and shrink. Columns are drawn from a
+// pool of 3, 12 or all columns, so the lists collect duplicate and stale
+// ids (a column marked, cleared and marked again; poisoned and re-reached)
+// and cross their caps inside one epoch at different rates.
 TEST(DvRow, FuzzSparseTrackingMatchesBruteForce) {
   std::mt19937 rng(20260806);
-  for (int round = 0; round < 20; ++round) {
-    VertexId n = 16;
+  for (int round = 0; round < 30; ++round) {
+    VertexId n = round % 2 == 0 ? 200 : 700;
+    const VertexId pool = round % 3 == 0 ? 3 : round % 3 == 1 ? 12 : n;
     DvRow row(3, n);
+    DirtyListModel model;
     for (int step = 0; step < 400; ++step) {
       const auto op = rng() % 100;
-      const auto t = static_cast<VertexId>(rng() % n);
+      const auto t = static_cast<VertexId>(rng() % std::min(pool, n));
       if (op < 35) {
-        (void)row.mark_dirty(t);
+        if (row.mark_dirty(t)) model.on_mark(n);
       } else if (op < 60) {
         (void)row.clear_dirty(t);
       } else if (op < 85) {
-        const Dist d = (rng() % 8 == 0) ? kInfDist : rng() % 1000;
-        row.set(t, d, d == kInfDist ? kNoVertex : t);
-      } else if (op < 92) {
-        const auto added = static_cast<VertexId>(1 + rng() % 4);
-        row.grow(added);
+        if (t != row.self()) {
+          const Dist d = (rng() % 8 == 0) ? kInfDist : rng() % 1000;
+          row.set(t, d, d == kInfDist ? kNoVertex : t);
+        }
+      } else if (op < 90) {
+        const auto added = static_cast<VertexId>(1 + rng() % 100);
+        row.grow(added);  // moves the cap, also while overflowed
         n += added;
-      } else if (op < 96) {
+      } else if (op < 95) {
         (void)row.clear_all_dirty();
-      } else if (op < 98) {
+        model.on_bulk_clear();
+      } else if (op < 97) {
         row.reset_flags();
+        model.on_bulk_clear();
       } else {
         row.shrink_to_fit();
       }
-
-      // Brute-force models straight off the dense arrays.
-      std::vector<VertexId> want_dirty;
-      std::size_t want_finite = 0;
-      for (VertexId c = 0; c < n; ++c) {
-        if (row.test_flag(c, DvRow::kDirty)) want_dirty.push_back(c);
-        if (c != row.self() && row.dist(c) != kInfDist) ++want_finite;
-      }
-
-      ASSERT_EQ(row.dirty_count(), want_dirty.size());
-      std::vector<VertexId> got_dirty;
-      row.sorted_dirty(got_dirty);
-      ASSERT_EQ(got_dirty, want_dirty);
-      row.sort_dirty_list(got_dirty);
-      ASSERT_EQ(got_dirty, want_dirty);
-      row.scan_dirty(got_dirty);
-      ASSERT_EQ(got_dirty, want_dirty);
-
-      std::vector<VertexId> got_finite;
-      row.for_each_finite([&](VertexId c) { got_finite.push_back(c); });
-      std::sort(got_finite.begin(), got_finite.end());
-      ASSERT_EQ(got_finite.size(), want_finite);
-      ASSERT_TRUE(std::adjacent_find(got_finite.begin(), got_finite.end()) ==
-                  got_finite.end())
-          << "duplicate visit";
-      for (const VertexId c : got_finite) {
-        ASSERT_NE(c, row.self());
-        ASSERT_NE(row.dist(c), kInfDist);
-      }
+      expect_views_match(row, model);
+      if (HasFatalFailure()) return;
     }
+    // The wire constructor rebuilds the reach list from the values alone.
+    const DvRow wire(row.self(), row.dists(), row.next_hops());
+    expect_views_match(wire, DirtyListModel{});
+    ASSERT_EQ(wire.finite_count(), row.finite_count());
+    ASSERT_EQ(wire.finite_sum(), row.finite_sum());
+    if (HasFatalFailure()) return;
   }
 }
 
-// Fuzz: sorted_dirty() switches between the sorted dirty list and a flag
-// scan on the row's dirty density; both methods, and the switch, must give
-// the sparse list's result at densities on either side of the crossover,
-// including while the list holds stale ids (after clears, after the
-// compaction that mark_dirty and shrink_to_fit trigger, after reset_flags).
+// Fuzz: sorted_dirty() reads the dirty list until it passes its cap and
+// scans the flag bytes after; at densities on either side of the cap, with
+// stale and duplicate ids from single clears, both must give the flag
+// scan's result, and bulk clears must clear every bit either way.
 TEST(DvRow, FuzzHybridDirtyMatchesSparseAcrossDensities) {
   std::mt19937 rng(20261017);
   const VertexId n = 1000 + 13;  // not a multiple of the 8-column word
-  const std::size_t crossover = n / DvRow::kScanDensityInverse;
+  const std::size_t cap = n / DvRow::kScanDensityInverse;
   for (const std::size_t target :
-       {std::size_t{1}, crossover / 2, crossover - 1, crossover,
-        crossover + 1, 4 * crossover, std::size_t{n} / 2,
-        std::size_t{n}}) {
+       {std::size_t{1}, cap / 2, cap - 1, cap, cap + 1, 4 * cap,
+        std::size_t{n} / 2, std::size_t{n}}) {
     for (int round = 0; round < 4; ++round) {
       DvRow row(static_cast<VertexId>(rng() % n), n);
+      DirtyListModel model;
       for (int step = 0; step < 300; ++step) {
         const auto op = rng() % 100;
         if (op < 70) {
           // Drift toward the target density: mark below it, clear above.
           const auto t = static_cast<VertexId>(rng() % n);
           if (row.dirty_count() < target) {
-            (void)row.mark_dirty(t);
+            if (row.mark_dirty(t)) model.on_mark(n);
           } else {
             (void)row.clear_dirty(t);
           }
         } else if (op < 90) {
           (void)row.clear_dirty(static_cast<VertexId>(rng() % n));
         } else if (op < 95) {
-          row.shrink_to_fit();  // compacts the stale ids away
+          row.shrink_to_fit();
         } else if (op < 97) {
           row.reset_flags();
+          model.on_bulk_clear();
         } else {
           (void)row.clear_all_dirty();
+          model.on_bulk_clear();
+          ASSERT_TRUE(brute_dirty(row).empty()) << "target " << target;
         }
-
-        std::vector<VertexId> sparse;
-        row.sort_dirty_list(sparse);
-        ASSERT_EQ(sparse.size(), row.dirty_count());
-        std::vector<VertexId> got;
-        row.scan_dirty(got);
-        ASSERT_EQ(got, sparse) << "scan, target " << target;
-        row.sorted_dirty(got);
-        ASSERT_EQ(got, sparse) << "hybrid, target " << target;
+        expect_views_match(row, model);
+        if (HasFatalFailure()) return;
       }
     }
   }
+}
+
+TEST(DvRow, DirtyListOverflowsPastCapUntilBulkClear) {
+  DvRow row(0, 128);  // cap: 2 ids
+  EXPECT_TRUE(row.mark_dirty(5));
+  EXPECT_TRUE(row.clear_dirty(5));
+  EXPECT_TRUE(row.mark_dirty(5));  // second id for column 5
+  EXPECT_FALSE(row.dirty_list_overflowed());
+  EXPECT_TRUE(row.mark_dirty(9));  // third append crosses the cap
+  EXPECT_TRUE(row.dirty_list_overflowed());
+  std::vector<VertexId> dirty;
+  row.sorted_dirty(dirty);
+  EXPECT_EQ(dirty, (std::vector<VertexId>{5, 9}));
+
+  row.grow(128);  // cap 4 from now on; the overflow stands until a clear
+  EXPECT_TRUE(row.dirty_list_overflowed());
+  EXPECT_EQ(row.clear_all_dirty(), 2u);
+  EXPECT_FALSE(row.dirty_list_overflowed());
+  for (const VertexId t : {1u, 2u, 3u, 200u}) EXPECT_TRUE(row.mark_dirty(t));
+  EXPECT_FALSE(row.dirty_list_overflowed());
+  EXPECT_TRUE(row.mark_dirty(4));
+  EXPECT_TRUE(row.dirty_list_overflowed());
+  row.reset_flags();
+  EXPECT_FALSE(row.dirty_list_overflowed());
+  EXPECT_EQ(row.dirty_count(), 0u);
+}
+
+TEST(DvRow, ReachListFreedPastCap) {
+  DvRow row(0, 640);  // cap: 10 ids
+  for (VertexId t = 1; t <= 10; ++t) row.set(t, t, t);
+  const std::size_t with_list = row.footprint_bytes();
+  row.set(11, 11, 11);  // the eleventh append frees the list
+  EXPECT_LT(row.footprint_bytes(), with_list);
+  std::vector<VertexId> finite;
+  row.sorted_finite(finite);
+  EXPECT_EQ(finite.size(), 11u);
+  EXPECT_EQ(finite.front(), 1u);
+  EXPECT_EQ(finite.back(), 11u);
+}
+
+TEST(DvRow, DenseRowFootprintAtMostTenBytesPerEntry) {
+  const VertexId n = 6000;
+  DvRow row(0, n);
+  for (VertexId t = 1; t < n; ++t) {
+    row.set(t, t, t);
+    (void)row.mark_dirty(t);
+  }
+  (void)row.mark_dirty(0);
+  EXPECT_EQ(row.dirty_count(), n);
+  EXPECT_LE(row.footprint_bytes(), 10 * std::size_t{n} + sizeof(DvRow));
 }
 
 TEST(DvRow, ScanDirtyCoversWordEdges) {
@@ -239,9 +322,11 @@ TEST(DvRow, ScanDirtyCoversWordEdges) {
   // tail past the last whole word.
   for (const VertexId n : {1u, 7u, 8u, 9u, 16u, 23u}) {
     DvRow row(0, n);
-    for (VertexId t = 0; t < n; t += 2) (void)row.mark_dirty(t);
     std::vector<VertexId> want;
-    row.sort_dirty_list(want);
+    for (VertexId t = 0; t < n; t += 2) {
+      (void)row.mark_dirty(t);
+      want.push_back(t);
+    }
     std::vector<VertexId> got;
     row.scan_dirty(got);
     EXPECT_EQ(got, want) << n;

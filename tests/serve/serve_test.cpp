@@ -350,34 +350,32 @@ TEST(ServeSlo, HistogramsCountEveryQueryKindSeparately) {
   const Graph g = make_ba(60, 2, 7);
   EngineConfig cfg;
   cfg.num_ranks = 2;
-  cfg.serve_sample_every = 2;
-  cfg.serve_sample_seed = 1;
   serve::EngineSession session(g, cfg);
   const serve::QueryView view = session.view();
   const RunResult r0 = session.close();
   (void)r0;
 
   // Post-close queries are deterministic (exact final state, age 0) and
-  // serial, so the counts and the 1-in-N sample set are exact.
-  for (int i = 0; i < 10; ++i) (void)view.point(static_cast<VertexId>(i));
-  for (int i = 0; i < 3; ++i) (void)view.top_k(5);
-  for (int i = 0; i < 5; ++i) (void)view.rank_of(static_cast<VertexId>(i));
+  // serial, so the counts and the 1-in-64 sample set are exact.
+  for (int i = 0; i < 100; ++i) (void)view.point(static_cast<VertexId>(i % 60));
+  for (int i = 0; i < 30; ++i) (void)view.top_k(5);
+  for (int i = 0; i < 70; ++i) (void)view.rank_of(static_cast<VertexId>(i % 60));
 
   const serve::SloSnapshot slo = session.slo();
-  EXPECT_EQ(slo.point.count, 10u);
-  EXPECT_EQ(slo.top_k.count, 3u);
-  EXPECT_EQ(slo.rank_of.count, 5u);
+  EXPECT_EQ(slo.point.count, 100u);
+  EXPECT_EQ(slo.top_k.count, 30u);
+  EXPECT_EQ(slo.rank_of.count, 70u);
   EXPECT_GT(obs::histogram_quantile(slo.point, 0.99), 0.0);
   EXPECT_LE(obs::histogram_quantile(slo.point, 0.50),
             obs::histogram_quantile(slo.point, 0.99));
 
-  // Sampling is (index + seed) % every == 0 over the global query index:
-  // with every=2, seed=1 the odd indices are captured, in order.
+  // Sampling is index % 64 == 0 over the global query index: queries 0, 64
+  // (points), 128 (top-k) and 192 (rank-of) are captured, in order.
   const std::vector<serve::QuerySample> samples = session.query_samples();
-  ASSERT_EQ(samples.size(), 9u);  // 18 queries, every other one
-  const char expected_kinds[] = {'p', 'p', 'p', 'p', 'p', 't', 'r', 'r', 'r'};
+  ASSERT_EQ(samples.size(), 4u);  // 200 queries, one in 64
+  const char expected_kinds[] = {'p', 'p', 't', 'r'};
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    EXPECT_EQ(samples[i].index, 2 * i + 1) << "sample " << i;
+    EXPECT_EQ(samples[i].index, 64 * i) << "sample " << i;
     EXPECT_EQ(samples[i].kind, expected_kinds[i]) << "sample " << i;
     EXPECT_GT(samples[i].ns, 0u);
   }
@@ -404,19 +402,6 @@ TEST(ServeSlo, PreCloseQueriesLandInTheRunStatsSummary) {
   EXPECT_NE(json.find("\"histograms\":{"), std::string::npos);
   EXPECT_NE(json.find("\"serve/query_ns/point\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\":"), std::string::npos);
-}
-
-TEST(ServeSlo, SamplingDisabledWhenEveryIsZero) {
-  const Graph g = make_ba(40, 2, 11);
-  EngineConfig cfg;
-  cfg.num_ranks = 2;
-  cfg.serve_sample_every = 0;
-  serve::EngineSession session(g, cfg);
-  const serve::QueryView view = session.view();
-  (void)session.close();
-  for (int i = 0; i < 8; ++i) (void)view.point(0);
-  EXPECT_EQ(session.slo().point.count, 8u);
-  EXPECT_TRUE(session.query_samples().empty());
 }
 
 }  // namespace
