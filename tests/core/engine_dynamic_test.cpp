@@ -444,5 +444,161 @@ TEST(PoisonCascade, CrossRankSequenceIsPinned) {
   }
 }
 
+// Every path that rebuilds a rank's rows under a new owner map or from a
+// blob must keep its answer and its work: Repartition-S, a rebalance, the
+// adopt/rollback/degrade restarts after a step-top or mid-exchange death,
+// and a checkpoint resume, each under both DV stores. The counters were
+// recorded while the exchange and the poison-barrier round still had
+// separate send paths.
+struct RunLedger {
+  std::uint64_t relaxations = 0;
+  std::uint64_t poisons = 0;
+  std::uint64_t repairs = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+
+  RunLedger& operator+=(const RunResult& r) {
+    for (const StepStats& s : r.stats.steps) {
+      relaxations += s.relaxations;
+      poisons += s.poisons;
+      repairs += s.repairs;
+    }
+    messages += r.stats.total_messages;
+    bytes += r.stats.total_bytes;
+    return *this;
+  }
+  bool operator==(const RunLedger&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const RunLedger& l) {
+  return os << '{' << l.relaxations << ", " << l.poisons << ", " << l.repairs
+            << ", " << l.messages << ", " << l.bytes << '}';
+}
+
+/// Two batches, each deleting edges and then growing the graph.
+EventSchedule growth_with_deletions(const Graph& g, Graph& truth) {
+  Rng rng(31);
+  truth = g;
+  EventSchedule sched;
+  for (const std::size_t step : {std::size_t{1}, std::size_t{3}}) {
+    EventBatch b;
+    b.at_step = step;
+    Graph probe = truth;  // tracks deletions so no edge goes twice
+    for (int i = 0; i < 4; ++i) {
+      const auto edges = probe.edges();
+      const auto [u, v, w] = edges[rng.next_below(edges.size())];
+      (void)w;
+      probe.remove_edge(u, v);
+      b.events.emplace_back(EdgeDeleteEvent{u, v});
+    }
+    for (Event& ev : grow_vertices(probe, 6, 2, rng)) {
+      b.events.push_back(std::move(ev));
+    }
+    apply_schedule(truth, {b});
+    sched.push_back(std::move(b));
+  }
+  return sched;
+}
+
+TEST(RebuildPaths, LedgersArePinned) {
+  const Graph g = make_er(100, 300, 7, WeightRange{1, 3});
+  Graph truth;
+  const EventSchedule sched = growth_with_deletions(g, truth);
+  // Deleting a slab of low ids empties block-partitioned rank 0.
+  EventSchedule slab(1);
+  slab[0].at_step = 1;
+  for (VertexId v = 0; v < 36; ++v) {
+    slab[0].events.emplace_back(VertexDeleteEvent{v});
+  }
+  Graph slab_truth = g;
+  apply_schedule(slab_truth, slab);
+
+  // Rank 1 dies. A mid-exchange death on the second batch's step leaves
+  // that batch torn on the survivors. A step-top death falls between the
+  // batches: on a batch step the adopt rung is not exact, because the batch
+  // lands on adopted rows that are still blank.
+  struct Crash {
+    const char* name;
+    RecoveryPolicy policy;
+    rt::CrashPhase phase;
+    std::size_t step;
+    RunLedger want;
+  };
+  const Crash crashes[] = {
+      {"adopt step-start", RecoveryPolicy::kAdopt,
+       rt::CrashPhase::kStepStart, 2,
+       {10063, 352, 3480, 401, 121950}},
+      {"adopt mid-exchange", RecoveryPolicy::kAdopt,
+       rt::CrashPhase::kMidExchange, 3,
+       {16469, 4138, 7617, 409, 159998}},
+      {"rollback step-start", RecoveryPolicy::kRollback,
+       rt::CrashPhase::kStepStart, 2,
+       {5698, 240, 240, 401, 105876}},
+      {"rollback mid-exchange", RecoveryPolicy::kRollback,
+       rt::CrashPhase::kMidExchange, 3,
+       {3750, 240, 240, 412, 104995}},
+      {"degrade step-start", RecoveryPolicy::kDegrade,
+       rt::CrashPhase::kStepStart, 2,
+       {6361, 2633, 2710, 455, 111770}},
+      {"degrade mid-exchange", RecoveryPolicy::kDegrade,
+       rt::CrashPhase::kMidExchange, 3,
+       {4360, 2471, 2591, 385, 112349}},
+  };
+
+  for (const std::uint64_t budget : {std::uint64_t{0}, kMinDvBudgetBytes}) {
+    EngineConfig cfg = base_cfg(4);
+    cfg.dv_budget_bytes = budget;
+    cfg.transport.retry_backoff = std::chrono::microseconds(1);
+    // `exact` is null where the run loses vertices (degrade).
+    const auto check = [&](const std::string& name, const RunLedger& want,
+                           const RunLedger& got, const RunResult& r,
+                           const Graph* exact) {
+      SCOPED_TRACE(::testing::Message() << name << " budget=" << budget);
+      if (exact != nullptr) expect_apsp_exact(*exact, r);
+      EXPECT_EQ(got, want);
+    };
+
+    {
+      EngineConfig ccfg = cfg;
+      ccfg.assign = AssignStrategy::kRepartition;
+      AnytimeEngine engine(g, ccfg);
+      const RunResult r = engine.run(sched);
+      check("repartition", {19555, 635, 635, 438, 327222}, RunLedger{} += r,
+            r, &truth);
+    }
+    {
+      EngineConfig ccfg = cfg;
+      ccfg.dd_partitioner = PartitionerKind::kBlock;
+      ccfg.rebalance_threshold = 1.3;
+      AnytimeEngine engine(g, ccfg);
+      const RunResult r = engine.run(slab);
+      check("rebalance", {18528, 3349, 3349, 306, 124621}, RunLedger{} += r,
+            r, &slab_truth);
+    }
+    for (const Crash& c : crashes) {
+      EngineConfig ccfg = cfg;
+      ccfg.recovery_policy = {{c.policy, 0}};
+      if (c.policy != RecoveryPolicy::kDegrade) ccfg.checkpoint_every = 1;
+      ccfg.faults.crashes.push_back({1, c.step, c.phase});
+      AnytimeEngine engine(g, ccfg);
+      const RunResult r = engine.run(sched);
+      EXPECT_EQ(r.stats.recoveries, 1u) << c.name;
+      check(c.name, c.want, RunLedger{} += r, r,
+            c.policy == RecoveryPolicy::kDegrade ? nullptr : &truth);
+    }
+    {
+      EngineConfig ccfg = cfg;
+      ccfg.checkpoint_at_step = 2;
+      AnytimeEngine first(g, ccfg);
+      const RunResult interim = first.run(sched);
+      ASSERT_TRUE(interim.checkpoint.valid());
+      AnytimeEngine resumed(g, interim.checkpoint, ccfg);
+      const RunResult r = resumed.run(sched);
+      check("checkpoint resume", {19540, 659, 659, 390, 94955},
+            (RunLedger{} += interim) += r, r, &truth);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aacc
