@@ -100,7 +100,7 @@ std::vector<std::byte> assemble_dense(const DvRow& row) {
   return bytes;
 }
 
-/// The v2 send assembly as exchange() runs it, with the ascending dirty
+/// The v2 send assembly as send_round() runs it, with the ascending dirty
 /// columns collected by `collect` (one of DvRow's dirty-list methods).
 template <typename Collect>
 std::vector<std::byte> assemble_v2(const DvRow& row, Collect collect,

@@ -9,27 +9,6 @@ namespace aacc {
 
 namespace {
 
-/// Decoded cold entry stream cursor: (column, dist, next hop) triples in
-/// ascending column order.
-struct ColdCursor {
-  rt::ByteReader r;
-  std::uint64_t count;
-  std::uint64_t read = 0;
-  VertexId prev = 0;
-
-  explicit ColdCursor(const ColdDvRow& c) : r(c.blob), count(r.read_varint()) {}
-
-  [[nodiscard]] bool done() const { return read == count; }
-  std::tuple<VertexId, Dist, VertexId> next() {
-    const auto delta = static_cast<VertexId>(r.read_varint());
-    prev = (read == 0) ? delta : prev + delta + 1;
-    ++read;
-    const Dist d = rt::decode_u32_sentinel(r.read_varint());
-    const auto nh = static_cast<VertexId>(rt::decode_u32_sentinel(r.read_varint()));
-    return {prev, d, nh};
-  }
-};
-
 /// harmonic_from_row fed the finite entries in ascending column order: it
 /// skips infinite columns without adding, so the additions and their order
 /// — hence the bits — are the same as the dense reference's.
@@ -500,8 +479,13 @@ VertexId ResidentDvStore::install_ia(std::size_t i, VertexId src,
   return replay_ia(row(i), src, touched, dist, hop);
 }
 
-void ResidentDvStore::put_cold(std::size_t i, ColdDvRow&& cold) {
-  set_hot(i, decode_cold_row(cold));
+void ResidentDvStore::put_restored(std::size_t i, VertexId self,
+                                   std::vector<Dist> d,
+                                   std::vector<VertexId> nh,
+                                   std::vector<VertexId> dirty) {
+  DvRow row(self, std::move(d), std::move(nh));
+  for (const VertexId t : dirty) row.mark_dirty(t);
+  set_hot(i, std::move(row));
 }
 
 void ResidentDvStore::maintain(const std::vector<std::uint8_t>& is_boundary) {
@@ -559,10 +543,13 @@ VertexId TieredDvStore::install_ia(std::size_t i, VertexId src,
   return c->finite;
 }
 
-void TieredDvStore::put_cold(std::size_t i, ColdDvRow&& cold) {
+void TieredDvStore::put_restored(std::size_t i, VertexId self,
+                                 std::vector<Dist> d, std::vector<VertexId> nh,
+                                 std::vector<VertexId> dirty) {
   Slot& s = slots_[i];
   s.release_hot();
-  s.cold = std::make_unique<ColdDvRow>(std::move(cold));
+  s.cold = std::make_unique<ColdDvRow>(
+      encode_cold_row(self, d, nh, std::move(dirty)));
 }
 
 void TieredDvStore::maintain(const std::vector<std::uint8_t>& is_boundary) {

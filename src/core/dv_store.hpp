@@ -40,6 +40,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/check.hpp"
@@ -170,6 +171,28 @@ struct ColdDvRow {
   }
 };
 
+/// The one reader of a cold row's entry stream: (column, dist, next hop)
+/// triples in ascending column order.
+struct ColdCursor {
+  rt::ByteReader r;
+  std::uint64_t count;
+  std::uint64_t read = 0;
+  VertexId prev = 0;
+
+  explicit ColdCursor(const ColdDvRow& c) : r(c.blob), count(r.read_varint()) {}
+
+  [[nodiscard]] bool done() const { return read == count; }
+  std::tuple<VertexId, Dist, VertexId> next() {
+    const auto delta = static_cast<VertexId>(r.read_varint());
+    prev = (read == 0) ? delta : prev + delta + 1;
+    ++read;
+    const Dist d = rt::decode_u32_sentinel(r.read_varint());
+    const auto nh =
+        static_cast<VertexId>(rt::decode_u32_sentinel(r.read_varint()));
+    return {prev, d, nh};
+  }
+};
+
 /// Builds the cold form of a dense row. The caller guarantees the row holds
 /// no kQueued flag (maintain()'s precondition).
 ColdDvRow encode_cold_row(const DvRow& row);
@@ -253,16 +276,10 @@ class DvStore {
       }
       return;
     }
-    const ColdDvRow& c = *s.cold;
-    rt::ByteReader r(c.blob);
-    const std::uint64_t count = r.read_varint();
-    VertexId prev = 0;
-    for (std::uint64_t k = 0; k < count; ++k) {
-      const auto delta = static_cast<VertexId>(r.read_varint());
-      prev = (k == 0) ? delta : prev + delta + 1;
-      const Dist d = rt::decode_u32_sentinel(r.read_varint());
-      const VertexId nh = rt::decode_u32_sentinel(r.read_varint());
-      fn(prev, d, nh);
+    ColdCursor cur(*s.cold);
+    while (!cur.done()) {
+      const auto [t, d, nh] = cur.next();
+      fn(t, d, nh);
     }
   }
 
@@ -326,9 +343,14 @@ class DvStore {
   /// whether the row is hot or cold; cold rows transcode straight from the
   /// compressed form, O(columns) varint writes but no dense decode.
   void serialize_row(std::size_t i, rt::ByteWriter& w) const;
-  /// Restore fast path: installs a row at slot i straight in cold form.
-  /// Only meaningful on tiered stores; resident stores decode to dense.
-  virtual void put_cold(std::size_t i, ColdDvRow&& cold) = 0;
+  /// Installs a checkpointed row at slot i in the form this store keeps
+  /// it: the resident store builds the dense row and marks its dirty
+  /// columns; the tiered store encodes the cold form straight from the
+  /// value arrays, never round-tripping through a dense DvRow. `dirty` must
+  /// be ascending (the checkpoint layout guarantees it).
+  virtual void put_restored(std::size_t i, VertexId self, std::vector<Dist> d,
+                            std::vector<VertexId> nh,
+                            std::vector<VertexId> dirty) = 0;
 
   // ---- residency control -------------------------------------------------
 
@@ -422,7 +444,9 @@ class ResidentDvStore final : public DvStore {
                       const std::vector<VertexId>& touched,
                       const std::vector<Dist>& dist,
                       const std::vector<VertexId>& hop) override;
-  void put_cold(std::size_t i, ColdDvRow&& cold) override;
+  void put_restored(std::size_t i, VertexId self, std::vector<Dist> d,
+                    std::vector<VertexId> nh,
+                    std::vector<VertexId> dirty) override;
   void maintain(const std::vector<std::uint8_t>& is_boundary) override;
 };
 
@@ -439,7 +463,9 @@ class TieredDvStore final : public DvStore {
                       const std::vector<VertexId>& touched,
                       const std::vector<Dist>& dist,
                       const std::vector<VertexId>& hop) override;
-  void put_cold(std::size_t i, ColdDvRow&& cold) override;
+  void put_restored(std::size_t i, VertexId self, std::vector<Dist> d,
+                    std::vector<VertexId> nh,
+                    std::vector<VertexId> dirty) override;
   void maintain(const std::vector<std::uint8_t>& is_boundary) override;
 
  private:

@@ -196,13 +196,9 @@ LocalGraph::local_edges_for_gather() const {
   for (std::size_t row = 0; row < locals_.size(); ++row) {
     const VertexId u = locals_[row];
     for (const Edge& e : adj_[row]) {
-      // Local-local edges once (u < to); cut edges reported by the owner of
-      // the smaller endpoint id to avoid duplicates at the gather root.
-      if (is_local(e.to)) {
-        if (u < e.to) out.emplace_back(u, e.to, e.w);
-      } else if (u < e.to) {
-        out.emplace_back(u, e.to, e.w);
-      }
+      // Each edge once, from its smaller endpoint: local-local edges are
+      // seen twice here, cut edges once on each owner's rank.
+      if (u < e.to) out.emplace_back(u, e.to, e.w);
     }
   }
   return out;

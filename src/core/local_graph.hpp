@@ -93,8 +93,8 @@ class LocalGraph {
   /// replay of shard adoption.
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const;
 
-  /// Full local edge list (u local; each edge once: u < v or v remote),
-  /// used by the Repartition-S gather.
+  /// The local vertices' edges (u, v) with u < v, used by the
+  /// Repartition-S gather: across all ranks, every edge exactly once.
   [[nodiscard]] std::vector<std::tuple<VertexId, VertexId, Weight>>
   local_edges_for_gather() const;
 

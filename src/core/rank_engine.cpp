@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 
 #include "analysis/closeness.hpp"
 #include "analysis/quality.hpp"
@@ -51,7 +52,17 @@ void for_each_gathered(obs::ProgressEvent& ev, Fn&& fn) {
   }
 }
 
-// The edge list of a checkpoint blob's topology section.
+// The edge-list codec of a checkpoint blob's topology section and of the
+// repartition gather and plan: a count, then (u, v, w) per edge.
+void write_edges(rt::ByteWriter& w, const RankEngine::Edges& edges) {
+  w.write(static_cast<std::uint64_t>(edges.size()));
+  for (const auto& [u, v, wt] : edges) {
+    w.write(u);
+    w.write(v);
+    w.write(wt);
+  }
+}
+
 RankEngine::Edges read_edges(rt::ByteReader& r) {
   const auto count = r.read<std::uint64_t>();
   RankEngine::Edges edges;
@@ -122,10 +133,7 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
     restore_state(restore != nullptr ? *restore->blob : *adopt->blob);
     if (adopt != nullptr) adopt_shards(*adopt);
   } else {
-    dv_->grow_columns(lg_.n());
-    for (std::size_t r = 0; r < lg_.num_local(); ++r) {
-      dv_->append_fresh(lg_.vertex_of(r));
-    }
+    reset_rows();
     if (const auto* g = std::get_if<Ghost>(&init.start)) {
       vertices_added_ = g->vertices_added;
     }
@@ -166,13 +174,7 @@ void RankEngine::serialize_state(rt::ByteWriter& w) const {
   // edge once from this rank's perspective; the LocalGraph constructor
   // rebuilds both half-edges and the portal index).
   w.write_vec(lg_.owner_map());
-  const Edges edges = local_edges();
-  w.write(static_cast<std::uint64_t>(edges.size()));
-  for (const auto& [u, v, wt] : edges) {
-    w.write(u);
-    w.write(v);
-    w.write(wt);
-  }
+  write_edges(w, local_edges());
   // DV rows (varint-packed: distances/next hops are small or the sentinel),
   // including un-sent dirty targets (they must survive a restart or
   // subscribers would permanently miss the pending updates/poisons). Cold
@@ -226,15 +228,10 @@ void RankEngine::restore_state_impl(std::span<const std::byte> blob) {
 
   const auto row_count = r.read<std::uint64_t>();
   AACC_CHECK(row_count == lg_.num_local());
-  dv_->clear();
-  dv_->grow_columns(lg_.n());
   // Rows must sit at their LocalGraph row index; fresh slots are installed
   // first (cheap: one cold entry under the tiered store) and each decoded
-  // record lands at row_of(vid).
-  for (std::size_t i = 0; i < lg_.num_local(); ++i) {
-    dv_->append_fresh(lg_.vertex_of(i));
-  }
-  const bool tiered = cfg_.dv_budget_bytes != 0;
+  // record lands at row_of(vid), in the form the store keeps it.
+  reset_rows();
   for (std::uint64_t i = 0; i < row_count; ++i) {
     const auto vid = r.read<VertexId>();
     auto d = rt::read_packed_u32s(r);
@@ -243,16 +240,8 @@ void RankEngine::restore_state_impl(std::span<const std::byte> blob) {
     const std::int32_t ri = lg_.row_of(vid);
     AACC_CHECK(ri >= 0);
     dirty_entries_ += dirty.size();
-    if (tiered) {
-      // Restore fast path: straight into the compressed form — demoted
-      // rows never round-trip through a dense DvRow.
-      dv_->put_cold(static_cast<std::size_t>(ri),
-                    encode_cold_row(vid, d, nh, std::move(dirty)));
-    } else {
-      DvRow row(vid, std::move(d), std::move(nh));
-      for (const VertexId t : dirty) row.mark_dirty(t);
-      dv_->put(static_cast<std::size_t>(ri), std::move(row));
-    }
+    dv_->put_restored(static_cast<std::size_t>(ri), vid, std::move(d),
+                      std::move(nh), std::move(dirty));
   }
 
   const auto cache_count = r.read<std::uint64_t>();
@@ -281,7 +270,7 @@ void RankEngine::restore_state_impl(std::span<const std::byte> blob) {
     const VertexId x = dv_->self(ri);
     for (const auto& [t, d] : dirty_entries) {
       if (d == kInfDist) {
-        // The marker itself goes out with the next exchange() (it is still
+        // The marker itself goes out with the next send round (it is still
         // dirty); the repair then runs at that step's drain, after the
         // barrier — the same ordering an undisturbed run follows. The
         // pending-poison flag is re-armed too: the stash may have been taken
@@ -299,6 +288,34 @@ void RankEngine::restore_state_impl(std::span<const std::byte> blob) {
         }
       }
     }
+  }
+}
+
+// ------------------------------------------------------- ownership rebuild
+
+void RankEngine::reset_rows() {
+  dv_->clear();
+  dv_->grow_columns(lg_.n());
+  for (std::size_t r = 0; r < lg_.num_local(); ++r) {
+    dv_->append_fresh(lg_.vertex_of(r));
+  }
+  dirty_entries_ = 0;
+}
+
+std::size_t RankEngine::place_row(DvRow&& row) {
+  const std::int32_t ri = lg_.row_of(row.self());
+  AACC_CHECK_MSG(ri >= 0, "a rebuilt row's vertex is not local");
+  dirty_entries_ += row.dirty_count();
+  dv_->put(static_cast<std::size_t>(ri), std::move(row));
+  return static_cast<std::size_t>(ri);
+}
+
+void RankEngine::republish_boundary_rows() {
+  std::vector<Rank> subs;
+  for (std::size_t r = 0; r < dv_->size(); ++r) {
+    subs.clear();
+    lg_.subscribers(r, subs);
+    if (!subs.empty()) mark_finite_dirty(r);
   }
 }
 
@@ -364,7 +381,6 @@ void RankEngine::adopt_shards(const Adopt& adopt) {
   for (std::size_t r = 0; r < dv_->size(); ++r) {
     kept.push_back(dv_->take(r));
   }
-  dv_->clear();
   lg_ = LocalGraph(comm_.rank(), new_owner, merged);
 
   // 3. Structural journal replay: every batch since the oldest snapshot,
@@ -404,19 +420,9 @@ void RankEngine::adopt_shards(const Adopt& adopt) {
   //    fresh all-infinity rows — the quiet poison. Snapshot values are
   //    never installed, so nothing stale-low can enter; re-derivation
   //    rebuilds exactly the values the survivors can currently justify.
-  dv_->grow_columns(lg_.n());
+  reset_rows();
   std::vector<bool> is_adopted(lg_.num_local(), true);
-  for (std::size_t r = 0; r < lg_.num_local(); ++r) {
-    dv_->append_fresh(lg_.vertex_of(r));
-  }
-  dirty_entries_ = 0;
-  for (DvRow& row : kept) {
-    const std::int32_t ri = lg_.row_of(row.self());
-    AACC_CHECK_MSG(ri >= 0, "adoption moved a surviving rank's own vertex");
-    is_adopted[static_cast<std::size_t>(ri)] = false;
-    dirty_entries_ += row.dirty_count();
-    dv_->put(static_cast<std::size_t>(ri), std::move(row));
-  }
+  for (DvRow& row : kept) is_adopted[place_row(std::move(row))] = false;
 
   // 5. Queue the quiet re-derivation of every adopted entry: repairs pull
   //    from local neighbour rows immediately and from portal caches as
@@ -499,12 +505,7 @@ void RankEngine::adopt_shards(const Adopt& adopt) {
   //    were rewired (adopters subscribe to portals they never saw, and
   //    survivors' rows now feed adopters' empty caches), mirroring the
   //    repartition path's re-subscription flush.
-  std::vector<Rank> subs;
-  for (std::size_t r = 0; r < dv_->size(); ++r) {
-    subs.clear();
-    lg_.subscribers(r, subs);
-    if (!subs.empty()) mark_finite_dirty(r);
-  }
+  republish_boundary_rows();
   if (trace_ != nullptr) {
     trace_->instant("adopt:rows", "count",
                     static_cast<std::uint64_t>(adopted_rows));
@@ -824,23 +825,26 @@ void RankEngine::poison_routed(std::span<const std::size_t> rows, VertexId z,
 
 void RankEngine::poison_first_hops(
     VertexId u, VertexId v, std::deque<std::pair<VertexId, VertexId>>& seeds) {
-  const auto scan = [&](VertexId a, VertexId b) {
-    const std::int32_t ri = lg_.row_of(a);
-    if (ri < 0) return;
-    // Only finite columns can hold a witness through b, so the entry walk
-    // is a complete candidate set — O(finite), not an O(n) column scan.
-    // Collect first, then poison: poison_entry promotes the row, which
-    // would free a cold blob out from under the entry cursor. Both stores
-    // walk ascending columns, so resident and tiered poison identically.
-    const auto r = static_cast<std::size_t>(ri);
-    std::vector<VertexId> hits;
-    dv_->for_each_entry(r, [&](VertexId t, Dist, VertexId nh) {
-      if (nh == b) hits.push_back(t);
-    });
-    for (const VertexId t : hits) poison_entry(r, t, seeds);
-  };
-  scan(u, v);
-  scan(v, u);
+  if (const std::int32_t ri = lg_.row_of(u); ri >= 0) {
+    poison_via(static_cast<std::size_t>(ri), v, seeds);
+  }
+  if (const std::int32_t ri = lg_.row_of(v); ri >= 0) {
+    poison_via(static_cast<std::size_t>(ri), u, seeds);
+  }
+}
+
+void RankEngine::poison_via(std::size_t r, VertexId b,
+                            std::deque<std::pair<VertexId, VertexId>>& seeds) {
+  // Only finite columns can hold a witness through b, so the entry walk is
+  // a complete candidate set — O(finite), not an O(n) column scan. Collect
+  // first, then poison: poison_entry promotes the row, which would free a
+  // cold blob out from under the entry cursor. Both stores walk ascending
+  // columns, so resident and tiered poison identically.
+  std::vector<VertexId> hits;
+  dv_->for_each_entry(r, [&](VertexId t, Dist, VertexId nh) {
+    if (nh == b) hits.push_back(t);
+  });
+  for (const VertexId t : hits) poison_entry(r, t, seeds);
 }
 
 // ----------------------------------------------------------- portal cache
@@ -884,11 +888,11 @@ void RankEngine::apply_portal_value(PortalSink& p, VertexId t, Dist d) {
 
 // --------------------------------------------------------------- exchange
 
-void RankEngine::exchange() {
-  const obs::ScopedSpan span(trace_, "exchange", "dirty", dirty_entries_);
+void RankEngine::send_round(bool markers_only) {
   const auto P = static_cast<std::size_t>(comm_.size());
   if (exch_writers_.size() < P) exch_writers_.resize(P);
   for (auto& w : exch_writers_) w.clear();
+  exch_markers_.clear();
 
   {
     const obs::ScopedSpan assembly(trace_, "send_assembly");
@@ -896,14 +900,30 @@ void RankEngine::exchange() {
       if (dv_->dirty_count(r) == 0) continue;
       exch_subs_.clear();
       lg_.subscribers(r, exch_subs_);
-      if (exch_subs_.empty()) continue;
       // Send assembly collects the dirty columns ascending, as the delta
       // codec requires (sorted list or flag scan, whichever is cheaper for
       // the row's density); the record is encoded once and fanned out.
       // collect_dirty_entries is read-only, so cold rows serve their sends
-      // without promotion.
+      // without promotion. A dirty column with no live entry is a poison
+      // marker, so the cold rows' collect view (absent → kInfDist) matches
+      // the dense dist() reads exactly.
       exch_entries_.clear();
-      dv_->collect_dirty_entries(r, exch_dirty_cols_, exch_entries_);
+      if (markers_only) {
+        // The newly-invalid entries are dirty by construction, so the
+        // dirty set is a complete candidate set. Finite entries stay
+        // dirty for the next exchange; markers retire even without
+        // subscribers, so the deferred repairs (see relax()) become
+        // runnable again.
+        dv_->collect_dirty_entries(r, exch_dirty_cols_, exch_entries_);
+        std::erase_if(exch_entries_,
+                      [](const auto& e) { return e.second != kInfDist; });
+        for (const auto& [t, d] : exch_entries_) {
+          exch_markers_.emplace_back(r, t);
+        }
+      } else if (!exch_subs_.empty()) {
+        dv_->collect_dirty_entries(r, exch_dirty_cols_, exch_entries_);
+      }
+      if (exch_entries_.empty() || exch_subs_.empty()) continue;
       exch_record_.clear();
       rt::write_dv_record(exch_record_, dv_->self(r), exch_entries_);
       for (const Rank q : exch_subs_) {
@@ -918,7 +938,7 @@ void RankEngine::exchange() {
   // Dirty flags are retired only once the collective has returned: if the
   // exchange throws (a peer died mid-step), the pending sends stay dirty in
   // this rank's state and survive into the recovery stash — subscribers
-  // will still receive them after the restart. Cleared before
+  // will still receive them after the restart. Retired before
   // apply_incoming so entries re-dirtied by the incoming values are kept.
   rt::ExchangeWait wait;
   const auto in = comm_.all_to_all(std::move(out), &wait);
@@ -926,16 +946,23 @@ void RankEngine::exchange() {
   // has been issued, before the retire. Survivors have received and apply
   // this rank's payload and abort at the next collective, while the dirty
   // flags are still set, so the recovery stash re-sends those entries.
-  if (!ghost_ && injector_ != nullptr &&
+  if (!markers_only && !ghost_ && injector_ != nullptr &&
       injector_->should_crash(comm_.rank(), cur_step_,
                               rt::CrashPhase::kMidExchange)) {
     throw rt::InjectedCrash(comm_.rank(), cur_step_);
   }
   note_exchange_wait(wait);
-  // Nothing since send assembly wrote a row, so the rows dirty now are
-  // exactly the ones assembled (rows without subscribers included).
-  for (std::size_t r = 0; r < dv_->size(); ++r) {
-    if (dv_->dirty_count(r) != 0) dirty_entries_ -= dv_->retire_dirty(r);
+  // Nothing since send assembly wrote a row, so what was collected is
+  // exactly what is still dirty: an exchange retires every dirty row whole
+  // (rows without subscribers included), a barrier round its markers.
+  if (markers_only) {
+    for (const auto& [r, t] : exch_markers_) {
+      dirty_entries_ -= dv_->retire_dirty_one(r, t);
+    }
+  } else {
+    for (std::size_t r = 0; r < dv_->size(); ++r) {
+      if (dv_->dirty_count(r) != 0) dirty_entries_ -= dv_->retire_dirty(r);
+    }
   }
   apply_incoming(in);
 }
@@ -994,77 +1021,10 @@ void RankEngine::apply_incoming(const std::vector<std::vector<std::byte>>& in) {
   }
 }
 
-bool RankEngine::poison_sync_round() {
-  const Rank P = comm_.size();
-  if (exch_writers_.size() < static_cast<std::size_t>(P)) {
-    exch_writers_.resize(static_cast<std::size_t>(P));
-  }
-  std::vector<rt::ByteWriter>& writers = exch_writers_;
-  for (auto& w : writers) w.clear();
-  std::vector<Rank>& subs = exch_subs_;
-  std::vector<VertexId>& dirty_cols = exch_dirty_cols_;
-  std::vector<std::pair<VertexId, Dist>>& dead = exch_entries_;
-  std::vector<std::pair<std::size_t, VertexId>>& sent_markers = sync_markers_;
-  sent_markers.clear();
-
-  for (std::size_t r = 0; r < dv_->size(); ++r) {
-    if (dv_->dirty_count(r) == 0) continue;
-    subs.clear();
-    lg_.subscribers(r, subs);
-    // The newly-invalid entries are dirty by construction, so the dirty
-    // set (ascending, for the delta codec) is a complete candidate set; a
-    // dirty column with no live entry is by definition a poison marker, so
-    // the cold rows' collect view (absent → kInfDist) matches the dense
-    // dist() reads exactly.
-    sync_scratch_.clear();
-    dv_->collect_dirty_entries(r, dirty_cols, sync_scratch_);
-    dead.clear();
-    for (const auto& [t, d] : sync_scratch_) {
-      if (d == kInfDist) dead.emplace_back(t, kInfDist);
-    }
-    if (subs.empty()) {
-      // Nobody depends on this row; retire the markers so the deferred
-      // repairs (see relax()) become runnable again.
-      for (const auto& [t, d] : dead) {
-        if (dv_->retire_dirty_one(r, t)) --dirty_entries_;
-      }
-      continue;
-    }
-    if (dead.empty()) continue;
-    exch_record_.clear();
-    rt::write_dv_record(exch_record_, dv_->self(r), dead);
-    for (const Rank q : subs) {
-      writers[static_cast<std::size_t>(q)].write_bytes(exch_record_.view());
-    }
-    for (const auto& [t, d] : dead) {
-      sent_markers.emplace_back(r, t);
-    }
-  }
-
-  // Same transport path as exchange(). As there, markers are retired only
-  // after the collective returns, so an aborted round leaves them pending
-  // for the recovery stash instead of silently un-sent.
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(P));
-  for (std::size_t q = 0; q < out.size(); ++q) out[q] = writers[q].take();
-  rt::ExchangeWait wait;
-  const auto in = comm_.all_to_all(std::move(out), &wait);
-  note_exchange_wait(wait);
-  for (const auto& [r, t] : sent_markers) {
-    if (dv_->retire_dirty_one(r, t)) --dirty_entries_;
-  }
-  apply_incoming(in);
-
-  const bool mine = poison_pending_;
-  poison_pending_ = false;
-  return mine;
-}
-
 void RankEngine::poison_barrier() {
   const obs::ScopedSpan sync_span(trace_, "poison_sync");
-  bool mine = poison_pending_;
-  poison_pending_ = false;
-  while (comm_.all_reduce_or(mine)) {
-    mine = poison_sync_round();
+  while (comm_.all_reduce_or(std::exchange(poison_pending_, false))) {
+    send_round(/*markers_only=*/true);
   }
 }
 
@@ -1317,15 +1277,7 @@ void RankEngine::apply_vertex_delete(const VertexDeleteEvent& e) {
   std::vector<std::size_t> rows;
   route_candidates(v, rows);
   for (const std::size_t r : rows) {
-    if (dv_->self(r) == v) continue;
-    // Collect hits first: poison_entry promotes the row, which would free
-    // a cold blob out from under the entry cursor. Only finite columns can
-    // route through v, so the entry walk covers the old full-column scan.
-    std::vector<VertexId> hits;
-    dv_->for_each_entry(r, [&](VertexId t, Dist, VertexId nh) {
-      if (nh == v) hits.push_back(t);
-    });
-    for (const VertexId t : hits) poison_entry(r, t, seeds);
+    if (dv_->self(r) != v) poison_via(r, v, seeds);
   }
   // Tombstone the target column everywhere (no repair: the target is gone;
   // every rank applies the same event so no message is needed).
@@ -1362,13 +1314,7 @@ void RankEngine::apply_repartition(const std::vector<VertexAddEvent>& batch) {
   //    the gather+partition+broadcast is our accounted substitute).
   {
     rt::ByteWriter w;
-    const auto local_edges = lg_.local_edges_for_gather();
-    w.write(static_cast<std::uint64_t>(local_edges.size()));
-    for (const auto& [u, v, wt] : local_edges) {
-      w.write(u);
-      w.write(v);
-      w.write(wt);
-    }
+    write_edges(w, lg_.local_edges_for_gather());
     std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(P));
     out[0] = w.take();
     auto in = comm_.all_to_all(std::move(out));
@@ -1376,17 +1322,12 @@ void RankEngine::apply_repartition(const std::vector<VertexAddEvent>& batch) {
     rt::ByteWriter plan;  // new owners + full edge list, produced by rank 0
     if (me == 0) {
       Graph g(n_new);
-      std::vector<std::tuple<VertexId, VertexId, Weight>> edges;
+      Edges edges;
       for (Rank q = 0; q < P; ++q) {
         rt::ByteReader rd(in[static_cast<std::size_t>(q)]);
         if (rd.done()) continue;
-        const auto cnt = rd.read<std::uint64_t>();
-        for (std::uint64_t i = 0; i < cnt; ++i) {
-          const auto u = rd.read<VertexId>();
-          const auto v = rd.read<VertexId>();
-          const auto wt = rd.read<Weight>();
-          edges.emplace_back(u, v, wt);
-        }
+        const Edges part = read_edges(rd);
+        edges.insert(edges.end(), part.begin(), part.end());
       }
       for (const VertexAddEvent& ev : batch) {
         for (const auto& [to, wt] : ev.edges) {
@@ -1402,25 +1343,12 @@ void RankEngine::apply_repartition(const std::vector<VertexAddEvent>& batch) {
       const MultilevelPartitioner ml;
       const Partition part = ml.partition(g, P, rng);
       plan.write_vec(part.assignment);
-      plan.write(static_cast<std::uint64_t>(edges.size()));
-      for (const auto& [u, v, wt] : edges) {
-        plan.write(u);
-        plan.write(v);
-        plan.write(wt);
-      }
+      write_edges(plan, edges);
     }
     auto buf = comm_.broadcast(plan.take(), 0);
     rt::ByteReader rd(buf);
     const auto new_owner = rd.read_vec<Rank>();
-    const auto edge_count = rd.read<std::uint64_t>();
-    std::vector<std::tuple<VertexId, VertexId, Weight>> edges;
-    edges.reserve(edge_count);
-    for (std::uint64_t i = 0; i < edge_count; ++i) {
-      const auto u = rd.read<VertexId>();
-      const auto v = rd.read<VertexId>();
-      const auto wt = rd.read<Weight>();
-      edges.emplace_back(u, v, wt);
-    }
+    const Edges edges = read_edges(rd);
 
     // 2. Migrate DV rows whose owner changed (partial results are reused —
     //    the anytime property). Rows of new vertices start fresh.
@@ -1450,21 +1378,11 @@ void RankEngine::apply_repartition(const std::vector<VertexAddEvent>& batch) {
     // 3. Rebuild the local view under the new ownership.
     lg_ = LocalGraph(me, new_owner, edges);
     caches_.clear();
-    dirty_entries_ = 0;
-    dv_->clear();
-    dv_->grow_columns(lg_.n());
-    for (std::size_t r = 0; r < lg_.num_local(); ++r) {
-      dv_->append_fresh(lg_.vertex_of(r));
-    }
-    const auto place = [&](DvRow&& row) {
-      const std::int32_t ri = lg_.row_of(row.self());
-      AACC_CHECK(ri >= 0);
-      dv_->put(static_cast<std::size_t>(ri), std::move(row));
-    };
+    reset_rows();
     for (DvRow& row : kept) {
       row.grow(static_cast<VertexId>(n_new - row.size()));
       row.reset_flags();  // dirty/queued bits predate the new ownership
-      place(std::move(row));
+      place_row(std::move(row));
     }
     for (Rank q = 0; q < P; ++q) {
       if (q == me) continue;
@@ -1475,7 +1393,7 @@ void RankEngine::apply_repartition(const std::vector<VertexAddEvent>& batch) {
         auto nh = mr.read_vec<VertexId>();
         d.resize(n_new, kInfDist);
         nh.resize(n_new, kNoVertex);
-        place(DvRow(vid, std::move(d), std::move(nh)));
+        place_row(DvRow(vid, std::move(d), std::move(nh)));
       }
     }
     // Kept rows carry geometric-growth slack from the previous era; drop it
@@ -1486,12 +1404,7 @@ void RankEngine::apply_repartition(const std::vector<VertexAddEvent>& batch) {
     //    rows through their local edges. Existing rows are deliberately not
     //    updated against the new vertices here — that happens over the next
     //    RC steps (the paper's stated trade-off for Repartition-S).
-    std::vector<Rank> subs;
-    for (std::size_t r = 0; r < dv_->size(); ++r) {
-      subs.clear();
-      lg_.subscribers(r, subs);
-      if (!subs.empty()) mark_finite_dirty(r);
-    }
+    republish_boundary_rows();
     for (const VertexAddEvent& ev : batch) {
       if (!lg_.is_local(ev.id)) continue;
       const auto ri = static_cast<std::size_t>(lg_.row_of(ev.id));
@@ -1889,59 +1802,42 @@ std::size_t RankEngine::run_rc() {
       throw rt::InjectedCrash(comm_.rank(), step);
     }
 
-    exchange();
-
-    bool ingested = false;
-    while (next_batch < num_batches &&
-           (*schedule_)[next_batch].at_step <= step) {
-      const obs::ScopedSpan ingest_span(trace_, "ingest", "batch", next_batch);
-      // Rank 0 broadcasts the batch contents (accounted change feed). Every
-      // rank serializes its own copy too: the schedule is replicated, so a
-      // survivor whose tree parent died mid-broadcast reconstructs the
-      // payload locally instead of stalling — the feed is data the rank
-      // already has, only its distribution cost is being modeled
-      // (docs/FAULTS.md §Shard adoption).
-      rt::ByteWriter w;
-      serialize_events((*schedule_)[next_batch].events, w);
-      const std::vector<std::byte> feed = w.take();
-      auto buf = comm_.broadcast(feed, 0, &feed);
-      rt::ByteReader rd(buf);
-      const auto events = deserialize_events(rd);
-      ingest_batch(events);
-      ingested = true;
-      ++next_batch;
-      cur_batch_ = next_batch;
+    {
+      const obs::ScopedSpan span(trace_, "exchange", "dirty", dirty_entries_);
+      send_round(/*markers_only=*/false);
     }
 
-    // Live mutation feed: once the journal replay is exhausted, rank 0 pops
-    // queued batches (journaling each at this step so recovery can replay
-    // it), serializes and broadcasts them through the measured communicator
-    // like any schedule batch. An empty broadcast payload is the "no more
-    // this step" terminator — a real batch always serializes non-empty.
-    // Runs on ghost seats too: the seat, not the process, owns the feed
-    // role, so the protocol survives rank 0's death.
-    if (live && next_batch >= num_batches) {
-      for (;;) {
-        std::vector<std::byte> feed;
-        if (comm_.rank() == 0) {
-          std::vector<Event> events;
-          if (serve_->feed.try_pop(step, events)) {
-            rt::ByteWriter w;
-            serialize_events(events, w);
-            feed = w.take();
-          }
-        }
-        const auto buf = comm_.broadcast(std::move(feed), 0, nullptr);
-        if (buf.empty()) break;
-        const obs::ScopedSpan ingest_span(trace_, "ingest", "batch",
-                                          next_batch);
-        rt::ByteReader rd(buf);
-        const auto events = deserialize_events(rd);
-        ingest_batch(events);
-        ingested = true;
-        ++next_batch;
-        cur_batch_ = next_batch;
+    // One intake loop for both feeds. A scheduled batch is replicated data:
+    // every rank serializes its own copy and hands it to the broadcast as
+    // the replica, so a survivor whose tree parent died mid-broadcast
+    // reconstructs the payload locally instead of stalling — only the
+    // feed's distribution cost is being modeled (docs/FAULTS.md §Shard
+    // adoption). Once the schedule is consumed, a live session's rank 0
+    // pops queued batches (journaling each at this step so recovery can
+    // replay it). An empty payload is the "no more this step" terminator —
+    // a real batch always serializes non-empty. The live feed runs on ghost
+    // seats too: the seat, not the process, owns the feed role, so the
+    // protocol survives rank 0's death.
+    bool ingested = false;
+    for (;;) {
+      const bool scheduled = next_batch < num_batches;
+      if (scheduled && (*schedule_)[next_batch].at_step > step) break;
+      if (!scheduled && !live) break;
+      rt::ByteWriter w;
+      if (scheduled) {
+        serialize_events((*schedule_)[next_batch].events, w);
+      } else if (comm_.rank() == 0) {
+        std::vector<Event> events;
+        if (serve_->feed.try_pop(step, events)) serialize_events(events, w);
       }
+      const std::vector<std::byte> feed = w.take();
+      const auto buf = comm_.broadcast(feed, 0, scheduled ? &feed : nullptr);
+      if (buf.empty()) break;
+      const obs::ScopedSpan ingest_span(trace_, "ingest", "batch", next_batch);
+      rt::ByteReader rd(buf);
+      ingest_batch(deserialize_events(rd));
+      ingested = true;
+      cur_batch_ = ++next_batch;
     }
 
     // Extension: automatic rebalancing when dynamic changes (typically
@@ -2019,26 +1915,30 @@ std::size_t RankEngine::run_rc() {
       recovery_mark_ = nullptr;  // once per rank
     }
 
-    if (!ghost_ && periodic_ != nullptr && cfg_.checkpoint_every > 0 &&
-        step % cfg_.checkpoint_every == 0) {
-      // Recovery snapshot: taken after drain, so the local queues are empty
-      // and the blob captures a step boundary. Each rank writes only its
-      // own slot (no locking; see PeriodicCheckpoints).
-      const obs::ScopedSpan ckpt_span(trace_, "checkpoint", "step", step);
-      rt::ByteWriter w;
-      serialize_state(w);
-      periodic_->store(comm_.rank(), step, w.take());
-    }
-
-    if (step == cfg_.checkpoint_at_step) {
-      // Fault-tolerance drill: persist and stop. All ranks share `step`,
-      // so the exit is collective without extra messages.
-      AACC_CHECK_MSG(checkpoint_slot_ != nullptr,
+    // Checkpoints are taken after drain, so the local queues are empty and
+    // the blob captures a step boundary. A recovery snapshot goes to this
+    // rank's own periodic slot (no locking; see PeriodicCheckpoints). The
+    // fault-tolerance drill persists and stops: all ranks share `step`, so
+    // the exit is collective without extra messages.
+    const bool periodic = !ghost_ && periodic_ != nullptr &&
+                          cfg_.checkpoint_every > 0 &&
+                          step % cfg_.checkpoint_every == 0;
+    const bool drill = step == cfg_.checkpoint_at_step;
+    if (periodic || drill) {
+      AACC_CHECK_MSG(!drill || checkpoint_slot_ != nullptr,
                      "checkpoint_at_step set without a checkpoint slot");
       const obs::ScopedSpan ckpt_span(trace_, "checkpoint", "step", step);
       rt::ByteWriter w;
       serialize_state(w);
-      *checkpoint_slot_ = w.take();
+      std::vector<std::byte> blob = w.take();
+      if (!drill) {
+        periodic_->store(comm_.rank(), step, std::move(blob));
+      } else {
+        if (periodic) periodic_->store(comm_.rank(), step, blob);
+        *checkpoint_slot_ = std::move(blob);
+      }
+    }
+    if (drill) {
       ++step;
       break;
     }

@@ -181,23 +181,26 @@ class RankEngine {
   void apply_portal_value(PortalSink& p, VertexId t, Dist d);
 
   // ---- RC step pieces ----
-  void exchange();
+  /// One send round (collective): every dirty row's entries — only its
+  /// poison markers when `markers_only` — go to the row's subscribers in
+  /// one DV record through one personalized all-to-all. What was collected
+  /// is retired after the collective returns (whole rows when every dirty
+  /// column went out, else marker by marker), then the arrivals are
+  /// applied. The RC step's exchange sends everything; a poison-barrier
+  /// round sends only the newly-invalidated entries, so that repairs stay
+  /// deferred until the barrier drains globally — this is what prevents
+  /// the classic distance-vector count-to-infinity: no repair may read a
+  /// value whose witness chain is already known to be dead elsewhere.
+  void send_round(bool markers_only);
   /// Decodes every peer's exchange payload in rank order and applies it
   /// (portal values relax/cascade; non-portal records drop the stale cache).
   void apply_incoming(const std::vector<std::vector<std::byte>>& in);
   /// Records a finished collective's recv wait into the step accounting
   /// and trace.
   void note_exchange_wait(const rt::ExchangeWait& wait);
-  /// One round of the poison-synchronization barrier: sends only the
-  /// newly-invalidated (infinite) boundary entries, applies received
-  /// poisons, cascades. Returns whether this rank generated new poisons.
-  /// Repairs are deferred until the barrier drains globally — this is what
-  /// prevents the classic distance-vector count-to-infinity: no repair may
-  /// read a value whose witness chain is already known to be dead
-  /// elsewhere.
-  bool poison_sync_round();
-  /// The barrier itself (collective): poison_sync_round() until no rank
-  /// generated new poisons, under one poison_sync span.
+  /// The poison-synchronization barrier (collective): marker-only send
+  /// rounds until no rank generated new poisons, under one poison_sync
+  /// span.
   void poison_barrier();
   void ingest_batch(const std::vector<Event>& events);
   /// This rank's StepLocal counters right now (step left 0).
@@ -240,6 +243,9 @@ class RankEngine {
   void relax_through_portal(VertexId x, VertexId z, Weight w);
   void poison_first_hops(VertexId u, VertexId v,
                          std::deque<std::pair<VertexId, VertexId>>& seeds);
+  /// Poisons row r's entries whose next hop is b, ascending by column.
+  void poison_via(std::size_t r, VertexId b,
+                  std::deque<std::pair<VertexId, VertexId>>& seeds);
   void grow_columns(VertexId count);
   void add_local_row(VertexId v);
   void remove_local_row(std::int32_t row);
@@ -268,6 +274,17 @@ class RankEngine {
   /// logic_errors; _impl does the parsing).
   void restore_state(std::span<const std::byte> blob);
   void restore_state_impl(std::span<const std::byte> blob);
+
+  // ---- ownership rebuild (construction, restore, adoption, repartition) ----
+  /// Empties the store and installs a fresh row per local vertex of lg_,
+  /// at its LocalGraph row index; zeroes the dirty count.
+  void reset_rows();
+  /// Puts a rebuilt row at its vertex's row index (which must be local)
+  /// and counts its dirty entries. Returns the index.
+  std::size_t place_row(DvRow&& row);
+  /// Marks every finite entry of each row with subscribers dirty, so
+  /// rewired subscriptions repopulate.
+  void republish_boundary_rows();
 
   /// Adopt-mode restart (called from the constructor after the stash
   /// restore): rebuilds the topology under the rewritten owner map from the
@@ -307,18 +324,16 @@ class RankEngine {
   std::size_t recovery_mark_step_ = static_cast<std::size_t>(-1);
   std::atomic<std::int64_t>* recovery_mark_ = nullptr;
 
-  // Reusable scratch shared by exchange() and poison_sync_round(), cleared
-  // in place each round instead of reallocated: per-destination writers,
-  // one row's subscribers, its dirty columns and entries, and its encoded
-  // record.
+  // Reusable send_round() scratch, cleared in place each round instead of
+  // reallocated: per-destination writers, one row's subscribers, its dirty
+  // columns and entries, its encoded record, and a barrier round's
+  // collected (row, column) markers, retired after the collective.
   std::vector<rt::ByteWriter> exch_writers_;
   std::vector<Rank> exch_subs_;
   std::vector<VertexId> exch_dirty_cols_;
   std::vector<std::pair<VertexId, Dist>> exch_entries_;
   rt::ByteWriter exch_record_;
-  /// poison_sync_round() sent markers and collected dirty entries.
-  std::vector<std::pair<std::size_t, VertexId>> sync_markers_;
-  std::vector<std::pair<VertexId, Dist>> sync_scratch_;
+  std::vector<std::pair<std::size_t, VertexId>> exch_markers_;
   /// poison_cascade() candidate rows and the seed queue apply_portal_value
   /// hands it.
   std::vector<std::size_t> cascade_rows_;

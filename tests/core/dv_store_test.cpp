@@ -102,7 +102,10 @@ TEST(ColdCodec, SerializeRowIsResidencyOblivious) {
     store.put(0, DvRow(row));  // hot
     store.serialize_row(0, hot_w);
 
-    store.put_cold(0, encode_cold_row(row));
+    std::vector<VertexId> dirty;
+    row.sorted_dirty(dirty);
+    store.put_restored(0, row.self(), row.dists(), row.next_hops(),
+                       std::move(dirty));
     ASSERT_FALSE(store.is_hot(0));
     rt::ByteWriter cold_w;
     store.serialize_row(0, cold_w);

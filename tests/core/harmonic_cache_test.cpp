@@ -109,13 +109,12 @@ TEST(HarmonicCache, EveryStoreWritePathKeepsTheValueFresh) {
   expect_cache_fresh(tiered, resident, "grow_columns");
 
   for (std::size_t i = 0; i < n; i += 5) {
-    const DvRow src = resident.row(i);  // put_cold replaces the original
+    const DvRow src = resident.row(i);  // put_restored replaces the original
     for (DvStore* s : stores) {
-      s->put_cold(i, encode_cold_row(src.self(), src.dists(), src.next_hops(),
-                                     {}));
+      s->put_restored(i, src.self(), src.dists(), src.next_hops(), {});
     }
   }
-  expect_cache_fresh(tiered, resident, "put_cold");
+  expect_cache_fresh(tiered, resident, "put_restored");
   write_some("set after restore");
 }
 
