@@ -10,6 +10,7 @@ namespace aacc {
 namespace {
 
 using test::expect_apsp_exact;
+using test::expect_paths_realize_distances;
 using test::grow_vertices;
 using test::make_ba;
 using test::make_er;
@@ -220,8 +221,12 @@ TEST(EngineDynamic, IncrementalBatchesAcrossSteps) {
 }
 
 TEST(EngineDynamic, RandomizedMixedScheduleFuzz) {
-  // Seeded fuzz over one mixed batch on a weighted graph: growth, then
-  // edge deletions, then weight changes, at 2-4 ranks.
+  // Seeded fuzz over one mixed batch on a weighted graph: growth, edge
+  // additions, edge deletions, weight changes and vertex deletions, run
+  // across the configuration lattice: 2-4 ranks, both DV stores, seeded and
+  // eager edge additions, round-robin and Repartition-S assignment. Every
+  // case must end exact, audit clean after every step, and route every
+  // pair over a shortest path.
   for (const std::uint64_t seed : {11u, 22u, 33u}) {
     Rng rng(seed);
     const Graph g = make_er(170, 510, 1000 + seed, WeightRange{1, 5});
@@ -251,14 +256,49 @@ TEST(EngineDynamic, RandomizedMixedScheduleFuzz) {
       truth.set_weight(u, v, nw);
       b.events.emplace_back(WeightChangeEvent{u, v, nw});
     }
+    for (int i = 0; i < 3; ++i) {
+      const auto u = static_cast<VertexId>(rng.next_below(truth.num_vertices()));
+      const auto v = static_cast<VertexId>(rng.next_below(truth.num_vertices()));
+      if (u == v || !truth.is_alive(u) || !truth.is_alive(v) ||
+          truth.has_edge(u, v)) {
+        continue;
+      }
+      const auto w = static_cast<Weight>(1 + rng.next_below(5));
+      truth.add_edge(u, v, w);
+      b.events.emplace_back(EdgeAddEvent{u, v, w});
+    }
+    for (int i = 0; i < 2; ++i) {
+      const auto v = static_cast<VertexId>(rng.next_below(truth.num_vertices()));
+      if (!truth.is_alive(v)) continue;
+      truth.remove_vertex(v);
+      b.events.emplace_back(VertexDeleteEvent{v});
+    }
     sched.push_back(std::move(b));
 
-    EngineConfig cfg = base_cfg(2 + static_cast<Rank>(seed % 3));
-    cfg.validate_each_step = true;  // DVR invariant audited every step
-    AnytimeEngine engine(g, cfg);
-    const RunResult r = engine.run(sched);
-    EXPECT_EQ(r.stats.invariant_violations, 0u) << "seed " << seed;
-    expect_apsp_exact(truth, r);
+    std::size_t lattice_case = 0;
+    for (const std::uint64_t budget : {std::uint64_t{0}, kMinDvBudgetBytes}) {
+      for (const EdgeAddMode mode : {EdgeAddMode::kSeeded, EdgeAddMode::kEager}) {
+        for (const AssignStrategy assign :
+             {AssignStrategy::kRoundRobin, AssignStrategy::kRepartition}) {
+          const auto P = static_cast<Rank>(2 + (seed + lattice_case++) % 3);
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " P=" << P << " budget=" << budget
+                       << " eager=" << (mode == EdgeAddMode::kEager)
+                       << " repartition="
+                       << (assign == AssignStrategy::kRepartition));
+          EngineConfig cfg = base_cfg(P);
+          cfg.dv_budget_bytes = budget;
+          cfg.add_mode = mode;
+          cfg.assign = assign;
+          cfg.validate_each_step = true;  // DVR invariant audited every step
+          AnytimeEngine engine(g, cfg);
+          const RunResult r = engine.run(sched);
+          EXPECT_EQ(r.stats.invariant_violations, 0u);
+          expect_apsp_exact(truth, r);
+          expect_paths_realize_distances(truth, r, 1);
+        }
+      }
+    }
   }
 }
 

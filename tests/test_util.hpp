@@ -49,6 +49,34 @@ inline void expect_apsp_exact(const Graph& truth, const RunResult& result) {
   }
 }
 
+/// Asserts that following the gathered next hops from u to v (every
+/// `stride`-th pair of live vertices) walks real edges of `g` whose weights
+/// sum to the reported distance, so every next hop lies on a shortest path.
+inline void expect_paths_realize_distances(const Graph& g,
+                                           const RunResult& r,
+                                           std::size_t stride) {
+  for (VertexId u = 0; u < g.num_vertices(); u += stride) {
+    for (VertexId v = 0; v < g.num_vertices(); v += stride) {
+      if (!g.is_alive(u) || !g.is_alive(v)) continue;
+      const auto path = reconstruct_path(r, u, v);
+      if (r.apsp[u][v] == kInfDist) {
+        EXPECT_TRUE(path.empty());
+        continue;
+      }
+      ASSERT_FALSE(path.empty());
+      EXPECT_EQ(path.front(), u);
+      EXPECT_EQ(path.back(), v);
+      Dist len = 0;
+      for (std::size_t i = 1; i < path.size(); ++i) {
+        ASSERT_TRUE(g.has_edge(path[i - 1], path[i]))
+            << "phantom edge " << path[i - 1] << "-" << path[i];
+        len += g.edge_weight(path[i - 1], path[i]);
+      }
+      EXPECT_EQ(len, r.apsp[u][v]) << "path length mismatch " << u << "->" << v;
+    }
+  }
+}
+
 /// Builds a batch of vertex-add events with preferential attachment into
 /// the existing graph (and optionally among themselves), mirroring organic
 /// growth. Returns the events; `base` is not modified.
