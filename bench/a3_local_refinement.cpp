@@ -1,7 +1,7 @@
 // Ablation A3 — local refinement strategy inside an RC step.
 //
-// Default: per-target label-correcting worklist. Alternative: additionally
-// run the paper's boundary Floyd–Warshall pass (compose own
+// Default: label-correcting drain over a FIFO queue of rows. Alternative:
+// additionally run the paper's boundary Floyd–Warshall pass (compose own
 // distance-to-portal with the portal's cached row) each step. The FW pass
 // can shorten convergence (fewer RC steps) at the price of a dense
 // O(local rows × portals × n) sweep; it is additive-only (see config.hpp),

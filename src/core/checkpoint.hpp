@@ -6,7 +6,8 @@
 // dirty flags — pending un-sent updates survive the restart), portal
 // caches, and the loop cursors (step, schedule position, round-robin
 // cursor). Checkpoints are taken at an RC step boundary after the local
-// queues have drained, so worklists are empty by construction.
+// queues have drained, so the row and repair queues are empty by
+// construction.
 //
 //   EngineConfig cfg;
 //   cfg.checkpoint_at_step = 5;

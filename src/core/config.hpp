@@ -40,7 +40,7 @@ enum class AssignStrategy {
 /// How edge additions update existing DV rows (§IV.C.a / Figure 3).
 enum class EdgeAddMode {
   /// Relax only the endpoint rows through the new edge and let the normal
-  /// worklist/RC propagation carry the improvement. Same fixpoint as eager,
+  /// drain/RC propagation carry the improvement. Same fixpoint as eager,
   /// work proportional to the number of entries that actually improve.
   kSeeded,
   /// The paper's Figure-3 loop: broadcast both endpoint rows and relax every
@@ -85,7 +85,8 @@ inline constexpr RecoveryRung kDefaultRecoveryPolicy[] = {
 
 /// Local refinement inside an RC step (ablation A3).
 enum class RefineMode {
-  /// Per-target label-correcting worklist (default).
+  /// Label-correcting drain over a FIFO queue of rows, each relaxing its
+  /// local neighbours over all of its queued targets at once (default).
   kLabelCorrecting,
   /// Additionally run the paper's boundary Floyd–Warshall pass each step:
   /// D[x][t] = min(D[x][t], D[x][b] + D[b][t]) over local boundary b.

@@ -13,7 +13,7 @@
 // itself — never an incremental float add or subtract — so the value is
 // bit-identical to a fresh sum.
 //
-// Sparse change tracking: besides the per-entry flag byte, a row keeps two
+// Sparse change tracking: besides the per-entry flag byte, a row keeps three
 // bounded column lists (ColumnList) so the RC hot path need not scan the
 // full column range while a row is sparse:
 //   * dirty list  — columns marked dirty since the last bulk clear. Dirty
@@ -22,15 +22,19 @@
 //   * reach list  — columns that turned finite since the row was built.
 //     sorted_finite() filters and sorts it for the whole-row resends and
 //     for demotion's cold encoding.
+//   * queue list  — columns queued for relaxation through the row's
+//     neighbours (mark_queued). The drain takes them all at once
+//     (take_queued), so this list never holds a stale or duplicate id.
 // Each list holds at most size() / kScanDensityInverse ids. An append past
 // that cap frees the list and marks it overflowed; from then on the row
-// scans instead — the flag bytes for dirty columns, d_ for finite ones. So
-// a dense row costs its 9 bytes per column and nothing more, and a row
-// pays no O(n) scan while its lists are under the cap. The dirty list
-// starts over at every clear_all_dirty/reset_flags; the reach list only
-// when the row is rebuilt. Lists are append-only: a cleared or poisoned
-// column stays as a stale id, and a re-marked one appears twice, so
-// consumers keep the live ids, sort and de-duplicate.
+// scans instead — the flag bytes for dirty and queued columns, d_ for
+// finite ones. So a dense row costs its 9 bytes per column and nothing
+// more, and a row pays no O(n) scan while its lists are under the cap. The
+// dirty list starts over at every clear_all_dirty/reset_flags, the queue
+// list at every take_queued/reset_flags, the reach list only when the row
+// is rebuilt. The dirty and reach lists are append-only: a cleared or
+// poisoned column stays as a stale id, and a re-marked one appears twice,
+// so their consumers keep the live ids, sort and de-duplicate.
 #pragma once
 
 #include <algorithm>
@@ -179,7 +183,7 @@ class DvRow {
   [[nodiscard]] std::size_t footprint_bytes() const {
     return sizeof(DvRow) + d_.capacity() * sizeof(Dist) +
            nh_.capacity() * sizeof(VertexId) + flags_.capacity() +
-           dirty_.bytes() + reach_.bytes();
+           dirty_.bytes() + reach_.bytes() + queued_.bytes();
   }
 
   /// Releases slack capacity. Called after a repartition rebuilt the row
@@ -191,6 +195,7 @@ class DvRow {
     flags_.shrink_to_fit();
     dirty_.shrink_to_fit();
     reach_.shrink_to_fit();
+    queued_.shrink_to_fit();
   }
 
   /// Each column list holds at most size() / kScanDensityInverse ids; past
@@ -199,14 +204,10 @@ class DvRow {
 
   // Entry flags used by the rank engine.
   static constexpr std::uint8_t kDirty = 1;    ///< changed since last send
-  static constexpr std::uint8_t kQueued = 2;   ///< in the relaxation worklist
+  static constexpr std::uint8_t kQueued = 2;   ///< awaiting relaxation
 
   [[nodiscard]] bool test_flag(VertexId t, std::uint8_t bit) const {
     return (flags_[t] & bit) != 0;
-  }
-  void set_flag(VertexId t, std::uint8_t bit) { flags_[t] |= bit; }
-  void clear_flag(VertexId t, std::uint8_t bit) {
-    flags_[t] &= static_cast<std::uint8_t>(~bit);
   }
 
   /// Marks entry t as changed-since-last-send. Returns true if it was clean.
@@ -265,28 +266,40 @@ class DvRow {
                        [this](VertexId t) { return (flags_[t] & kDirty) != 0; });
   }
   /// Flag-scan method of sorted_dirty(): every column whose kDirty bit is
-  /// set, read eight flag bytes per word.
+  /// set, ascending.
   void scan_dirty(std::vector<VertexId>& out) const {
     out.clear();
     out.reserve(dirty_count_);
-    const std::uint8_t* f = flags_.data();
-    const auto n = static_cast<VertexId>(flags_.size());
-    VertexId t = 0;
-    if constexpr (std::endian::native == std::endian::little) {
-      constexpr std::uint64_t kDirtyLanes = 0x0101010101010101ULL * kDirty;
-      for (; t + 8 <= n; t += 8) {
-        std::uint64_t word;
-        std::memcpy(&word, f + t, sizeof(word));
-        word &= kDirtyLanes;
-        while (word != 0) {
-          out.push_back(t + static_cast<VertexId>(std::countr_zero(word) / 8));
-          word &= word - 1;
-        }
-      }
+    scan_flags(kDirty, out);
+  }
+
+  /// Queues column t for relaxation through the row's neighbours. Returns
+  /// true if it was not queued yet.
+  bool mark_queued(VertexId t) {
+    if ((flags_[t] & kQueued) != 0) return false;
+    flags_[t] |= kQueued;
+    ++queued_count_;
+    queued_.push(t, list_cap());
+    return true;
+  }
+  [[nodiscard]] VertexId queued_count() const { return queued_count_; }
+  /// Moves every queued column into `out` and clears their flags: in
+  /// queueing order while the queue list holds them all, else ascending by
+  /// a flag scan.
+  void take_queued(std::vector<VertexId>& out) {
+    if (queued_.overflowed()) {
+      out.clear();
+      out.reserve(queued_count_);
+      scan_flags(kQueued, out);
+    } else {
+      out.assign(queued_.ids().begin(), queued_.ids().end());
     }
-    for (; t < n; ++t) {
-      if ((f[t] & kDirty) != 0) out.push_back(t);
+    AACC_DCHECK(out.size() == queued_count_);
+    for (const VertexId t : out) {
+      flags_[t] &= static_cast<std::uint8_t>(~kQueued);
     }
+    queued_.reset();
+    queued_count_ = 0;
   }
 
   /// Fills `out` with every finite non-self column in ascending order: from
@@ -303,19 +316,44 @@ class DvRow {
     }
   }
 
-  /// Clears every flag (dirty + queued) and the dirty list. The reach list
-  /// survives: the distances themselves are untouched. Used when a row
-  /// survives a repartition in place: the new ownership invalidates
+  /// Clears every flag (dirty + queued), the dirty list and the queue. The
+  /// reach list survives: the distances themselves are untouched. Used when
+  /// a row survives a repartition in place: the new ownership invalidates
   /// send/queue state.
   void reset_flags() {
     std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
     dirty_.reset();
     dirty_count_ = 0;
+    queued_.reset();
+    queued_count_ = 0;
   }
 
  private:
   [[nodiscard]] std::size_t list_cap() const {
     return d_.size() / kScanDensityInverse;
+  }
+
+  /// Appends every column whose `bit` is set, ascending, reading eight flag
+  /// bytes per word.
+  void scan_flags(std::uint8_t bit, std::vector<VertexId>& out) const {
+    const std::uint8_t* f = flags_.data();
+    const auto n = static_cast<VertexId>(flags_.size());
+    VertexId t = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      const std::uint64_t lanes = 0x0101010101010101ULL * bit;
+      for (; t + 8 <= n; t += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, f + t, sizeof(word));
+        word &= lanes;
+        while (word != 0) {
+          out.push_back(t + static_cast<VertexId>(std::countr_zero(word) / 8));
+          word &= word - 1;
+        }
+      }
+    }
+    for (; t < n; ++t) {
+      if ((f[t] & bit) != 0) out.push_back(t);
+    }
   }
 
   VertexId self_;
@@ -325,10 +363,12 @@ class DvRow {
   std::vector<std::uint8_t> flags_;
   ColumnList dirty_;  ///< columns marked dirty since the last bulk clear
   ColumnList reach_;  ///< columns that turned finite since construction
+  ColumnList queued_;  ///< columns queued since the last take_queued
   std::uint64_t sum_ = 0;
   mutable double harmonic_ = 0.0;  ///< valid when !harmonic_stale_
   VertexId finite_ = 0;
   VertexId dirty_count_ = 0;
+  VertexId queued_count_ = 0;
 };
 
 }  // namespace aacc

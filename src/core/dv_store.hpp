@@ -18,8 +18,9 @@
 //     metadata reads, dirty ops, structural ops, maintain() — is
 //     serial-only, called from the owning rank thread outside the IA pool.
 //   * Demotion happens only in maintain(), which the engine calls at the
-//     end of an RC step when the worklist and repair queues are empty — so
-//     no demoted row can carry a kQueued flag, and the dirty set (which
+//     end of an RC step when the row and repair queues are empty — so no
+//     demoted row can carry a kQueued flag or a queue list (take_queued
+//     clears both), and the dirty set (which
 //     cold rows do keep, as a sorted column list) is the only live flag
 //     state a cold row needs to preserve.
 //   * The budget is a step-boundary bound, not a hard cap: promotions
@@ -194,7 +195,8 @@ struct ColdCursor {
 };
 
 /// Builds the cold form of a dense row. The caller guarantees the row holds
-/// no kQueued flag (maintain()'s precondition).
+/// no queued column (maintain()'s precondition): the cold form keeps no
+/// queue.
 ColdDvRow encode_cold_row(const DvRow& row);
 
 /// Restore fast path: builds the cold form straight from the checkpoint's
@@ -354,8 +356,8 @@ class DvStore {
 
   // ---- residency control -------------------------------------------------
 
-  /// End-of-step residency pass. Precondition: the engine's worklist and
-  /// repair queues are empty (no row carries kQueued). `is_boundary(i)`
+  /// End-of-step residency pass. Precondition: the engine's row and repair
+  /// queues are empty (no row carries kQueued). `is_boundary(i)`
   /// steers the LRU: boundary rows are demoted last.
   virtual void maintain(const std::vector<std::uint8_t>& is_boundary) = 0;
   void promote_all();

@@ -230,7 +230,7 @@ inline constexpr Metric kCatalog[] = {
     {.name = "serve/publishes"},
     {.name = "serve/publish_seconds", .kind = kGauge, .unit = "s"},
     {.name = "ia/dirty_entries", .unit = "entries"},
-    {.name = "rc/drain_queue_depth", .kind = kHistogram, .unit = "rows"},
+    {.name = "rc/drain_queue_depth", .kind = kHistogram, .unit = "entries"},
     {.name = "serve/snapshot_age_steps", .kind = kHistogram, .unit = "steps"},
     {.name = "serve/query_ns/point", .kind = kHistogram, .unit = "ns"},
     {.name = "serve/query_ns/top_k", .kind = kHistogram, .unit = "ns"},

@@ -148,17 +148,18 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
       dead[static_cast<std::size_t>(d)] = true;
     }
     const auto& owner = lg_.owner_map();
-    PortalSink sink;
+    std::vector<std::pair<VertexId, Dist>> markers;
     for (const auto& [portal, adj] : lg_.portals()) {
       (void)adj;
       if (!dead[static_cast<std::size_t>(owner[portal])]) continue;
       auto it = caches_.find(portal);
       if (it == caches_.end()) continue;
       const auto& cache = it->second;
-      reset_sink(sink, portal);
+      markers.clear();
       for (VertexId t = 0; t < static_cast<VertexId>(cache.size()); ++t) {
-        if (cache[t] != kInfDist) apply_portal_value(sink, t, kInfDist);
+        if (cache[t] != kInfDist) markers.emplace_back(t, kInfDist);
       }
+      apply_portal_record(portal, markers);
     }
   }
 }
@@ -255,11 +256,11 @@ void RankEngine::restore_state_impl(std::span<const std::byte> blob) {
   }
 
   // Re-arm the local queues from the restored dirty flags. On a quiesced
-  // checkpoint the worklist entries are no-ops (the values are already at
+  // checkpoint the queued entries are no-ops (the values are already at
   // their fixpoint), but a crash-time stash may hold changes whose *local*
   // propagation was lost with the dying step: finite dirty entries re-enter
-  // the relaxation worklist, poison markers re-enter the deferred-repair
-  // queue (they run after the next poison barrier drains, as always).
+  // the row queue, poison markers re-enter the deferred-repair queue (they
+  // run after the next poison barrier drains, as always).
   std::vector<VertexId> dirty_cols;
   std::vector<std::pair<VertexId, Dist>> dirty_entries;
   for (std::size_t ri = 0; ri < dv_->size(); ++ri) {
@@ -280,12 +281,8 @@ void RankEngine::restore_state_impl(std::span<const std::byte> blob) {
         poison_pending_ = true;
         repairs_.emplace_back(x, t);
       } else {
-        // A finite dirty entry needs its kQueued flag: promote and re-arm.
-        DvRow& row = dv_->row(ri);
-        if (!row.test_flag(t, DvRow::kQueued)) {
-          row.set_flag(t, DvRow::kQueued);
-          worklist_.emplace_back(x, t);
-        }
+        // A finite dirty entry is queued again: promote and re-arm.
+        enqueue(dv_->row(ri), x, t);
       }
     }
   }
@@ -300,12 +297,18 @@ void RankEngine::reset_rows() {
     dv_->append_fresh(lg_.vertex_of(r));
   }
   dirty_entries_ = 0;
+  queued_entries_ = 0;
+  row_queue_.clear();
 }
 
 std::size_t RankEngine::place_row(DvRow&& row) {
   const std::int32_t ri = lg_.row_of(row.self());
   AACC_CHECK_MSG(ri >= 0, "a rebuilt row's vertex is not local");
   dirty_entries_ += row.dirty_count();
+  if (row.queued_count() != 0) {
+    queued_entries_ += row.queued_count();
+    row_queue_.push_back(row.self());
+  }
   dv_->put(static_cast<std::size_t>(ri), std::move(row));
   return static_cast<std::size_t>(ri);
 }
@@ -444,7 +447,7 @@ void RankEngine::adopt_shards(const Adopt& adopt) {
   //    portal caches are kept: their owners survived with their poison
   //    state intact, so the values are genuine upper bounds repairs may
   //    re-derive through. Dead-owned caches are NOT erased here — they are
-  //    the subscriber-side baseline apply_portal_value compares against to
+  //    the subscriber-side baseline apply_portal_record compares against to
   //    detect increases, so step 6b poisons through them instead.
   for (auto it = caches_.begin(); it != caches_.end();) {
     if (lg_.is_local(it->first) || !lg_.is_portal(it->first)) {
@@ -665,33 +668,44 @@ void RankEngine::relax_row(DvRow& row, VertexId x, VertexId t, Dist nd,
     row.set(t, nd, nh);
     if (row.mark_dirty(t)) ++dirty_entries_;
     ++counts_.relaxations;
-    if (!row.test_flag(t, DvRow::kQueued)) {
-      row.set_flag(t, DvRow::kQueued);
-      worklist_.emplace_back(x, t);
-    }
+    enqueue(row, x, t);
   }
 }
 
-void RankEngine::propagate(VertexId x, VertexId t) {
+void RankEngine::enqueue(DvRow& row, VertexId x, VertexId t) {
+  if (!row.mark_queued(t)) return;
+  ++queued_entries_;
+  if (row.queued_count() == 1) row_queue_.push_back(x);
+}
+
+void RankEngine::relax_queued_row(VertexId x) {
+  // A deleted row left the queued count with it (remove_local_row); every
+  // row rebuild empties the row queue (reset_rows).
   const std::int32_t ri = lg_.row_of(x);
-  if (ri < 0) return;  // migrated or deleted since queueing
+  if (ri < 0) return;
   DvRow& row = dv_->row(static_cast<std::size_t>(ri));
-  row.clear_flag(t, DvRow::kQueued);
-  const Dist base = row.dist(t);
-  if (base == kInfDist) return;  // poisoned since queueing
-  if (!lg_.is_alive(t)) return;  // relax() would drop every candidate
+  row.take_queued(drain_cols_);
+  queued_entries_ -= drain_cols_.size();
+  // Columns poisoned or deleted since queueing seed nothing.
+  drain_entries_.clear();
+  for (const VertexId t : drain_cols_) {
+    const Dist base = row.dist(t);
+    if (base != kInfDist && lg_.is_alive(t)) drain_entries_.emplace_back(t, base);
+  }
+  if (drain_entries_.empty()) return;
   for (const Edge& e : lg_.adj(static_cast<std::size_t>(ri))) {
     if (!lg_.is_local(e.to)) continue;
-    const Dist nd = dist_add(base, e.w);
-    if (nd == kInfDist) continue;
     const std::int32_t yi = lg_.row_of(e.to);
     AACC_DCHECK(yi >= 0);
     DvRow& yrow = dv_->row(static_cast<std::size_t>(yi));
-    // Most candidates improve nothing: reject them here. A finite nd can
-    // only tie or lose against a finite entry, so an undelivered poison
-    // marker (kInfDist) always reaches relax_row(), which defers it.
-    if (nd >= yrow.dist(t)) continue;
-    relax_row(yrow, e.to, t, nd, x);
+    for (const auto& [t, base] : drain_entries_) {
+      // Most candidates improve nothing: reject them here. A finite nd can
+      // only tie or lose against a finite entry, so an undelivered poison
+      // marker (kInfDist) always reaches relax_row(), which defers it.
+      const Dist nd = dist_add(base, e.w);
+      if (nd >= yrow.dist(t)) continue;
+      relax_row(yrow, e.to, t, nd, x);
+    }
   }
 }
 
@@ -721,29 +735,31 @@ void RankEngine::repair(VertexId x, VertexId t) {
 }
 
 void RankEngine::drain() {
-  const std::size_t queued = repairs_.size() + worklist_.size();
+  const std::size_t queued = repairs_.size() + queued_entries_;
   const obs::ScopedSpan span(trace_, "drain", "queued", queued);
   if (m_queue_depth_ != nullptr) m_queue_depth_->record(queued);
   queue_depth_step_ += queued;  // progress feed: frontier depth this step
   const std::uint64_t repairs_before = counts_.repairs;
   const double t0 = thread_cpu_now();
   // Repairs first: they re-derive poisoned entries, whose improvements
-  // then flow through the worklist.
-  while (!repairs_.empty() || !worklist_.empty()) {
+  // then flow through the row queue. The repair queue empties before every
+  // row pop.
+  while (!repairs_.empty() || !row_queue_.empty()) {
     if (!repairs_.empty()) {
       const auto [x, t] = repairs_.front();
       repairs_.pop_front();
       repair(x, t);
     } else {
-      const auto [x, t] = worklist_.front();
-      worklist_.pop_front();
-      propagate(x, t);
+      const VertexId x = row_queue_.front();
+      row_queue_.pop_front();
+      relax_queued_row(x);
     }
   }
+  AACC_DCHECK(queued_entries_ == 0);
   counts_.drain_cpu_seconds += thread_cpu_now() - t0;
-  // Repairs interleave with propagation inside the drain (FIFO, repairs
-  // first), so repair activity surfaces as one counted instant per drain
-  // rather than per-item spans.
+  // Repairs interleave with row relaxation inside the drain (repairs
+  // first, then rows FIFO), so repair activity surfaces as one counted
+  // instant per drain rather than per-item spans.
   if (trace_ != nullptr && counts_.repairs > repairs_before) {
     trace_->instant("repairs", "count", counts_.repairs - repairs_before);
   }
@@ -855,33 +871,38 @@ std::vector<Dist>& RankEngine::cache_of(VertexId portal) {
   return it->second;
 }
 
-void RankEngine::reset_sink(PortalSink& p, VertexId b) const {
-  p.b = b;
-  p.neighbors = lg_.portal_neighbors(b);
-  p.cache = nullptr;
-  p.rows.clear();
-}
-
-void RankEngine::apply_portal_value(PortalSink& p, VertexId t, Dist d) {
-  if (p.cache == nullptr) p.cache = &cache_of(p.b);
-  std::vector<Dist>& cache = *p.cache;
-  const Dist cur = cache[t];
-  if (d == cur && d != kInfDist) return;
-  cache[t] = d;
-  if (d > cur || d == kInfDist) {
-    // The owner's value increased (a deletion upstream), or this is an
-    // explicit poison marker: every local chain through b for this target
-    // is stale. The marker must cascade even when the cache already reads
-    // infinity — a cache rebuilt after repartitioning starts blank, yet
-    // dependents derived in an earlier co-location/subscription era may
-    // still hold finite values routed through b.
-    if (p.rows.empty()) route_candidates(p.b, p.rows);  // never empty for a portal
-    poison_routed(p.rows, p.b, t, cascade_seeds_);
-    poison_cascade(cascade_seeds_);
+void RankEngine::apply_portal_record(
+    VertexId b, std::span<const std::pair<VertexId, Dist>> values) {
+  if (values.empty()) return;
+  std::vector<Dist>& cache = cache_of(b);
+  portal_rows_.clear();
+  portal_relax_.clear();
+  for (const auto& [t, d] : values) {
+    const Dist cur = cache[t];
+    if (d == cur && d != kInfDist) continue;
+    cache[t] = d;
+    if (d > cur || d == kInfDist) {
+      // The owner's value increased (a deletion upstream), or this is an
+      // explicit poison marker: every local chain through b for this
+      // target is stale. The marker must cascade even when the cache
+      // already reads infinity — a cache rebuilt after repartitioning
+      // starts blank, yet dependents derived in an earlier
+      // co-location/subscription era may still hold finite values routed
+      // through b.
+      if (portal_rows_.empty()) route_candidates(b, portal_rows_);  // never empty for a portal
+      poison_routed(portal_rows_, b, t, cascade_seeds_);
+      poison_cascade(cascade_seeds_);
+    }
+    if (d != kInfDist && lg_.is_alive(t)) portal_relax_.emplace_back(t, d);
   }
-  if (d != kInfDist && lg_.is_alive(t)) {
-    for (const auto& [x, w] : p.neighbors) {
-      relax(x, t, dist_add(d, w), p.b);
+  if (portal_relax_.empty()) return;
+  for (const auto& [x, w] : lg_.portal_neighbors(b)) {
+    DvRow& row = dv_->row(static_cast<std::size_t>(lg_.row_of(x)));
+    for (const auto& [t, d] : portal_relax_) {
+      // The drain's inline no-op reject (see relax_queued_row).
+      const Dist nd = dist_add(d, w);
+      if (nd >= row.dist(t)) continue;
+      relax_row(row, x, t, nd, b);
     }
   }
 }
@@ -1001,7 +1022,6 @@ void RankEngine::maintain_store() {
 
 void RankEngine::apply_incoming(const std::vector<std::vector<std::byte>>& in) {
   const obs::ScopedSpan span(trace_, "apply_incoming");
-  PortalSink sink;  // one record's portal, resolved once for its entries
   for (Rank q = 0; q < comm_.size(); ++q) {
     if (q == comm_.rank()) continue;
     rt::ByteReader rd(in[static_cast<std::size_t>(q)]);
@@ -1010,13 +1030,15 @@ void RankEngine::apply_incoming(const std::vector<std::vector<std::byte>>& in) {
       // must throw here, not read out of bounds.
       rt::DvRecordReader rec(rd, lg_.n());
       const VertexId b = rec.vid();
-      const bool portal = lg_.is_portal(b);
-      if (portal) reset_sink(sink, b);
+      portal_values_.clear();
       for (std::uint32_t i = 0; i < rec.count(); ++i) {
-        const auto [t, d] = rec.next();
-        if (portal) apply_portal_value(sink, t, d);
+        portal_values_.push_back(rec.next());
       }
-      if (!portal) caches_.erase(b);  // stale sender view; drop leftovers
+      if (lg_.is_portal(b)) {
+        apply_portal_record(b, portal_values_);
+      } else {
+        caches_.erase(b);  // stale sender view; drop leftovers
+      }
     }
   }
 }
@@ -1106,18 +1128,18 @@ void RankEngine::eager_edge_relax(const EdgeAddEvent& e) {
   const std::vector<Dist> row_v = fetch_row(e.v);
 
   // Fold the broadcast rows into the portal caches first, *through the
-  // regular delivery path* (apply_portal_value), exactly as if the owner's
+  // regular delivery path* (apply_portal_record), exactly as if the owner's
   // row had arrived in an exchange: decreases relax the portal's
   // neighbours, increases/poisons cascade. (Silently assigning the cache
   // would make the owner's next dirty-send look like a no-change and
   // suppress the relaxation it is meant to trigger — an early bug.)
   const auto absorb = [&](VertexId vtx, const std::vector<Dist>& row) {
     if (!lg_.is_portal(vtx)) return;
-    PortalSink sink;
-    reset_sink(sink, vtx);
+    portal_values_.clear();
     for (VertexId t = 0; t < row.size(); ++t) {
-      apply_portal_value(sink, t, row[t]);
+      portal_values_.emplace_back(t, row[t]);
     }
+    apply_portal_record(vtx, portal_values_);
   };
   absorb(e.u, row_u);
   absorb(e.v, row_v);
@@ -1222,7 +1244,10 @@ void RankEngine::add_local_row(VertexId v) {
 }
 
 void RankEngine::remove_local_row(std::int32_t row) {
-  dv_->swap_remove(static_cast<std::size_t>(row));
+  const auto r = static_cast<std::size_t>(row);
+  // A queued row is hot: queueing promotes it and only maintain() demotes.
+  if (dv_->is_hot(r)) queued_entries_ -= dv_->row(r).queued_count();
+  dv_->swap_remove(r);
 }
 
 void RankEngine::apply_vertex_batch(const std::vector<VertexAddEvent>& batch) {
@@ -1230,8 +1255,9 @@ void RankEngine::apply_vertex_batch(const std::vector<VertexAddEvent>& batch) {
     // No drain here: repairing a poisoned entry back to a finite value
     // before the poison barrier inside apply_repartition has broadcast its
     // infinity marker would hide the invalidation from remote dependents.
-    // Stale worklist/repair entries survive the migration harmlessly —
-    // they resolve by global vertex id and skip rows that moved away.
+    // Stale repair entries survive the migration harmlessly — they resolve
+    // by global vertex id and skip rows that moved away; the row rebuild
+    // drops the queued columns and re-queues every finite entry.
     apply_repartition(batch);
     return;
   }
@@ -1433,10 +1459,7 @@ void RankEngine::apply_repartition(const std::vector<VertexAddEvent>& batch) {
       DvRow& row = dv_->row(r);
       const VertexId u = lg_.vertex_of(r);
       for (VertexId t = 0; t < row.size(); ++t) {
-        if (row.dist(t) != kInfDist && !row.test_flag(t, DvRow::kQueued)) {
-          row.set_flag(t, DvRow::kQueued);
-          worklist_.emplace_back(u, t);
-        }
+        if (row.dist(t) != kInfDist) enqueue(row, u, t);
       }
     }
   }

@@ -6,7 +6,8 @@
 //   * one DvRow per local vertex (distances + next hops to all vertices),
 //   * portal caches: the latest received distance rows of external boundary
 //     vertices,
-//   * the relaxation worklist and the poison/repair queues.
+//   * the FIFO queue of rows with columns awaiting relaxation, and the
+//     poison/repair queues.
 //
 // Protocol invariant (what makes dynamic deletions sound at any RC step):
 // every finite entry satisfies  d[x][t] >= w(x, nh) + d[nh][t]  where nh is
@@ -147,8 +148,14 @@ class RankEngine {
   void relax(VertexId x, VertexId t, Dist nd, VertexId nh);
   /// relax() past its liveness check, on x's already fetched row `row`.
   void relax_row(DvRow& row, VertexId x, VertexId t, Dist nd, VertexId nh);
+  /// Queues column t of x's row `row` for relaxation through x's local
+  /// neighbours; the row joins the row queue when t is its first column.
+  void enqueue(DvRow& row, VertexId x, VertexId t);
+  /// Repairs first, then rows in FIFO order, until both queues are empty.
   void drain();
-  void propagate(VertexId x, VertexId t);
+  /// Takes x's queued columns and relaxes each local neighbour's row over
+  /// all of them in one pass.
+  void relax_queued_row(VertexId x);
   void repair(VertexId x, VertexId t);
   /// Transitively invalidates every local entry whose next-hop chain passes
   /// through a seed; seeds are (vertex, target) pairs already known bad.
@@ -167,18 +174,15 @@ class RankEngine {
                     std::deque<std::pair<VertexId, VertexId>>& queue);
 
   // ---- portal cache ----
-  /// A portal resolved once for a run of values from its owner: its local
-  /// neighbours, its cache (created by the first value, as cache_of does)
-  /// and its cascade candidate rows (computed by the first poison).
-  struct PortalSink {
-    VertexId b = kNoVertex;
-    std::span<const std::pair<VertexId, Weight>> neighbors;
-    std::vector<Dist>* cache = nullptr;
-    std::vector<std::size_t> rows;
-  };
-  void reset_sink(PortalSink& p, VertexId b) const;
   std::vector<Dist>& cache_of(VertexId portal);
-  void apply_portal_value(PortalSink& p, VertexId t, Dist d);
+  /// Applies one record of portal b's values (each column at most once):
+  /// column by column, updates the cache and cascades increases and poison
+  /// markers; then relaxes each of b's local neighbour rows over the
+  /// record's changed finite values in one pass. Deferring the relaxations
+  /// to the record's end is exact: a cascade for column t writes only
+  /// column t.
+  void apply_portal_record(VertexId b,
+                           std::span<const std::pair<VertexId, Dist>> values);
 
   // ---- RC step pieces ----
   /// One send round (collective): every dirty row's entries — only its
@@ -255,7 +259,7 @@ class RankEngine {
   // ---- tiered-store residency (dv_store.hpp) ----
   /// End-of-step residency pass: rebuilds the boundary-row flag vector and
   /// lets the store demote settled rows back under budget. Called only when
-  /// the worklist and repair queues are empty (no kQueued flag may survive
+  /// the row and repair queues are empty (no kQueued flag may survive
   /// demotion).
   void maintain_store();
 
@@ -277,10 +281,12 @@ class RankEngine {
 
   // ---- ownership rebuild (construction, restore, adoption, repartition) ----
   /// Empties the store and installs a fresh row per local vertex of lg_,
-  /// at its LocalGraph row index; zeroes the dirty count.
+  /// at its LocalGraph row index; zeroes the dirty and queued counts and
+  /// empties the row queue.
   void reset_rows();
-  /// Puts a rebuilt row at its vertex's row index (which must be local)
-  /// and counts its dirty entries. Returns the index.
+  /// Puts a rebuilt row at its vertex's row index (which must be local),
+  /// counts its dirty and queued entries, and queues it if it has queued
+  /// columns. Returns the index.
   std::size_t place_row(DvRow&& row);
   /// Marks every finite entry of each row with subscribers dirty, so
   /// rewired subscriptions repopulate.
@@ -312,8 +318,9 @@ class RankEngine {
   /// otherwise). All row access goes through this store.
   std::unique_ptr<DvStore> dv_;
   std::unordered_map<VertexId, std::vector<Dist>> caches_;
-  std::deque<std::pair<VertexId, VertexId>> worklist_;  // (vertex, target)
+  std::deque<VertexId> row_queue_;  // rows with queued columns, FIFO
   std::deque<std::pair<VertexId, VertexId>> repairs_;
+  std::uint64_t queued_entries_ = 0;  // Σ queued columns over local rows
   std::uint64_t dirty_entries_ = 0;   // pending un-sent changes
   std::uint64_t vertices_added_ = 0;  // round-robin cursor (globally consistent)
   bool poison_pending_ = false;       // new poisons since the last sync round
@@ -334,10 +341,19 @@ class RankEngine {
   std::vector<std::pair<VertexId, Dist>> exch_entries_;
   rt::ByteWriter exch_record_;
   std::vector<std::pair<std::size_t, VertexId>> exch_markers_;
-  /// poison_cascade() candidate rows and the seed queue apply_portal_value
-  /// hands it.
+  /// poison_cascade() candidate rows and the seed queue
+  /// apply_portal_record hands it.
   std::vector<std::size_t> cascade_rows_;
   std::deque<std::pair<VertexId, VertexId>> cascade_seeds_;
+  /// Drain scratch: one popped row's queued columns and their distances.
+  std::vector<VertexId> drain_cols_;
+  std::vector<std::pair<VertexId, Dist>> drain_entries_;
+  /// apply_portal_record scratch: the decoded record, the portal's cascade
+  /// candidate rows (computed by the record's first poison) and the finite
+  /// values its neighbour rows relax over.
+  std::vector<std::pair<VertexId, Dist>> portal_values_;
+  std::vector<std::size_t> portal_rows_;
+  std::vector<std::pair<VertexId, Dist>> portal_relax_;
   /// Reusable boundary-flag vector maintain_store hands to
   /// DvStore::maintain.
   std::vector<std::uint8_t> boundary_flags_;

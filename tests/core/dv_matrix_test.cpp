@@ -55,11 +55,14 @@ TEST(DvRow, DirtyFlagCounting) {
 
 TEST(DvRow, QueuedFlagIndependentOfDirty) {
   DvRow row(0, 3);
-  row.set_flag(1, DvRow::kQueued);
+  EXPECT_TRUE(row.mark_queued(1));
   EXPECT_TRUE(row.test_flag(1, DvRow::kQueued));
   EXPECT_FALSE(row.test_flag(1, DvRow::kDirty));
   (void)row.mark_dirty(1);
-  row.clear_flag(1, DvRow::kQueued);
+  std::vector<VertexId> taken;
+  row.take_queued(taken);
+  EXPECT_EQ(taken, std::vector<VertexId>{1});
+  EXPECT_FALSE(row.test_flag(1, DvRow::kQueued));
   EXPECT_TRUE(row.test_flag(1, DvRow::kDirty));
   EXPECT_EQ(row.dirty_count(), 1u);
 }
@@ -337,11 +340,140 @@ TEST(DvRow, ResetFlagsClearsEverything) {
   DvRow row(0, 4);
   (void)row.mark_dirty(1);
   (void)row.mark_dirty(2);
-  row.set_flag(3, DvRow::kQueued);
+  (void)row.mark_queued(3);
   row.reset_flags();
   EXPECT_EQ(row.dirty_count(), 0u);
+  EXPECT_EQ(row.queued_count(), 0u);
   EXPECT_FALSE(row.test_flag(1, DvRow::kDirty));
   EXPECT_FALSE(row.test_flag(3, DvRow::kQueued));
+}
+
+/// Brute-force model of a row's relaxation queue: the queued set, and the
+/// queue list — queueing order until an append finds it at its cap (the row
+/// width / kScanDensityInverse at the time), overflowed after that until a
+/// take or reset.
+struct QueueModel {
+  std::vector<bool> queued;
+  std::vector<VertexId> order;
+  bool overflowed = false;
+
+  explicit QueueModel(VertexId n) : queued(n, false) {}
+  bool mark(VertexId t) {
+    if (queued[t]) return false;
+    queued[t] = true;
+    if (!overflowed) {
+      if (order.size() >= queued.size() / DvRow::kScanDensityInverse) {
+        overflowed = true;
+        order.clear();
+      } else {
+        order.push_back(t);
+      }
+    }
+    return true;
+  }
+  /// What take_queued must return: queueing order while the list holds
+  /// every column, else ascending.
+  std::vector<VertexId> take() {
+    std::vector<VertexId> want = order;
+    if (overflowed) {
+      for (VertexId t = 0; t < queued.size(); ++t) {
+        if (queued[t]) want.push_back(t);
+      }
+    }
+    reset();
+    return want;
+  }
+  void reset() {
+    std::fill(queued.begin(), queued.end(), false);
+    order.clear();
+    overflowed = false;
+  }
+  void grow(VertexId count) { queued.insert(queued.end(), count, false); }
+  [[nodiscard]] std::size_t count() const {
+    return static_cast<std::size_t>(
+        std::count(queued.begin(), queued.end(), true));
+  }
+};
+
+void expect_queue_matches(const DvRow& row, const QueueModel& model) {
+  ASSERT_EQ(row.queued_count(), model.count());
+  for (VertexId t = 0; t < row.size(); ++t) {
+    ASSERT_EQ(row.test_flag(t, DvRow::kQueued), bool{model.queued[t]}) << t;
+  }
+}
+
+// Fuzz: mark_queued/take_queued against the model, below the list cap and
+// across it, with re-marks after a take, resets while columns are queued,
+// and grows that move the cap (also while the list is overflowed). Column
+// pools of 3 and 20 keep the queue under the cap; the full width crosses
+// it.
+TEST(DvRow, FuzzRowQueueMatchesBruteForce) {
+  std::mt19937 rng(20261019);
+  std::vector<VertexId> taken;
+  for (int round = 0; round < 30; ++round) {
+    VertexId n = round % 2 == 0 ? 300 : 1000 + 13;
+    const VertexId pool = round % 3 == 0 ? 3 : round % 3 == 1 ? 20 : n;
+    DvRow row(5, n);
+    QueueModel model(n);
+    for (int step = 0; step < 600; ++step) {
+      const auto op = rng() % 100;
+      const auto t = static_cast<VertexId>(rng() % std::min(pool, n));
+      if (op < 80) {
+        ASSERT_EQ(row.mark_queued(t), model.mark(t)) << t;
+      } else if (op < 93) {
+        row.take_queued(taken);
+        ASSERT_EQ(taken, model.take());
+      } else if (op < 96) {
+        row.reset_flags();
+        model.reset();
+      } else {
+        const auto added = static_cast<VertexId>(1 + rng() % 200);
+        row.grow(added);
+        model.grow(added);
+        n += added;
+      }
+      expect_queue_matches(row, model);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(DvRow, RowQueueTakesInOrderUnderCapAscendingPastIt) {
+  DvRow row(0, 128);  // cap: 2 ids
+  std::vector<VertexId> taken;
+  EXPECT_TRUE(row.mark_queued(9));
+  EXPECT_TRUE(row.mark_queued(4));
+  EXPECT_FALSE(row.mark_queued(9));  // already queued: no second id
+  EXPECT_EQ(row.queued_count(), 2u);
+  row.take_queued(taken);
+  EXPECT_EQ(taken, (std::vector<VertexId>{9, 4}));  // queueing order
+  EXPECT_EQ(row.queued_count(), 0u);
+  row.take_queued(taken);
+  EXPECT_TRUE(taken.empty());
+
+  // Re-marking after a take queues the column again.
+  EXPECT_TRUE(row.mark_queued(9));
+  EXPECT_TRUE(row.mark_queued(4));
+  EXPECT_TRUE(row.mark_queued(1));  // third append crosses the cap
+  row.take_queued(taken);
+  EXPECT_EQ(taken, (std::vector<VertexId>{1, 4, 9}));  // flag scan
+  for (const VertexId t : {1u, 4u, 9u}) {
+    EXPECT_FALSE(row.test_flag(t, DvRow::kQueued));
+  }
+
+  // A reset drops queued columns and the overflow.
+  for (const VertexId t : {7u, 3u, 5u}) EXPECT_TRUE(row.mark_queued(t));
+  row.reset_flags();
+  EXPECT_EQ(row.queued_count(), 0u);
+  EXPECT_TRUE(row.mark_queued(3));
+  row.take_queued(taken);
+  EXPECT_EQ(taken, std::vector<VertexId>{3});
+
+  // Growing the row raises the cap to 4.
+  row.grow(128);
+  for (const VertexId t : {200u, 6u, 2u, 100u}) EXPECT_TRUE(row.mark_queued(t));
+  row.take_queued(taken);
+  EXPECT_EQ(taken, (std::vector<VertexId>{200, 6, 2, 100}));
 }
 
 }  // namespace

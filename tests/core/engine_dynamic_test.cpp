@@ -446,12 +446,12 @@ TEST(PoisonCascade, CrossRankSequenceIsPinned) {
     std::uint64_t messages;
     std::uint64_t bytes;
   };
-  // Recorded from the whole-store sweep the cascade replaced; residency
-  // must not move them either.
+  // Recorded when the drain began relaxing whole rows (the poison
+  // sequence is the whole-store sweep's); residency must not move them.
   const Ledger pinned[] = {
-      {2, 8595, 8595, 39932, 124, 125546},
-      {3, 8248, 8248, 56118, 308, 208320},
-      {4, 8042, 8042, 56857, 528, 280604},
+      {2, 8595, 8595, 39936, 124, 125572},
+      {3, 8248, 8248, 56150, 308, 208308},
+      {4, 8042, 8042, 56997, 528, 280599},
   };
   const Graph g = make_ba(160, 3, 29, WeightRange{1, 4});
   for (const Ledger& want : pinned) {
@@ -488,8 +488,7 @@ TEST(PoisonCascade, CrossRankSequenceIsPinned) {
 // blob must keep its answer and its work: Repartition-S, a rebalance, the
 // adopt/rollback/degrade restarts after a step-top or mid-exchange death,
 // and a checkpoint resume, each under both DV stores. The counters were
-// recorded while the exchange and the poison-barrier round still had
-// separate send paths.
+// recorded when the drain began relaxing whole rows.
 struct RunLedger {
   std::uint64_t relaxations = 0;
   std::uint64_t poisons = 0;
@@ -567,22 +566,22 @@ TEST(RebuildPaths, LedgersArePinned) {
   const Crash crashes[] = {
       {"adopt step-start", RecoveryPolicy::kAdopt,
        rt::CrashPhase::kStepStart, 2,
-       {10063, 352, 3480, 401, 121950}},
+       {10101, 353, 3481, 401, 121983}},
       {"adopt mid-exchange", RecoveryPolicy::kAdopt,
        rt::CrashPhase::kMidExchange, 3,
-       {16469, 4138, 7617, 409, 159998}},
+       {16714, 4137, 7615, 409, 160028}},
       {"rollback step-start", RecoveryPolicy::kRollback,
        rt::CrashPhase::kStepStart, 2,
-       {5698, 240, 240, 401, 105876}},
+       {5752, 241, 241, 401, 105919}},
       {"rollback mid-exchange", RecoveryPolicy::kRollback,
        rt::CrashPhase::kMidExchange, 3,
-       {3750, 240, 240, 412, 104995}},
+       {3821, 241, 241, 412, 105048}},
       {"degrade step-start", RecoveryPolicy::kDegrade,
        rt::CrashPhase::kStepStart, 2,
-       {6361, 2633, 2710, 455, 111770}},
+       {6374, 2633, 2710, 455, 111788}},
       {"degrade mid-exchange", RecoveryPolicy::kDegrade,
        rt::CrashPhase::kMidExchange, 3,
-       {4360, 2471, 2591, 385, 112349}},
+       {4398, 2470, 2589, 385, 112373}},
   };
 
   for (const std::uint64_t budget : {std::uint64_t{0}, kMinDvBudgetBytes}) {
@@ -603,7 +602,7 @@ TEST(RebuildPaths, LedgersArePinned) {
       ccfg.assign = AssignStrategy::kRepartition;
       AnytimeEngine engine(g, ccfg);
       const RunResult r = engine.run(sched);
-      check("repartition", {19555, 635, 635, 438, 327222}, RunLedger{} += r,
+      check("repartition", {19756, 639, 639, 438, 327252}, RunLedger{} += r,
             r, &truth);
     }
     {
@@ -612,7 +611,7 @@ TEST(RebuildPaths, LedgersArePinned) {
       ccfg.rebalance_threshold = 1.3;
       AnytimeEngine engine(g, ccfg);
       const RunResult r = engine.run(slab);
-      check("rebalance", {18528, 3349, 3349, 306, 124621}, RunLedger{} += r,
+      check("rebalance", {18694, 3348, 3348, 306, 124613}, RunLedger{} += r,
             r, &slab_truth);
     }
     for (const Crash& c : crashes) {
@@ -634,7 +633,7 @@ TEST(RebuildPaths, LedgersArePinned) {
       ASSERT_TRUE(interim.checkpoint.valid());
       AnytimeEngine resumed(g, interim.checkpoint, ccfg);
       const RunResult r = resumed.run(sched);
-      check("checkpoint resume", {19540, 659, 659, 390, 94955},
+      check("checkpoint resume", {19684, 663, 663, 390, 94998},
             (RunLedger{} += interim) += r, r, &truth);
     }
   }
