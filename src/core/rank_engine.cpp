@@ -690,7 +690,9 @@ void RankEngine::relax_queued_row(VertexId x) {
   drain_entries_.clear();
   for (const VertexId t : drain_cols_) {
     const Dist base = row.dist(t);
-    if (base != kInfDist && lg_.is_alive(t)) drain_entries_.emplace_back(t, base);
+    if (base != kInfDist && lg_.is_alive(t)) {
+      drain_entries_.emplace_back(t, base);
+    }
   }
   if (drain_entries_.empty()) return;
   for (const Edge& e : lg_.adj(static_cast<std::size_t>(ri))) {
@@ -889,7 +891,8 @@ void RankEngine::apply_portal_record(
       // starts blank, yet dependents derived in an earlier
       // co-location/subscription era may still hold finite values routed
       // through b.
-      if (portal_rows_.empty()) route_candidates(b, portal_rows_);  // never empty for a portal
+      // A portal always has candidate rows, so an empty list is unset.
+      if (portal_rows_.empty()) route_candidates(b, portal_rows_);
       poison_routed(portal_rows_, b, t, cascade_seeds_);
       poison_cascade(cascade_seeds_);
     }

@@ -256,9 +256,12 @@ TEST(EngineDynamic, RandomizedMixedScheduleFuzz) {
       truth.set_weight(u, v, nw);
       b.events.emplace_back(WeightChangeEvent{u, v, nw});
     }
+    const auto pick = [&] {
+      return static_cast<VertexId>(rng.next_below(truth.num_vertices()));
+    };
     for (int i = 0; i < 3; ++i) {
-      const auto u = static_cast<VertexId>(rng.next_below(truth.num_vertices()));
-      const auto v = static_cast<VertexId>(rng.next_below(truth.num_vertices()));
+      const VertexId u = pick();
+      const VertexId v = pick();
       if (u == v || !truth.is_alive(u) || !truth.is_alive(v) ||
           truth.has_edge(u, v)) {
         continue;
@@ -268,7 +271,7 @@ TEST(EngineDynamic, RandomizedMixedScheduleFuzz) {
       b.events.emplace_back(EdgeAddEvent{u, v, w});
     }
     for (int i = 0; i < 2; ++i) {
-      const auto v = static_cast<VertexId>(rng.next_below(truth.num_vertices()));
+      const VertexId v = pick();
       if (!truth.is_alive(v)) continue;
       truth.remove_vertex(v);
       b.events.emplace_back(VertexDeleteEvent{v});
@@ -277,7 +280,8 @@ TEST(EngineDynamic, RandomizedMixedScheduleFuzz) {
 
     std::size_t lattice_case = 0;
     for (const std::uint64_t budget : {std::uint64_t{0}, kMinDvBudgetBytes}) {
-      for (const EdgeAddMode mode : {EdgeAddMode::kSeeded, EdgeAddMode::kEager}) {
+      for (const EdgeAddMode mode :
+           {EdgeAddMode::kSeeded, EdgeAddMode::kEager}) {
         for (const AssignStrategy assign :
              {AssignStrategy::kRoundRobin, AssignStrategy::kRepartition}) {
           const auto P = static_cast<Rank>(2 + (seed + lattice_case++) % 3);
