@@ -106,7 +106,7 @@ EventSchedule settled_majority_schedule(const Graph& g) {
     EventBatch batch;
     batch.at_step = 4 + 2 * b;  // well past initial convergence
     if (work.has_edge(u, v)) {
-      batch.events.push_back(EdgeDeleteEvent{u, v});
+      batch.events.emplace_back(EdgeDeleteEvent{u, v});
       work.remove_edge(u, v);
     } else {
       batch.events.push_back(EdgeAddEvent{u, v, 1});

@@ -55,7 +55,7 @@ void feed_churn(serve::EngineSession& session, const Graph& g, VertexId n,
       if (u == v) continue;
       const auto key = std::make_pair(std::min(u, v), std::max(u, v));
       if (!present.insert(key).second) continue;
-      batch.push_back(EdgeAddEvent{u, v, 1});
+      batch.emplace_back(EdgeAddEvent{u, v, 1});
     }
     try {
       session.ingest(std::move(batch));

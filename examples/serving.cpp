@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
         if (u == v) continue;
         const auto key = std::make_pair(std::min(u, v), std::max(u, v));
         if (!present.insert(key).second) continue;
-        batch.push_back(EdgeAddEvent{u, v, 1});
+        batch.emplace_back(EdgeAddEvent{u, v, 1});
       }
       session.ingest(std::move(batch));
     }

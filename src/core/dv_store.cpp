@@ -61,7 +61,7 @@ class ColdRowWriter {
   bool first_ = true;
 };
 
-/// install_ia on a dense row: the settle-order set/mark_dirty replay.
+/// install_ia on a dense row: the discovery-order set/mark_dirty replay.
 VertexId replay_ia(DvRow& r, VertexId src, const std::vector<VertexId>& touched,
                    const std::vector<Dist>& dist,
                    const std::vector<VertexId>& hop) {

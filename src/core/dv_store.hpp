@@ -327,12 +327,13 @@ class DvStore {
   void shrink_all();
 
   /// Installs the IA sweep result for row i (a fresh row: self entry only).
-  /// `touched` holds the reached vertices in Dijkstra settle order
-  /// (possibly including src, which is skipped); dist/hop are the scratch
-  /// arrays indexed by vertex id. Returns the number of entries marked
-  /// dirty. The resident store replays the settle-order set/mark_dirty
-  /// sequence on the dense row; the tiered store sorts and encodes the
-  /// cold form directly, never materializing O(n) state.
+  /// `touched` holds the reached vertices in Dijkstra discovery order (the
+  /// order of their first finite distance, possibly including src, which
+  /// is skipped); dist/hop are the scratch arrays indexed by vertex id.
+  /// Returns the number of entries marked dirty. The resident store replays
+  /// the discovery-order set/mark_dirty sequence on the dense row; the
+  /// tiered store sorts and encodes the cold form directly, never
+  /// materializing O(n) state.
   virtual VertexId install_ia(std::size_t i, VertexId src,
                               const std::vector<VertexId>& touched,
                               const std::vector<Dist>& dist,

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <ctime>
 #include <numeric>
-#include <queue>
 #include <sstream>
 #include <thread>
 #include <unordered_set>
@@ -15,6 +14,7 @@
 #include "analysis/closeness.hpp"
 #include "analysis/quality.hpp"
 #include "common/parallel.hpp"
+#include "common/radix_heap.hpp"
 #include "common/timer.hpp"
 #include "core/strategies.hpp"
 #include "partition/multilevel.hpp"
@@ -32,12 +32,6 @@ double thread_cpu_now() {
 
 // Checkpoint blob magic/version constants live in core/checkpoint.hpp
 // (shared with validate_checkpoint).
-
-struct HeapItem {
-  Dist d;
-  VertexId v;
-  friend bool operator>(const HeapItem& a, const HeapItem& b) { return a.d > b.d; }
-};
 
 // The progress gather record: every per-rank event field (and a kMaxRank
 // partner) in catalog order.
@@ -520,18 +514,26 @@ void RankEngine::adopt_shards(const Adopt& adopt) {
 
 // --------------------------------------------------------------------- IA
 
-void RankEngine::ia_source(std::size_t r, std::vector<Dist>& dist,
-                           std::vector<VertexId>& hop,
-                           std::vector<VertexId>& touched,
+struct RankEngine::IaScratch {
+  explicit IaScratch(VertexId n) : dist(n, kInfDist), hop(n, kNoVertex) {
+    touched.reserve(n);
+  }
+  std::vector<Dist> dist;
+  std::vector<VertexId> hop;
+  std::vector<VertexId> touched;  ///< reached vertices, in discovery order
+  RadixHeap heap;
+};
+
+void RankEngine::ia_source(std::size_t r, IaScratch& scratch,
                            std::uint64_t& dirty_added) {
+  auto& [dist, hop, touched, heap] = scratch;
   const VertexId src = lg_.vertex_of(r);
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> pq;
   dist[src] = 0;
   touched.push_back(src);
-  pq.push({0, src});
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
+  heap.clear();
+  heap.push(0, src);
+  while (!heap.empty()) {
+    const auto [d, u] = heap.pop();
     if (d != dist[u]) continue;
     // Portals are reachable leaves: they get a distance but are not
     // expanded (paths *through* an external boundary vertex are
@@ -541,11 +543,18 @@ void RankEngine::ia_source(std::size_t r, std::vector<Dist>& dist,
     if (urow < 0) continue;
     for (const Edge& e : lg_.adj(static_cast<std::size_t>(urow))) {
       const Dist nd = dist_add(d, e.w);
+      const VertexId h = (u == src) ? e.to : hop[u];
       if (nd < dist[e.to]) {
         if (dist[e.to] == kInfDist) touched.push_back(e.to);
         dist[e.to] = nd;
-        hop[e.to] = (u == src) ? e.to : hop[u];
-        pq.push({nd, e.to});
+        hop[e.to] = h;
+        heap.push(nd, e.to);
+      } else if (nd == dist[e.to] && h > hop[e.to]) {
+        // Among equal-cost local shortest paths keep the largest first hop,
+        // so rows do not depend on the queue's order among equal keys.
+        // Weights are >= 1, so every equal-cost predecessor of e.to is
+        // expanded before e.to and its hop is final when it is read.
+        hop[e.to] = h;
       }
     }
   }
@@ -573,16 +582,19 @@ void RankEngine::run_ia() {
   const VertexId n = lg_.n();
 
   // The paper runs a multithreaded Dijkstra here (its MPI+OpenMP hybrid:
-  // O(n_p * m_p log n_p / T) per rank). Sources are disjoint rows, so they
-  // fan out across an intra-rank pool with per-thread scratch; each row is
-  // written by exactly one worker and per-row dirty counters merge in row
-  // order afterwards, so rows, counters and ledgers are bit-identical to
-  // the serial path for any thread count.
+  // O(n_p * m_p log n_p / T) per rank; the radix heap makes it
+  // O(n_p * (m_p + n_p log C) / T), C the largest weight). Sources are
+  // disjoint rows, so they fan out across an intra-rank pool with
+  // per-thread scratch; each row is written by exactly one worker and
+  // per-row dirty counters merge in row order afterwards, so rows, counters
+  // and ledgers are bit-identical to the serial path for any thread count.
   std::vector<std::uint64_t> dirty_added(dv_->size(), 0);
   std::atomic<std::size_t> cursor{0};
   constexpr std::size_t kChunk = 8;
   const std::size_t threads = std::min(ia_thread_count(), dv_->size());
+  std::vector<double> worker_cpu(std::max<std::size_t>(threads, 1), 0.0);
   run_workers(threads, [&](std::size_t w) {
+    const double cpu0 = thread_cpu_now();
     // One span per worker on its shard subtrack (chunk assignment races,
     // but a single begin/end pair per worker stays deterministic).
     const obs::ScopedSpan wspan(
@@ -590,20 +602,22 @@ void RankEngine::run_ia() {
         "ia_shard");
     // Scratch reused across this worker's sources; `touched` resets only
     // what a source actually visited.
-    std::vector<Dist> dist(n, kInfDist);
-    std::vector<VertexId> hop(n, kNoVertex);
-    std::vector<VertexId> touched;
-    touched.reserve(n);
+    IaScratch scratch(n);
     for (;;) {
       const std::size_t begin =
           cursor.fetch_add(kChunk, std::memory_order_relaxed);
       if (begin >= dv_->size()) break;
       const std::size_t end = std::min(begin + kChunk, dv_->size());
       for (std::size_t r = begin; r < end; ++r) {
-        ia_source(r, dist, hop, touched, dirty_added[r]);
+        ia_source(r, scratch, dirty_added[r]);
       }
     }
+    worker_cpu[w] = thread_cpu_now() - cpu0;
   });
+  // Worker 0 is this rank thread, whose clock the phase ledger already
+  // reads; the pool threads' CPU is charged to the ia phase explicitly.
+  comm_.charge_cpu(
+      std::accumulate(worker_cpu.begin() + 1, worker_cpu.end(), 0.0));
   for (const std::uint64_t d : dirty_added) dirty_entries_ += d;
   if (metrics_ != nullptr) {
     std::uint64_t total = 0;

@@ -263,10 +263,11 @@ class RankEngine {
   /// demotion).
   void maintain_store();
 
-  /// One IA Dijkstra source (row r) using caller-owned scratch buffers;
-  /// `dirty_added` receives the row's newly-dirty entry count.
-  void ia_source(std::size_t r, std::vector<Dist>& dist,
-                 std::vector<VertexId>& hop, std::vector<VertexId>& touched,
+  /// One IA worker's scratch, reused across its sources (rank_engine.cpp).
+  struct IaScratch;
+  /// One IA Dijkstra source (row r) using a worker's scratch; `dirty_added`
+  /// receives the row's newly-dirty entry count.
+  void ia_source(std::size_t r, IaScratch& scratch,
                  std::uint64_t& dirty_added);
   [[nodiscard]] std::size_t ia_thread_count() const;
 

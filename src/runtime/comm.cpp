@@ -218,6 +218,8 @@ void Comm::set_phase(const std::string& phase) {
   phase_ = phase;
 }
 
+void Comm::charge_cpu(double seconds) { ledger_.cpu_seconds[phase_] += seconds; }
+
 void Comm::log_message(OpKind kind, Rank dst, std::uint64_t bytes,
                        std::uint32_t op_id) {
   world_->append_log(MsgRecord{op_id, kind, rank_, dst, bytes});

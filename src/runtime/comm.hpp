@@ -226,6 +226,9 @@ class Comm {
   /// Switches the CPU-accounting phase label; time since the last boundary
   /// is charged to the previous phase.
   void set_phase(const std::string& phase);
+  /// Charges CPU seconds spent on this rank's behalf by other threads (an
+  /// intra-rank worker pool) to the current phase.
+  void charge_cpu(double seconds);
 
   [[nodiscard]] const RankLedger& ledger() const { return ledger_; }
 

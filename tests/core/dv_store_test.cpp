@@ -318,7 +318,7 @@ EventSchedule dynamic_schedule(const Graph& g, std::uint64_t seed) {
   for (int i = 0; i < 4; ++i) {
     const auto& [u, v, w] = edges[rng.next_below(edges.size())];
     (void)w;
-    b1.events.push_back(EdgeDeleteEvent{u, v});
+    b1.events.emplace_back(EdgeDeleteEvent{u, v});
   }
   sched.push_back(std::move(b1));
   EventBatch b2;

@@ -450,12 +450,13 @@ TEST(PoisonCascade, CrossRankSequenceIsPinned) {
     std::uint64_t messages;
     std::uint64_t bytes;
   };
-  // Recorded when the drain began relaxing whole rows (the poison
-  // sequence is the whole-store sweep's); residency must not move them.
+  // Recorded when IA began keeping the largest first hop among equal-cost
+  // local paths (the poison sequence is the whole-store sweep's over the
+  // row-batched drain); residency must not move them.
   const Ledger pinned[] = {
-      {2, 8595, 8595, 39936, 124, 125572},
-      {3, 8248, 8248, 56150, 308, 208308},
-      {4, 8042, 8042, 56997, 528, 280599},
+      {2, 8520, 8520, 39815, 124, 125203},
+      {3, 8217, 8217, 56081, 308, 208026},
+      {4, 8029, 8029, 56978, 528, 280452},
   };
   const Graph g = make_ba(160, 3, 29, WeightRange{1, 4});
   for (const Ledger& want : pinned) {
@@ -492,7 +493,8 @@ TEST(PoisonCascade, CrossRankSequenceIsPinned) {
 // blob must keep its answer and its work: Repartition-S, a rebalance, the
 // adopt/rollback/degrade restarts after a step-top or mid-exchange death,
 // and a checkpoint resume, each under both DV stores. The counters were
-// recorded when the drain began relaxing whole rows.
+// recorded when IA began keeping the largest first hop among equal-cost
+// local paths.
 struct RunLedger {
   std::uint64_t relaxations = 0;
   std::uint64_t poisons = 0;
@@ -570,22 +572,22 @@ TEST(RebuildPaths, LedgersArePinned) {
   const Crash crashes[] = {
       {"adopt step-start", RecoveryPolicy::kAdopt,
        rt::CrashPhase::kStepStart, 2,
-       {10101, 353, 3481, 401, 121983}},
+       {10106, 354, 3482, 401, 122095}},
       {"adopt mid-exchange", RecoveryPolicy::kAdopt,
        rt::CrashPhase::kMidExchange, 3,
-       {16714, 4137, 7615, 409, 160028}},
+       {16714, 4136, 7614, 409, 160140}},
       {"rollback step-start", RecoveryPolicy::kRollback,
        rt::CrashPhase::kStepStart, 2,
-       {5752, 241, 241, 401, 105919}},
+       {5759, 240, 240, 401, 106069}},
       {"rollback mid-exchange", RecoveryPolicy::kRollback,
        rt::CrashPhase::kMidExchange, 3,
-       {3821, 241, 241, 412, 105048}},
+       {3823, 240, 240, 412, 105186}},
       {"degrade step-start", RecoveryPolicy::kDegrade,
        rt::CrashPhase::kStepStart, 2,
-       {6374, 2633, 2710, 455, 111788}},
+       {6378, 2634, 2711, 455, 111922}},
       {"degrade mid-exchange", RecoveryPolicy::kDegrade,
        rt::CrashPhase::kMidExchange, 3,
-       {4398, 2470, 2589, 385, 112373}},
+       {4397, 2469, 2588, 385, 112481}},
   };
 
   for (const std::uint64_t budget : {std::uint64_t{0}, kMinDvBudgetBytes}) {
@@ -606,7 +608,7 @@ TEST(RebuildPaths, LedgersArePinned) {
       ccfg.assign = AssignStrategy::kRepartition;
       AnytimeEngine engine(g, ccfg);
       const RunResult r = engine.run(sched);
-      check("repartition", {19756, 639, 639, 438, 327252}, RunLedger{} += r,
+      check("repartition", {19785, 648, 648, 438, 327360}, RunLedger{} += r,
             r, &truth);
     }
     {
@@ -615,7 +617,7 @@ TEST(RebuildPaths, LedgersArePinned) {
       ccfg.rebalance_threshold = 1.3;
       AnytimeEngine engine(g, ccfg);
       const RunResult r = engine.run(slab);
-      check("rebalance", {18694, 3348, 3348, 306, 124613}, RunLedger{} += r,
+      check("rebalance", {18693, 3339, 3339, 306, 124599}, RunLedger{} += r,
             r, &slab_truth);
     }
     for (const Crash& c : crashes) {
@@ -637,7 +639,7 @@ TEST(RebuildPaths, LedgersArePinned) {
       ASSERT_TRUE(interim.checkpoint.valid());
       AnytimeEngine resumed(g, interim.checkpoint, ccfg);
       const RunResult r = resumed.run(sched);
-      check("checkpoint resume", {19684, 663, 663, 390, 94998},
+      check("checkpoint resume", {19700, 671, 671, 390, 95124},
             (RunLedger{} += interim) += r, r, &truth);
     }
   }

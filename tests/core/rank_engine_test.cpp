@@ -1,10 +1,13 @@
-// RankEngine in isolation (driven directly on a World): IA correctness
-// against local Dijkstra semantics, invariant auditing, and state
+// RankEngine in isolation (driven directly on a World): IA rows against a
+// canonical local Dijkstra, invariant auditing, and state
 // serialization round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/shortest_paths.hpp"
 #include "core/rank_engine.hpp"
+#include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "partition/partition.hpp"
 #include "runtime/comm.hpp"
@@ -20,9 +23,10 @@ struct Fixture {
   EngineConfig cfg;
 };
 
-Fixture make_fixture(VertexId n, Rank P, std::uint64_t seed) {
+Fixture make_fixture(VertexId n, Rank P, std::uint64_t seed,
+                     WeightRange wr = {1, 4}) {
   Fixture f;
-  f.g = test::make_er(n, n * 3, seed, WeightRange{1, 4});
+  f.g = test::make_er(n, n * 3, seed, wr);
   Rng rng(seed);
   f.part = partition_graph(f.g, P, PartitionerKind::kMultilevel, rng);
   f.edges = f.g.edges();
@@ -69,6 +73,102 @@ TEST(RankEngineIa, MatchesLocalSubgraphSemantics) {
     }
   });
   for (const int b : bad) EXPECT_EQ(b, 0);
+}
+
+/// Distances over rank `me`'s local sub-graph from each of its vertices
+/// (kInfDist rows for the others): owned vertices are expanded, portals
+/// are leaves. The reference Dijkstra runs on a copy in which every
+/// owned-to-portal edge ends in a private copy of the portal, so no path
+/// can continue through one.
+std::vector<std::vector<Dist>> local_distances(const Graph& g,
+                                               const Partition& part, Rank me) {
+  const VertexId n = g.num_vertices();
+  Graph h(n);
+  std::vector<VertexId> portal_of;  // copy id - n -> portal
+  for (const auto& [u, v, w] : g.edges()) {
+    const bool ou = part.of(u) == me;
+    const bool ov = part.of(v) == me;
+    if (ou && ov) {
+      h.add_edge(u, v, w);
+    } else if (ou || ov) {
+      h.add_edge(ou ? u : v, h.add_vertex(), w);
+      portal_of.push_back(ou ? v : u);
+    }
+  }
+  const CsrGraph csr(h);
+  std::vector<std::vector<Dist>> d(n);
+  for (VertexId s = 0; s < n; ++s) {
+    if (part.of(s) != me) continue;
+    std::vector<Dist> dh = dijkstra(csr, s);
+    for (std::size_t c = 0; c < portal_of.size(); ++c) {
+      Dist& dp = dh[portal_of[c]];
+      dp = std::min(dp, dh[n + c]);
+    }
+    dh.resize(n);
+    d[s] = std::move(dh);
+  }
+  return d;
+}
+
+TEST(RankEngineIa, RowsMatchCanonicalLocalDijkstra) {
+  // Every IA row is the local sub-graph's shortest-path row, and its next
+  // hop is the largest neighbour h of the source s on a shortest local path:
+  // w(s,h) + d_local(h,t) == d_local(s,t), where a portal h only reaches
+  // itself. Ties are many at weights 1-4; 2^20 spans most of the key bits.
+  for (const Weight hi : {Weight{4}, Weight{1} << 20}) {
+    for (Rank P = 1; P <= 4; ++P) {
+      Fixture f = make_fixture(120, P, 17, WeightRange{1, hi});
+      const Graph& g = f.g;
+      const VertexId n = g.num_vertices();
+      std::vector<std::vector<std::vector<Dist>>> local(
+          static_cast<std::size_t>(P));
+      for (Rank me = 0; me < P; ++me) {
+        local[static_cast<std::size_t>(me)] = local_distances(g, f.part, me);
+      }
+      for (const std::uint64_t budget : {std::uint64_t{0}, kMinDvBudgetBytes}) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "wmax=" << hi << " P=" << P << " budget=" << budget
+                       << " ia_threads=" << threads);
+          f.cfg.dv_budget_bytes = budget;
+          f.cfg.ia_threads = threads;
+          std::vector<std::size_t> dist_bad(static_cast<std::size_t>(P), 0);
+          std::vector<std::size_t> hop_bad(static_cast<std::size_t>(P), 0);
+          rt::World world(P);
+          world.run([&](rt::Comm& comm) {
+            const auto me = static_cast<std::size_t>(comm.rank());
+            const auto& dl = local[me];
+            RankEngine engine(init_for(f, comm.rank()), comm);
+            engine.run_ia();
+            const DvStore& store = engine.store();
+            for (std::size_t r = 0; r < store.size(); ++r) {
+              const VertexId s = store.self(r);
+              for (VertexId t = 0; t < n; ++t) {
+                const Dist want = dl[s][t];
+                if (store.probe_dist(r, t) != want) ++dist_bad[me];
+                if (t == s || want == kInfDist) continue;
+                VertexId hop = kNoVertex;
+                for (const Edge& e : g.neighbors(s)) {
+                  const Dist rest = f.part.of(e.to) == comm.rank()
+                                        ? dl[e.to][t]
+                                        : (e.to == t ? 0 : kInfDist);
+                  if (dist_add(e.w, rest) == want &&
+                      (hop == kNoVertex || e.to > hop)) {
+                    hop = e.to;
+                  }
+                }
+                if (store.probe_next_hop(r, t) != hop) ++hop_bad[me];
+              }
+            }
+          });
+          for (Rank me = 0; me < P; ++me) {
+            EXPECT_EQ(dist_bad[static_cast<std::size_t>(me)], 0u) << "rank " << me;
+            EXPECT_EQ(hop_bad[static_cast<std::size_t>(me)], 0u) << "rank " << me;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(RankEngineIa, RowsCoverExactlyLocalVertices) {

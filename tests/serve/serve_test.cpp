@@ -219,7 +219,7 @@ TEST(ServeConcurrency, ReadersSeeOnlyCompleteOrderedSnapshots) {
       const auto v = static_cast<VertexId>(rng.next_below(150));
       if (u == v) continue;
       if (!present.emplace(std::min(u, v), std::max(u, v)).second) continue;
-      events.push_back(EdgeAddEvent{u, v, 1});
+      events.emplace_back(EdgeAddEvent{u, v, 1});
     }
     session.ingest(std::move(events));
     std::this_thread::yield();

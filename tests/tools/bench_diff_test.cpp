@@ -144,7 +144,7 @@ TEST(DiffBench, NewAndRemovedMetricsAreIgnored) {
 TEST(DiffBench, CustomGateAndThreshold) {
   DiffOptions opts;
   opts.threshold_pct = 2.0;
-  opts.gate_regex = "rc_steps";
+  opts.gate = "rc_steps";
   const std::vector<Flat> history{bench_run(1.0, 2.0, 10)};
   const DiffReport rep = diff_bench(history, bench_run(1.5, 3.0, 12), opts);
   // Timings are no longer gated; the step count now is (+20% > 2%).
@@ -152,6 +152,16 @@ TEST(DiffBench, CustomGateAndThreshold) {
   for (const auto& d : rep.rows) {
     EXPECT_EQ(d.regression, d.path == "cases[0].rc_steps") << d.path;
   }
+}
+
+TEST(DiffBench, GateMatchesAnyWordIgnoringCase) {
+  EXPECT_TRUE(gate_matches("seconds|makespan", "cases[0].Drain_SECONDS"));
+  EXPECT_TRUE(gate_matches("seconds|makespan", "modeled_makespan"));
+  EXPECT_TRUE(gate_matches("seconds_per_query|p99_query_seconds",
+                           "serve.p99_query_seconds"));
+  EXPECT_FALSE(gate_matches("seconds|makespan", "modeled_speedup"));
+  EXPECT_FALSE(gate_matches("", "anything"));
+  EXPECT_FALSE(gate_matches("|", "anything"));
 }
 
 TEST(DiffBench, ImprovementsAreCounted) {

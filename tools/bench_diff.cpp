@@ -1,6 +1,6 @@
 // bench_diff — CLI wrapper around tools/bench_diff.hpp.
 //
-//   bench_diff [--threshold PCT] [--gate REGEX] [--report-only] \
+//   bench_diff [--threshold PCT] [--gate WORD|WORD...] [--report-only] \
 //              BENCH_old1.json [BENCH_old2.json ...] BENCH_new.json
 //
 // The LAST file is the candidate; every earlier file is history. Prints a
@@ -20,7 +20,7 @@ namespace {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: bench_diff [--threshold PCT] [--gate REGEX] "
+               "usage: bench_diff [--threshold PCT] [--gate WORD|WORD...] "
                "[--report-only] OLD.json [OLD2.json ...] NEW.json\n");
   return 2;
 }
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     if (a == "--threshold" && i + 1 < argc) {
       opts.threshold_pct = std::strtod(argv[++i], nullptr);
     } else if (a == "--gate" && i + 1 < argc) {
-      opts.gate_regex = argv[++i];
+      opts.gate = argv[++i];
     } else if (a == "--report-only") {
       report_only = true;
     } else if (a.rfind("--", 0) == 0) {
@@ -80,9 +80,9 @@ int main(int argc, char** argv) {
 
   const auto rep = aacc::tools::diff_bench(history, candidate, opts);
   std::printf("bench_diff: %zu history run(s) vs %s  (threshold %.1f%%, "
-              "gate /%s/)\n",
+              "gate %s)\n",
               history.size(), files.back().c_str(), opts.threshold_pct,
-              opts.gate_regex.c_str());
+              opts.gate.c_str());
   std::printf("%-52s %12s %12s %9s %8s  %s\n", "metric", "baseline",
               "candidate", "delta", "noise", "verdict");
   for (const auto& d : rep.rows) {

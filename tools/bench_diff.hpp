@@ -6,7 +6,7 @@
 // ("configs[2].drain_cpu_seconds"), and compares the newest file (the
 // candidate) against the best of the older ones (the history). The gate is
 // noise-aware, benchstat style: a metric only counts as a regression when
-//   * its path matches the gate regex (timings, not counters),
+//   * its path contains one of the gate's words (timings, not counters),
 //   * the relative delta vs the *best* historical sample exceeds
 //     max(threshold, observed historical spread), and
 //   * the absolute delta is above a tiny floor (sub-microsecond jitter on a
@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -156,13 +155,13 @@ inline bool flatten_json(const std::string& text,
 struct DiffOptions {
   /// Minimum relative regression (percent) before a gated metric fails.
   double threshold_pct = 10.0;
-  /// Only metrics whose dotted path matches this ECMAScript regex (via
-  /// std::regex_search) can fail the gate; everything else is report-only.
-  /// Default matches the timing/makespan families across the BENCH_* files
-  /// — deliberately NOT bare "modeled", which would also catch
-  /// modeled_speedup, a higher-is-better metric the increase-only gate
-  /// would misread.
-  std::string gate_regex = "(seconds|makespan|wall|cpu)";
+  /// Only metrics whose dotted path contains, ignoring case, one of these
+  /// '|'-separated words can fail the gate (gate_matches); everything else
+  /// is report-only. Default matches the timing/makespan families across
+  /// the BENCH_* files — deliberately NOT bare "modeled", which would also
+  /// catch modeled_speedup, a higher-is-better metric the increase-only
+  /// gate would misread.
+  std::string gate = "seconds|makespan|wall|cpu";
 };
 
 struct MetricDelta {
@@ -171,7 +170,7 @@ struct MetricDelta {
   double candidate = 0.0;
   double delta_pct = 0.0;  ///< (candidate - baseline) / baseline * 100
   double noise_pct = 0.0;  ///< historical spread (max-min)/min * 100
-  bool gated = false;      ///< path matches the gate regex
+  bool gated = false;      ///< path matches the gate
   bool regression = false;
 };
 
@@ -180,6 +179,29 @@ struct DiffReport {
   std::size_t regressions = 0;
   std::size_t improvements = 0;  ///< gated metrics faster than baseline
 };
+
+/// True when `path` contains, ignoring case, one of the non-empty
+/// '|'-separated words of `gate`. A word list, not a regex: every gate in
+/// use is one, and <regex> draws GCC 12 -Wmaybe-uninitialized false
+/// positives in sanitizer builds.
+inline bool gate_matches(const std::string& gate, const std::string& path) {
+  const auto lower = [](std::string s) {
+    for (char& c : s) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    return s;
+  };
+  const std::string words = lower(gate);
+  const std::string text = lower(path);
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t bar = words.find('|', begin);
+    const std::string word = words.substr(begin, bar - begin);
+    if (!word.empty() && text.find(word) != std::string::npos) return true;
+    if (bar == std::string::npos) return false;
+    begin = bar + 1;
+  }
+}
 
 /// Compares `candidate` against `history` (1+ older runs). Baseline per
 /// metric is the *minimum* over history (fastest observed — benchstat's
@@ -190,8 +212,6 @@ inline DiffReport diff_bench(
     const std::vector<std::map<std::string, double>>& history,
     const std::map<std::string, double>& candidate,
     const DiffOptions& opts = {}) {
-  const std::regex gate(opts.gate_regex,
-                        std::regex::ECMAScript | std::regex::icase);
   // Sub-microsecond absolute changes are timer granularity, not signal.
   constexpr double kAbsFloor = 1e-6;
   // Baselines at (or below) double noise level cannot express a meaningful
@@ -220,7 +240,7 @@ inline DiffReport diff_bench(
     d.path = path;
     d.baseline = lo;
     d.candidate = cand;
-    d.gated = std::regex_search(path, gate);
+    d.gated = gate_matches(opts.gate, path);
     if (lo > kZeroBaseline) {
       d.delta_pct = (cand - lo) / lo * 100.0;
       d.noise_pct = samples >= 2 ? (hi - lo) / lo * 100.0 : 0.0;
