@@ -6,7 +6,10 @@
 //      bytes_sent, the frame-header share of it, retransmits, and the
 //      modeled LogGP network time, plus the overhead ratios vs the raw
 //      path. Results must be bit-identical across all three.
-//   2. CRC32 throughput for the checksum the frame codec runs per payload.
+//   2. Rollback MTTR: a rank dies after a heavy mutation batch; the rollback
+//      rung's recovery time, min of repeats, with the result still
+//      bit-identical to the fault-free run.
+//   3. CRC32 throughput for the checksum the frame codec runs per payload.
 //
 // Prints a table and writes AACC_OUT_DIR/micro_faults.json
 // (schema: EXPERIMENTS.md). Knobs: AACC_N (vertices, default 600),
@@ -143,12 +146,10 @@ int main() {
 
   // ---- MTTR: wall-clock seconds from the death declaration to the first
   // completed post-recovery RC step (RunStats::recovery_log, docs/FAULTS.md
-  // §Recovery timing). The scenario is the one adoption exists for: a heavy
-  // mutation batch lands after the newest snapshot, then a rank dies. The
-  // rollback rung drags every rank back to the pre-batch snapshot and
-  // re-ingests and re-settles the whole batch; adoption keeps the
-  // survivors' settled state and re-derives only the dead shard's rows.
-  // Both must still land on the fault-free values (value exactness is the
+  // §Recovery timing). A heavy mutation batch lands after the newest
+  // snapshot, then a rank dies: the rollback rung drags every rank back to
+  // the pre-batch snapshot and re-ingests and re-settles the whole batch.
+  // It must still land on the fault-free values (value exactness is the
   // ladder's contract); min of repeats (noise is strictly additive).
   const Rank victim = 1;
   EventSchedule sched;
@@ -194,65 +195,41 @@ int main() {
   }
   // Snapshot cadence 4 and a crash at the top of step 7: the newest
   // completed snapshot is step 4 (pre-batch), so the rollback replay
-  // window spans the step-5 heavy ingest, its settling, and step 6. The
-  // survivors, having settled all of it already, keep that work under
-  // adoption and pay only the dead shard's re-derivation.
+  // window spans the step-5 heavy ingest, its settling, and step 6.
   const std::size_t late = std::min(steps - 1, std::size_t{7});
-  struct Mttr {
-    std::string policy;
-    double seconds = 0.0;
-    std::size_t at_step = 0;
-  };
-  std::vector<Mttr> mttr;
   constexpr int kRepeats = 5;
-  for (const RecoveryPolicy policy :
-       {RecoveryPolicy::kAdopt, RecoveryPolicy::kRollback}) {
+  double rollback_seconds = 0.0;
+  std::size_t rollback_at_step = 0;
+  {
     EngineConfig cfg = framed;
-    cfg.recovery_policy = {{policy, 0}};
+    cfg.recovery_policy = {{RecoveryPolicy::kRollback, 0}};
     cfg.checkpoint_every = 4;
     cfg.transport.retry_backoff = std::chrono::microseconds(1);
     cfg.faults.crashes.push_back({victim, late, rt::CrashPhase::kStepStart});
     std::vector<double> samples;
-    Mttr m;
-    m.policy = policy == RecoveryPolicy::kAdopt ? "adopt" : "rollback";
     for (int rep = 0; rep < kRepeats; ++rep) {
       AnytimeEngine engine(g, cfg);
       const RunResult r = engine.run(sched);
       if (r.stats.recovery_log.size() != 1 ||
-          r.stats.recovery_log[0].kind != m.policy ||
+          r.stats.recovery_log[0].kind != "rollback" ||
           r.stats.recovery_log[0].mttr_seconds <= 0.0) {
-        std::fprintf(stderr, "FATAL: %s recovery did not engage\n",
-                     m.policy.c_str());
+        std::fprintf(stderr, "FATAL: rollback recovery did not engage\n");
         return 1;
       }
       if (r.closeness != baseline) {
-        std::fprintf(stderr, "FATAL: %s recovery changed the result\n",
-                     m.policy.c_str());
+        std::fprintf(stderr, "FATAL: rollback recovery changed the result\n");
         return 1;
       }
       samples.push_back(r.stats.recovery_log[0].mttr_seconds);
-      m.at_step = r.stats.recovery_log[0].at_step;
+      rollback_at_step = r.stats.recovery_log[0].at_step;
     }
     // Min, not median: wall-clock interference is strictly additive, so
     // the fastest repeat is the closest estimate of the recovery's own
     // cost -- and the most stable statistic a noisy CI runner can produce.
-    m.seconds = *std::min_element(samples.begin(), samples.end());
-    mttr.push_back(m);
+    rollback_seconds = *std::min_element(samples.begin(), samples.end());
   }
-  const double adopt_over_rollback = mttr[0].seconds / mttr[1].seconds;
-  std::printf("mttr (crash at step %zu of %zu, min of %d): ", late, steps,
-              kRepeats);
-  for (const Mttr& m : mttr) {
-    std::printf("%s=%.3fms ", m.policy.c_str(), 1e3 * m.seconds);
-  }
-  std::printf(" adopt/rollback=%.3f\n", adopt_over_rollback);
-  if (mttr[0].seconds >= mttr[1].seconds) {
-    std::fprintf(stderr,
-                 "FATAL: adoption MTTR (%.3fms) is not below rollback "
-                 "(%.3fms) — live adoption lost its reason to exist\n",
-                 1e3 * mttr[0].seconds, 1e3 * mttr[1].seconds);
-    return 1;
-  }
+  std::printf("mttr (crash at step %zu of %zu, min of %d): rollback=%.3fms\n",
+              late, steps, kRepeats, 1e3 * rollback_seconds);
 
   // CRC32 throughput: the per-payload cost the framed path adds twice
   // (once at the sender, once at admission).
@@ -291,12 +268,9 @@ int main() {
     json << '}';
   }
   json << "],\"mttr\":{\"crash_step\":" << late << ",\"rc_steps\":" << steps
-       << ",\"repeats\":" << kRepeats;
-  for (const Mttr& m : mttr) {
-    json << ",\"" << m.policy << "_seconds\":" << m.seconds << ",\""
-         << m.policy << "_at_step\":" << m.at_step;
-  }
-  json << ",\"adopt_over_rollback\":" << adopt_over_rollback;
+       << ",\"repeats\":" << kRepeats
+       << ",\"rollback_seconds\":" << rollback_seconds
+       << ",\"rollback_at_step\":" << rollback_at_step;
   json << "},\"crc32\":[";
   for (std::size_t i = 0; i < crc_sizes.size(); ++i) {
     if (i != 0) json << ',';

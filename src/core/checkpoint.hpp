@@ -76,10 +76,7 @@ inline constexpr std::uint8_t kCkptVersion2 = 2;
 inline constexpr std::size_t kCkptHeaderBytes = 3;
 
 /// Checks one blob's magic/version header; `who` names the blob in the
-/// message ("rank 2"). Also validates a single dead rank's blob before
-/// adoption, where the whole-world validate_checkpoint cannot apply (the
-/// surviving world no longer matches the blob's num_ranks). Deep
-/// truncation inside the blob is caught during restore (the bounds-checked
+/// message ("rank 2"). Deep truncation inside the blob is caught during restore (the bounds-checked
 /// reader) and re-raised as CheckpointError with rank context by the
 /// engine. Throws CheckpointError.
 inline void validate_blob_header(std::span<const std::byte> blob,
@@ -165,17 +162,6 @@ class PeriodicCheckpoints {
       ck.rank_blobs.push_back(*match);
     }
     return ck;
-  }
-
-  /// The newest snapshot one rank holds, regardless of the other ranks'
-  /// progress — shard adoption needs only the *dead* rank's blob (the
-  /// survivors' live state travels in the supervisor's stash). Returns
-  /// (step, blob) or nullopt when the rank never snapshotted.
-  [[nodiscard]] std::optional<std::pair<std::size_t, std::vector<std::byte>>>
-  latest_for(Rank rank) const {
-    const auto& history = slots_[static_cast<std::size_t>(rank)];
-    if (history.empty()) return std::nullopt;
-    return history.back();
   }
 
  private:

@@ -51,13 +51,6 @@ enum class EdgeAddMode {
 /// Recovery action a rung of the policy ladder applies when the supervisor
 /// declares ranks dead (docs/FAULTS.md §Recovery policy ladder).
 enum class RecoveryPolicy {
-  /// Survivors adopt the dead rank's rows: its shard is split out of its
-  /// latest periodic-checkpoint blob, the owner map is rewritten onto the
-  /// survivors, the mutation journal since that snapshot is replayed for
-  /// the adopted rows, and a repair-poison pass re-derives their values
-  /// from the survivors' current state. Zero lost vertices, no global
-  /// rollback; final closeness equals the fault-free run.
-  kAdopt,
   /// Whole-world rollback: every rank restores the newest snapshot all
   /// ranks hold and replays (bit-identical results). With no snapshot yet,
   /// the run restarts from scratch.
@@ -165,8 +158,7 @@ struct EngineConfig {
   /// hold; a rung that throws RecoveryError falls through to the next, and
   /// an exhausted ladder rethrows. The default reproduces the legacy
   /// hard-coded order: rollback whenever periodic checkpoints are enabled,
-  /// else degraded ghost mode. Adoption must be opted in, e.g.
-  /// {{kAdopt}, {kRollback}, {kDegrade}}.
+  /// else degraded ghost mode.
   std::vector<RecoveryRung> recovery_policy{std::begin(kDefaultRecoveryPolicy),
                                             std::end(kDefaultRecoveryPolicy)};
   /// Peer-health supervision deadlines (docs/FAULTS.md §Health

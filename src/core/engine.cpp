@@ -89,26 +89,21 @@ namespace detail {
 namespace {
 
 // A served recovery's I/O, on the driver thread while the rank world is
-// joined: trace instant, progress `recovery` event, serve provenance flags.
+// joined: trace instant, progress `recovery` event, serve provenance flag.
 void report_recovery(const Supervisor::Outcome& rec,
                      const std::vector<RecoveryRecord>& log,
                      obs::TraceTrack* drv, obs::ProgressEmitter* progress,
                      serve::ServeContext* serve, Rank ranks) {
   const std::size_t recoveries = log.size();
-  static constexpr const char* kInstants[] = {
-      "recovery:adopt", "recovery:rollback", "recovery:degraded"};
+  static constexpr const char* kInstants[] = {"recovery:rollback",
+                                              "recovery:degraded"};
   if (drv != nullptr) {
     drv->instant(kInstants[static_cast<int>(rec.rung)], "attempt", recoveries);
   }
   if (serve != nullptr) {
-    // A rollback's replay resurrects every seat and clears both flags.
-    const auto release = std::memory_order_release;
-    if (rec.rung != RecoveryPolicy::kAdopt) {
-      serve->degraded.store(rec.rung == RecoveryPolicy::kDegrade, release);
-    }
-    if (rec.rung != RecoveryPolicy::kDegrade) {
-      serve->adopted.store(rec.rung == RecoveryPolicy::kAdopt, release);
-    }
+    // A rollback's replay resurrects every seat and clears the flag.
+    serve->degraded.store(rec.rung == RecoveryPolicy::kDegrade,
+                          std::memory_order_release);
   }
   if (progress != nullptr) {
     progress->recoveries = recoveries;

@@ -39,8 +39,8 @@ class EngineStateError : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
-/// A recovery rung's preconditions do not hold for this failure (adoption
-/// without a usable snapshot, degraded mode under an incompatible config,
+/// A recovery rung's preconditions do not hold for this failure (rollback
+/// without periodic snapshots, degraded mode under an incompatible config,
 /// ...). The supervisor catches it and falls through to the next rung of
 /// EngineConfig::recovery_policy; an exhausted ladder rethrows the last one
 /// (docs/FAULTS.md §Recovery policy ladder).
@@ -51,7 +51,7 @@ class RecoveryError : public std::runtime_error {
 
 /// One supervised recovery, as recorded in RunStats::recovery_log.
 struct RecoveryRecord {
-  /// Rung that served it: "adopt", "rollback" or "degraded".
+  /// Rung that served it: "rollback" or "degraded".
   std::string kind;
   /// RC step the survivors had reached when the death was declared.
   std::size_t at_step = 0;
@@ -112,8 +112,8 @@ struct RunStats {
   /// down by the rank waited on (docs/OBSERVABILITY.md §Waiting on peers).
   double rc_blocked_on_seconds = 0.0;
   std::map<std::int64_t, double> rc_blocked_on_by_rank;
-  /// Supervised relaunches after injected/transport failures (adoptions,
-  /// checkpoint rollbacks and degraded restarts; see docs/FAULTS.md).
+  /// Supervised relaunches after injected/transport failures (checkpoint
+  /// rollbacks and degraded restarts; see docs/FAULTS.md).
   std::size_t recoveries = 0;
   /// One entry per supervised recovery, in order, with the serving rung
   /// and the measured MTTR (docs/FAULTS.md §Recovery timing).

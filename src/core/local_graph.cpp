@@ -180,16 +180,6 @@ Weight LocalGraph::edge_weight(VertexId u, VertexId v) const {
   return 0;
 }
 
-bool LocalGraph::has_edge(VertexId u, VertexId v) const {
-  const VertexId from = is_local(u) ? u : v;
-  if (!is_local(from)) return false;
-  const VertexId to = is_local(u) ? v : u;
-  for (const Edge& e : adj_[static_cast<std::size_t>(row_index_[from])]) {
-    if (e.to == to) return true;
-  }
-  return false;
-}
-
 std::vector<std::tuple<VertexId, VertexId, Weight>>
 LocalGraph::local_edges_for_gather() const {
   std::vector<std::tuple<VertexId, VertexId, Weight>> out;

@@ -87,12 +87,6 @@ class LocalGraph {
   /// one endpoint is local and the edge exists.
   [[nodiscard]] Weight edge_weight(VertexId u, VertexId v) const;
 
-  /// Does this rank see edge (u, v)? False when neither endpoint is local
-  /// (the edge may exist elsewhere — callers needing a global answer must
-  /// hold a locally incident endpoint). Used by the idempotent structural
-  /// replay of shard adoption.
-  [[nodiscard]] bool has_edge(VertexId u, VertexId v) const;
-
   /// The local vertices' edges (u, v) with u < v, used by the
   /// Repartition-S gather: across all ranks, every edge exactly once.
   [[nodiscard]] std::vector<std::tuple<VertexId, VertexId, Weight>>

@@ -197,7 +197,6 @@ inline constexpr Metric kCatalog[] = {
     // ---- recovery, validation, final distribution ----
     {.run = {RUN(recoveries)}, .event = {EVENT(recoveries)}},
     {.run = {"recovery_log"}, .irregular = Irregular::kRecoveryLog},
-    {.name = "recovery/adopted_rows", .unit = "rows"},
     {.run = {RUN(invariant_violations)}},
     {.unit = "edges", .runs = Runs::kLatest, .run = {RUN(cut_edges_initial)}},
     {.unit = "edges", .runs = Runs::kLatest, .run = {RUN(cut_edges_final)}},

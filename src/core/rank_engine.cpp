@@ -8,7 +8,6 @@
 #include <numeric>
 #include <sstream>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "analysis/closeness.hpp"
@@ -116,16 +115,13 @@ RankEngine::RankEngine(const Init& init, rt::Comm& comm)
       m_serve_age_ = &metrics_->histogram("serve/snapshot_age_steps");
     }
   }
-  assign_skip_ = init.assign_skip;
   recovery_mark_step_ = init.recovery_mark_step;
   recovery_mark_ = init.recovery_mark;
   dv_ = DvStore::create(cfg_.dv_budget_bytes);
   const auto* restore = std::get_if<Restore>(&init.start);
-  const auto* adopt = std::get_if<Adopt>(&init.start);
-  if (restore != nullptr || adopt != nullptr) {
+  if (restore != nullptr) {
     const obs::ScopedSpan span(trace_, "restore");
-    restore_state(restore != nullptr ? *restore->blob : *adopt->blob);
-    if (adopt != nullptr) adopt_shards(*adopt);
+    restore_state(*restore->blob);
   } else {
     reset_rows();
     if (const auto* g = std::get_if<Ghost>(&init.start)) {
@@ -313,202 +309,6 @@ void RankEngine::republish_boundary_rows() {
     subs.clear();
     lg_.subscribers(r, subs);
     if (!subs.empty()) mark_finite_dirty(r);
-  }
-}
-
-// --------------------------------------------------------------- adoption
-
-namespace {
-
-/// Topology prefix of a checkpoint blob: owner map (discarded — the stash
-/// map is newer) and the snapshotted edge list. Rows, caches and cursors
-/// are deliberately not parsed: adoption consumes structure only, because
-/// post-snapshot deletions can make snapshot *values* stale-low (the dead
-/// rank's poison broadcasts for them completed before the crash, so
-/// re-installing the old finite values would silently revoke them).
-RankEngine::Edges read_blob_edges(std::span<const std::byte> blob) {
-  rt::ByteReader r(blob.subspan(kCkptHeaderBytes));  // validate_blob_header
-  (void)r.read_vec<Rank>();  // snapshot-time owner map, superseded
-  return read_edges(r);
-}
-
-std::uint64_t edge_key(VertexId u, VertexId v) {
-  const VertexId a = std::min(u, v);
-  const VertexId b = std::max(u, v);
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-}  // namespace
-
-void RankEngine::adopt_shards(const Adopt& adopt) {
-  const obs::ScopedSpan span(trace_, "adopt", "sources",
-                             adopt.shards->sources.size());
-  adopted_ = true;  // recovery provenance, stamped into published snapshots
-  // The rewritten owner map's tombstones come from the stash map, so
-  // is_alive stays authoritative for everything below.
-  const std::vector<Rank>& new_owner = adopt.new_owner;
-  const auto alive = [&](VertexId v) { return new_owner[v] != kNoRank; };
-
-  // 1. Merge edge sets: this rank's live incident edges first (current as
-  //    of the crash), then each dead rank's snapshot edges. First wins on
-  //    the unordered pair — snapshot weights may be stale, and the replay
-  //    below re-asserts every post-snapshot change anyway. Edges into
-  //    vertices tombstoned after the snapshot are dropped.
-  std::vector<std::tuple<VertexId, VertexId, Weight>> merged;
-  std::unordered_set<std::uint64_t> seen;
-  const auto push = [&](VertexId u, VertexId v, Weight w) {
-    if (!alive(u) || !alive(v)) return;
-    if (seen.insert(edge_key(u, v)).second) merged.emplace_back(u, v, w);
-  };
-  for (const auto& [u, v, w] : local_edges()) push(u, v, w);
-  for (const auto& source : adopt.shards->sources) {
-    for (const auto& [u, v, w] : read_blob_edges(*source.second)) push(u, v, w);
-  }
-
-  // 2. Rebuild the topology under the rewritten map. Surviving rows are
-  //    re-placed below; the constructor recomputes portals/subscriptions
-  //    for the new ownership. The crash-time owner map is kept around for
-  //    step 6: caches of dead-owned portals must go.
-  const std::vector<Rank> old_owner = lg_.owner_map();
-  // Extraction promotes every surviving row: adoption is a rare, whole-rank
-  // rebuild, and the migrated rows re-enter residency as hot until the next
-  // maintain() pass demotes the settled ones again.
-  std::vector<DvRow> kept;
-  kept.reserve(dv_->size());
-  for (std::size_t r = 0; r < dv_->size(); ++r) {
-    kept.push_back(dv_->take(r));
-  }
-  lg_ = LocalGraph(comm_.rank(), new_owner, merged);
-
-  // 3. Structural journal replay: every batch since the oldest snapshot,
-  //    in order, idempotently. Edges between two dead-owned vertices added
-  //    after the snapshot exist in no blob and no stash — only here.
-  //    Vertex adds/deletes are already reflected in the stash owner map;
-  //    only their edge payloads need re-asserting.
-  if (schedule_ != nullptr) {
-    const auto replay_edge_add = [&](VertexId u, VertexId v, Weight w) {
-      if (!alive(u) || !alive(v)) return;
-      if (!lg_.is_local(u) && !lg_.is_local(v)) return;
-      if (!lg_.has_edge(u, v)) lg_.add_edge(u, v, w);
-    };
-    for (std::size_t b = adopt.shards->replay_from_batch;
-         b < start_batch_ && b < schedule_->size(); ++b) {
-      for (const Event& ev : (*schedule_)[b].events) {
-        if (const auto* ea = std::get_if<EdgeAddEvent>(&ev)) {
-          replay_edge_add(ea->u, ea->v, ea->w);
-        } else if (const auto* ed = std::get_if<EdgeDeleteEvent>(&ev)) {
-          if (lg_.has_edge(ed->u, ed->v)) lg_.remove_edge(ed->u, ed->v);
-        } else if (const auto* wc = std::get_if<WeightChangeEvent>(&ev)) {
-          if (lg_.has_edge(wc->u, wc->v)) {
-            lg_.set_weight(wc->u, wc->v, wc->w_new);
-          }
-        } else if (const auto* va = std::get_if<VertexAddEvent>(&ev)) {
-          for (const auto& [to, w] : va->edges) {
-            replay_edge_add(va->id, to, w);
-          }
-        }
-        // VertexDeleteEvent: the tombstone is in the stash owner map and
-        // its incident edges were filtered by alive() above — nothing to do.
-      }
-    }
-  }
-
-  // 4. Re-place surviving rows at their new indices; adopted vertices get
-  //    fresh all-infinity rows — the quiet poison. Snapshot values are
-  //    never installed, so nothing stale-low can enter; re-derivation
-  //    rebuilds exactly the values the survivors can currently justify.
-  reset_rows();
-  std::vector<bool> is_adopted(lg_.num_local(), true);
-  for (DvRow& row : kept) is_adopted[place_row(std::move(row))] = false;
-
-  // 5. Queue the quiet re-derivation of every adopted entry: repairs pull
-  //    from local neighbour rows immediately and from portal caches as
-  //    they repopulate. No poison markers are broadcast — the graph did
-  //    not change, so every remote finite value is still a sound upper
-  //    bound and nothing needs invalidating elsewhere.
-  std::size_t adopted_rows = 0;
-  for (std::size_t r = 0; r < dv_->size(); ++r) {
-    if (!is_adopted[r]) continue;
-    ++adopted_rows;
-    const VertexId v = lg_.vertex_of(r);
-    for (VertexId t = 0; t < lg_.n(); ++t) {
-      if (t != v && alive(t)) repairs_.emplace_back(v, t);
-    }
-  }
-
-  // 6. Drop caches the ownership change invalidated: vertices this rank
-  //    now owns and ex-portals no cut edge reaches any more. Live-owned
-  //    portal caches are kept: their owners survived with their poison
-  //    state intact, so the values are genuine upper bounds repairs may
-  //    re-derive through. Dead-owned caches are NOT erased here — they are
-  //    the subscriber-side baseline apply_portal_record compares against to
-  //    detect increases, so step 6b poisons through them instead.
-  for (auto it = caches_.begin(); it != caches_.end();) {
-    if (lg_.is_local(it->first) || !lg_.is_portal(it->first)) {
-      it = caches_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  // 6b. Loud poison for the torn-batch window. The quiet-poison argument
-  //    in step 5 has one hole: if the crash step had already ingested a
-  //    change batch with non-monotone events (deletes, weight changes),
-  //    the dead owner died before sending the poison markers that batch
-  //    obliged it to send. Any survivor entry whose witness chain runs
-  //    through a dead-owned vertex may then be stale *low* — the one
-  //    direction the anytime property cannot absorb, and undetectable
-  //    locally because caches hold distances, not paths. The fix is to
-  //    act as the dead owner's executor: poison every entry routed
-  //    through a dead-owned vertex, exactly as if it had broadcast
-  //    all-infinity markers. poison_entry re-queues repairs and arms the
-  //    poison barrier, and the cascade crosses ranks via the usual dirty
-  //    markers, so transitive dependents settle in the restarted barrier.
-  //    Monotone re-derivation converges to the same fixed point, so this
-  //    costs work, never exactness. At settled step boundaries (or when
-  //    the crash-step batches were add-only) the hazard cannot exist and
-  //    the quiet path stands.
-  bool torn_hazard = false;
-  if (schedule_ != nullptr) {
-    for (std::size_t b = 0; b < start_batch_ && b < schedule_->size(); ++b) {
-      if ((*schedule_)[b].at_step != start_step_) continue;
-      for (const Event& ev : (*schedule_)[b].events) {
-        if (std::holds_alternative<EdgeDeleteEvent>(ev) ||
-            std::holds_alternative<WeightChangeEvent>(ev) ||
-            std::holds_alternative<VertexDeleteEvent>(ev)) {
-          torn_hazard = true;
-        }
-      }
-    }
-  }
-  if (torn_hazard) {
-    std::deque<std::pair<VertexId, VertexId>> seeds;
-    for (VertexId v = 0; v < lg_.n(); ++v) {
-      const Rank o = v < old_owner.size() ? old_owner[v] : kNoRank;
-      if (std::find(assign_skip_.begin(), assign_skip_.end(), o) ==
-          assign_skip_.end()) {
-        continue;
-      }
-      const auto it = caches_.find(v);
-      if (it != caches_.end()) {
-        std::fill(it->second.begin(), it->second.end(), kInfDist);
-      }
-      for (VertexId t = 0; t < lg_.n(); ++t) seeds.emplace_back(v, t);
-    }
-    poison_cascade(seeds);
-  }
-
-  // 7. Every boundary row re-publishes its finite entries: subscriptions
-  //    were rewired (adopters subscribe to portals they never saw, and
-  //    survivors' rows now feed adopters' empty caches), mirroring the
-  //    repartition path's re-subscription flush.
-  republish_boundary_rows();
-  if (trace_ != nullptr) {
-    trace_->instant("adopt:rows", "count",
-                    static_cast<std::uint64_t>(adopted_rows));
-  }
-  if (metrics_ != nullptr) {
-    metrics_->counter("recovery/adopted_rows").add(adopted_rows);
   }
 }
 
@@ -829,9 +629,8 @@ void RankEngine::route_candidates(VertexId z,
       out.push_back(static_cast<std::size_t>(lg_.row_of(x)));
     }
   } else {
-    // z has no local row and no cut edge here (migrated, deleted, or a
-    // dead owner's vertex in adoption): its adjacency is unknown, so every
-    // row is a candidate.
+    // z has no local row and no cut edge here (migrated or deleted): its
+    // adjacency is unknown, so every row is a candidate.
     out.resize(dv_->size());
     std::iota(out.begin(), out.end(), std::size_t{0});
     return;
@@ -1280,14 +1079,7 @@ void RankEngine::apply_vertex_batch(const std::vector<VertexAddEvent>& batch) {
   }
   std::vector<Rank> assign;
   if (cfg_.assign == AssignStrategy::kRoundRobin) {
-    // After an adoption the dead seats are ghosts: a vertex dealt to one
-    // would be lost again, so the circular deal skips them (assign_skip_ is
-    // identical on every rank, ghosts included — owner maps stay in sync).
-    assign = assign_skip_.empty()
-                 ? assign_round_robin(batch.size(), vertices_added_,
-                                      comm_.size())
-                 : assign_round_robin_excluding(batch.size(), vertices_added_,
-                                                comm_.size(), assign_skip_);
+    assign = assign_round_robin(batch.size(), vertices_added_, comm_.size());
   } else {
     assign = assign_cut_edge(batch, batch.front().id, lg_.owner_map(),
                              comm_.size(), cfg_.seed);
@@ -1781,7 +1573,6 @@ void RankEngine::publish_snapshot(std::size_t step) {
   }
   snap->step = step;
   snap->degraded = serve_->degraded.load(std::memory_order_relaxed);
-  snap->adopted = adopted_;
   const std::size_t rows = dv_->size();  // 0 for ghosts: an empty snapshot
   publish_index_.clear();
   publish_index_.reserve(rows);
@@ -1851,8 +1642,8 @@ std::size_t RankEngine::run_rc() {
     // every rank serializes its own copy and hands it to the broadcast as
     // the replica, so a survivor whose tree parent died mid-broadcast
     // reconstructs the payload locally instead of stalling — only the
-    // feed's distribution cost is being modeled (docs/FAULTS.md §Shard
-    // adoption). Once the schedule is consumed, a live session's rank 0
+    // feed's distribution cost is being modeled (docs/FAULTS.md §Recovery
+    // policy ladder). Once the schedule is consumed, a live session's rank 0
     // pops queued batches (journaling each at this step so recovery can
     // replay it). An empty payload is the "no more this step" terminator —
     // a real batch always serializes non-empty. The live feed runs on ghost

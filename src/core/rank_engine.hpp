@@ -45,18 +45,6 @@ namespace aacc {
 
 class RankEngine {
  public:
-  /// Shard-adoption plan (docs/FAULTS.md §Shard adoption). Only the
-  /// structure of the dead ranks' snapshot blobs is used: row values are
-  /// re-derived from the survivors (post-snapshot deletions can make blob
-  /// values stale-low). Batches [replay_from_batch, start_batch) are
-  /// replayed structurally, restoring edges no blob or stash holds.
-  struct AdoptShards {
-    /// (dead rank, its latest snapshot blob), one entry per newly dead rank.
-    std::vector<std::pair<Rank, const std::vector<std::byte>*>> sources;
-    /// Min over sources of the first batch after the snapshot step.
-    std::size_t replay_from_batch = 0;
-  };
-
   using Edges = std::vector<std::tuple<VertexId, VertexId, Weight>>;
 
   // How an attempt's engine starts (Init::start; the supervisor picks one
@@ -83,14 +71,7 @@ class RankEngine {
     const Edges* edges = nullptr;
     std::uint64_t vertices_added = 0;
   };
-  /// An adopting survivor: restores its stash, then rebuilds its topology
-  /// under `new_owner` and re-derives its adopted rows (adopt_shards).
-  struct Adopt {
-    const std::vector<std::byte>* blob = nullptr;
-    std::vector<Rank> new_owner;
-    const AdoptShards* shards = nullptr;
-  };
-  using Start = std::variant<Fresh, Restore, Ghost, Adopt>;
+  using Start = std::variant<Fresh, Restore, Ghost>;
 
   /// Constructor arguments (defined below the class: the start variant's
   /// alternatives must be complete first).
@@ -280,7 +261,7 @@ class RankEngine {
   void restore_state(std::span<const std::byte> blob);
   void restore_state_impl(std::span<const std::byte> blob);
 
-  // ---- ownership rebuild (construction, restore, adoption, repartition) ----
+  // ---- ownership rebuild (construction, restore, repartition) ----
   /// Empties the store and installs a fresh row per local vertex of lg_,
   /// at its LocalGraph row index; zeroes the dirty and queued counts and
   /// empties the row queue.
@@ -292,15 +273,6 @@ class RankEngine {
   /// Marks every finite entry of each row with subscribers dirty, so
   /// rewired subscriptions repopulate.
   void republish_boundary_rows();
-
-  /// Adopt-mode restart (called from the constructor after the stash
-  /// restore): rebuilds the topology under the rewritten owner map from the
-  /// union of this rank's live edges, the dead ranks' snapshot edges and
-  /// the structurally replayed schedule batches; installs fresh rows for
-  /// adopted vertices and queues their re-derivation (quiet poison — no
-  /// markers broadcast, the graph did not change); marks every boundary
-  /// row's finite entries dirty so rewired subscriptions repopulate.
-  void adopt_shards(const Adopt& adopt);
 
   rt::Comm& comm_;
   EngineConfig cfg_;
@@ -325,7 +297,6 @@ class RankEngine {
   std::uint64_t dirty_entries_ = 0;   // pending un-sent changes
   std::uint64_t vertices_added_ = 0;  // round-robin cursor (globally consistent)
   bool poison_pending_ = false;       // new poisons since the last sync round
-  std::vector<Rank> assign_skip_;     // see Init::assign_skip
 
   // MTTR probe (see Init): fold steady-now into *recovery_mark_ once, at
   // the first completed step >= recovery_mark_step_, then drop the pointer.
@@ -374,12 +345,10 @@ class RankEngine {
   bool progress_active_ = false;
   obs::ProgressEmitter* progress_ = nullptr;
   std::uint64_t queue_depth_step_ = 0;
-  // Live session (see Init::serve). adopted_ marks this rank as carrying
-  // adopted shards (recovery provenance stamped into its snapshots);
-  // publish_index_ is the reusable (vertex, row) scratch publish_snapshot
-  // argsorts. Serve metrics exist only when both serve_ and metrics_ do.
+  // Live session (see Init::serve). publish_index_ is the reusable
+  // (vertex, row) scratch publish_snapshot argsorts. Serve metrics exist
+  // only when both serve_ and metrics_ do.
   serve::ServeContext* serve_ = nullptr;
-  bool adopted_ = false;
   std::vector<std::pair<VertexId, std::uint32_t>> publish_index_;
   obs::Counter* m_serve_publishes_ = nullptr;
   obs::Gauge* m_serve_publish_seconds_ = nullptr;
@@ -413,10 +382,6 @@ struct RankEngine::Init {
   /// Chaos hook: polled at each RC step boundary; a scheduled crash
   /// throws rt::InjectedCrash out of run_rc. Non-owning.
   rt::FaultInjector* injector = nullptr;
-  /// Ranks excluded from round-robin vertex assignment (adopt-mode
-  /// restarts: a vertex dealt to a ghost seat would be lost again).
-  /// Identical on every rank or owner maps diverge. Empty = no exclusion.
-  std::vector<Rank> assign_skip;
   /// MTTR probe (docs/FAULTS.md §Recovery timing): at the first completed
   /// step >= recovery_mark_step, a non-ghost rank fetch-maxes steady-clock
   /// now into *recovery_mark (the supervisor's "recovery complete").

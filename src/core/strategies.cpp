@@ -18,25 +18,6 @@ std::vector<Rank> assign_round_robin(std::size_t count, std::uint64_t cursor,
   return out;
 }
 
-std::vector<Rank> assign_round_robin_excluding(std::size_t count,
-                                               std::uint64_t cursor, Rank world,
-                                               const std::vector<Rank>& skip) {
-  std::vector<Rank> survivors;
-  survivors.reserve(static_cast<std::size_t>(world));
-  for (Rank r = 0; r < world; ++r) {
-    if (std::find(skip.begin(), skip.end(), r) == skip.end()) {
-      survivors.push_back(r);
-    }
-  }
-  AACC_CHECK_MSG(!survivors.empty(),
-                 "round-robin assignment has no surviving ranks");
-  std::vector<Rank> out(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = survivors[(cursor + i) % survivors.size()];
-  }
-  return out;
-}
-
 std::vector<std::size_t> rank_loads(const std::vector<Rank>& owner, Rank world) {
   std::vector<std::size_t> load(static_cast<std::size_t>(world), 0);
   for (const Rank r : owner) {

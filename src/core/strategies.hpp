@@ -20,14 +20,6 @@ namespace aacc {
 std::vector<Rank> assign_round_robin(std::size_t count, std::uint64_t cursor,
                                      Rank world);
 
-/// RoundRobin-PS over the surviving ranks only (adopt-mode restarts after a
-/// rank death, docs/FAULTS.md §Shard adoption): the circular deal skips the
-/// ranks in `skip`, so no new vertex lands on a ghost seat. Identical
-/// cursor/skip inputs on every rank keep the owner maps consistent.
-std::vector<Rank> assign_round_robin_excluding(std::size_t count,
-                                               std::uint64_t cursor, Rank world,
-                                               const std::vector<Rank>& skip);
-
 /// CutEdge-PS: treats the batch (new vertices + the edges among them) as an
 /// independent graph, partitions it with the multilevel cut minimizer, and
 /// maps the parts onto ranks in ascending current-load order (largest part

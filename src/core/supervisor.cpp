@@ -42,23 +42,16 @@ void Supervisor::prepare(RankEngine::Init& init) const {
     init.start_step = ck.step + 1;
     init.start_batch = ck.next_batch;
   } else {
-    // Ghosts hold the dead seats. Under adoption every rank's deal skips
-    // them and snapshots go on (further deaths stay adoptable); a degraded
-    // attempt takes none.
+    // Degraded: ghosts hold the dead seats, and the attempt takes no
+    // snapshots.
     init.start_step = step_;
     init.start_batch = batch_;
     if (dead_[me]) {
       init.start = RankEngine::Ghost{owner_, fresh_.edges, vertices_added_};
-    } else if (mode_ == Mode::kAdopt) {
-      init.start = RankEngine::Adopt{&stash_[me], owner_, &adopt_plan_};
     } else {
       init.start = RankEngine::Restore{&stash_[me], newly_dead_};
     }
-    if (mode_ == Mode::kAdopt) {
-      init.assign_skip = adopt_skip_;
-    } else {
-      init.periodic = nullptr;
-    }
+    init.periodic = nullptr;
   }
   if (probe_pending_) {
     init.recovery_mark_step = mark_step_;
@@ -117,9 +110,6 @@ Supervisor::Outcome Supervisor::recover(
     std::size_t restart = 0;
     try {
       switch (rung.policy) {
-        case RecoveryPolicy::kAdopt:
-          restart = adopt(roots, ranks, schedule);
-          break;
         case RecoveryPolicy::kRollback:
           restart = rollback(schedule);
           break;
@@ -136,7 +126,7 @@ Supervisor::Outcome Supervisor::recover(
     // the death step, so the replay is inside the measured window.
     const std::size_t at_step =
         rung.policy == RecoveryPolicy::kRollback ? death_step : restart;
-    static constexpr const char* kKinds[] = {"adopt", "rollback", "degraded"};
+    static constexpr const char* kKinds[] = {"rollback", "degraded"};
     log_.push_back({kKinds[static_cast<int>(rung.policy)], at_step, -1.0});
     probe_pending_ = true;
     mark_step_ = at_step;
@@ -172,69 +162,6 @@ void Supervisor::stash_survivors(
   batch_ = witness->batch;
   vertices_added_ = witness->vertices_added;
   owner_.assign(witness->owner.begin(), witness->owner.end());
-}
-
-// Shard adoption (docs/FAULTS.md §Shard adoption): the dead ranks' rows
-// move to the survivors, the run continues from the crash step.
-std::size_t Supervisor::adopt(const std::vector<Rank>& roots,
-                              std::span<const std::optional<RankView>> ranks,
-                              const EventSchedule& schedule) {
-  const std::pair<bool, const char*> refusals[] = {
-      {periodic_ == nullptr,
-       "adoption requires periodic snapshots (checkpoint_every > 0)"},
-      {cfg_.add_mode == EdgeAddMode::kEager,
-       "adoption requires seeded edge adds (EdgeAddMode::kEager broadcasts "
-       "rows the adopted vertices do not have yet)"},
-      {cfg_.assign != AssignStrategy::kRoundRobin,
-       "adoption requires round-robin vertex assignment (the ghost-skipping "
-       "deal is only defined there)"},
-      {cfg_.rebalance_threshold != 0.0,
-       "adoption requires automatic rebalancing off (a repartition would "
-       "migrate rows back onto ghost seats)"}};
-  for (const auto& [refused, why] : refusals) {
-    if (refused) throw RecoveryError(why);
-  }
-  // Every newly dead rank needs a structurally sound snapshot. Each batch
-  // at or before a source's snapshot step is inside its blob, so only the
-  // batches after the *oldest* snapshot need replaying.
-  std::vector<std::vector<std::byte>> blobs;
-  std::size_t replay_from = static_cast<std::size_t>(-1);
-  for (const Rank r : roots) {
-    auto snap = periodic_->latest_for(r);
-    const std::string who = "adoption source rank " + std::to_string(r);
-    if (!snap) throw RecoveryError(who + " has no periodic snapshot yet");
-    try {
-      validate_blob_header(snap->second, who);
-    } catch (const CheckpointError& e) {
-      throw RecoveryError(e.what());
-    }
-    replay_from = std::min(replay_from, batches_through(schedule, snap->first));
-    blobs.push_back(std::move(snap->second));
-  }
-  // The new owner map: the witness map (tombstones current) with the dead
-  // ranks' vertices dealt round-robin onto the ascending survivors.
-  stash_survivors(ranks);
-  std::vector<Rank> survivors;
-  adopt_skip_.clear();
-  for (Rank r = 0; r < cfg_.num_ranks; ++r) {
-    (dead_[static_cast<std::size_t>(r)] ? adopt_skip_ : survivors).push_back(r);
-  }
-  std::size_t deal = 0;
-  for (Rank& o : owner_) {
-    if (std::find(roots.begin(), roots.end(), o) == roots.end()) continue;
-    o = survivors[deal++ % survivors.size()];
-  }
-  adopt_blobs_ = std::move(blobs);
-  adopt_plan_.sources.clear();
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    adopt_plan_.sources.emplace_back(roots[i], &adopt_blobs_[i]);
-  }
-  adopt_plan_.replay_from_batch = std::min(replay_from, batch_);
-  // No portal poisoning: the graph did not change, so remote finite values
-  // stay sound upper bounds and adopted rows re-derive quietly.
-  newly_dead_.clear();
-  mode_ = Mode::kAdopt;
-  return step_;
 }
 
 // Checkpoint rollback: every rank replays (bit-identically) from the newest

@@ -42,9 +42,8 @@ class Supervisor {
   Supervisor(const EngineConfig& cfg, RankEngine::Fresh fresh,
              const Checkpoint* resume, PeriodicCheckpoints* periodic);
 
-  /// Fills rank init.me's start variant, restart cursors, periodic store,
-  /// assignment skip list and MTTR probe. Read-only: safe from every rank
-  /// thread at once.
+  /// Fills rank init.me's start variant, restart cursors, periodic store
+  /// and MTTR probe. Read-only: safe from every rank thread at once.
   void prepare(RankEngine::Init& init) const;
 
   /// Handles a failed attempt (`ranks`: one view per seat, empty where no
@@ -69,13 +68,10 @@ class Supervisor {
   }
 
  private:
-  enum class Mode { kFresh, kResume, kDegraded, kAdopt };
+  enum class Mode { kFresh, kResume, kDegraded };
 
   // Rung planners: each throws RecoveryError before changing any state,
   // else plans the next attempt and returns its restart step.
-  std::size_t adopt(const std::vector<Rank>& roots,
-                    std::span<const std::optional<RankView>> ranks,
-                    const EventSchedule& schedule);
   std::size_t rollback(const EventSchedule& schedule);
   std::size_t degrade(const std::vector<Rank>& roots,
                       std::span<const std::optional<RankView>> ranks);
@@ -99,11 +95,6 @@ class Supervisor {
   std::size_t batch_ = 0;
   std::uint64_t vertices_added_ = 0;
   std::vector<Rank> owner_;
-  // Adoption: the dead ranks' snapshot blobs (adopt_plan_ points into
-  // them) and the ghost seats the round-robin deal skips.
-  RankEngine::AdoptShards adopt_plan_;
-  std::vector<std::vector<std::byte>> adopt_blobs_;
-  std::vector<Rank> adopt_skip_;
   std::vector<std::size_t> rung_used_;
   std::vector<RecoveryRecord> log_;
 

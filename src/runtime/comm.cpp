@@ -531,7 +531,8 @@ std::vector<std::byte> Comm::broadcast(std::vector<std::byte> buf, Rank root,
       // tree going so siblings below this rank don't starve too — the
       // whole surviving tree then finishes the broadcast and stops at the
       // *next* collective, which is what keeps survivor cursors coherent
-      // for the recovery stash (docs/FAULTS.md §Shard adoption).
+      // for the recovery stash (docs/FAULTS.md §Recovery policy
+      // ladder).
       if (replica == nullptr) throw;
       buf = *replica;
     }

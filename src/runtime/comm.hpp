@@ -200,7 +200,8 @@ class Comm {
   /// the wait would otherwise be stuck forever; with a replica the rank
   /// substitutes its local copy and keeps forwarding down the tree, so
   /// every survivor completes the broadcast and parks in the next dense
-  /// collective with coherent cursors (docs/FAULTS.md §Shard adoption).
+  /// collective with coherent cursors (docs/FAULTS.md §Recovery policy
+  /// ladder).
   std::vector<std::byte> broadcast(std::vector<std::byte> buf, Rank root,
                                    const std::vector<std::byte>* replica =
                                        nullptr);

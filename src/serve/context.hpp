@@ -113,10 +113,9 @@ struct SnapshotData {
   /// session (survives supervised restarts: the next attempt continues
   /// from the published predecessor's epoch).
   std::uint64_t epoch = 0;
-  /// Recovery provenance at publish time (docs/FAULTS.md): the run is in
-  /// degraded survivor mode / this rank carries adopted shards.
+  /// Recovery provenance at publish time (docs/FAULTS.md): the run is
+  /// in degraded survivor mode.
   bool degraded = false;
-  bool adopted = false;
   std::vector<VertexId> ids;      ///< local vertices, ascending
   std::vector<double> closeness;  ///< aligned with ids
   std::vector<double> harmonic;   ///< aligned with ids
@@ -292,9 +291,8 @@ struct ServeContext {
   /// Latest estimator sample (rank 0 republishes it from the progress fold).
   PublishedPtr<const EstimatorSample> estimators;
   /// Recovery provenance, maintained by the supervising driver thread
-  /// (rollback clears both — the replay resurrects every seat).
+  /// (rollback clears it — the replay resurrects every seat).
   std::atomic<bool> degraded{false};
-  std::atomic<bool> adopted{false};
   /// Query-side counters (bumped by QueryView, folded into the merged
   /// metrics registry as serve/queries at close).
   std::atomic<std::uint64_t> queries{0};

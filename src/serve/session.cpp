@@ -48,11 +48,9 @@ ResponseMeta make_meta(ServeContext& ctx, const std::vector<Snap>& snaps,
   meta.stale =
       ctx.max_snapshot_lag != 0 && meta.age_steps > ctx.max_snapshot_lag;
   meta.degraded = ctx.degraded.load(std::memory_order_acquire);
-  meta.adopted = ctx.adopted.load(std::memory_order_acquire);
   for (const Snap& s : snaps) {
     if (s == nullptr) continue;
     meta.degraded = meta.degraded || s->degraded;
-    meta.adopted = meta.adopted || s->adopted;
   }
   if (const auto est = ctx.estimators.load(); est != nullptr && est->has) {
     meta.has_estimators = true;

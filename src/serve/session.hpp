@@ -46,10 +46,9 @@ struct ResponseMeta {
   /// True when EngineConfig::max_snapshot_lag is set and age_steps exceeds
   /// it (the response is still served — the flag is the contract).
   bool stale = false;
-  /// Recovery provenance (docs/FAULTS.md): the run is in degraded survivor
-  /// mode / the backing snapshots contain adopted shards.
+  /// Recovery provenance (docs/FAULTS.md): the run is in degraded
+  /// survivor mode.
   bool degraded = false;
-  bool adopted = false;
   /// Convergence estimators from the latest progress fold (top-k overlap
   /// and Kendall tau-b vs the previous step; has_estimators is false until
   /// a second RC step exists to compare against).

@@ -137,8 +137,7 @@ TEST(ConfigValidate, RecoveryLadderRejectsRepeatedPolicies) {
   cfg.recovery_policy = {{RecoveryPolicy::kRollback, 0},
                          {RecoveryPolicy::kRollback, 2}};
   EXPECT_NE(config_error_message(cfg).find("repeat"), std::string::npos);
-  cfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0},
-                         {RecoveryPolicy::kRollback, 0},
+  cfg.recovery_policy = {{RecoveryPolicy::kRollback, 0},
                          {RecoveryPolicy::kDegrade, 0}};
   EXPECT_NO_THROW(cfg.validate());
 }

@@ -1,9 +1,8 @@
 // Chaos matrix for the recovery-policy ladder (docs/FAULTS.md §Recovery
-// policy ladder): {crash early / mid / late} × {adopt / rollback / degrade},
-// each also exercised with a mid-exchange death. Adopt and rollback must
-// converge to the fault-free values with nothing lost; degrade must account
-// for the coverage gap exactly. A second suite sweeps adoption across every
-// crash step, and the ladder tests cover fall-through, budgets and
+// policy ladder): {crash early / mid / late} × {rollback / degrade}, each
+// also exercised with a mid-exchange death. Rollback must converge to the
+// fault-free values with nothing lost; degrade must account for the
+// coverage gap exactly. The ladder tests cover fall-through, budgets and
 // exhaustion.
 #include <gtest/gtest.h>
 
@@ -29,8 +28,8 @@ EngineConfig matrix_cfg(Rank P) {
   return cfg;
 }
 
-/// Adds, deletions, a weight change and growth: every structural fact the
-/// adoption journal replay must reproduce.
+/// Adds, deletions, a weight change and growth: every structural fact a
+/// recovery must reproduce.
 EventSchedule matrix_schedule(const Graph& g, std::uint64_t seed) {
   Rng rng(seed);
   EventSchedule sched;
@@ -65,7 +64,6 @@ EventSchedule matrix_schedule(const Graph& g, std::uint64_t seed) {
 
 const char* kind_of(RecoveryPolicy p) {
   switch (p) {
-    case RecoveryPolicy::kAdopt: return "adopt";
     case RecoveryPolicy::kRollback: return "rollback";
     case RecoveryPolicy::kDegrade: return "degraded";
   }
@@ -97,8 +95,7 @@ TEST(ChaosMatrix, EveryPolicyEveryCrashWindow) {
   const std::size_t crash_steps[] = {1, steps / 2, steps - 1};
 
   for (const RecoveryPolicy policy :
-       {RecoveryPolicy::kAdopt, RecoveryPolicy::kRollback,
-        RecoveryPolicy::kDegrade}) {
+       {RecoveryPolicy::kRollback, RecoveryPolicy::kDegrade}) {
     for (const std::size_t s : crash_steps) {
       for (const rt::CrashPhase phase :
            {rt::CrashPhase::kStepStart, rt::CrashPhase::kMidExchange}) {
@@ -133,12 +130,6 @@ TEST(ChaosMatrix, EveryPolicyEveryCrashWindow) {
         } else {
           EXPECT_FALSE(r.degraded) << ctx;
           EXPECT_TRUE(r.lost_vertices.empty()) << ctx;
-          if (policy == RecoveryPolicy::kAdopt) {
-            // The dead seat really was vacated.
-            for (VertexId v = 0; v < r.final_owner.size(); ++v) {
-              ASSERT_NE(r.final_owner[v], victim) << ctx << " vertex " << v;
-            }
-          }
           ASSERT_EQ(r.closeness.size(), clean.closeness.size()) << ctx;
           for (VertexId v = 0; v < clean.closeness.size(); ++v) {
             ASSERT_EQ(r.closeness[v], clean.closeness[v])
@@ -150,130 +141,7 @@ TEST(ChaosMatrix, EveryPolicyEveryCrashWindow) {
   }
 }
 
-// ------------------------------------- adoption exactness, swept in depth
-
-TEST(Adoption, EveryCrashStep) {
-  // The acceptance sweep: kill a rank at every RC step of the run under
-  // recovery_policy = {adopt}. Every run must finish undegraded, lose
-  // nothing, and produce distances and closeness exactly equal to the
-  // fault-free run.
-  const Graph g = make_er(80, 240, 3, WeightRange{1, 3});
-  const EventSchedule sched = matrix_schedule(g, 17);
-  EngineConfig cfg = matrix_cfg(4);
-  cfg.gather_apsp = true;
-  AnytimeEngine clean_engine(g, cfg);
-  const RunResult clean = clean_engine.run(sched);
-  ASSERT_GE(clean.stats.rc_steps, 4u);
-
-  for (std::size_t s = 1; s < clean.stats.rc_steps; ++s) {
-    EngineConfig ccfg = cfg;
-    ccfg.checkpoint_every = 1;
-    ccfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
-    ccfg.faults.crashes.push_back({2, s});
-
-    AnytimeEngine engine(g, ccfg);
-    const RunResult r = engine.run(sched);
-    EXPECT_EQ(r.stats.recoveries, 1u) << "step " << s;
-    EXPECT_FALSE(r.degraded) << "step " << s;
-    EXPECT_TRUE(r.lost_vertices.empty()) << "step " << s;
-    EXPECT_EQ(r.apsp, clean.apsp) << "step " << s;
-    ASSERT_EQ(r.closeness.size(), clean.closeness.size());
-    for (VertexId v = 0; v < clean.closeness.size(); ++v) {
-      ASSERT_EQ(r.closeness[v], clean.closeness[v])
-          << "step " << s << " vertex " << v;
-    }
-  }
-}
-
-TEST(Adoption, TwoDeathsBackToBackStayExact) {
-  // Adoption keeps the periodic store live, so a second death is adoptable
-  // too: both seats end up vacated and the answer stays exact.
-  const Graph g = make_er(90, 270, 23, WeightRange{1, 3});
-  const EventSchedule sched = matrix_schedule(g, 29);
-  EngineConfig cfg = matrix_cfg(4);
-  cfg.gather_apsp = true;
-
-  AnytimeEngine clean_engine(g, cfg);
-  const RunResult clean = clean_engine.run(sched);
-  ASSERT_GE(clean.stats.rc_steps, 5u);
-
-  EngineConfig ccfg = cfg;
-  ccfg.checkpoint_every = 1;
-  ccfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
-  ccfg.faults.crashes.push_back({1, 2});
-  ccfg.faults.crashes.push_back({3, 4});
-
-  AnytimeEngine engine(g, ccfg);
-  const RunResult r = engine.run(sched);
-  EXPECT_EQ(r.stats.recoveries, 2u);
-  ASSERT_EQ(r.stats.recovery_log.size(), 2u);
-  EXPECT_EQ(r.stats.recovery_log[0].kind, "adopt");
-  EXPECT_EQ(r.stats.recovery_log[1].kind, "adopt");
-  EXPECT_FALSE(r.degraded);
-  EXPECT_TRUE(r.lost_vertices.empty());
-  for (VertexId v = 0; v < r.final_owner.size(); ++v) {
-    ASSERT_NE(r.final_owner[v], 1) << "vertex " << v;
-    ASSERT_NE(r.final_owner[v], 3) << "vertex " << v;
-  }
-  EXPECT_EQ(r.apsp, clean.apsp);
-}
-
-TEST(Adoption, MessageFaultsOnTopStayExact) {
-  // Adoption composes with wire chaos: dropped/duplicated/delayed/corrupt
-  // frames during both the original attempt and the adopted restart.
-  const Graph g = make_er(80, 240, 31, WeightRange{1, 3});
-  const EventSchedule sched = matrix_schedule(g, 37);
-  EngineConfig cfg = matrix_cfg(4);
-  cfg.gather_apsp = true;
-
-  AnytimeEngine clean_engine(g, cfg);
-  const RunResult clean = clean_engine.run(sched);
-
-  EngineConfig ccfg = cfg;
-  ccfg.checkpoint_every = 2;
-  ccfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0},
-                          {RecoveryPolicy::kRollback, 0}};
-  ccfg.faults.seed = 99;
-  ccfg.faults.drop = 0.06;
-  ccfg.faults.duplicate = 0.03;
-  ccfg.faults.delay = 0.06;
-  ccfg.faults.corrupt = 0.06;
-  ccfg.faults.crashes.push_back({2, 3});
-
-  AnytimeEngine engine(g, ccfg);
-  const RunResult r = engine.run(sched);
-  EXPECT_EQ(r.stats.recoveries, 1u);
-  EXPECT_FALSE(r.degraded);
-  EXPECT_EQ(r.apsp, clean.apsp);
-}
-
 // ------------------------------------------------------------- the ladder
-
-TEST(Ladder, AdoptFallsThroughToRollbackBeforeAnySnapshot) {
-  // Rank 1 dies at step 0: no periodic snapshot exists yet, so the adopt
-  // rung raises RecoveryError and the ladder falls through to rollback
-  // (which restarts from scratch, bit-identically).
-  const Graph g = make_er(80, 240, 41, WeightRange{1, 3});
-  EngineConfig cfg = matrix_cfg(3);
-  cfg.gather_apsp = true;
-
-  AnytimeEngine clean_engine(g, cfg);
-  const RunResult clean = clean_engine.run();
-
-  EngineConfig ccfg = cfg;
-  ccfg.checkpoint_every = 2;
-  ccfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0},
-                          {RecoveryPolicy::kRollback, 0}};
-  ccfg.faults.crashes.push_back({1, 0});
-
-  AnytimeEngine engine(g, ccfg);
-  const RunResult r = engine.run();
-  EXPECT_EQ(r.stats.recoveries, 1u);
-  ASSERT_EQ(r.stats.recovery_log.size(), 1u);
-  EXPECT_EQ(r.stats.recovery_log[0].kind, "rollback");
-  EXPECT_FALSE(r.degraded);
-  EXPECT_EQ(r.apsp, clean.apsp);
-}
 
 TEST(Ladder, SpentBudgetFallsThroughToTheNextRung) {
   // Rollback may serve exactly one recovery; the second death falls
@@ -304,12 +172,12 @@ TEST(Ladder, SpentBudgetFallsThroughToTheNextRung) {
 }
 
 TEST(Ladder, ExhaustedLadderRethrowsTheLastPreconditionFailure) {
-  // A single-rung adopt ladder with no periodic snapshots configured: the
-  // rung's precondition failure surfaces as RecoveryError.
+  // A single-rung rollback ladder with no periodic snapshots configured:
+  // the rung's precondition failure surfaces as RecoveryError.
   const Graph g = make_er(70, 210, 53, WeightRange{1, 3});
   EngineConfig cfg = matrix_cfg(3);
   cfg.checkpoint_every = 0;
-  cfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0}};
+  cfg.recovery_policy = {{RecoveryPolicy::kRollback, 0}};
   cfg.faults.crashes.push_back({1, 1});
 
   AnytimeEngine engine(g, cfg);
@@ -342,14 +210,13 @@ TEST(RecoveryLog, SerializesIntoTheStatsJson) {
   const Graph g = make_er(70, 210, 61, WeightRange{1, 3});
   EngineConfig cfg = matrix_cfg(3);
   cfg.checkpoint_every = 1;
-  cfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0},
-                         {RecoveryPolicy::kRollback, 0}};
+  cfg.recovery_policy = {{RecoveryPolicy::kRollback, 0}};
   cfg.faults.crashes.push_back({1, 2});
 
   AnytimeEngine engine(g, cfg);
   const RunResult r = engine.run();
   const std::string json = r.stats.to_json(false);
-  EXPECT_NE(json.find("\"recovery_log\":[{\"kind\":\"adopt\""),
+  EXPECT_NE(json.find("\"recovery_log\":[{\"kind\":\"rollback\""),
             std::string::npos)
       << json;
   EXPECT_NE(json.find("\"mttr_seconds\":"), std::string::npos);

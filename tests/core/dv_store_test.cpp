@@ -416,17 +416,16 @@ TEST(TieredEquivalence, CheckpointBlobsAreResidencyOblivious) {
   expect_identical(ra, rb, "cross-resume");
 }
 
-TEST(TieredEquivalence, ChaosRecoveryAndAdoption) {
-  // Crash a rank mid-run under the adopt rung: survivors deserialize and
-  // re-shard the dead rank's rows. Tiered stores must adopt into cold form
-  // budgets and still converge to the oracle's bits.
+TEST(TieredEquivalence, ChaosRecovery) {
+  // Crash a rank mid-run under the rollback rung: every rank deserializes
+  // its snapshot blob and replays. Tiered stores must restore into cold
+  // form budgets and still converge to the oracle's bits.
   const Graph g = make_er(100, 300, 59, WeightRange{1, 4});
   const EventSchedule sched = dynamic_schedule(g, 61);
 
   EngineConfig cfg = matrix_cfg(0);
   cfg.checkpoint_every = 1;
-  cfg.recovery_policy = {{RecoveryPolicy::kAdopt, 0},
-                         {RecoveryPolicy::kRollback, 0}};
+  cfg.recovery_policy = {{RecoveryPolicy::kRollback, 0}};
   cfg.faults.crashes.push_back({1, 2});
   cfg.transport.retry_backoff = std::chrono::microseconds(1);
 

@@ -491,7 +491,7 @@ TEST(PoisonCascade, CrossRankSequenceIsPinned) {
 
 // Every path that rebuilds a rank's rows under a new owner map or from a
 // blob must keep its answer and its work: Repartition-S, a rebalance, the
-// adopt/rollback/degrade restarts after a step-top or mid-exchange death,
+// rollback/degrade restarts after a step-top or mid-exchange death,
 // and a checkpoint resume, each under both DV stores. The counters were
 // recorded when IA began keeping the largest first hop among equal-cost
 // local paths.
@@ -560,8 +560,7 @@ TEST(RebuildPaths, LedgersArePinned) {
 
   // Rank 1 dies. A mid-exchange death on the second batch's step leaves
   // that batch torn on the survivors. A step-top death falls between the
-  // batches: on a batch step the adopt rung is not exact, because the batch
-  // lands on adopted rows that are still blank.
+  // batches.
   struct Crash {
     const char* name;
     RecoveryPolicy policy;
@@ -570,12 +569,6 @@ TEST(RebuildPaths, LedgersArePinned) {
     RunLedger want;
   };
   const Crash crashes[] = {
-      {"adopt step-start", RecoveryPolicy::kAdopt,
-       rt::CrashPhase::kStepStart, 2,
-       {10106, 354, 3482, 401, 122095}},
-      {"adopt mid-exchange", RecoveryPolicy::kAdopt,
-       rt::CrashPhase::kMidExchange, 3,
-       {16714, 4136, 7614, 409, 160140}},
       {"rollback step-start", RecoveryPolicy::kRollback,
        rt::CrashPhase::kStepStart, 2,
        {5759, 240, 240, 401, 106069}},

@@ -1,8 +1,8 @@
 // The recovery supervisor on its own: fake rank views, hand-built run
-// reports, no rank world and no threads. Pins the adoption deal, the
-// replay window, rollback's batch cursor, failure classification and the
-// MTTR probe; the rung-budget ladder walk is covered end to end by
-// chaos_matrix_test's Ladder cases.
+// reports, no rank world and no threads. Pins rollback's batch cursor,
+// failure classification, the degraded start and the MTTR probe; the
+// rung-budget ladder walk is covered end to end by chaos_matrix_test's
+// Ladder cases.
 #include <gtest/gtest.h>
 
 #include "common/timer.hpp"
@@ -95,108 +95,6 @@ RankEngine::Init prepared(const Supervisor& sup, Rank me) {
 }
 
 const RankEngine::Edges kEdges;
-
-TEST(SupervisorAdopt, DealsRoundRobinOntoAscendingSurvivors) {
-  const EngineConfig cfg = config(4, RecoveryPolicy::kAdopt);
-  PeriodicCheckpoints periodic(4);
-  periodic.store(1, 2, blob_tagged(1));
-  periodic.store(3, 4, blob_tagged(3));
-  Supervisor sup(cfg, {{}, &kEdges}, nullptr, &periodic);
-
-  const std::vector<Rank> owner{0, 1, 2, 3, 1, 1, kNoRank, 3, 1, 2, 3, 0};
-  const auto ranks = fakes(4, 6, 6, owner);
-  const auto rec = sup.recover(report_of(4, {1, 3}, {0, 2}), {},
-                               views_of(ranks), one_batch_per_step());
-  EXPECT_EQ(rec.rung, RecoveryPolicy::kAdopt);
-  EXPECT_EQ(rec.step, 6u);
-
-  // Ranks 1 and 3's vertices, in id order, alternate onto survivors 0, 2;
-  // the tombstone stays unowned.
-  const std::vector<Rank> want{0, 0, 2, 2, 0, 2, kNoRank, 0, 2, 2, 0, 0};
-  for (const Rank me : {0, 2}) {
-    const RankEngine::Init init = prepared(sup, me);
-    const auto* a = std::get_if<RankEngine::Adopt>(&init.start);
-    ASSERT_NE(a, nullptr) << "rank " << me;
-    EXPECT_EQ(a->new_owner, want);
-    EXPECT_EQ(*a->blob, ranks[static_cast<std::size_t>(me)].state);
-    ASSERT_EQ(a->shards->sources.size(), 2u);
-    EXPECT_EQ(a->shards->sources[0].first, 1);
-    EXPECT_EQ(*a->shards->sources[0].second, blob_tagged(1));
-    EXPECT_EQ(a->shards->sources[1].first, 3);
-    EXPECT_EQ(*a->shards->sources[1].second, blob_tagged(3));
-    EXPECT_EQ(init.assign_skip, (std::vector<Rank>{1, 3}));
-    EXPECT_EQ(init.start_step, 6u);
-    EXPECT_EQ(init.start_batch, 6u);
-    EXPECT_EQ(init.periodic, &periodic);  // further deaths stay adoptable
-  }
-  for (const Rank me : {1, 3}) {
-    const RankEngine::Init init = prepared(sup, me);
-    const auto* g = std::get_if<RankEngine::Ghost>(&init.start);
-    ASSERT_NE(g, nullptr) << "rank " << me;
-    EXPECT_EQ(g->owner, want);
-    EXPECT_EQ(g->edges, &kEdges);
-    EXPECT_EQ(g->vertices_added, 40u);
-    EXPECT_EQ(init.assign_skip, (std::vector<Rank>{1, 3}));
-  }
-  EXPECT_TRUE(sup.dead(1));
-  EXPECT_TRUE(sup.dead(3));
-  EXPECT_FALSE(sup.degraded());
-  ASSERT_EQ(sup.log().size(), 1u);
-  EXPECT_EQ(sup.log()[0].kind, "adopt");
-  EXPECT_EQ(sup.log()[0].at_step, 6u);
-}
-
-TEST(SupervisorAdopt, ReplaysFromTheOldestSourceSnapshot) {
-  // Snapshots at steps 2 and 4: batches through step 2 (three of them) are
-  // inside both blobs, so the replay starts at batch 3 — the minimum over
-  // the sources of the first batch after each snapshot.
-  const EngineConfig cfg = config(4, RecoveryPolicy::kAdopt);
-  PeriodicCheckpoints periodic(4);
-  periodic.store(1, 4, blob_tagged(1));
-  periodic.store(3, 2, blob_tagged(3));
-  Supervisor sup(cfg, {{}, &kEdges}, nullptr, &periodic);
-  const auto ranks = fakes(4, 6, 6, {0, 1, 2, 3});
-  sup.recover(report_of(4, {1, 3}), {}, views_of(ranks), one_batch_per_step());
-  const RankEngine::Init init = prepared(sup, 0);
-  EXPECT_EQ(std::get<RankEngine::Adopt>(init.start).shards->replay_from_batch,
-            3u);
-
-  // One source snapshotted at step 4: batches 0..4 are in its blob.
-  Supervisor one(cfg, {{}, &kEdges}, nullptr, &periodic);
-  one.recover(report_of(4, {1}), {}, views_of(ranks), one_batch_per_step());
-  EXPECT_EQ(std::get<RankEngine::Adopt>(prepared(one, 0).start)
-                .shards->replay_from_batch,
-            5u);
-}
-
-TEST(SupervisorAdopt, SecondDeathSkipsTheEarlierGhostSeat) {
-  EngineConfig cfg = config(4, RecoveryPolicy::kAdopt);
-  PeriodicCheckpoints periodic(4);
-  for (Rank r = 0; r < 4; ++r) {
-    periodic.store(r, 2, blob_tagged(static_cast<std::uint8_t>(r)));
-  }
-  Supervisor sup(cfg, {{}, &kEdges}, nullptr, &periodic);
-
-  const std::vector<Rank> owner{1, 3, 1, 3, 1, 3, 0, 2};
-  sup.recover(report_of(4, {1}), {}, views_of(fakes(4, 3, 3, owner)),
-              one_batch_per_step());
-  const std::vector<Rank> after_first{0, 3, 2, 3, 3, 3, 0, 2};
-  EXPECT_EQ(std::get<RankEngine::Adopt>(prepared(sup, 0).start).new_owner,
-            after_first);
-
-  // Rank 3 dies next: its vertices go to 0 and 2 only — seat 1 is a ghost.
-  auto ranks = fakes(4, 5, 5, after_first);
-  const auto rec = sup.recover(report_of(4, {3}, {0, 1, 2}), {},
-                               views_of(ranks), one_batch_per_step());
-  EXPECT_EQ(rec.step, 5u);
-  const std::vector<Rank> want{0, 0, 2, 2, 0, 2, 0, 2};
-  const RankEngine::Init init = prepared(sup, 2);
-  EXPECT_EQ(std::get<RankEngine::Adopt>(init.start).new_owner, want);
-  EXPECT_EQ(init.assign_skip, (std::vector<Rank>{1, 3}));
-  EXPECT_TRUE(
-      std::holds_alternative<RankEngine::Ghost>(prepared(sup, 1).start));
-  EXPECT_EQ(sup.log().size(), 2u);
-}
 
 TEST(SupervisorRollback, ResumesAfterTheNewestCommonSnapshot) {
   const EngineConfig cfg = config(2, RecoveryPolicy::kRollback);

@@ -300,7 +300,7 @@ TEST(ServeStaleness, AgeAndStaleFlagFollowTheConfiguredLag) {
   EXPECT_EQ(ctx->stale_responses.load(), 1u);
   EXPECT_EQ(ctx->queries.load(), 2u);
 
-  // Degraded/adopted provenance flows through from the snapshot.
+  // Degraded provenance flows through from the snapshot.
   auto flagged = std::make_shared<SnapshotData>();
   flagged->step = 9;
   flagged->epoch = 2;
@@ -309,11 +309,9 @@ TEST(ServeStaleness, AgeAndStaleFlagFollowTheConfiguredLag) {
   flagged->harmonic = {0.2};
   flagged->by_closeness = {0};
   flagged->degraded = true;
-  flagged->adopted = true;
   ctx->snapshots[0].publish(std::move(flagged));
   p = view.point(0);
   EXPECT_TRUE(p.meta.degraded);
-  EXPECT_TRUE(p.meta.adopted);
   EXPECT_EQ(p.meta.age_steps, 0u);
 }
 
@@ -338,10 +336,9 @@ TEST(ServeRecovery, RollbackRecoveryMatchesFaultFreeFinalValues) {
   for (VertexId v = 0; v < clean.closeness.size(); ++v) {
     EXPECT_EQ(clean.closeness[v], live.closeness[v]) << "vertex " << v;
   }
-  // Post-rollback snapshots shed the degraded/adopted provenance.
+  // Post-rollback snapshots shed the degraded provenance.
   const auto p = session.view().point(0);
   EXPECT_FALSE(p.meta.degraded);
-  EXPECT_FALSE(p.meta.adopted);
 }
 
 // --------------------------------------------------------- serve-side SLOs

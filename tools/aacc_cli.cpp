@@ -104,8 +104,8 @@ int usage() {
                "\n"
                "LADDER is a comma list of recovery rungs tried in order when\n"
                "a rank dies (docs/FAULTS.md §Recovery policy ladder), each\n"
-               "adopt|rollback|degrade with an optional :budget (uses per\n"
-               "run, 0 = unlimited), e.g. adopt:2,rollback,degrade.\n"
+               "rollback|degrade with an optional :budget (uses per run,\n"
+               "0 = unlimited), e.g. rollback:2,degrade.\n"
                "\n"
                "--dv-budget caps per-rank dense DV memory: rows over the\n"
                "budget are demoted to a delta-compressed cold form (results\n"
@@ -116,7 +116,7 @@ int usage() {
   return 2;
 }
 
-/// Parses `--recovery-policy adopt:2,rollback,degrade` into config rungs.
+/// Parses `--recovery-policy rollback:2,degrade` into config rungs.
 /// Throws std::runtime_error on an unknown rung name or malformed budget;
 /// EngineConfig::validate() later rejects empty or repeated ladders.
 void apply_recovery_policy(const std::string& spec, EngineConfig& cfg) {
@@ -132,11 +132,10 @@ void apply_recovery_policy(const std::string& spec, EngineConfig& cfg) {
       rung.resize(colon);
     }
     RecoveryPolicy policy;
-    if (rung == "adopt") policy = RecoveryPolicy::kAdopt;
-    else if (rung == "rollback") policy = RecoveryPolicy::kRollback;
+    if (rung == "rollback") policy = RecoveryPolicy::kRollback;
     else if (rung == "degrade" || rung == "degraded") policy = RecoveryPolicy::kDegrade;
     else throw std::runtime_error("unknown recovery rung '" + rung +
-                                  "' (want adopt|rollback|degrade)");
+                                  "' (want rollback|degrade)");
     cfg.recovery_policy.push_back({policy, budget});
   }
 }
@@ -289,9 +288,9 @@ int cmd_run(const Args& args) {
 
 /// One-line staleness contract suffix shared by every serve answer.
 void print_meta(const serve::ResponseMeta& m) {
-  std::printf("  [step %zu/%zu age %zu%s%s%s", m.step, m.engine_step,
+  std::printf("  [step %zu/%zu age %zu%s%s", m.step, m.engine_step,
               m.age_steps, m.stale ? " STALE" : "",
-              m.degraded ? " degraded" : "", m.adopted ? " adopted" : "");
+              m.degraded ? " degraded" : "");
   if (m.has_estimators) {
     std::printf("  overlap %.3f tau %+.3f", m.topk_overlap, m.kendall_tau);
   }

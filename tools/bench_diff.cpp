@@ -1,6 +1,6 @@
 // bench_diff — CLI wrapper around tools/bench_diff.hpp.
 //
-//   bench_diff [--threshold PCT] [--gate WORD|WORD...] [--report-only] \
+//   bench_diff [--threshold PCT] [--gate WORD|WORD...] [--report-only]
 //              BENCH_old1.json [BENCH_old2.json ...] BENCH_new.json
 //
 // The LAST file is the candidate; every earlier file is history. Prints a
