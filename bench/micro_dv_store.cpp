@@ -11,8 +11,10 @@
 // from fully resident (the oracle) down to 1/16 of the dense footprint;
 // per budget the bench reports the step-boundary peak DV bytes (hot +
 // cold, the dv/ gauges), the modeled makespan, the
-// promotion/demotion/decode ledger, and verifies the closeness doubles
-// against the oracle bit for bit. Fatal acceptance gates (ISSUE M8): some
+// promotion/demotion/decode ledger, the process's minor page faults over
+// the run and the microseconds per promotion (decode seconds / promotions;
+// both report-only), and verifies the closeness doubles against the oracle
+// bit for bit. Fatal acceptance gates (EXPERIMENTS.md §M8): some
 // tiered budget must deliver
 //   * >= 4x step-boundary peak DV memory reduction vs resident, at
 //   * <= 10% modeled-makespan overhead (min over AACC_REPEAT runs).
@@ -31,6 +33,8 @@
 // vertices, default 2000), AACC_P (ranks, default 4), AACC_N_BIG (Part B
 // vertices, default 1000000), AACC_REPEAT (timing repeats, default 3),
 // AACC_SEED.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -59,8 +63,21 @@ struct SweepCase {
   std::uint64_t promotions = 0;
   std::uint64_t demotions = 0;
   double decode_seconds = 0.0;
+  std::uint64_t minor_faults = 0;  // getrusage ru_minflt delta over the run
   bool identical = true;
+
+  [[nodiscard]] double us_per_promotion() const {
+    return promotions == 0 ? 0.0
+                           : 1e6 * decode_seconds / static_cast<double>(promotions);
+  }
 };
+
+/// Minor page faults this process has taken so far (all threads).
+std::uint64_t minor_faults_now() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+}
 
 constexpr VertexId kCommunity = 32;  ///< vertices per community
 constexpr VertexId kIsland = 128;    ///< 4 chained communities per island
@@ -172,13 +189,16 @@ int main() {
   oracle.label = "resident";
   RunResult oracle_result;
   for (int rep = 0; rep < repeats; ++rep) {
+    const std::uint64_t faults0 = minor_faults_now();
     Timer t;
     std::uint64_t peak = 0;
     RunResult r = run_tracked(g, sched, base, &peak);
     const double wall = t.seconds();
+    const std::uint64_t faults = minor_faults_now() - faults0;
     if (rep == 0 || r.stats.modeled_makespan_seconds < oracle.modeled_seconds) {
       oracle.modeled_seconds = r.stats.modeled_makespan_seconds;
       oracle.peak_dv_bytes = peak;
+      oracle.minor_faults = faults;
       oracle_result = std::move(r);
     }
     oracle.wall_seconds =
@@ -198,16 +218,19 @@ int main() {
     EngineConfig cfg = base;
     cfg.dv_budget_bytes = c.budget;
     for (int rep = 0; rep < repeats; ++rep) {
+      const std::uint64_t faults0 = minor_faults_now();
       Timer t;
       std::uint64_t peak = 0;
       const RunResult r = run_tracked(g, sched, cfg, &peak);
       const double wall = t.seconds();
+      const std::uint64_t faults = minor_faults_now() - faults0;
       if (rep == 0 || r.stats.modeled_makespan_seconds < c.modeled_seconds) {
         c.modeled_seconds = r.stats.modeled_makespan_seconds;
         c.peak_dv_bytes = peak;
         c.promotions = r.stats.dv_promotions;
         c.demotions = r.stats.dv_demotions;
         c.decode_seconds = r.stats.dv_decode_seconds;
+        c.minor_faults = faults;
       }
       c.wall_seconds = rep == 0 ? wall : std::min(c.wall_seconds, wall);
       c.identical = c.identical && r.closeness == oracle_result.closeness &&
@@ -220,9 +243,10 @@ int main() {
       "\n== micro_dv_store: residency sweep (n=%u, islands of %u, P=%d, %d "
       "repeats) ==\n",
       scale.n, kIsland, static_cast<int>(P), repeats);
-  std::printf("%-10s %14s %12s %9s %12s %9s %10s %10s %6s\n", "series",
-              "budget/rank", "peak_dv_MB", "vs_dense", "modeled_s", "wall_s",
-              "promotions", "decode_ms", "ident");
+  std::printf("%-10s %14s %12s %9s %12s %9s %10s %10s %8s %10s %6s\n",
+              "series", "budget/rank", "peak_dv_MB", "vs_dense", "modeled_s",
+              "wall_s", "promotions", "decode_ms", "us/promo", "minflt",
+              "ident");
   bool all_identical = true;
   double gate_reduction = 0.0;  // best reduction among cases <= 10% overhead
   double gate_overhead = 0.0;
@@ -236,12 +260,15 @@ int main() {
         oracle.modeled_seconds <= 0.0
             ? 0.0
             : c.modeled_seconds / oracle.modeled_seconds - 1.0;
-    std::printf("%-10s %14llu %12.2f %8.2fx %12.4f %9.3f %10llu %10.2f %6s\n",
-                c.label.c_str(), static_cast<unsigned long long>(c.budget),
-                static_cast<double>(c.peak_dv_bytes) / 1e6, reduction,
-                c.modeled_seconds, c.wall_seconds,
-                static_cast<unsigned long long>(c.promotions),
-                1e3 * c.decode_seconds, c.identical ? "yes" : "NO");
+    std::printf(
+        "%-10s %14llu %12.2f %8.2fx %12.4f %9.3f %10llu %10.2f %8.2f %10llu "
+        "%6s\n",
+        c.label.c_str(), static_cast<unsigned long long>(c.budget),
+        static_cast<double>(c.peak_dv_bytes) / 1e6, reduction,
+        c.modeled_seconds, c.wall_seconds,
+        static_cast<unsigned long long>(c.promotions), 1e3 * c.decode_seconds,
+        c.us_per_promotion(), static_cast<unsigned long long>(c.minor_faults),
+        c.identical ? "yes" : "NO");
     all_identical = all_identical && c.identical;
     if (c.budget != 0 && overhead <= 0.10 && reduction > gate_reduction) {
       gate_reduction = reduction;
@@ -290,6 +317,8 @@ int main() {
          << ",\"promotions\":" << c.promotions
          << ",\"demotions\":" << c.demotions
          << ",\"decode_seconds\":" << c.decode_seconds
+         << ",\"us_per_promotion\":" << c.us_per_promotion()
+         << ",\"minor_faults\":" << c.minor_faults
          << ",\"identical\":" << (c.identical ? "true" : "false") << '}';
   }
   json << "],\"gate_reduction\":" << gate_reduction

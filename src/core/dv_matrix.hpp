@@ -32,9 +32,14 @@
 // more, and a row pays no O(n) scan while its lists are under the cap. The
 // dirty list starts over at every clear_all_dirty/reset_flags, the queue
 // list at every take_queued/reset_flags, the reach list only when the row
-// is rebuilt. The dirty and reach lists are append-only: a cleared or
-// poisoned column stays as a stale id, and a re-marked one appears twice,
-// so their consumers keep the live ids, sort and de-duplicate.
+// is rebuilt or reset. The dirty and reach lists are append-only: a cleared
+// or poisoned column stays as a stale id, and a re-marked one appears
+// twice, so their consumers keep the live ids, sort and de-duplicate.
+//
+// The lists also bound what reset() must undo: every column whose entry or
+// flags differ from a fresh row's is the self column or named by a list.
+// For that the reach list also takes an infinite column given a next hop
+// (the engine writes infinite entries with kNoVertex, so it never does).
 #pragma once
 
 #include <algorithm>
@@ -64,6 +69,11 @@ class ColumnList {
   }
   void reset() {
     ids_.clear();
+    overflowed_ = false;
+  }
+  /// reset() that also frees the storage, as a new list holds none.
+  void release() {
+    std::vector<VertexId>().swap(ids_);
     overflowed_ = false;
   }
   [[nodiscard]] bool overflowed() const { return overflowed_; }
@@ -109,6 +119,8 @@ class DvRow {
         sum_ += d_[t];
         ++finite_;
         reach_.push(t, list_cap());
+      } else if (t != self_ && nh_[t] != kNoVertex) {
+        reach_.push(t, list_cap());  // for reset() (see file comment)
       }
     }
   }
@@ -155,6 +167,8 @@ class DvRow {
         sum_ += nd;
         ++finite_;
         if (old == kInfDist) reach_.push(t, list_cap());
+      } else if (old == kInfDist && nh != kNoVertex) {
+        reach_.push(t, list_cap());  // for reset() (see file comment)
       }
     }
     d_[t] = nd;
@@ -175,6 +189,48 @@ class DvRow {
     d_.insert(d_.end(), count, kInfDist);
     nh_.insert(nh_.end(), count, kNoVertex);
     flags_.insert(flags_.end(), count, 0);
+  }
+
+  /// Returns the row to exactly the state DvRow(self, size()) builds, so
+  /// its buffers can serve another vertex. Writes only the columns the
+  /// reach, dirty and queue lists name and the old self column — O(list)
+  /// — except that an overflowed list costs one pass over its array. A row
+  /// with growth slack is rebuilt instead: a fresh row has none, and
+  /// footprint_bytes() is the tiered store's budget currency.
+  void reset(VertexId self) {
+    const VertexId n = size();
+    if (d_.capacity() != n || nh_.capacity() != n || flags_.capacity() != n) {
+      *this = DvRow(self, n);
+      return;
+    }
+    if (reach_.overflowed()) {
+      std::fill(d_.begin(), d_.end(), kInfDist);
+      std::fill(nh_.begin(), nh_.end(), kNoVertex);
+    } else {
+      for (const VertexId t : reach_.ids()) {
+        d_[t] = kInfDist;
+        nh_[t] = kNoVertex;
+      }
+      d_[self_] = kInfDist;
+      nh_[self_] = kNoVertex;
+    }
+    if (dirty_.overflowed() || queued_.overflowed()) {
+      std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
+    } else {
+      for (const VertexId t : dirty_.ids()) flags_[t] = 0;
+      for (const VertexId t : queued_.ids()) flags_[t] = 0;
+    }
+    dirty_.release();
+    reach_.release();
+    queued_.release();
+    self_ = self;
+    d_[self] = 0;
+    harmonic_stale_ = true;
+    harmonic_ = 0.0;
+    sum_ = 0;
+    finite_ = 0;
+    dirty_count_ = 0;
+    queued_count_ = 0;
   }
 
   /// Resident-memory footprint of this row (capacity-based, including the

@@ -131,6 +131,13 @@ ColdDvRow encode_cold_row(VertexId self, const std::vector<Dist>& d,
 
 DvRow decode_cold_row(const ColdDvRow& cold) {
   DvRow row(cold.self, cold.columns);
+  decode_cold_row_into(cold, row);
+  return row;
+}
+
+void decode_cold_row_into(const ColdDvRow& cold, DvRow& row) {
+  AACC_DCHECK(row.self() == cold.self && row.size() == cold.columns);
+  AACC_DCHECK(row.finite_count() == 0 && row.dirty_count() == 0);
   ColdCursor cur(cold);
   while (!cur.done()) {
     const auto [t, d, nh] = cur.next();
@@ -139,7 +146,6 @@ DvRow decode_cold_row(const ColdDvRow& cold) {
   cold.dirty.for_each([&row](VertexId t) { row.mark_dirty(t); });
   AACC_DCHECK(row.finite_sum() == cold.sum);
   AACC_DCHECK(row.finite_count() == cold.finite);
-  return row;
 }
 
 DvStore::~DvStore() = default;
@@ -154,13 +160,52 @@ DvRow& DvStore::promote(std::size_t i) {
   Slot& s = slots_[i];
   if (DvRow* p = s.hot.load(std::memory_order_acquire)) return *p;  // raced
   Timer t;
-  auto* p = new DvRow(decode_cold_row(*s.cold));
+  const ColdDvRow& c = *s.cold;
+  std::unique_ptr<DvRow> p;
+  if (!spares_.empty() && spares_.back()->size() == c.columns) {
+    p = std::move(spares_.back());
+    spares_.pop_back();
+    spare_bytes_ -= p->footprint_bytes();
+    p->reset(c.self);
+  } else {
+    p = std::make_unique<DvRow>(c.self, c.columns);
+  }
+  decode_cold_row_into(c, *p);
   decode_seconds_ += t.seconds();
   ++promotions_;
   s.cold.reset();
   s.touch.store(epoch_, std::memory_order_relaxed);
-  s.hot.store(p, std::memory_order_release);
-  return *p;
+  DvRow* hot = p.release();  // the slot owns it now
+  s.hot.store(hot, std::memory_order_release);
+  return *hot;
+}
+
+void DvStore::keep_spares(std::uint64_t hot_peak,
+                          std::vector<std::unique_ptr<DvRow>> rows) {
+  const std::lock_guard<std::mutex> lock(promote_mu_);
+  hot_high_water_ = std::max(hot_high_water_, hot_peak);
+  while (!spares_.empty() &&
+         resident_bytes_ + spare_bytes_ > hot_high_water_) {
+    spare_bytes_ -= spares_.back()->footprint_bytes();
+    spares_.pop_back();
+  }
+  for (std::unique_ptr<DvRow>& r : rows) {
+    // The pre-reset footprint bounds the reset one (lists freed).
+    if (r->size() != cols_ ||
+        resident_bytes_ + spare_bytes_ + r->footprint_bytes() >
+            hot_high_water_) {
+      continue;  // r frees its buffers
+    }
+    r->reset(r->self());
+    spare_bytes_ += r->footprint_bytes();
+    spares_.push_back(std::move(r));
+  }
+}
+
+void DvStore::release_spares() {
+  const std::lock_guard<std::mutex> lock(promote_mu_);
+  spares_.clear();
+  spare_bytes_ = 0;
 }
 
 // ---- metadata ------------------------------------------------------------
@@ -378,10 +423,12 @@ void DvStore::swap_remove(std::size_t i) {
 void DvStore::clear() {
   slots_.clear();
   cols_ = 0;
+  release_spares();
 }
 
 void DvStore::grow_columns(VertexId count) {
   cols_ += count;
+  release_spares();  // a spare's width must match every promoted row's
   for (Slot& s : slots_) {
     if (DvRow* p = s.hot.load(std::memory_order_acquire)) {
       p->grow(count);
@@ -578,9 +625,12 @@ void TieredDvStore::maintain(const std::vector<std::uint8_t>& is_boundary) {
       cold += s.cold->bytes();
     }
   }
+  const std::uint64_t hot_peak = resident;  // this step's, pre-demotion
+  std::vector<std::unique_ptr<DvRow>> demoted_rows;
   if (resident > budget_bytes_) {
     std::sort(hot.begin(), hot.end(),
               [](const Cand& a, const Cand& b) { return a.key < b.key; });
+    demoted_rows.reserve(hot.size());  // the hand-over below cannot throw
     for (const Cand& cand : hot) {
       if (resident <= budget_bytes_) break;
       Slot& s = slots_[cand.i];
@@ -589,12 +639,14 @@ void TieredDvStore::maintain(const std::vector<std::uint8_t>& is_boundary) {
       cold += demoted->bytes();
       resident -= cand.bytes;
       s.cold = std::move(demoted);
-      s.release_hot();
+      demoted_rows.emplace_back(p);
+      s.hot.store(nullptr, std::memory_order_relaxed);
       ++demotions_;
     }
   }
   resident_bytes_ = resident;
   cold_bytes_ = cold;
+  keep_spares(hot_peak, std::move(demoted_rows));
   ++epoch_;
 }
 

@@ -25,6 +25,13 @@
 //     state a cold row needs to preserve.
 //   * The budget is a step-boundary bound, not a hard cap: promotions
 //     inside a step may overshoot; maintain() demotes back under budget.
+//   * Demoted rows' dense buffers wait on a spare list and serve the next
+//     promotions (reset, then decoded into), so a promotion costs
+//     O(entries) instead of an n-wide fill. Hot plus spare bytes never
+//     exceed the hot high-water mark maintain() has seen; spares of another
+//     column width are dropped (grow_columns, clear), and
+//     release_spares() frees the rest. The list changes only under the
+//     store mutex; spare_bytes() is a serial read like the other gauges.
 //
 // Determinism: promotion rebuilds a DvRow whose observable state (values,
 // aggregates, live dirty set, finite set) is identical to the row that was
@@ -209,6 +216,9 @@ ColdDvRow encode_cold_row(VertexId self, const std::vector<Dist>& d,
 /// Full decode back to the dense form; the inverse of encode_cold_row up to
 /// the contents of the row's column lists (see file comment).
 DvRow decode_cold_row(const ColdDvRow& cold);
+/// decode_cold_row into `row`, which must be in the state
+/// DvRow(cold.self, cold.columns) builds (new or reset()).
+void decode_cold_row_into(const ColdDvRow& cold, DvRow& row);
 
 class DvStore {
  public:
@@ -362,11 +372,17 @@ class DvStore {
   /// steers the LRU: boundary rows are demoted last.
   virtual void maintain(const std::vector<std::uint8_t>& is_boundary) = 0;
   void promote_all();
+  /// Frees the spare buffers (end of an RC phase: nothing promotes until
+  /// the next one).
+  void release_spares();
 
   // ---- observability -----------------------------------------------------
 
   [[nodiscard]] std::uint64_t resident_bytes() const { return resident_bytes_; }
   [[nodiscard]] std::uint64_t cold_bytes() const { return cold_bytes_; }
+  /// Bytes of demoted rows' dense buffers kept for reuse (not hot: the
+  /// budget does not count them).
+  [[nodiscard]] std::uint64_t spare_bytes() const { return spare_bytes_; }
   [[nodiscard]] std::uint64_t promotions() const { return promotions_; }
   [[nodiscard]] std::uint64_t demotions() const { return demotions_; }
   [[nodiscard]] double decode_seconds() const { return decode_seconds_; }
@@ -429,9 +445,17 @@ class DvStore {
   VertexId cols_ = 0;
   std::uint32_t epoch_ = 1;  ///< LRU clock, bumped once per maintain()
 
-  std::mutex promote_mu_;  ///< serializes cold→hot decode + stats below
+  /// Keeps demoted rows as spares while hot + spare bytes stay within the
+  /// hot high-water mark, raised to `hot_peak` first; frees the rest.
+  void keep_spares(std::uint64_t hot_peak,
+                   std::vector<std::unique_ptr<DvRow>> rows);
+
+  std::mutex promote_mu_;  ///< serializes cold→hot decode + members below
   std::uint64_t promotions_ = 0;
   double decode_seconds_ = 0.0;
+  std::vector<std::unique_ptr<DvRow>> spares_;  ///< reset, width cols_
+  std::uint64_t spare_bytes_ = 0;
+  std::uint64_t hot_high_water_ = 0;  ///< max hot bytes maintain() has seen
   // Serial-only residency accounting (recomputed by maintain()).
   std::uint64_t resident_bytes_ = 0;
   std::uint64_t cold_bytes_ = 0;

@@ -132,6 +132,9 @@ struct RunStats {
   /// though results do not.
   std::uint64_t dv_resident_bytes = 0;
   std::uint64_t dv_cold_bytes = 0;
+  /// Demoted rows' dense buffers kept for reuse by later promotions;
+  /// resident + cold + spare bytes account for every DV buffer.
+  std::uint64_t dv_spare_bytes = 0;
   std::uint64_t dv_promotions = 0;
   std::uint64_t dv_demotions = 0;
   double dv_decode_seconds = 0.0;

@@ -41,6 +41,7 @@ struct StepLocal {
   std::int64_t blocked_on_rank = -1;  ///< -1 = never blocked
   std::uint64_t dv_resident_bytes = 0;
   std::uint64_t dv_cold_bytes = 0;
+  std::uint64_t dv_spare_bytes = 0;
   std::uint64_t dv_promotions = 0;
   std::uint64_t dv_demotions = 0;
   double dv_decode_seconds = 0.0;
@@ -209,6 +210,9 @@ inline constexpr Metric kCatalog[] = {
     {.name = "dv/cold_bytes", .kind = kGauge, .unit = "bytes", .reduce = kSum,
      .runs = Runs::kLatest, .local = {LOCAL(dv_cold_bytes)},
      .run = {RUN(dv_cold_bytes)}, .event = {EVENT(dv_cold_bytes)}},
+    {.name = "dv/spare_bytes", .kind = kGauge, .unit = "bytes", .reduce = kSum,
+     .runs = Runs::kLatest, .local = {LOCAL(dv_spare_bytes)},
+     .run = {RUN(dv_spare_bytes)}},
     {.name = "dv/promotions", .reduce = kSum, .local = {LOCAL(dv_promotions)},
      .run = {RUN(dv_promotions)}, .event = {EVENT(dv_promotions)}},
     {.name = "dv/demotions", .reduce = kSum, .local = {LOCAL(dv_demotions)},

@@ -1395,6 +1395,7 @@ StepLocal RankEngine::sample() const {
   s.cpu_seconds = thread_cpu_now();
   s.dv_resident_bytes = dv_->resident_bytes();
   s.dv_cold_bytes = dv_->cold_bytes();
+  s.dv_spare_bytes = dv_->spare_bytes();
   s.dv_promotions = dv_->promotions();
   s.dv_demotions = dv_->demotions();
   s.dv_decode_seconds = dv_->decode_seconds();
@@ -1808,6 +1809,9 @@ std::size_t RankEngine::run_rc() {
       serve_->engine_step.store(cur_step_, std::memory_order_release);
     }
   }
+  // Promotions after the RC phase (extraction, validation) are one-off:
+  // the recycled buffers would only hold memory.
+  dv_->release_spares();
   return step;
 }
 

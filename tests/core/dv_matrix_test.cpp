@@ -438,6 +438,120 @@ TEST(DvRow, FuzzRowQueueMatchesBruteForce) {
   }
 }
 
+// Checks that `row` is in exactly the state DvRow(self, row.size()) builds:
+// every column's distance, next hop and flags, the counts, aggregates and
+// harmonic value, the footprint, and — through one identical follow-up
+// sequence on both — the overflow state of the three column lists.
+void expect_same_as_fresh(DvRow& row, VertexId self) {
+  DvRow fresh(self, row.size());
+  ASSERT_EQ(row.self(), self);
+  ASSERT_EQ(row.dists(), fresh.dists());
+  ASSERT_EQ(row.next_hops(), fresh.next_hops());
+  for (VertexId t = 0; t < row.size(); ++t) {
+    ASSERT_FALSE(row.test_flag(t, DvRow::kDirty)) << t;
+    ASSERT_FALSE(row.test_flag(t, DvRow::kQueued)) << t;
+  }
+  ASSERT_EQ(row.finite_count(), 0u);
+  ASSERT_EQ(row.finite_sum(), 0u);
+  ASSERT_EQ(row.dirty_count(), 0u);
+  ASSERT_EQ(row.queued_count(), 0u);
+  ASSERT_EQ(row.harmonic(), fresh.harmonic());
+  ASSERT_EQ(row.dirty_list_overflowed(), fresh.dirty_list_overflowed());
+  ASSERT_EQ(row.footprint_bytes(), fresh.footprint_bytes());
+  // A non-overflowed queue hands columns back in queueing order, an
+  // overflowed one ascending; a non-overflowed reach list takes capacity
+  // when a column turns finite, an overflowed one none.
+  const VertexId a = self == 0 ? 1 : 0;
+  const VertexId b = row.size() - 1 == self ? row.size() - 2 : row.size() - 1;
+  std::vector<VertexId> got;
+  std::vector<VertexId> want;
+  for (DvRow* r : {&row, &fresh}) {
+    r->mark_queued(b);
+    r->mark_queued(a);
+    r->set(a, 3, a);
+    r->mark_dirty(a);
+  }
+  row.take_queued(got);
+  fresh.take_queued(want);
+  ASSERT_EQ(got, want);
+  ASSERT_EQ(row.footprint_bytes(), fresh.footprint_bytes());
+  ASSERT_EQ(row.harmonic(), fresh.harmonic());
+}
+
+// Fuzz: reset(s') must return any row to DvRow(s', n), whatever ran on it
+// before — sets (finite, and kInfDist with or without a next hop), dirty
+// and queued marks, takes, bulk clears, grows and wire construction — on
+// both sides of every list's n/64 cap. Short sequences keep the lists
+// under the cap and reset() on its list path; long ones with the full
+// column pool, above all those without takes or bulk clears, overflow
+// them. A grow leaves capacity slack, which reset() rebuilds;
+// shrink_to_fit() removes it again so grown rows also reach the list path.
+TEST(DvRow, ResetMatchesFreshRow) {
+  std::mt19937 rng(20261028);
+  std::vector<VertexId> taken;
+  for (int round = 0; round < 120; ++round) {
+    VertexId n = round % 2 == 0 ? 256 : 700;
+    const VertexId pool = round % 3 == 0 ? 4 : round % 3 == 1 ? 16 : n;
+    const int steps = round % 4 == 0 ? 8 : round % 4 == 1 ? 40 : 400;
+    const bool grows = round % 5 == 0;
+    const bool clears = (round / 4) % 3 != 0;  // else the lists only grow
+    const auto self = static_cast<VertexId>(rng() % n);
+    DvRow row(self, n);
+    if (round % 5 == 1) {
+      // Dense wire rows overflow the reach list at once; sparse ones keep
+      // it, and reset() on its list path.
+      const unsigned every = (round / 5) % 2 == 0 ? 4 : 128;
+      std::vector<Dist> d(n, kInfDist);
+      std::vector<VertexId> nh(n, kNoVertex);
+      for (VertexId t = 0; t < n; ++t) {
+        if (t != self && rng() % every == 0) {
+          d[t] = rng() % 3 == 0 ? kInfDist : 1 + rng() % 50;
+          nh[t] = static_cast<VertexId>(rng() % n);
+        }
+      }
+      d[self] = 0;
+      row = DvRow(self, std::move(d), std::move(nh));
+    }
+    for (int step = 0; step < steps; ++step) {
+      const auto op = rng() % 100;
+      const auto t = static_cast<VertexId>(rng() % std::min(pool, n));
+      if (op < 35) {
+        if (t != row.self()) {
+          // An infinite entry gets a next hop now and then too: reset()
+          // must clear it although the column never turned finite.
+          const bool inf = rng() % 6 == 0;
+          const bool hop = !inf || rng() % 2 == 0;
+          row.set(t, inf ? kInfDist : 1 + rng() % 1000,
+                  hop ? static_cast<VertexId>(rng() % n) : kNoVertex);
+        }
+      } else if (op < 55) {
+        row.mark_dirty(t);
+      } else if (op < 60) {
+        (void)row.clear_dirty(t);
+      } else if (op < 80) {
+        row.mark_queued(t);
+      } else if (op < 86) {
+        clears ? row.take_queued(taken) : (void)row.mark_queued(t);
+      } else if (op < 91) {
+        clears ? (void)row.clear_all_dirty() : (void)row.mark_dirty(t);
+      } else if (op < 94) {
+        if (clears) row.reset_flags();
+      } else if (grows && op < 97) {
+        const auto added = static_cast<VertexId>(1 + rng() % 64);
+        row.grow(added);
+        n += added;
+      } else if (grows) {
+        row.shrink_to_fit();
+      }
+    }
+    (void)row.harmonic();  // a valid cache must not survive the reset
+    const auto next = static_cast<VertexId>(rng() % n);
+    row.reset(next);
+    expect_same_as_fresh(row, next);
+    if (HasFatalFailure()) return;
+  }
+}
+
 TEST(DvRow, RowQueueTakesInOrderUnderCapAscendingPastIt) {
   DvRow row(0, 128);  // cap: 2 ids
   std::vector<VertexId> taken;

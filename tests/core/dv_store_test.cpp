@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 
+#include "common/parallel.hpp"
 #include "core/dv_store.hpp"
 #include "test_util.hpp"
 
@@ -264,6 +266,200 @@ TEST(TieredLru, DenseDirtyCollectMatchesResident) {
   }
 }
 
+// ------------------------------------------------------------ spare list
+
+/// Footprint of a fresh (or reset) dense row: what one spare holds.
+std::size_t spare_bytes_per_row(VertexId n) {
+  return DvRow(0, n).footprint_bytes();
+}
+
+/// A row with a few finite and dirty columns: its reach and dirty lists
+/// stay under the cap, so they hold storage a fresh row does not.
+DvRow sparse_row(VertexId n, Rng& rng) {
+  const auto self = static_cast<VertexId>(rng.next_below(n));
+  DvRow row(self, n);
+  for (int k = 0; k < 5; ++k) {
+    const auto t = static_cast<VertexId>(rng.next_below(n));
+    if (t == self) continue;
+    row.set(t, static_cast<Dist>(1 + rng.next_below(50)),
+            static_cast<VertexId>(rng.next_below(n)));
+    if (k % 2 == 0) row.mark_dirty(t);
+  }
+  return row;
+}
+
+/// Appends hot rows as wide as the store (random_row, or sparse_row when
+/// `sparse`); `reference` keeps copies.
+void fill_hot(TieredDvStore& store, std::size_t rows, Rng& rng,
+              std::vector<DvRow>& reference, bool sparse = false) {
+  const VertexId n = store.global_columns();
+  for (std::size_t r = 0; r < rows; ++r) {
+    DvRow row = sparse ? sparse_row(n, rng) : random_row(n, rng);
+    reference.push_back(DvRow(row));
+    store.append(std::move(row));
+  }
+}
+
+TEST(TieredSpares, PromotionReusesDemotedBufferAndDecodesLikeFresh) {
+  const VertexId n = 512;
+  Rng rng(71);
+  TieredDvStore store(2 * spare_bytes_per_row(n));
+  std::vector<DvRow> reference;
+  store.grow_columns(n);
+  fill_hot(store, 3, rng, reference);
+  fill_hot(store, 3, rng, reference, /*sparse=*/true);
+  std::set<const Dist*> buffers;
+  for (std::size_t r = 0; r < store.size(); ++r) {
+    buffers.insert(store.row(r).dists().data());
+  }
+  store.maintain(std::vector<std::uint8_t>(store.size(), 0));
+  ASSERT_GT(store.demotions(), 0u);
+  // Every demoted row fits under the high-water mark (the six hot rows),
+  // and a spare is as big as a fresh row: its column lists were freed.
+  EXPECT_EQ(store.spare_bytes(), store.demotions() * spare_bytes_per_row(n));
+
+  for (std::size_t r = 0; r < store.size(); ++r) {
+    if (store.is_hot(r)) continue;
+    const std::uint64_t spare_before = store.spare_bytes();
+    const DvRow& row = store.row(r);
+    EXPECT_EQ(store.spare_bytes(), spare_before - spare_bytes_per_row(n));
+    EXPECT_EQ(buffers.count(row.dists().data()), 1u) << "row " << r;
+    // Bit-identical to a fresh decode of the same cold form, down to the
+    // column lists' footprint, the budget's currency.
+    const DvRow fresh = decode_cold_row(encode_cold_row(reference[r]));
+    expect_rows_equal(row, fresh);
+    EXPECT_EQ(row.footprint_bytes(), fresh.footprint_bytes());
+    EXPECT_EQ(row.harmonic(), fresh.harmonic());
+    EXPECT_EQ(row.queued_count(), 0u);
+  }
+  EXPECT_EQ(store.spare_bytes(), 0u);
+}
+
+TEST(TieredSpares, HotPlusSpareStaysUnderHighWaterMark) {
+  // Random promotions and edits between maintain() calls: after each one,
+  // hot plus spare bytes must not exceed the largest hot total the store
+  // has reached, and promotions must actually draw on the spares. Rows
+  // appended hot while spares wait (as a migration would) raise hot bytes
+  // without taking a spare, so the bound has to drop spares then.
+  const VertexId n = 256;
+  Rng rng(73);
+  TieredDvStore store(3 * spare_bytes_per_row(n));
+  std::vector<DvRow> reference;
+  store.grow_columns(n);
+  fill_hot(store, 16, rng, reference);
+  std::uint64_t high_water = 0;
+  std::size_t reused = 0;
+  std::size_t appended_over_spares = 0;
+  for (int round = 0; round < 40; ++round) {
+    if (round % 4 == 3) {
+      appended_over_spares += store.spare_bytes() > 0 ? 1 : 0;
+      store.append(random_row(n, rng));
+    }
+    const std::size_t touches = 1 + rng.next_below(round % 5 == 0 ? 16 : 6);
+    for (std::size_t k = 0; k < touches; ++k) {
+      const auto r = static_cast<std::size_t>(rng.next_below(store.size()));
+      const bool was_cold = !store.is_hot(r);
+      const std::uint64_t spare_before = store.spare_bytes();
+      DvRow& row = store.row(r);
+      reused += was_cold && store.spare_bytes() < spare_before ? 1 : 0;
+      const auto t = static_cast<VertexId>(rng.next_below(n));
+      if (t != row.self() && row.dist(t) == kInfDist) {
+        row.set(t, static_cast<Dist>(1 + rng.next_below(100)), t);
+        row.mark_dirty(t);
+      }
+    }
+    std::uint64_t hot = 0;
+    for (std::size_t r = 0; r < store.size(); ++r) {
+      if (store.is_hot(r)) hot += store.row(r).footprint_bytes();
+    }
+    high_water = std::max(high_water, hot);
+    store.maintain(std::vector<std::uint8_t>(store.size(), 0));
+    EXPECT_LE(store.resident_bytes() + store.spare_bytes(), high_water)
+        << "round " << round;
+  }
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(appended_over_spares, 0u);
+}
+
+TEST(TieredSpares, DroppedOnColumnGrowthClearAndRestore) {
+  const VertexId n = 300;
+  Rng rng(79);
+  const std::vector<std::uint8_t> interior(8, 0);
+  TieredDvStore store(kMinDvBudgetBytes);
+  std::vector<DvRow> reference;
+  store.grow_columns(n);
+  fill_hot(store, 8, rng, reference);
+  store.maintain(interior);
+  ASSERT_GT(store.spare_bytes(), 0u);
+
+  // A vertex addition widens every row: the spares are the old width.
+  store.grow_columns(1);
+  EXPECT_EQ(store.spare_bytes(), 0u);
+  for (std::size_t r = 0; r < store.size(); ++r) {
+    EXPECT_EQ(store.row(r).size(), n + 1);
+  }
+  store.maintain(interior);
+  ASSERT_GT(store.spare_bytes(), 0u);
+  store.release_spares();
+  EXPECT_EQ(store.spare_bytes(), 0u);
+
+  // Restore rebuilds the rows as RankEngine::restore does: clear, widen,
+  // put the checkpointed rows.
+  for (std::size_t r = 0; r < store.size(); ++r) (void)store.row(r);
+  store.maintain(interior);
+  ASSERT_GT(store.spare_bytes(), 0u);
+  store.clear();
+  EXPECT_EQ(store.spare_bytes(), 0u);
+  store.grow_columns(n);
+  for (const DvRow& ref : reference) {
+    store.append_fresh(ref.self());
+    std::vector<VertexId> dirty;
+    ref.sorted_dirty(dirty);
+    store.put_restored(store.size() - 1, ref.self(), ref.dists(),
+                       ref.next_hops(), std::move(dirty));
+  }
+  EXPECT_EQ(store.spare_bytes(), 0u);
+  for (std::size_t r = 0; r < store.size(); ++r) {
+    expect_rows_equal(store.row(r), reference[r]);
+  }
+}
+
+TEST(TieredSpares, ConcurrentPromotionsShareTheSpares) {
+  // IA workers promote through row() concurrently; the spare list is taken
+  // under the promotion mutex. Three workers promote disjoint cold rows
+  // while spares exist (CI runs this suite under TSan).
+  const VertexId n = 400;
+  Rng rng(83);
+  TieredDvStore store(kMinDvBudgetBytes);
+  std::vector<DvRow> reference;
+  store.grow_columns(n);
+  fill_hot(store, 24, rng, reference);
+  store.maintain(std::vector<std::uint8_t>(store.size(), 0));
+  std::size_t cold = 0;
+  for (std::size_t r = 0; r < store.size(); ++r) cold += store.is_hot(r) ? 0 : 1;
+  const std::uint64_t spares = store.spare_bytes() / spare_bytes_per_row(n);
+  ASSERT_GT(spares, 0u);
+  ASSERT_GT(cold, 3u);
+
+  std::atomic<std::size_t> cursor{0};
+  run_workers(3, [&](std::size_t) {
+    for (;;) {
+      const std::size_t r = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (r >= store.size()) break;
+      (void)store.row(r);
+    }
+  });
+  EXPECT_EQ(store.promotions(), cold);
+  EXPECT_EQ(store.spare_bytes(),
+            (spares - std::min<std::uint64_t>(spares, cold)) *
+                spare_bytes_per_row(n));
+  for (std::size_t r = 0; r < store.size(); ++r) {
+    const DvRow fresh = decode_cold_row(encode_cold_row(reference[r]));
+    expect_rows_equal(store.row(r), fresh);
+    EXPECT_EQ(store.row(r).footprint_bytes(), fresh.footprint_bytes());
+  }
+}
+
 // ------------------------------------------- resident vs tiered equivalence
 
 EngineConfig matrix_cfg(std::uint64_t budget) {
@@ -338,6 +534,7 @@ TEST(TieredEquivalence, StaticAndDynamicAcrossBudgets) {
     AnytimeEngine engine(g, matrix_cfg(0));
     oracle = engine.run(sched);
   }
+  EXPECT_EQ(oracle.stats.dv_spare_bytes, 0u);  // the resident store never demotes
   for (const std::uint64_t budget : kBudgets) {
     AnytimeEngine engine(g, matrix_cfg(budget));
     const RunResult tiered = engine.run(sched);
@@ -345,6 +542,7 @@ TEST(TieredEquivalence, StaticAndDynamicAcrossBudgets) {
     if (budget == kMinDvBudgetBytes) {
       EXPECT_GT(tiered.stats.dv_demotions, 0u) << "floor budget stayed hot";
       EXPECT_GT(tiered.stats.dv_cold_bytes, 0u);
+      EXPECT_GT(tiered.stats.dv_spare_bytes, 0u) << "no demoted buffer kept";
     }
   }
 }

@@ -486,6 +486,7 @@ RunStats golden_stats() {
   s.imbalance_final = 1.0 / 7.0;
   s.dv_resident_bytes = 65536;
   s.dv_cold_bytes = 2048;
+  s.dv_spare_bytes = 4096;
   s.dv_promotions = 17;
   s.dv_demotions = 19;
   s.dv_decode_seconds = 0.001;
@@ -546,7 +547,7 @@ TEST(RunStatsJson, GoldenBytes) {
       "\"at_step\":4,\"mttr_seconds\":0.0625}],\"invariant_violations\":0,"
       "\"cut_edges_initial\":40,\"cut_edges_final\":44,"
       "\"imbalance_final\":0.14285714285714285,\"dv_resident_bytes\":65536,"
-      "\"dv_cold_bytes\":2048,\"dv_promotions\":17,\"dv_demotions\":19,"
+      "\"dv_cold_bytes\":2048,\"dv_spare_bytes\":4096,\"dv_promotions\":17,\"dv_demotions\":19,"
       "\"dv_decode_seconds\":0.001,\"steps\":[{\"step\":1,\"bytes\":1000,"
       "\"max_cpu_seconds\":0.20000000000000001,\"sum_cpu_seconds\":0.5,"
       "\"relaxations\":300,\"poisons\":0,\"repairs\":0,"
