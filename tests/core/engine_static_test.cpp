@@ -74,5 +74,24 @@ TEST(EngineStatic, RcStepsBoundedByRanksForStaticRuns) {
   EXPECT_LE(r.stats.rc_steps, static_cast<std::size_t>(cfg.num_ranks) + 1);
 }
 
+// The drain takes a popped row's queued columns from its queue list while
+// at most n/64 are queued and by a flag scan past that. At n = 2000 the cap
+// is 31, so both forms occur: 5,745 of this run's 14,508 pops take the list
+// and 8,763 scan (at n = 100, as in RebuildPaths.LedgersArePinned, the cap
+// is 1 and nearly every pop scans). A relaxation kernel that changes
+// which entries improve, or their order, moves these counts.
+TEST(RowKernel, StaticLedgerIsPinned) {
+  const Graph g = make_ba(2000, 2, 17);
+  AnytimeEngine engine(g, base_cfg(4));
+  const RunResult r = engine.run();
+  expect_apsp_exact(g, r);
+  std::uint64_t relaxations = 0;
+  for (const StepStats& s : r.stats.steps) relaxations += s.relaxations;
+  EXPECT_EQ(relaxations, 5497244u);
+  EXPECT_EQ(r.stats.rc_steps, 6u);
+  EXPECT_EQ(r.stats.total_messages, 150u);
+  EXPECT_EQ(r.stats.total_bytes, 10922605u);
+}
+
 }  // namespace
 }  // namespace aacc
