@@ -6,11 +6,15 @@
 // Σ over ranks):
 //   * the tracing overhead, disabled (the CI gate) and enabled,
 //   * the progress feed's enabled overhead (report-only).
+// A last section times the drain's row kernel alone (report-only): wall
+// ns per candidate and per relaxation of DvRow::select_improving plus
+// DvRow::relax_batch, the two passes of RankEngine::relax_entries.
 //
 // Prints a summary and writes AACC_OUT_DIR/micro_rc_drain.json (schema:
 // EXPERIMENTS.md §M5). Knobs: AACC_N (vertices, default 8000 — the paper
 // scale is AACC_N=50000), AACC_P (ranks, default 4), AACC_SEED.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -20,11 +24,88 @@
 #include "bench_util.hpp"
 #include "common/env.hpp"
 #include "common/rng.hpp"
+#include "core/dv_matrix.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 
+namespace {
+
+using namespace aacc;
+
+struct KernelCase {
+  const char* density;  ///< queued columns per row column
+  const char* rows;     ///< "fresh" or "overflowed" (see row_kernel_case)
+  std::uint64_t candidates = 0;
+  std::uint64_t relaxations = 0;
+  double ns_per_candidate = 0.0;
+  double ns_per_relaxation = 0.0;
+};
+
+/// Times select_improving + relax_batch, as relax_entries runs them, on
+/// kColumns-column rows: every `stride`-th column is a queued entry with a
+/// base in [0, 40) and w = 1, against row entries in [1, 40], so a bit
+/// under half the candidates improve. "fresh" rows have no dirty or queued
+/// marks, so a batch starts on the list path (the lists overflow inside
+/// dense batches); "overflowed" rows carry marks on a random 1/16 of their
+/// columns, past every list's cap, so every batch takes the flag-only
+/// path, as most of the drain's dense pops do. Each round relaxes kRows
+/// copies of one template row and is timed as a whole; the copies are
+/// restored between rounds, untimed. Reports the median round.
+KernelCase row_kernel_case(const char* density, VertexId stride,
+                           bool overflowed, std::uint64_t seed) {
+  constexpr VertexId kColumns = 8000;
+  constexpr std::size_t kRows = 64;
+  constexpr std::uint64_t kCandidatesPerCase = std::uint64_t{1} << 23;
+  Rng rng(seed);
+  DvRow tmpl(0, kColumns);
+  for (VertexId t = 1; t < kColumns; ++t) {
+    tmpl.set(t, static_cast<Dist>(1 + rng.next_below(40)), 0);
+  }
+  if (overflowed) {
+    for (VertexId i = 0; i < kColumns / 16; ++i) {
+      const auto t = static_cast<VertexId>(1 + rng.next_below(kColumns - 1));
+      tmpl.mark_dirty(t);
+      tmpl.mark_queued(t);
+    }
+  }
+  std::vector<std::pair<VertexId, Dist>> entries;
+  for (VertexId t = 1; t < kColumns; t += stride) {
+    entries.emplace_back(t, static_cast<Dist>(rng.next_below(40)));
+  }
+  std::vector<DvRow> rows(kRows, tmpl);
+  std::vector<std::pair<VertexId, Dist>> picks;
+  std::vector<double> round_ns;
+  KernelCase out{density, overflowed ? "overflowed" : "fresh"};
+  const std::uint64_t per_round = kRows * entries.size();
+  const std::uint64_t rounds =
+      std::max<std::uint64_t>(5, kCandidatesPerCase / per_round);
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    for (DvRow& row : rows) row = tmpl;
+    std::uint64_t relaxed = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (DvRow& row : rows) {
+      const std::size_t k = row.select_improving(entries, 1, picks);
+      relaxed += row.relax_batch(std::span(picks.data(), k), 0,
+                                 [](VertexId) {})
+                     .relaxed;
+    }
+    const auto t1 = std::chrono::steady_clock::now();
+    round_ns.push_back(
+        std::chrono::duration<double, std::nano>(t1 - t0).count());
+    out.relaxations = relaxed;  // identical every round
+  }
+  std::sort(round_ns.begin(), round_ns.end());
+  const double median = round_ns[round_ns.size() / 2];
+  out.candidates = per_round;
+  out.ns_per_candidate = median / static_cast<double>(per_round);
+  out.ns_per_relaxation =
+      out.relaxations == 0 ? 0.0 : median / static_cast<double>(out.relaxations);
+  return out;
+}
+
+}  // namespace
+
 int main() {
-  using namespace aacc;
   const auto n = static_cast<VertexId>(env_int("AACC_N", 8000));
   const auto ranks = static_cast<Rank>(env_int("AACC_P", 4));
   const auto seed = static_cast<std::uint64_t>(env_int("AACC_SEED", 1));
@@ -103,6 +184,14 @@ int main() {
   const double progress_overhead_pct =
       off_min > 0.0 ? 100.0 * std::max(0.0, prog_min - off_min) / off_min : 0.0;
 
+  // ---- row-kernel section (report-only, EXPERIMENTS.md §M5) ----
+  std::vector<KernelCase> kernel;
+  for (const bool overflowed : {false, true}) {
+    kernel.push_back(row_kernel_case("1/64", 64, overflowed, seed));
+    kernel.push_back(row_kernel_case("1/4", 4, overflowed, seed));
+    kernel.push_back(row_kernel_case("1", 1, overflowed, seed));
+  }
+
   std::printf("\n== micro_rc_drain (n=%u vertices, P=%d ranks) ==\n", n, ranks);
   std::printf("trace overhead: disabled %.2f%% (spread of 2 fastest of 5 off"
               " runs), enabled %.2f%% (drain CPU, best off vs best of 2 on)\n",
@@ -111,6 +200,14 @@ int main() {
               "disabled cost is the boolean-test spread above)\n",
               progress_overhead_pct,
               static_cast<unsigned long long>(progress_events));
+  std::printf("row kernel (8000 columns, report-only):\n");
+  for (const KernelCase& k : kernel) {
+    std::printf("  density %-4s %-10s rows: %6.2f ns/candidate, %6.2f ns/"
+                "relaxation (%llu of %llu candidates improve)\n",
+                k.density, k.rows, k.ns_per_candidate, k.ns_per_relaxation,
+                static_cast<unsigned long long>(k.relaxations),
+                static_cast<unsigned long long>(k.candidates));
+  }
 
   const std::string dir = env_str("AACC_OUT_DIR", "/tmp/aacc_bench");
   (void)std::system(("mkdir -p " + dir).c_str());
@@ -124,7 +221,17 @@ int main() {
        << ",\"enabled_overhead_pct\":" << enabled_overhead_pct
        << "},\"progress_overhead\":{\"drain_cpu_on_min\":" << prog_min
        << ",\"enabled_overhead_pct\":" << progress_overhead_pct
-       << ",\"events_per_run\":" << progress_events << "}}\n";
+       << ",\"events_per_run\":" << progress_events
+       << "},\"row_kernel\":{\"columns\":8000,\"cases\":[";
+  for (std::size_t i = 0; i < kernel.size(); ++i) {
+    const KernelCase& k = kernel[i];
+    json << (i == 0 ? "" : ",") << "{\"density\":\"" << k.density
+         << "\",\"rows\":\"" << k.rows << "\",\"candidates\":" << k.candidates
+         << ",\"relaxations\":" << k.relaxations
+         << ",\"ns_per_candidate\":" << k.ns_per_candidate
+         << ",\"ns_per_relaxation\":" << k.ns_per_relaxation << "}";
+  }
+  json << "]}}\n";
   std::printf("[json] %s/micro_rc_drain.json\n", dir.c_str());
   return 0;
 }

@@ -45,6 +45,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "analysis/closeness.hpp"
@@ -339,6 +341,114 @@ class DvRow {
     return true;
   }
   [[nodiscard]] VertexId queued_count() const { return queued_count_; }
+
+  /// Pass 1 of the drain's row kernel, a branch-free select: for every
+  /// (t, base) of `entries` (finite bases) it writes (t, base + w) to
+  /// `picks` and advances past the candidates that improve this row, so
+  /// the first k picks, returned, are the improving ones in entry order.
+  /// About half the candidates improve, so a reject branch would
+  /// mispredict about half the time. A finite base plus w cannot wrap in
+  /// 64 bits and an improving sum is below kInfDist, so no saturation test
+  /// is needed; an undelivered poison marker reads kInfDist, so it is
+  /// always picked, and relax_batch() defers it.
+  std::size_t select_improving(
+      std::span<const std::pair<VertexId, Dist>> entries, Weight w,
+      std::vector<std::pair<VertexId, Dist>>& picks) const {
+    if (picks.size() < entries.size()) picks.resize(entries.size());
+    const Dist* d = d_.data();
+    std::pair<VertexId, Dist>* out = picks.data();
+    std::size_t k = 0;
+    for (const auto& [t, base] : entries) {
+      const std::uint64_t nd = std::uint64_t{base} + w;
+      out[k] = {t, static_cast<Dist>(nd)};
+      k += static_cast<std::size_t>(nd < d[t]);
+    }
+    return k;
+  }
+
+  /// What relax_batch() did: entries written, and columns it newly marked
+  /// dirty and newly queued.
+  struct BatchCounts {
+    VertexId relaxed = 0;
+    VertexId dirtied = 0;
+    VertexId queued = 0;
+  };
+  /// Applies a batch of improvements: for each (t, nd) in order, exactly
+  /// set(t, nd, nh), mark_dirty(t) and mark_queued(t) — except that an
+  /// undelivered poison marker (entry kInfDist, kDirty set) is left
+  /// untouched and handed to on_marker(t). Every nd must be finite and
+  /// below the column's entry (a marker's kInfDist always is), and the
+  /// columns must be distinct. The aggregates and counts are kept in
+  /// locals and written once. When the dirty, queue and reach lists have
+  /// all overflowed, no column needs a list push, and the loop is
+  /// branch-free but for the marker test.
+  template <typename OnMarker>
+  BatchCounts relax_batch(std::span<const std::pair<VertexId, Dist>> cands,
+                          VertexId nh, OnMarker&& on_marker) {
+    BatchCounts c;
+    std::uint64_t sum = sum_;
+    VertexId finite = finite_;
+    Dist* d = d_.data();
+    VertexId* hops = nh_.data();
+    std::uint8_t* flags = flags_.data();
+    if (dirty_.overflowed() && queued_.overflowed() && reach_.overflowed()) {
+      for (const auto& [t, nd] : cands) {
+        const Dist old = d[t];
+        const std::uint8_t f = flags[t];
+        if (old == kInfDist && (f & kDirty) != 0) {
+          on_marker(t);
+          continue;
+        }
+        AACC_DCHECK(t != self_ && nd < old);
+        const bool was_inf = old == kInfDist;
+        sum += nd - (was_inf ? 0 : std::uint64_t{old});
+        finite += was_inf;
+        d[t] = nd;
+        hops[t] = nh;
+        c.dirtied += (f & kDirty) == 0;
+        c.queued += (f & kQueued) == 0;
+        flags[t] = f | kDirty | kQueued;
+        ++c.relaxed;
+      }
+    } else {
+      const std::size_t cap = list_cap();
+      for (const auto& [t, nd] : cands) {
+        const Dist old = d[t];
+        const std::uint8_t f = flags[t];
+        if (old == kInfDist && (f & kDirty) != 0) {
+          on_marker(t);
+          continue;
+        }
+        AACC_DCHECK(t != self_ && nd < old);
+        if (old == kInfDist) {
+          ++finite;
+          reach_.push(t, cap);
+        } else {
+          sum -= old;
+        }
+        sum += nd;
+        d[t] = nd;
+        hops[t] = nh;
+        if ((f & kDirty) == 0) {
+          ++c.dirtied;
+          dirty_.push(t, cap);
+        }
+        if ((f & kQueued) == 0) {
+          ++c.queued;
+          queued_.push(t, cap);
+        }
+        flags[t] = f | kDirty | kQueued;
+        ++c.relaxed;
+      }
+    }
+    if (c.relaxed != 0) harmonic_stale_ = true;
+    sum_ = sum;
+    finite_ = finite;
+    dirty_count_ += c.dirtied;
+    queued_count_ += c.queued;
+    return c;
+  }
+
   /// Moves every queued column into `out` and clears their flags: in
   /// queueing order while the queue list holds them all, else ascending by
   /// a flag scan.

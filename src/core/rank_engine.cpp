@@ -443,31 +443,11 @@ void RankEngine::run_ia() {
 
 // ------------------------------------------------------ relaxation kernel
 
-#ifdef AACC_WATCH
-static void watch(const char* what, Rank rank, VertexId x, VertexId t, Dist d,
-                  VertexId nh) {
-  static const long wx = std::getenv("WX") ? std::atol(std::getenv("WX")) : -1;
-  static const long wt = std::getenv("WT") ? std::atol(std::getenv("WT")) : -1;
-  if (static_cast<long>(x) == wx && static_cast<long>(t) == wt) {
-    std::fprintf(stderr, "[watch r%d] %s (%u,%u) d=%d nh=%d\n", rank, what, x,
-                 t, d == kInfDist ? -1 : static_cast<int>(d),
-                 nh == kNoVertex ? -1 : static_cast<int>(nh));
-  }
-}
-#define AACC_WATCH_HIT(what, x, t, d, nh) watch(what, comm_.rank(), x, t, d, nh)
-#else
-#define AACC_WATCH_HIT(what, x, t, d, nh)
-#endif
-
 void RankEngine::relax(VertexId x, VertexId t, Dist nd, VertexId nh) {
   if (nd == kInfDist || !lg_.is_alive(t)) return;
   const std::int32_t ri = lg_.row_of(x);
   AACC_DCHECK(ri >= 0);
-  relax_row(dv_->row(static_cast<std::size_t>(ri)), x, t, nd, nh);
-}
-
-void RankEngine::relax_row(DvRow& row, VertexId x, VertexId t, Dist nd,
-                           VertexId nh) {
+  DvRow& row = dv_->row(static_cast<std::size_t>(ri));
   if (row.dist(t) == kInfDist && row.test_flag(t, DvRow::kDirty)) {
     // Undelivered poison marker: subscribers have not yet been told this
     // entry died. Overwriting it now (e.g. from a stale portal cache while
@@ -478,7 +458,6 @@ void RankEngine::relax_row(DvRow& row, VertexId x, VertexId t, Dist nd,
     return;
   }
   if (nd < row.dist(t)) {
-    AACC_WATCH_HIT("relax", x, t, nd, nh);
     row.set(t, nd, nh);
     if (row.mark_dirty(t)) ++dirty_entries_;
     ++counts_.relaxations;
@@ -513,16 +492,27 @@ void RankEngine::relax_queued_row(VertexId x) {
     if (!lg_.is_local(e.to)) continue;
     const std::int32_t yi = lg_.row_of(e.to);
     AACC_DCHECK(yi >= 0);
-    DvRow& yrow = dv_->row(static_cast<std::size_t>(yi));
-    for (const auto& [t, base] : drain_entries_) {
-      // Most candidates improve nothing: reject them here. A finite nd can
-      // only tie or lose against a finite entry, so an undelivered poison
-      // marker (kInfDist) always reaches relax_row(), which defers it.
-      const Dist nd = dist_add(base, e.w);
-      if (nd >= yrow.dist(t)) continue;
-      relax_row(yrow, e.to, t, nd, x);
-    }
+    relax_entries(dv_->row(static_cast<std::size_t>(yi)), e.to, drain_entries_,
+                  e.w, x);
   }
+}
+
+void RankEngine::relax_entries(
+    DvRow& yrow, VertexId y,
+    std::span<const std::pair<VertexId, Dist>> entries, Weight w,
+    VertexId hop) {
+  const std::size_t k = yrow.select_improving(entries, w, relax_picks_);
+  if (k == 0) return;
+  // The columns are distinct, so the select read no entry this batch
+  // writes.
+  const bool was_idle = yrow.queued_count() == 0;
+  const DvRow::BatchCounts c = yrow.relax_batch(
+      std::span(relax_picks_.data(), k), hop,
+      [&](VertexId t) { repairs_.emplace_back(y, t); });
+  counts_.relaxations += c.relaxed;
+  dirty_entries_ += c.dirtied;
+  queued_entries_ += c.queued;
+  if (was_idle && c.queued != 0) row_queue_.push_back(y);
 }
 
 void RankEngine::repair(VertexId x, VertexId t) {
@@ -586,7 +576,6 @@ void RankEngine::drain() {
 void RankEngine::poison_entry(std::size_t row_idx, VertexId t,
                               std::deque<std::pair<VertexId, VertexId>>& queue) {
   DvRow& row = dv_->row(row_idx);
-  AACC_WATCH_HIT("poison", row.self(), t, kInfDist, kNoVertex);
   row.set(t, kInfDist, kNoVertex);
   if (row.mark_dirty(t)) ++dirty_entries_;
   ++counts_.poisons;
@@ -713,13 +702,8 @@ void RankEngine::apply_portal_record(
   }
   if (portal_relax_.empty()) return;
   for (const auto& [x, w] : lg_.portal_neighbors(b)) {
-    DvRow& row = dv_->row(static_cast<std::size_t>(lg_.row_of(x)));
-    for (const auto& [t, d] : portal_relax_) {
-      // The drain's inline no-op reject (see relax_queued_row).
-      const Dist nd = dist_add(d, w);
-      if (nd >= row.dist(t)) continue;
-      relax_row(row, x, t, nd, b);
-    }
+    relax_entries(dv_->row(static_cast<std::size_t>(lg_.row_of(x))), x,
+                  portal_relax_, w, b);
   }
 }
 

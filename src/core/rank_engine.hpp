@@ -127,16 +127,22 @@ class RankEngine {
  private:
   // ---- relaxation machinery ----
   void relax(VertexId x, VertexId t, Dist nd, VertexId nh);
-  /// relax() past its liveness check, on x's already fetched row `row`.
-  void relax_row(DvRow& row, VertexId x, VertexId t, Dist nd, VertexId nh);
   /// Queues column t of x's row `row` for relaxation through x's local
   /// neighbours; the row joins the row queue when t is its first column.
   void enqueue(DvRow& row, VertexId x, VertexId t);
   /// Repairs first, then rows in FIFO order, until both queues are empty.
   void drain();
   /// Takes x's queued columns and relaxes each local neighbour's row over
-  /// all of them in one pass.
+  /// all of them with relax_entries.
   void relax_queued_row(VertexId x);
+  /// The Figure-1 update D[y][t] = min(D[y][t], base + w) over y's row
+  /// `yrow` for every (t, base) of `entries` (distinct columns, finite
+  /// bases), with next hop `hop`: DvRow::select_improving, then one
+  /// DvRow::relax_batch over the improving entries. Same effect, in the
+  /// same order, as relax() per improving entry.
+  void relax_entries(DvRow& yrow, VertexId y,
+                     std::span<const std::pair<VertexId, Dist>> entries,
+                     Weight w, VertexId hop);
   void repair(VertexId x, VertexId t);
   /// Transitively invalidates every local entry whose next-hop chain passes
   /// through a seed; seeds are (vertex, target) pairs already known bad.
@@ -320,6 +326,9 @@ class RankEngine {
   /// Drain scratch: one popped row's queued columns and their distances.
   std::vector<VertexId> drain_cols_;
   std::vector<std::pair<VertexId, Dist>> drain_entries_;
+  /// relax_entries scratch: the candidates (t, base + w), the improving
+  /// ones packed at the front.
+  std::vector<std::pair<VertexId, Dist>> relax_picks_;
   /// apply_portal_record scratch: the decoded record, the portal's cascade
   /// candidate rows (computed by the record's first poison) and the finite
   /// values its neighbour rows relax over.

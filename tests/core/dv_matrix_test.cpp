@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <random>
 
 #include "core/dv_matrix.hpp"
@@ -588,6 +589,174 @@ TEST(DvRow, RowQueueTakesInOrderUnderCapAscendingPastIt) {
   for (const VertexId t : {200u, 6u, 2u, 100u}) EXPECT_TRUE(row.mark_queued(t));
   row.take_queued(taken);
   EXPECT_EQ(taken, (std::vector<VertexId>{200, 6, 2, 100}));
+}
+
+
+// select_improving against a brute-force filter: it picks exactly the
+// entries whose base + w is below the row's entry, in entry order, and
+// writes each pick's sum. Sums at and past kInfDist (huge bases or
+// weights) never improve; an undelivered poison marker (kInfDist) is
+// picked like any infinite entry.
+TEST(DvRow, SelectImprovingPicksStrictImprovementsInOrder) {
+  std::mt19937 rng(20261021);
+  std::vector<std::pair<VertexId, Dist>> picks;
+  for (int round = 0; round < 200; ++round) {
+    const VertexId n = 50 + static_cast<VertexId>(rng() % 200);
+    DvRow row(0, n);
+    for (VertexId t = 1; t < n; ++t) {
+      if (rng() % 4 != 0) row.set(t, 1 + static_cast<Dist>(rng() % 40), 0);
+    }
+    std::vector<VertexId> cols(n);
+    for (VertexId t = 0; t < n; ++t) cols[t] = t;
+    std::shuffle(cols.begin(), cols.end(), rng);
+    cols.resize(rng() % n);
+    const Weight w = rng() % 8 == 0 ? kInfDist - 1 - static_cast<Weight>(rng() % 3)
+                                    : 1 + static_cast<Weight>(rng() % 5);
+    std::vector<std::pair<VertexId, Dist>> entries;
+    std::vector<std::pair<VertexId, Dist>> want;
+    for (const VertexId t : cols) {
+      const Dist base = rng() % 16 == 0 ? kInfDist - 1 - static_cast<Dist>(rng() % 3)
+                                        : static_cast<Dist>(rng() % 40);
+      entries.emplace_back(t, base);
+      const Dist nd = dist_add(base, w);
+      if (nd < row.dist(t)) want.emplace_back(t, nd);
+    }
+    const std::size_t k = row.select_improving(entries, w, picks);
+    ASSERT_EQ(k, want.size());
+    ASSERT_GE(picks.size(), entries.size());
+    for (std::size_t i = 0; i < k; ++i) ASSERT_EQ(picks[i], want[i]) << i;
+  }
+}
+
+// Fuzz: relax_batch must leave a row exactly as the per-entry sequence
+// set → mark_dirty → mark_queued leaves it, with an undelivered poison
+// marker (kInfDist, kDirty set) untouched and handed to the callback
+// instead, and return that sequence's counts. Before the batch each of the
+// dirty, queue and reach lists holds a random number of ids below, at or
+// past its n/64 cap, so batches run on both paths, and a batch may carry a
+// list across its cap. Batch columns may be already dirty, already queued,
+// infinite (a reach push) or markers; batches may be empty.
+TEST(DvRow, RelaxBatchMatchesPerEntry) {
+  std::mt19937 rng(20261020);
+  const auto below = [&](std::size_t bound) {
+    return bound == 0 ? std::size_t{0} : rng() % bound;
+  };
+  std::vector<VertexId> got_cols;
+  std::vector<VertexId> want_cols;
+  int fast = 0;
+  for (int round = 0; round < 900; ++round) {
+    const VertexId n = std::array<VertexId, 3>{64, 320, 1000}[round % 3];
+    const std::size_t cap = n / DvRow::kScanDensityInverse;
+    const auto self = static_cast<VertexId>(below(n));
+    DvRow got(self, n);
+    DvRow want(self, n);
+    const auto both = [&](auto&& op) {
+      op(got);
+      op(want);
+    };
+    std::vector<VertexId> cols;
+    for (VertexId t = 0; t < n; ++t) {
+      if (t != self) cols.push_back(t);
+    }
+    const auto pick = [&] { return cols[below(cols.size())]; };
+
+    // Prior state: finite columns (reach pushes), some of them turned into
+    // markers, then dirty and queued marks, each count in [0, 2 cap + 2].
+    std::shuffle(cols.begin(), cols.end(), rng);
+    const std::size_t reach = below(2 * cap + 3);
+    for (std::size_t i = 0; i < reach; ++i) {
+      const VertexId t = cols[i];
+      const auto d = static_cast<Dist>(1 + below(60));
+      const auto hop = static_cast<VertexId>(below(n));
+      both([&](DvRow& r) { r.set(t, d, hop); });
+      if (below(6) == 0) {
+        both([&](DvRow& r) {
+          r.set(t, kInfDist, kNoVertex);
+          r.mark_dirty(t);
+        });
+      }
+    }
+    const std::size_t dirty = below(2 * cap + 3);
+    for (std::size_t i = 0; i < dirty; ++i) {
+      const VertexId t = pick();
+      both([&](DvRow& r) { r.mark_dirty(t); });
+    }
+    const std::size_t queued = below(2 * cap + 3);
+    for (std::size_t i = 0; i < queued; ++i) {
+      const VertexId t = pick();
+      both([&](DvRow& r) { r.mark_queued(t); });
+    }
+    ASSERT_EQ(got.harmonic(), want.harmonic());  // both caches fresh
+
+    // The batch: distinct columns in random order, each improving.
+    std::shuffle(cols.begin(), cols.end(), rng);
+    const std::size_t sizes[] = {0, 1 + below(cap), cap + below(2 * cap + 2),
+                                 below(cols.size())};
+    const std::size_t m = sizes[below(4)];
+    std::vector<std::pair<VertexId, Dist>> cands;
+    for (std::size_t i = 0; i < m; ++i) {
+      const VertexId t = cols[i];
+      const Dist cur = want.dist(t);
+      if (cur == kInfDist) {
+        cands.emplace_back(t, static_cast<Dist>(1 + below(100)));
+      } else if (cur > 1) {
+        cands.emplace_back(t, static_cast<Dist>(1 + below(cur - 1)));
+      }
+    }
+    const auto nh = static_cast<VertexId>(below(n));
+
+    DvRow::BatchCounts want_counts;
+    std::vector<VertexId> want_markers;
+    for (const auto& [t, nd] : cands) {
+      if (want.dist(t) == kInfDist && want.test_flag(t, DvRow::kDirty)) {
+        want_markers.push_back(t);
+        continue;
+      }
+      want.set(t, nd, nh);
+      want_counts.dirtied += want.mark_dirty(t) ? 1 : 0;
+      want_counts.queued += want.mark_queued(t) ? 1 : 0;
+      ++want_counts.relaxed;
+    }
+    std::vector<VertexId> got_markers;
+    const DvRow::BatchCounts got_counts = got.relax_batch(
+        cands, nh, [&](VertexId t) { got_markers.push_back(t); });
+
+    SCOPED_TRACE(::testing::Message()
+                 << "round " << round << " n " << n << " reach " << reach
+                 << " dirty " << dirty << " queued " << queued << " batch "
+                 << cands.size());
+    ASSERT_EQ(got_counts.relaxed, want_counts.relaxed);
+    ASSERT_EQ(got_counts.dirtied, want_counts.dirtied);
+    ASSERT_EQ(got_counts.queued, want_counts.queued);
+    ASSERT_EQ(got_markers, want_markers);
+    ASSERT_EQ(got.dists(), want.dists());
+    ASSERT_EQ(got.next_hops(), want.next_hops());
+    for (VertexId t = 0; t < n; ++t) {
+      ASSERT_EQ(got.test_flag(t, DvRow::kDirty), want.test_flag(t, DvRow::kDirty))
+          << t;
+      ASSERT_EQ(got.test_flag(t, DvRow::kQueued),
+                want.test_flag(t, DvRow::kQueued))
+          << t;
+    }
+    ASSERT_EQ(got.finite_sum(), want.finite_sum());
+    ASSERT_EQ(got.finite_count(), want.finite_count());
+    ASSERT_EQ(got.harmonic(), want.harmonic());
+    ASSERT_EQ(got.dirty_count(), want.dirty_count());
+    ASSERT_EQ(got.queued_count(), want.queued_count());
+    ASSERT_EQ(got.dirty_list_overflowed(), want.dirty_list_overflowed());
+    ASSERT_EQ(got.footprint_bytes(), want.footprint_bytes());
+    got.sorted_dirty(got_cols);
+    want.sorted_dirty(want_cols);
+    ASSERT_EQ(got_cols, want_cols);
+    got.sorted_finite(got_cols);
+    want.sorted_finite(want_cols);
+    ASSERT_EQ(got_cols, want_cols);
+    got.take_queued(got_cols);
+    want.take_queued(want_cols);
+    ASSERT_EQ(got_cols, want_cols);
+    if (reach > cap && dirty > cap && queued > cap) ++fast;
+  }
+  EXPECT_GT(fast, 50);  // rounds that start with every list overflowed
 }
 
 }  // namespace
