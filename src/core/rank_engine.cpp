@@ -471,6 +471,30 @@ void RankEngine::enqueue(DvRow& row, VertexId x, VertexId t) {
   if (row.queued_count() == 1) row_queue_.push_back(x);
 }
 
+// Defined before its callers so that the select inlines into them: a
+// sparse pop mostly improves nothing, and then pays no call.
+inline void RankEngine::relax_entries(
+    DvRow& yrow, VertexId y,
+    std::span<const std::pair<VertexId, Dist>> entries, Weight w,
+    VertexId hop) {
+  const std::size_t k = yrow.select_improving(entries, w, relax_picks_);
+  if (k != 0) apply_picks(yrow, y, k, hop);
+}
+
+void RankEngine::apply_picks(DvRow& yrow, VertexId y, std::size_t k,
+                             VertexId hop) {
+  // The columns are distinct, so the select read no entry this batch
+  // writes.
+  const bool was_idle = yrow.queued_count() == 0;
+  const DvRow::BatchCounts c = yrow.relax_batch(
+      std::span(relax_picks_.data(), k), hop,
+      [&](VertexId t) { repairs_.emplace_back(y, t); });
+  counts_.relaxations += c.relaxed;
+  dirty_entries_ += c.dirtied;
+  queued_entries_ += c.queued;
+  if (was_idle && c.queued != 0) row_queue_.push_back(y);
+}
+
 void RankEngine::relax_queued_row(VertexId x) {
   // A deleted row left the queued count with it (remove_local_row); every
   // row rebuild empties the row queue (reset_rows).
@@ -495,24 +519,6 @@ void RankEngine::relax_queued_row(VertexId x) {
     relax_entries(dv_->row(static_cast<std::size_t>(yi)), e.to, drain_entries_,
                   e.w, x);
   }
-}
-
-void RankEngine::relax_entries(
-    DvRow& yrow, VertexId y,
-    std::span<const std::pair<VertexId, Dist>> entries, Weight w,
-    VertexId hop) {
-  const std::size_t k = yrow.select_improving(entries, w, relax_picks_);
-  if (k == 0) return;
-  // The columns are distinct, so the select read no entry this batch
-  // writes.
-  const bool was_idle = yrow.queued_count() == 0;
-  const DvRow::BatchCounts c = yrow.relax_batch(
-      std::span(relax_picks_.data(), k), hop,
-      [&](VertexId t) { repairs_.emplace_back(y, t); });
-  counts_.relaxations += c.relaxed;
-  dirty_entries_ += c.dirtied;
-  queued_entries_ += c.queued;
-  if (was_idle && c.queued != 0) row_queue_.push_back(y);
 }
 
 void RankEngine::repair(VertexId x, VertexId t) {

@@ -143,6 +143,9 @@ class RankEngine {
   void relax_entries(DvRow& yrow, VertexId y,
                      std::span<const std::pair<VertexId, Dist>> entries,
                      Weight w, VertexId hop);
+  /// relax_entries' apply pass: relax_batch over the first k picks in
+  /// relax_picks_, then the engine's counts and row queue.
+  void apply_picks(DvRow& yrow, VertexId y, std::size_t k, VertexId hop);
   void repair(VertexId x, VertexId t);
   /// Transitively invalidates every local entry whose next-hop chain passes
   /// through a seed; seeds are (vertex, target) pairs already known bad.
