@@ -756,7 +756,7 @@ TEST(DvRow, RelaxBatchMatchesPerEntry) {
     ASSERT_EQ(got_cols, want_cols);
     if (reach > cap && dirty > cap && queued > cap) ++fast;
   }
-  EXPECT_GT(fast, 50);  // rounds that start with every list overflowed
+  EXPECT_GT(fast, 50);  // rounds whose prior marks pass every list cap
 }
 
 }  // namespace
